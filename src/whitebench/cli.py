@@ -8,16 +8,13 @@ working directory.
 from __future__ import annotations
 
 import argparse
-import struct
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import dataio, plotting, runner, verify
 from .datatypes import Dataset, compute_F, compute_K, compute_mixed_K, estimate_input_rank
 from .errors import ValidationError, WhitebenchError
-from .info_checks import CompressedDataset, compress_whitened, reconstruct_K
+from .info_checks import compress_whitened, reconstruct_K
 from .plotting import PlotSpec
 from .runconfig import parse_config
 from .whitening import RankPolicy, apply_whitener, fit_whitener
@@ -91,49 +88,17 @@ def _cmd_sweep(args):
     return 0
 
 
-_WBCP_MAGIC = b"WBCP"
-
-
 def _cmd_compress(args):
     X, _ = dataio.ingest(args.input, _format_of(args.input))
     c = compress_whitened(X)
-    with open(args.output, "wb") as fh:
-        fh.write(_WBCP_MAGIC)
-        fh.write(struct.pack("<H", 1))
-        fh.write(struct.pack("<II", c.d, c.n))
-        has_perm = c.column_permutation is not None
-        fh.write(struct.pack("<B", 1 if has_perm else 0))
-        if has_perm:
-            fh.write(np.asarray(c.column_permutation, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(c.payload, dtype="<f8").tobytes(order="F"))
+    dataio.export_compressed(args.output, c)
     print(f"compressed {args.input}: {c.scalar_count} scalars "
-          f"(d={c.d}, n={c.n}, permuted={has_perm}) -> {args.output}")
+          f"(d={c.d}, n={c.n}, permuted={c.column_permutation is not None}) -> {args.output}")
     return 0
 
 
-def _read_compressed(path) -> CompressedDataset:
-    from .errors import ParseError
-
-    data = Path(path).read_bytes()
-    if data[:4] != _WBCP_MAGIC:
-        raise ParseError(f"{path}: bad magic {data[:4]!r} at offset 0, expected {_WBCP_MAGIC!r}")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != 1:
-        raise ParseError(f"{path}: unsupported version {version}")
-    d, n = struct.unpack_from("<II", data, 6)
-    (has_perm,) = struct.unpack_from("<B", data, 14)
-    offset = 15
-    perm = None
-    if has_perm:
-        perm = np.frombuffer(data, dtype="<u4", count=n, offset=offset).astype(int)
-        offset += 4 * n
-    payload = np.frombuffer(data, dtype="<f8", offset=offset).reshape((d, n - d), order="F")
-    return CompressedDataset(payload=payload, d=d, n=n, column_permutation=perm)
-
-
 def _cmd_reconstruct_k(args):
-    c = _read_compressed(args.input)
-    K = reconstruct_K(c)
+    K = reconstruct_K(dataio.ingest_compressed(args.input))
     dataio.write_matrix_csv(args.output, K)
     print(f"reconstructed {K.shape[0]}x{K.shape[1]} Gram matrix -> {args.output}")
     return 0

@@ -19,8 +19,10 @@ LABEL_ENCODINGS = ("one_hot", "real_valued")
 
 #: relative singular-value cutoff for input-rank estimation
 RANK_CUTOFF_RATIO = 1e-5
-#: relative singular-value cutoff for pseudoinverses
-PINV_CUTOFF_RATIO = 1e-10
+#: relative singular-value cutoff for pseudoinverses, about sqrt(machine eps).
+#: Rounding error in the Penrose identities grows like eps / cutoff, so a
+#: smaller cutoff keeps near-null directions whose residuals exceed 1e-8.
+PINV_CUTOFF_RATIO = 1e-8
 #: eigenvalues below this fraction of the largest are treated as exact nulls
 NULL_MODE_RATIO = 1e-12
 

@@ -7,14 +7,12 @@ cross entropy); reported metrics are per-sample averages.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .datatypes import Dataset, LabelSet, check_paired
-from .errors import ParseError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .records import TrainRecord
 
 ACTIVATIONS = ("relu", "tanh")
@@ -214,74 +212,6 @@ def init_isotropic(
         for l in range(1, len(weights))
     ]
     return MLP(weights=weights, biases=biases, activation=activation, output_head=output_head)
-
-
-_CHECKPOINT_MAGIC = b"WBMC"
-
-
-def save_checkpoint(model: MLP, path, seed: int = 0, config_hash: bytes = b""):
-    """Binary checkpoint: magic "WBMC", u16 version=1, u8 activation (0 relu,
-    1 tanh), u8 head (0 linear_mse, 1 softmax_xent), u8 layer count L, u8 bias
-    flags bitmask, (L+1) u32 layer sizes, u64 seed, u8 hash length + hash
-    bytes, then per layer the weights as float64 little-endian (row-major)
-    followed by any bias vector. All integers little-endian.
-    """
-    sizes = model.layer_sizes
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", 1))
-        fh.write(struct.pack("<BB", ACTIVATIONS.index(model.activation), OUTPUT_HEADS.index(model.output_head)))
-        bias_mask = sum(1 << l for l, b in enumerate(model.biases) if b is not None)
-        fh.write(struct.pack("<BB", model.depth, bias_mask))
-        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        fh.write(struct.pack("<Q", seed))
-        fh.write(struct.pack("<B", len(config_hash)) + config_hash)
-        for l, W in enumerate(model.weights):
-            fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
-            if model.biases[l] is not None:
-                fh.write(np.ascontiguousarray(model.biases[l], dtype="<f8").tobytes())
-
-
-def load_checkpoint(path):
-    """Returns (MLP, seed, config_hash); rejects foreign or truncated files."""
-    data = Path(path).read_bytes()
-    if data[:4] != _CHECKPOINT_MAGIC:
-        raise ParseError(f"{path}: bad magic {data[:4]!r} at offset 0")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != 1:
-        raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    act_idx, head_idx, depth, bias_mask = struct.unpack_from("<BBBB", data, 6)
-    offset = 10
-    sizes = struct.unpack_from(f"<{depth + 1}I", data, offset)
-    offset += 4 * (depth + 1)
-    (seed,) = struct.unpack_from("<Q", data, offset)
-    offset += 8
-    (hash_len,) = struct.unpack_from("<B", data, offset)
-    offset += 1
-    config_hash = data[offset : offset + hash_len]
-    offset += hash_len
-    weights, biases = [], []
-    for l in range(depth):
-        count = sizes[l + 1] * sizes[l]
-        if offset + 8 * count > len(data):
-            raise ParseError(f"{path}: truncated at offset {offset}")
-        weights.append(
-            np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            .reshape(sizes[l + 1], sizes[l]).astype(np.float64)
-        )
-        offset += 8 * count
-        if bias_mask & (1 << l):
-            biases.append(
-                np.frombuffer(data, dtype="<f8", count=sizes[l + 1], offset=offset).astype(np.float64)
-            )
-            offset += 8 * sizes[l + 1]
-        else:
-            biases.append(None)
-    model = MLP(
-        weights=weights, biases=biases,
-        activation=ACTIVATIONS[act_idx], output_head=OUTPUT_HEADS[head_idx],
-    )
-    return model, seed, config_hash
 
 
 @dataclass

@@ -99,6 +99,7 @@ class _Scale:
 
 def emit_plot(results_path, spec: PlotSpec, output_path):
     """Render one polyline (+ 2x standard-error band) per group value."""
+    from xml.sax.saxutils import escape  # local: it imports urllib.request, costly at CLI start-up
     groups = _read_groups(results_path, spec)
     series = {}
     for key in sorted(groups):
@@ -131,7 +132,7 @@ def emit_plot(results_path, spec: PlotSpec, output_path):
     if spec.title:
         parts.append(
             f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{spec.title}</text>\n'
+            f'font-family="monospace" font-size="14">{escape(spec.title)}</text>\n'
         )
     # axes
     x0, y0 = MARGIN_L, HEIGHT - MARGIN_B
@@ -155,11 +156,11 @@ def emit_plot(results_path, spec: PlotSpec, output_path):
         )
     parts.append(
         f'<text x="{_fmt((x0 + WIDTH - MARGIN_R) / 2)}" y="{_fmt(HEIGHT - 12)}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">{spec.x}</text>\n'
+        f'font-family="monospace" font-size="12">{escape(spec.x)}</text>\n'
     )
     parts.append(
         f'<text x="16" y="{_fmt((MARGIN_T + y0) / 2)}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12" transform="rotate(-90 16 {_fmt((MARGIN_T + y0) / 2)})">{spec.y}</text>\n'
+        f'font-family="monospace" font-size="12" transform="rotate(-90 16 {_fmt((MARGIN_T + y0) / 2)})">{escape(spec.y)}</text>\n'
     )
 
     for i, (key, pts) in enumerate(series.items()):
@@ -179,7 +180,7 @@ def emit_plot(results_path, spec: PlotSpec, output_path):
         parts.append(f'<rect x="{_fmt(lx)}" y="{_fmt(ly)}" width="10" height="10" fill="{color}"/>\n')
         parts.append(
             f'<text x="{_fmt(lx + 14)}" y="{_fmt(ly + 9)}" font-family="monospace" '
-            f'font-size="11">{spec.group}={key}</text>\n'
+            f'font-size="11">{escape(f"{spec.group}={key}")}</text>\n'
         )
     parts.append("</svg>\n")
     Path(output_path).write_bytes("".join(parts).encode("utf-8"))

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,51 @@ def test_compress_reconstruct_round_trip(tmp_path, rng):
     assert main(["compress", "--input", str(src), "--output", str(packed)]) == 0
     assert main(["reconstruct-k", "--input", str(packed), "--output", str(out)]) == 0
     assert np.max(np.abs(read_matrix_csv(out) - compute_K(X_hat))) <= 1e-8
+
+
+def _frame(magic, version, *blocks):
+    out = magic + struct.pack("<H", version)
+    for block in blocks:
+        block = np.asarray(block, dtype="<f8")
+        out += struct.pack("<II", *block.shape) + block.tobytes(order="F")
+    return out
+
+
+_PAYLOAD = np.arange(15.0).reshape(3, 5) / 7.0
+_VALID_WBCP = _frame(b"WBCP", 2, _PAYLOAD, [[7, 6, 5, 4, 3, 2, 1, 0]])
+MALFORMED_WBCP = {
+    "twelve_bytes": _VALID_WBCP[:12],
+    "three_bytes_short": _VALID_WBCP[:-3],
+    "eight_trailing_bytes": _VALID_WBCP + bytes(8),
+    "permutation_out_of_range": _frame(b"WBCP", 2, _PAYLOAD, [[0, 1, 2, 3, 4, 5, 6, 8]]),
+    "permutation_duplicated": _frame(b"WBCP", 2, _PAYLOAD, [[0, 1, 2, 3, 4, 5, 6, 6]]),
+    "n_below_d": _frame(b"WBCP", 2, np.zeros((8, 0)), [[1, 0]]),
+    # version 1 layout: u32 d, u32 n, u8 permutation flag, then the payload
+    "version_1": b"WBCP" + struct.pack("<HIIB", 1, 8, 2, 0) + np.zeros(8).tobytes(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WBCP))
+@pytest.mark.parametrize("command", ["reconstruct-k", "rank"])
+def test_malformed_wbcp_exits_2(tmp_path, capsys, case, command):
+    path = tmp_path / "bad.wbcp"
+    path.write_bytes(MALFORMED_WBCP[case])
+    argv = [command, "--input", str(path)]
+    if command == "reconstruct-k":
+        argv += ["--output", str(tmp_path / "k.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    if case == "version_1" and command == "reconstruct-k":
+        assert "unsupported version 1" in err
+
+
+def test_valid_wbcp_with_permutation_reconstructs(tmp_path):
+    path = tmp_path / "ok.wbcp"
+    path.write_bytes(_VALID_WBCP)
+    out = tmp_path / "k.csv"
+    assert main(["reconstruct-k", "--input", str(path), "--output", str(out)]) == 0
+    assert read_matrix_csv(out).shape == (8, 8)
 
 
 def test_train_linear_command(tmp_path):

@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from whitebench import (
     Dataset,
@@ -113,6 +113,7 @@ matrices = st.integers(1, 8).flatmap(
 
 
 @given(matrices)
+@example(np.array([[0.0, 1.19e-7, 3.5], [0.5, 0.0, 0.0], [5.0, 0.0, 1.0]]))  # sigma ratio 6.5e-10
 @settings(max_examples=40, deadline=None)
 def test_pseudoinverse_penrose_properties(A):
     P = pseudoinverse(A)

@@ -179,37 +179,3 @@ def test_accuracy_tie_breaks_to_lowest_index():
     targets[0, 0] = 1.0  # class 0: tie -> predicted 0 -> correct
     targets[2, 1] = 1.0  # class 2: tie -> predicted 0 -> wrong
     assert accuracy(pred, targets) == 0.5
-
-
-def test_checkpoint_round_trip(tmp_path, rng):
-    from whitebench.models import load_checkpoint, save_checkpoint
-
-    model = init_isotropic(
-        [5, 7, 3], variance=0.1, seed=11, activation="tanh",
-        output_head="softmax_xent", deeper_biases=True,
-    )
-    model.biases[1][:] = rng.standard_normal(3)
-    path = tmp_path / "model.wbmc"
-    save_checkpoint(model, path, seed=42, config_hash=b"\x01\x02deadbeef")
-    loaded, seed, config_hash = load_checkpoint(path)
-    assert seed == 42 and config_hash == b"\x01\x02deadbeef"
-    assert loaded.activation == "tanh" and loaded.output_head == "softmax_xent"
-    assert loaded.layer_sizes == model.layer_sizes
-    for a, b in zip(model.weights, loaded.weights):
-        assert a.tobytes() == b.tobytes()
-    assert loaded.biases[0] is None
-    assert model.biases[1].tobytes() == loaded.biases[1].tobytes()
-    # re-saving reproduces identical bytes
-    path2 = tmp_path / "again.wbmc"
-    save_checkpoint(loaded, path2, seed=42, config_hash=b"\x01\x02deadbeef")
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_checkpoint_rejects_foreign_file(tmp_path):
-    from whitebench.errors import ParseError
-    from whitebench.models import load_checkpoint
-
-    path = tmp_path / "bad.wbmc"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(ParseError, match="magic"):
-        load_checkpoint(path)

@@ -1,3 +1,4 @@
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,13 @@ def test_three_mode_sweep_gives_three_polylines(tmp_path):
     out = tmp_path / "three.svg"
     emit_plot(results, PlotSpec(x="dataset_size", y="test_loss", group="whitening_mode"), out)
     assert out.read_text(encoding="utf-8").count("<polyline") == 3
+
+
+def test_markup_in_title_and_legend_is_escaped(tmp_path):
+    results = tmp_path / "markup.csv"
+    results.write_text("size,loss,arm\n1,0.5,a<b&c\n2,0.25,a<b&c\n", encoding="utf-8")
+    out = tmp_path / "markup.svg"
+    emit_plot(results, PlotSpec(x="size", y="loss", group="arm", title="loss <n> & error"), out)
+    texts = [el.text for el in ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert "loss <n> & error" in texts
+    assert "arm=a<b&c" in texts
