@@ -70,7 +70,7 @@ def main(argv=None):
         encoding="utf-8",
     )
     cfg = parse_config(config_path)
-    rows = sweep(cfg, workers=args.workers)
+    rows = sweep(cfg, cfg.sweep["trainer"], cfg.sweep["sizes"], include_trajectory=False, workers=args.workers)
     results = outdir / "results.csv"
     write_rows_csv(results, rows)
     print(f"wrote {len(rows)} rows to {results}")

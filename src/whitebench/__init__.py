@@ -10,7 +10,6 @@ and with it the inputs' usable structure.
 from .datatypes import (
     Dataset,
     LabelSet,
-    SecondMoments,
     Spectrum,
     compute_F,
     compute_K,
@@ -18,7 +17,6 @@ from .datatypes import (
     eigh,
     estimate_input_rank,
     pseudoinverse,
-    second_moments,
 )
 from .whitening import RankPolicy, Whitener, WhitenessReport, apply_whitener, fit_whitener, verify_whitened
 from .linear_flow import (
@@ -60,9 +58,9 @@ from .synth import SyntheticSpec, synthesize
 from .records import TrainRecord
 
 __all__ = [
-    "Dataset", "LabelSet", "SecondMoments", "Spectrum",
+    "Dataset", "LabelSet", "Spectrum",
     "compute_F", "compute_K", "compute_mixed_K", "eigh", "estimate_input_rank",
-    "pseudoinverse", "second_moments",
+    "pseudoinverse",
     "RankPolicy", "Whitener", "WhitenessReport", "apply_whitener", "fit_whitener", "verify_whitened",
     "FlowSolution", "LinearModel", "TimeGrid", "build_flow", "early_stop", "flow_at",
     "mse_per_sample", "optimum_predictions", "solve_optimum",

@@ -13,17 +13,21 @@ from pathlib import Path
 
 from . import dataio, plotting, runner, verify
 from .datatypes import Dataset, compute_F, compute_K, compute_mixed_K, estimate_input_rank
-from .errors import ValidationError, WhitebenchError
+from .errors import ParseError, ValidationError, WhitebenchError
 from .info_checks import compress_whitened, reconstruct_K
 from .plotting import PlotSpec
 from .runconfig import parse_config
 from .whitening import RankPolicy, apply_whitener, fit_whitener
 
 _SCOPE_BY_FLAG = {"train": "train_only", "full": "full", "distribution": "distribution"}
+_FORMAT_BY_SUFFIX = {".wbds": "wbds", ".csv": "csv"}
 
 
 def _format_of(path) -> str:
-    return "wbds" if str(path).endswith(".wbds") else "csv"
+    fmt = _FORMAT_BY_SUFFIX.get(Path(path).suffix)
+    if fmt is None:
+        raise ParseError(f"{path}: unknown file suffix; expected .wbds or .csv")
+    return fmt
 
 
 def _cmd_whiten(args):
@@ -60,28 +64,15 @@ def _cmd_second_moments(args):
     return 0
 
 
-def _cmd_train_linear(args):
+def _cmd_run(args):
+    """train-linear / train-mlp: [data] n_train with trajectories; sweep: [sweep] sizes, terminal rows."""
     cfg = parse_config(args.config)
-    rows = runner.run_experiment(cfg, trainer="linear")
-    out = Path(cfg.experiment.get("output_dir", "results")) / f"{cfg.experiment_id}_linear.csv"
-    runner.write_rows_csv(out, rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
-
-
-def _cmd_train_mlp(args):
-    cfg = parse_config(args.config)
-    rows = runner.run_experiment(cfg, trainer="mlp")
-    out = Path(cfg.experiment.get("output_dir", "results")) / f"{cfg.experiment_id}_mlp.csv"
-    runner.write_rows_csv(out, rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
-
-
-def _cmd_sweep(args):
-    cfg = parse_config(args.config)
-    rows = runner.sweep(cfg, workers=args.workers)
-    out = Path(cfg.experiment.get("output_dir", "results")) / f"{cfg.experiment_id}_sweep.csv"
+    if args.trainer:
+        trainer, sizes, suffix = args.trainer, [cfg.data.get("n_train", 128)], args.trainer
+    else:
+        trainer, sizes, suffix = cfg.sweep.get("trainer", "linear"), cfg.sweep.get("sizes"), "sweep"
+    rows = runner.sweep(cfg, trainer, sizes, include_trajectory=bool(args.trainer), workers=args.workers)
+    out = Path(cfg.experiment.get("output_dir", "results")) / f"{cfg.experiment_id}_{suffix}.csv"
     runner.write_rows_csv(out, rows)
     errors = sum(1 for r in rows if r.stopping_reason == "error")
     print(f"wrote {len(rows)} rows to {out} ({errors} error rows)")
@@ -155,16 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-linear", help="closed-form flow training with early stopping")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=_cmd_train_linear)
+    p.set_defaults(fn=_cmd_run, trainer="linear", workers=1)
 
     p = sub.add_parser("train-mlp", help="iterative training to an accuracy cutoff")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=_cmd_train_mlp)
+    p.set_defaults(fn=_cmd_run, trainer="mlp", workers=1)
 
     p = sub.add_parser("sweep", help="grid of sizes x whitening modes x seeds")
     p.add_argument("--config", required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_cmd_run, trainer=None)
 
     p = sub.add_parser("compress", help="compress fully whitened data to (n-d)*d scalars")
     p.add_argument("--input", required=True)

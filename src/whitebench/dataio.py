@@ -106,10 +106,7 @@ def ingest_csv(path, split_tag: str = "combined"):
     X = Dataset(np.array(columns, dtype=np.float64).T, split_tag=split_tag)
     labels = None
     if label_idx is not None:
-        ids = np.array(class_ids)
-        onehot = np.zeros((int(ids.max()) + 1, ids.size))
-        onehot[ids, np.arange(ids.size)] = 1.0
-        labels = LabelSet(onehot, encoding="one_hot")
+        labels = LabelSet.from_class_ids(class_ids, max(class_ids) + 1)
     elif y_rows:
         labels = LabelSet(np.array(y_rows, dtype=np.float64).T, encoding="real_valued")
     return X, labels
@@ -225,8 +222,18 @@ def write_matrix_csv(path, A: np.ndarray):
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+            if len(row) != len(rows[0]):
+                raise ParseError(f"{path}: line {reader.line_num} has {len(row)} fields, expected {len(rows[0])}")
     if not rows:
         raise ParseError(f"{path}: empty matrix file")
     return np.array(rows, dtype=np.float64)

@@ -96,6 +96,16 @@ class LabelSet:
                 raise ValidationError("one_hot columns must have a single 1 and zeros elsewhere")
         _freeze(self, "targets", arr)
 
+    @classmethod
+    def from_class_ids(cls, class_ids, classes: int) -> "LabelSet":
+        """One-hot targets (classes x n): column j has its 1 in row class_ids[j]."""
+        ids = np.asarray(class_ids)
+        if ids.size and (ids.min() < 0 or ids.max() >= classes):
+            raise ValidationError(f"class ids must lie in [0, {classes})")
+        targets = np.zeros((classes, ids.size))
+        targets[ids, np.arange(ids.size)] = 1.0
+        return cls(targets, encoding="one_hot")
+
     @property
     def output_dim(self) -> int:
         return self.targets.shape[0]
@@ -114,30 +124,6 @@ def check_paired(X: Dataset, Y: LabelSet):
         raise ShapeError(
             f"dataset has {X.sample_count} samples but labels have {Y.sample_count}"
         )
-
-
-@dataclass(frozen=True)
-class SecondMoments:
-    """F = X X^T and K = X^T X for one dataset, explicitly symmetrized.
-
-    PSD and shared-spectrum contracts are verified by the property suite, not
-    re-checked on every construction (they would cost a full eigendecomposition).
-    """
-
-    F: np.ndarray
-    K: np.ndarray
-    computed_from: str
-
-    def __post_init__(self):
-        F = _as_matrix(self.F, "SecondMoments.F")
-        K = _as_matrix(self.K, "SecondMoments.K")
-        for name, A in (("F", F), ("K", K)):
-            if A.shape[0] != A.shape[1]:
-                raise ShapeError(f"{name} must be square")
-            if np.max(np.abs(A - A.T), initial=0.0) > 1e-10:
-                raise ValidationError(f"{name} is not symmetric within 1e-10")
-        _freeze(self, "F", F)
-        _freeze(self, "K", K)
 
 
 @dataclass(frozen=True)
@@ -184,10 +170,6 @@ def compute_mixed_K(X_a: Dataset, X_b: Dataset) -> np.ndarray:
             f"feature dims differ: {X_a.feature_dim} vs {X_b.feature_dim}"
         )
     return X_a.values.T @ X_b.values
-
-
-def second_moments(X: Dataset) -> SecondMoments:
-    return SecondMoments(F=compute_F(X), K=compute_K(X), computed_from=X.fingerprint())
 
 
 def eigh(A: np.ndarray) -> Spectrum:

@@ -271,16 +271,14 @@ def full_whitening_null_check(
         idx = rng.integers(0, classes, size=n_train + n_test)
     else:
         idx = np.arange(n_train + n_test) % classes
-    T = np.zeros((classes, n_train + n_test))
-    T[idx, np.arange(n_train + n_test)] = 1.0
 
     combined = Dataset(X_all, split_tag="combined")
     whitener = fit_whitener(combined, mode="pca", rank_policy=RankPolicy("manual"), fit_scope="full")
     X_hat = apply_whitener(whitener, combined).values
     Xtr = Dataset(X_hat[:, :n_train], split_tag="train")
     Xte = Dataset(X_hat[:, n_train:], split_tag="test")
-    Ytr = LabelSet(T[:, :n_train], encoding="one_hot")
-    Yte = LabelSet(T[:, n_train:], encoding="one_hot")
+    Ytr = LabelSet.from_class_ids(idx[:n_train], classes)
+    Yte = LabelSet.from_class_ids(idx[n_train:], classes)
 
     if model == "linear":
         opt = solve_optimum(Xtr, Ytr, W0=np.zeros((classes, d)))

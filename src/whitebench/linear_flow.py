@@ -158,10 +158,6 @@ def flow_at(sol: FlowSolution, t: float) -> LinearModel:
     return LinearModel(modes @ sol.spectrum.eigenvectors.T)
 
 
-def flow_predictions_at(sol: FlowSolution, t: float, X: Dataset) -> np.ndarray:
-    return flow_at(sol, t).predict(X)
-
-
 def optimum_predictions(
     X_train: Dataset,
     Y_train: LabelSet,
@@ -251,7 +247,7 @@ def early_stop(
     extra_eval = extra_eval or {}
 
     def val_loss_at(t: float) -> float:
-        return mse_per_sample(flow_predictions_at(sol, t, X_val), Y_val)
+        return mse_per_sample(flow_at(sol, t).predict(X_val), Y_val)
 
     record = TrainRecord(metadata={"grid": (grid.t_min, grid.t_max, grid.points)})
     val_losses = np.empty(len(times))
@@ -274,7 +270,7 @@ def early_stop(
 
     metrics = {"val_loss": v_star}
     for name, (X_e, Y_e) in extra_eval.items():
-        metrics[name] = mse_per_sample(flow_predictions_at(sol, t_star, X_e), Y_e)
+        metrics[name] = mse_per_sample(flow_at(sol, t_star).predict(X_e), Y_e)
     record.append(t_star, **metrics)
     record.terminal_step = t_star
     record.stopping_reason = "boundary" if boundary else "early_stop"

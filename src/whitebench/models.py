@@ -17,6 +17,8 @@ from .records import TrainRecord
 
 ACTIVATIONS = ("relu", "tanh")
 OUTPUT_HEADS = ("linear_mse", "softmax_xent")
+#: step rules train_to_cutoff can use: SGD and regularized Gauss-Newton
+OPTIMIZERS = ("sgd", "gn")
 
 
 def _act(name, Z):
@@ -258,6 +260,8 @@ def train_to_cutoff(
 
     if not 0.0 < cutoff <= 1.0:
         raise ValidationError("cutoff must lie in (0, 1]")
+    if optimizer not in OPTIMIZERS:
+        raise ValidationError(f"unknown optimizer {optimizer!r}")
     check_paired(X_train, Y_train)
     if Y_train.encoding != "one_hot":
         raise ValidationError("accuracy cutoff training needs one_hot labels")
@@ -300,12 +304,8 @@ def train_to_cutoff(
         batch = next(schedule)
         Xb = X_train.values[:, batch]
         Yb = Y_train.targets[:, batch]
-        if optimizer == "sgd":
-            result = opt.sgd_step(model, Xb, Yb, cfg)
-        elif optimizer == "gn":
-            result = opt.regularized_gn_step(model, Xb, Yb, cfg)
-        else:
-            raise ValidationError(f"unknown optimizer {optimizer!r}")
+        step_fn = opt.sgd_step if optimizer == "sgd" else opt.regularized_gn_step
+        result = step_fn(model, Xb, Yb, cfg)
         step += 1
         train_pred = result.diagnostics.get("predictions_after") if full_batch else None
         must_record = step % record_every == 0 or step >= step_cap

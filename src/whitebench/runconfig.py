@@ -1,7 +1,9 @@
 """Flat `key = value` run configuration files with [section] headers.
 
 Unknown sections or keys are errors (typos in sweep definitions should not
-pass silently). Lists are space- or comma-separated.
+pass silently), and so is a value outside a key's allowed choices: the
+choices are the tuples the modules that use the value define. Lists are
+space- or comma-separated.
 """
 from __future__ import annotations
 
@@ -9,8 +11,18 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .dataio import FORMATS
+from .datatypes import LABEL_ENCODINGS
 from .errors import ConfigError
-from .whitening import RankPolicy
+from .linear_flow import PRECONDITIONS
+from .models import ACTIVATIONS, OPTIMIZERS, OUTPUT_HEADS
+from .synth import SPECTRA, TEACHERS
+from .whitening import RANK_POLICIES, WHITENING_MODES, RankPolicy
+
+WHITENING_ARMS = ("none", "train", "full", "distribution")
+TRAINERS = ("linear", "mlp")
+SIZE_CONVENTIONS = ("train", "joint")
+DATA_SOURCES = ("synthetic", "files")
 
 
 def _bool(text: str) -> bool:
@@ -34,8 +46,20 @@ def _float_list(text: str) -> list:
     return [float(v) for v in _split(text)]
 
 
-def _str_list(text: str) -> list:
-    return _split(text)
+def _choice(allowed: tuple):
+    """Converter that accepts only the listed values (checked at parse time)."""
+
+    def convert(text: str) -> str:
+        if text not in allowed:
+            raise ConfigError(f"expected one of {', '.join(allowed)}; got {text!r}")
+        return text
+
+    return convert
+
+
+def _choice_list(allowed: tuple):
+    one = _choice(allowed)
+    return lambda text: [one(v) for v in _split(text)]
 
 
 def _batch(text: str):
@@ -48,49 +72,48 @@ _SCHEMA = {
         "master_seed": int,
         "seeds": _int_list,
         "output_dir": str,
-        "size_convention": str,
+        "size_convention": _choice(SIZE_CONVENTIONS),
     },
     "data": {
-        "source": str,
+        "source": _choice(DATA_SOURCES),
         "d": int,
         "n_train": int,
         "n_val": int,
         "n_test": int,
-        "spectrum": str,
+        "spectrum": _choice(SPECTRA),
         "alpha": float,
         "eigenvalues": _float_list,
-        "teacher": str,
+        "teacher": _choice(TEACHERS),
         "teacher_seed": int,
         "label_noise": float,
         "classes": int,
-        "encoding": str,
+        "encoding": _choice(LABEL_ENCODINGS),
         "normalize": _bool,
-        "format": str,
+        "format": _choice(FORMATS),
         "train": str,
         "val": str,
         "test": str,
     },
     "whitening": {
-        "modes": _str_list,
-        "transform": str,
-        "rank_policy": str,
+        "modes": _choice_list(WHITENING_ARMS),
+        "transform": _choice(WHITENING_MODES),
+        "rank_policy": _choice(RANK_POLICIES),
         "jitter_epsilon": float,
         "center": _bool,
         "distribution_n": int,
     },
     "model": {
         "hidden": _int_list,
-        "activation": str,
-        "head": str,
+        "activation": _choice(ACTIVATIONS),
+        "head": _choice(OUTPUT_HEADS),
         "init_variance": float,
         "biases": _bool,
     },
     "optimizer": {
-        "name": str,
+        "name": _choice(OPTIMIZERS),
         "eta": float,
         "batch_size": _batch,
         "reg_lambda": float,
-        "kernel_epsilon": float,
         "cg_tol": float,
         "cutoff": float,
         "step_cap": int,
@@ -99,7 +122,7 @@ _SCHEMA = {
         "initial_step": float,
     },
     "flow": {
-        "precondition": str,
+        "precondition": _choice(PRECONDITIONS),
         "grid_points": int,
         "t_min": float,
         "t_max": float,
@@ -107,7 +130,7 @@ _SCHEMA = {
     },
     "sweep": {
         "sizes": _int_list,
-        "trainer": str,
+        "trainer": _choice(TRAINERS),
     },
     "plot": {
         "x": str,
@@ -118,8 +141,6 @@ _SCHEMA = {
         "title": str,
     },
 }
-
-WHITENING_ARMS = ("none", "train", "full", "distribution")
 
 
 @dataclass
@@ -149,11 +170,7 @@ class RunConfig:
 
     @property
     def whitening_modes(self) -> list:
-        modes = self.whitening.get("modes", ["none"])
-        for m in modes:
-            if m not in WHITENING_ARMS:
-                raise ConfigError(f"unknown whitening mode {m!r}; expected one of {WHITENING_ARMS}")
-        return modes
+        return self.whitening.get("modes", ["none"])
 
     def rank_policy(self) -> RankPolicy:
         kind = self.whitening.get("rank_policy", "manual")

@@ -1,4 +1,4 @@
-"""Experiment execution: single runs, whitening arms, sweeps, CSV results.
+"""Experiment execution: one run loop over (size, whitening arm, seed) cells.
 
 Every run's seed is a 64-bit hash of (master seed, experiment id, dataset
 size, whitening mode, seed index), so rows are reproducible standalone and
@@ -6,40 +6,25 @@ sweep output is independent of worker scheduling (rows are post-sorted).
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-import csv
 
 import numpy as np
 
-from .datatypes import Dataset, LabelSet, compute_F, hstack_datasets
+from .datatypes import Dataset, compute_F, hstack_datasets
 from .errors import ConfigError, WhitebenchError
-from .linear_flow import TimeGrid, build_flow, early_stop, flow_at, mse_per_sample
+from .linear_flow import TimeGrid, build_flow, early_stop, flow_at
 from .models import accuracy, init_isotropic, train_to_cutoff
 from .optimizers import LineSearchConfig, OptimizerConfig
+from .records import TrainRecord
 from .runconfig import RunConfig
 from .synth import SyntheticSpec, synthesize
-from .whitening import apply_whitener, fit_whitener
+from .whitening import RankPolicy, apply_whitener, fit_whitener
 from . import dataio
-
-RESULT_COLUMNS = (
-    "experiment_id",
-    "seed",
-    "dataset_size",
-    "whitening_mode",
-    "optimizer",
-    "step_or_time",
-    "train_loss",
-    "val_loss",
-    "test_loss",
-    "test_error",
-    "steps_to_cutoff",
-    "stopping_reason",
-)
 
 
 @dataclass
@@ -68,6 +53,10 @@ class ResultRow:
         return (self.experiment_id, self.dataset_size, self.whitening_mode, self.seed, _as_float(self.step_or_time))
 
 
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_ROW_METRICS = ("train_loss", "val_loss", "test_loss", "test_error")
+
+
 def _as_float(v):
     return float("inf") if v is None else float(v)
 
@@ -89,9 +78,78 @@ def write_rows_csv(path, rows):
             writer.writerow(row.to_csv())
 
 
-def master_seed_of(cfg: RunConfig) -> int:
-    env = os.environ.get("WHITEBENCH_SEED")
-    return int(env) if env else cfg.master_seed
+def _record_rows(base: dict, record: TrainRecord, include_trajectory: bool, **terminal) -> list:
+    """Rows of one cell: each recorded step (optional), then the terminal row.
+
+    `base` holds the identifying columns; `terminal` sets terminal-row
+    metrics the record does not hold. A record with no steps gives one row
+    with only its stopping reason.
+    """
+    rows = []
+    if include_trajectory:
+        series = {name: getattr(record, name) for name in _ROW_METRICS}
+        for i, step in enumerate(record.steps):
+            metrics = {name: values[i] if values else None for name, values in series.items()}
+            rows.append(ResultRow(**base, step_or_time=step, **metrics))
+    final = record.at(record.terminal_step) if record.steps else {}
+    metrics = {name: final.get(name) for name in _ROW_METRICS} | terminal
+    rows.append(
+        ResultRow(
+            **base,
+            step_or_time=record.terminal_step,
+            **metrics,
+            steps_to_cutoff=record.metadata.get("steps_to_cutoff"),
+            stopping_reason=record.stopping_reason,
+        )
+    )
+    return rows
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """What every cell of one run shares, built from the config before any cell runs."""
+
+    cfg: RunConfig
+    trainer: str
+    master_seed: int
+    rank_policy: RankPolicy
+    optimizer: OptimizerConfig
+    grid: TimeGrid | None  # fixed flow grid when [flow] t_min/t_max are set, else per cell
+
+
+def plan_run(cfg: RunConfig, trainer: str) -> RunPlan:
+    """Check what only the config decides, so a bad value fails before any cell."""
+    data, flow, opt = cfg.data, cfg.flow, cfg.optimizer
+    synthetic = data.get("source", "synthetic") == "synthetic"
+    if not synthetic and "train" not in data:
+        raise ConfigError("file data source needs at least a train path")
+    if trainer == "linear" and not (data.get("n_val", 0) > 0 if synthetic else "val" in data):
+        raise ConfigError("the linear trainer early-stops on validation loss: [data] needs n_val > 0 or a val path")
+    if "distribution" in cfg.whitening_modes and not synthetic:
+        raise ConfigError("the distribution arm draws its fit set from the synthetic source; it cannot run on file data")
+    env_seed = os.environ.get("WHITEBENCH_SEED")
+    try:
+        master_seed = int(env_seed) if env_seed else cfg.master_seed
+    except ValueError:
+        raise ConfigError(f"WHITEBENCH_SEED must be an integer, got {env_seed!r}") from None
+    line_search = LineSearchConfig(initial_step=opt.get("initial_step", 1.0)) if opt.get("line_search", False) else None
+    grid = None
+    if "t_min" in flow and "t_max" in flow:
+        grid = TimeGrid(flow["t_min"], flow["t_max"], flow.get("grid_points", 200))
+    return RunPlan(
+        cfg=cfg,
+        trainer=trainer,
+        master_seed=master_seed,
+        rank_policy=cfg.rank_policy(),
+        optimizer=OptimizerConfig(
+            eta=opt.get("eta", 0.1),
+            reg_lambda=opt.get("reg_lambda", 1.0),
+            batch_size=opt.get("batch_size", None),
+            cg_tol=opt.get("cg_tol", 1e-5),
+            line_search=line_search,
+        ),
+        grid=grid,
+    )
 
 
 def _load_file_splits(cfg: RunConfig):
@@ -102,23 +160,21 @@ def _load_file_splits(cfg: RunConfig):
         if name in data:
             X, Y = dataio.ingest(data[name], fmt, split_tag=tag)
             splits[name] = (X, Y)
-    if "train" not in splits:
-        raise ConfigError("file data source needs at least a train path")
     return splits
 
 
-def _synthesize_splits(cfg: RunConfig, dataset_size: int, run_seed: int, n_val=None, n_test=None):
-    data = cfg.data
+def _synthesize_splits(plan: RunPlan, n_train: int, n_val: int, n_test: int, run_seed: int):
+    data = plan.cfg.data
     spec = SyntheticSpec(
         d=data.get("d", 64),
-        n_train=dataset_size,
-        n_val=data.get("n_val", 0) if n_val is None else n_val,
-        n_test=data.get("n_test", 0) if n_test is None else n_test,
+        n_train=n_train,
+        n_val=n_val,
+        n_test=n_test,
         spectrum=data.get("spectrum", "power_law"),
         alpha=data.get("alpha", 2.0),
         custom_eigenvalues=tuple(data["eigenvalues"]) if "eigenvalues" in data else None,
         teacher=data.get("teacher", "linear"),
-        teacher_seed=data.get("teacher_seed", master_seed_of(cfg)),
+        teacher_seed=data.get("teacher_seed", plan.master_seed),
         label_noise=data.get("label_noise", 0.0),
         classes=data.get("classes", 10),
         encoding=data.get("encoding", "one_hot"),
@@ -135,43 +191,34 @@ def _synthesize_splits(cfg: RunConfig, dataset_size: int, run_seed: int, n_val=N
 
 def _split_sizes(cfg: RunConfig, dataset_size: int):
     """Map a grid size to (n_train, n_val, n_test) per the size convention."""
-    convention = cfg.experiment.get("size_convention", "train")
-    data = cfg.data
-    if convention == "joint":
+    n_val = cfg.data.get("n_val", 0)
+    if cfg.experiment.get("size_convention", "train") == "joint":
         n_train = max(1, int(round(dataset_size * 0.8)))
-        n_test = max(1, dataset_size - n_train)
-        return n_train, data.get("n_val", 0), n_test
-    if convention != "train":
-        raise ConfigError(f"unknown size_convention {convention!r}")
-    return dataset_size, data.get("n_val", 0), data.get("n_test", 0)
+        return n_train, n_val, max(1, dataset_size - n_train)
+    return dataset_size, n_val, cfg.data.get("n_test", 0)
 
 
-def prepare_arm(cfg: RunConfig, splits: dict, mode: str, run_seed: int):
+def prepare_arm(plan: RunPlan, splits: dict, mode: str, run_seed: int) -> dict:
     """Apply one whitening arm (none/train/full/distribution) to all splits."""
     if mode == "none":
-        return splits, {"whitener": None}
-    transform = cfg.whitening.get("transform", "pca")
-    policy = cfg.rank_policy()
-    center = cfg.whitening.get("center", False)
+        return splits
+    whitening = plan.cfg.whitening
     if mode == "train":
         fit_set, scope = splits["train"][0], "train_only"
     elif mode == "full":
-        fit_set = hstack_datasets(*[X for X, _ in splits.values()])
-        scope = "full"
-    elif mode == "distribution":
-        d = splits["train"][0].feature_dim
-        n_dist = cfg.whitening.get("distribution_n", 8 * d)
+        fit_set, scope = hstack_datasets(*[X for X, _ in splits.values()]), "full"
+    else:  # distribution: a fresh draw from the synthetic source
+        n_dist = whitening.get("distribution_n", 8 * splits["train"][0].feature_dim)
         dist_seed = derive_seed(run_seed, "distribution-fit", n_dist, mode, 0)
-        rng = np.random.default_rng(dist_seed)
-        base = _synthesize_splits(cfg, n_dist, dist_seed, n_val=0, n_test=0)["train"][0] if cfg.data.get(
-            "source", "synthetic"
-        ) == "synthetic" else Dataset(rng.standard_normal((d, n_dist)))
-        fit_set, scope = base, "distribution"
-    else:
-        raise ConfigError(f"unknown whitening mode {mode!r}")
-    whitener = fit_whitener(fit_set, mode=transform, rank_policy=policy, fit_scope=scope, center=center)
-    out = {name: (apply_whitener(whitener, X), Y) for name, (X, Y) in splits.items()}
-    return out, {"whitener": whitener}
+        fit_set, scope = _synthesize_splits(plan, n_dist, 0, 0, dist_seed)["train"][0], "distribution"
+    whitener = fit_whitener(
+        fit_set,
+        mode=whitening.get("transform", "pca"),
+        rank_policy=plan.rank_policy,
+        fit_scope=scope,
+        center=whitening.get("center", False),
+    )
+    return {name: (apply_whitener(whitener, X), Y) for name, (X, Y) in splits.items()}
 
 
 def _normalize_splits(splits: dict):
@@ -186,214 +233,101 @@ def _normalize_splits(splits: dict):
     }
 
 
-def _flow_rows(cfg: RunConfig, splits, mode: str, seed_index: int, run_seed: int, include_trajectory: bool):
+def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool):
     Xtr, Ytr = splits["train"]
-    X_val, Y_val = splits.get("val", (None, None))
+    X_val, Y_val = splits["val"]
     X_test, Y_test = splits.get("test", (None, None))
-    flow_cfg = cfg.flow
+    flow_cfg = plan.cfg.flow
     var = flow_cfg.get("init_variance", 0.0)
     k, d = Ytr.output_dim, Xtr.feature_dim
     rng = np.random.default_rng(run_seed)
     W0 = np.sqrt(var) * rng.standard_normal((k, d)) if var > 0 else np.zeros((k, d))
-    sol = build_flow(Xtr, Ytr, W0, precondition=flow_cfg.get("precondition", "none"))
-    points = flow_cfg.get("grid_points", 200)
-    if "t_min" in flow_cfg and "t_max" in flow_cfg:
-        grid = TimeGrid(flow_cfg["t_min"], flow_cfg["t_max"], points)
-    else:
-        grid = TimeGrid.default_for(sol, points)
-    if X_val is None:
-        raise ConfigError("flow training needs a validation split for early stopping")
+    precondition = flow_cfg.get("precondition", "none")
+    sol = build_flow(Xtr, Ytr, W0, precondition=precondition)
+    grid = plan.grid or TimeGrid.default_for(sol, flow_cfg.get("grid_points", 200))
     extra = {"train_loss": (Xtr, Ytr)}
     if X_test is not None:
         extra["test_loss"] = (X_test, Y_test)
     t_star, record = early_stop(sol, X_val, Y_val, grid, extra_eval=extra)
-
-    base = dict(
-        experiment_id=cfg.experiment_id,
-        seed=seed_index,
-        dataset_size=Xtr.sample_count,
-        whitening_mode=mode,
-        optimizer="flow_" + flow_cfg.get("precondition", "none"),
-    )
-    rows = []
-    if include_trajectory:
-        for i, t in enumerate(record.steps):
-            rows.append(
-                ResultRow(
-                    **base,
-                    step_or_time=float(t),
-                    train_loss=record.train_loss[i] if record.train_loss else None,
-                    val_loss=record.val_loss[i],
-                    test_loss=record.test_loss[i] if record.test_loss else None,
-                )
-            )
-    terminal = record.at(t_star)
     test_error = None
     if X_test is not None and Y_test.encoding == "one_hot":
         preds = flow_at(sol, t_star).predict(X_test)
         test_error = 1.0 - accuracy(preds, Y_test.targets)
-    rows.append(
-        ResultRow(
-            **base,
-            step_or_time=t_star,
-            train_loss=terminal.get("train_loss"),
-            val_loss=terminal.get("val_loss"),
-            test_loss=terminal.get("test_loss"),
-            test_error=test_error,
-            stopping_reason=record.stopping_reason,
-        )
-    )
-    return rows
+    base = {**base, "dataset_size": Xtr.sample_count, "optimizer": "flow_" + precondition}
+    return _record_rows(base, record, include_trajectory, test_error=test_error)
 
 
-def _mlp_rows(cfg: RunConfig, splits, mode: str, seed_index: int, run_seed: int, include_trajectory: bool):
+def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool):
     Xtr, Ytr = splits["train"]
     X_val, Y_val = splits.get("val", (None, None))
     X_test, Y_test = splits.get("test", (None, None))
-    model_cfg = cfg.model
-    opt_cfg = cfg.optimizer
-    sizes = [Xtr.feature_dim] + model_cfg.get("hidden", [64, 64]) + [Ytr.output_dim]
+    model_cfg = plan.cfg.model
+    opt_cfg = plan.cfg.optimizer
     model = init_isotropic(
-        sizes,
+        [Xtr.feature_dim] + model_cfg.get("hidden", [64, 64]) + [Ytr.output_dim],
         variance=model_cfg.get("init_variance", 1e-4),
         seed=run_seed,
         activation=model_cfg.get("activation", "relu"),
         output_head=model_cfg.get("head", "linear_mse"),
         deeper_biases=model_cfg.get("biases", False),
     )
-    line_search = (
-        LineSearchConfig(initial_step=opt_cfg.get("initial_step", 1.0))
-        if opt_cfg.get("line_search", False)
-        else None
-    )
-    ocfg = OptimizerConfig(
-        eta=opt_cfg.get("eta", 0.1),
-        reg_lambda=opt_cfg.get("reg_lambda", 1.0),
-        kernel_epsilon=opt_cfg.get("kernel_epsilon", 0.0),
-        batch_size=opt_cfg.get("batch_size", None),
-        cg_tol=opt_cfg.get("cg_tol", 1e-5),
-        line_search=line_search,
-    )
     name = opt_cfg.get("name", "sgd")
-    optimizer = {"sgd": "sgd", "gn": "gn", "newton": "gn"}.get(name)
-    if optimizer is None:
-        raise ConfigError(f"unknown optimizer name {name!r}")
-    if name == "newton":
-        ocfg = OptimizerConfig(
-            eta=ocfg.eta, reg_lambda=0.0, batch_size=ocfg.batch_size,
-            cg_tol=ocfg.cg_tol, line_search=ocfg.line_search,
-        )
     record = train_to_cutoff(
-        model, Xtr, Ytr, ocfg,
-        optimizer=optimizer,
+        model, Xtr, Ytr, plan.optimizer,
+        optimizer=name,
         cutoff=opt_cfg.get("cutoff", 0.999),
         step_cap=opt_cfg.get("step_cap", 10000),
         seed=run_seed,
         X_val=X_val, Y_val=Y_val, X_test=X_test, Y_test=Y_test,
         record_every=opt_cfg.get("record_every", 1),
-        metadata={"whitening_mode": mode},
+        metadata={"whitening_mode": base["whitening_mode"]},
     )
-    base = dict(
-        experiment_id=cfg.experiment_id,
-        seed=seed_index,
-        dataset_size=Xtr.sample_count,
-        whitening_mode=mode,
-        optimizer=name,
-    )
-    rows = []
-    if include_trajectory:
-        for i, s in enumerate(record.steps):
-            rows.append(
-                ResultRow(
-                    **base,
-                    step_or_time=int(s),
-                    train_loss=record.train_loss[i],
-                    val_loss=record.val_loss[i] if record.val_loss else None,
-                    test_loss=record.test_loss[i] if record.test_loss else None,
-                    test_error=record.test_error[i] if record.test_error else None,
-                )
-            )
-    terminal = record.at(record.terminal_step)
-    rows.append(
-        ResultRow(
-            **base,
-            step_or_time=int(record.terminal_step),
-            train_loss=terminal.get("train_loss"),
-            val_loss=terminal.get("val_loss"),
-            test_loss=terminal.get("test_loss"),
-            test_error=terminal.get("test_error"),
-            steps_to_cutoff=record.metadata.get("steps_to_cutoff"),
-            stopping_reason=record.stopping_reason,
-        )
-    )
-    return rows
+    base = {**base, "dataset_size": Xtr.sample_count, "optimizer": name}
+    return _record_rows(base, record, include_trajectory)
 
 
-def run_cell(cfg: RunConfig, trainer: str, dataset_size: int, mode: str, seed_index: int, include_trajectory: bool):
-    """One (size, whitening mode, seed) cell; errors become an 'error' row."""
-    run_seed = derive_seed(master_seed_of(cfg), cfg.experiment_id, dataset_size, mode, seed_index)
+_TRAINERS = {"linear": _flow_rows, "mlp": _mlp_rows}
+
+
+def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, include_trajectory: bool):
+    """One (size, whitening mode, seed) cell; a failure of the data becomes an 'error' row."""
+    cfg = plan.cfg
+    run_seed = derive_seed(plan.master_seed, cfg.experiment_id, dataset_size, mode, seed_index)
+    base = dict(experiment_id=cfg.experiment_id, seed=seed_index, dataset_size=dataset_size, whitening_mode=mode)
     try:
         if cfg.data.get("source", "synthetic") == "synthetic":
-            n_train, n_val, n_test = _split_sizes(cfg, dataset_size)
-            splits = _synthesize_splits(cfg, n_train, run_seed, n_val=n_val, n_test=n_test)
+            splits = _synthesize_splits(plan, *_split_sizes(cfg, dataset_size), run_seed)
         else:
             splits = _load_file_splits(cfg)
         if cfg.data.get("normalize", False):
             splits = _normalize_splits(splits)
-        arm, _ = prepare_arm(cfg, splits, mode, run_seed)
-        if trainer == "linear":
-            return _flow_rows(cfg, arm, mode, seed_index, run_seed, include_trajectory)
-        if trainer == "mlp":
-            return _mlp_rows(cfg, arm, mode, seed_index, run_seed, include_trajectory)
-        raise ConfigError(f"unknown trainer {trainer!r}")
+        arm = prepare_arm(plan, splits, mode, run_seed)
+        return _TRAINERS[plan.trainer](plan, arm, base, run_seed, include_trajectory)
     except WhitebenchError:
-        return [
-            ResultRow(
-                experiment_id=cfg.experiment_id,
-                seed=seed_index,
-                dataset_size=dataset_size,
-                whitening_mode=mode,
-                optimizer=trainer,
-                stopping_reason="error",
-            )
-        ]
+        return _record_rows({**base, "optimizer": plan.trainer}, TrainRecord(stopping_reason="error"), False)
 
 
-def run_experiment(cfg: RunConfig, trainer: str, include_trajectory: bool = True):
-    """All whitening arms and seeds for the configured single dataset size."""
-    size = cfg.data.get("n_train", 128)
-    rows = []
-    for mode in cfg.whitening_modes:
-        for idx in cfg.seeds:
-            rows.extend(run_cell(cfg, trainer, size, mode, idx, include_trajectory))
-    rows.sort(key=ResultRow.sort_key)
-    return rows
+def _run_cell(args):
+    return run_cell(*args)
 
 
-def _sweep_cell(args):
-    cfg, trainer, size, mode, idx = args
-    return run_cell(cfg, trainer, size, mode, idx, include_trajectory=False)
+def sweep(cfg: RunConfig, trainer: str, sizes: list, include_trajectory: bool, workers: int = 1):
+    """Rows of every size x whitening mode x seed cell, sorted.
 
-
-def sweep(cfg: RunConfig, workers: int = 1):
-    """Terminal rows over the sizes x whitening modes x seeds grid, sorted."""
-    sizes = cfg.sweep.get("sizes")
+    The config is checked and its shared objects built before any cell runs.
+    """
     if not sizes:
         raise ConfigError("[sweep] needs a sizes list")
-    trainer = cfg.sweep.get("trainer", "linear")
+    plan = plan_run(cfg, trainer)
     cells = [
-        (cfg, trainer, size, mode, idx)
+        (plan, size, mode, idx, include_trajectory)
         for size in sizes
         for mode in cfg.whitening_modes
         for idx in cfg.seeds
     ]
-    rows = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_sweep_cell, cells):
-                rows.extend(chunk)
+            chunks = list(pool.map(_run_cell, cells))
     else:
-        for cell in cells:
-            rows.extend(_sweep_cell(cell))
-    rows.sort(key=ResultRow.sort_key)
-    return rows
+        chunks = map(_run_cell, cells)
+    return sorted((row for chunk in chunks for row in chunk), key=ResultRow.sort_key)

@@ -69,14 +69,6 @@ class SyntheticData:
     basis: np.ndarray
     teacher_matrix: np.ndarray | None
 
-    def splits(self):
-        out = {"train": (self.train, self.y_train)}
-        if self.val is not None:
-            out["validation"] = (self.val, self.y_val)
-        if self.test is not None:
-            out["test"] = (self.test, self.y_test)
-        return out
-
 
 def _orthogonal_basis(d: int, rng: np.random.Generator) -> np.ndarray:
     Q, R = np.linalg.qr(rng.standard_normal((d, d)))
@@ -114,9 +106,7 @@ def synthesize(spec: SyntheticSpec) -> SyntheticData:
         if spec.label_noise > 0:
             logits = logits + spec.label_noise * rng.standard_normal(logits.shape)
         if spec.encoding == "one_hot":
-            onehot = np.zeros((spec.classes, count))
-            onehot[np.argmax(logits, axis=0), np.arange(count)] = 1.0
-            return X, LabelSet(onehot, encoding="one_hot")
+            return X, LabelSet.from_class_ids(np.argmax(logits, axis=0), spec.classes)
         return X, LabelSet(logits, encoding="real_valued")
 
     train, y_train = draw(spec.n_train, "train")

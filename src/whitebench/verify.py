@@ -37,13 +37,6 @@ class CheckResult:
     tolerance: float
 
 
-def _one_hot(rng, classes, n):
-    idx = rng.integers(0, classes, size=n)
-    onehot = np.zeros((classes, n))
-    onehot[idx, np.arange(n)] = 1.0
-    return LabelSet(onehot, encoding="one_hot")
-
-
 def suite_orbit(r_count: int = 100) -> list:
     """Trajectory identity under input rotation with co-rotated first layer."""
     results = []
@@ -51,7 +44,7 @@ def suite_orbit(r_count: int = 100) -> list:
         rng = np.random.default_rng(7 if family == "linear" else 8)
         d, k, n = 6, 3, 12
         X = Dataset(rng.standard_normal((d, n)), split_tag="train")
-        Y = _one_hot(rng, k, n)
+        Y = LabelSet.from_class_ids(rng.integers(0, k, size=n), k)
         X_test = Dataset(rng.standard_normal((d, 5)), split_tag="test")
         worst = 0.0
         for i in range(r_count):
@@ -98,7 +91,7 @@ def newton_whitened_gd_deviation(
     rng = np.random.default_rng(seed)
     X = Dataset(rng.standard_normal((d, n)), split_tag="train")
     X_test = Dataset(rng.standard_normal((d, n_test)), split_tag="test")
-    Y = _one_hot(rng, 10, n)
+    Y = LabelSet.from_class_ids(rng.integers(0, 10, size=n), 10)
 
     W = fit_whitener(X, mode="pca", rank_policy=RankPolicy("manual"), fit_scope="train_only")
     X_hat = apply_whitener(W, X)

@@ -10,10 +10,7 @@ def rng():
 
 
 def one_hot_labels(rng, classes, n):
-    idx = rng.integers(0, classes, size=n)
-    onehot = np.zeros((classes, n))
-    onehot[idx, np.arange(n)] = 1.0
-    return LabelSet(onehot, encoding="one_hot")
+    return LabelSet.from_class_ids(rng.integers(0, classes, size=n), classes)
 
 
 def random_dataset(rng, d, n, split_tag="train"):

@@ -253,3 +253,91 @@ step_cap = 300
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) >= 3  # header, trajectory rows, terminal row
     assert lines[-1].split(",")[-1] in ("cutoff", "cap")
+
+
+def test_whiten_unknown_output_suffix_exits_2(tmp_path, wbds_file, capsys):
+    path, _ = wbds_file
+    out = tmp_path / "x.bin"
+    argv = ["whiten", "--input", str(path), "--mode", "pca", "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and ".wbds" in err and ".csv" in err
+    assert not out.exists()
+
+
+def _write_run_config(path, sections):
+    lines = []
+    for section, items in sections.items():
+        lines += [f"[{section}]"] + [f"{key} = {value}" for key, value in items.items()] + [""]
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _run_sections(out):
+    return {
+        "experiment": {"id": "bad", "seeds": "0", "output_dir": out},
+        "data": {"source": "synthetic", "d": 6, "n_train": 8, "n_val": 4, "n_test": 4, "classes": 3},
+        "whitening": {"modes": "none train"},
+        "flow": {"grid_points": 20},
+        "model": {"hidden": 4},
+        "optimizer": {"step_cap": 5},
+        "sweep": {"sizes": "8", "trainer": "mlp"},
+    }
+
+
+# (section, key, bad value, commands that must reject it)
+BAD_RUN_VALUES = {
+    "unknown_trainer": ("sweep", "trainer", "mlpp", ("sweep", "train-mlp")),
+    "unknown_optimizer": ("optimizer", "name", "adam", ("sweep", "train-mlp")),
+    "size_convention": ("experiment", "size_convention", "both", ("sweep", "train-mlp")),
+    "precondition": ("flow", "precondition", "adam", ("sweep", "train-mlp")),
+    "transform": ("whitening", "transform", "pcaa", ("sweep", "train-mlp")),
+    "rank_policy": ("whitening", "rank_policy", "auto", ("sweep", "train-mlp")),
+    "activation": ("model", "activation", "gelu", ("sweep", "train-mlp")),
+    "eta_zero": ("optimizer", "eta", "0", ("sweep", "train-mlp")),
+    "linear_without_validation": ("data", "n_val", "0", ("sweep", "train-linear")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUN_VALUES))
+def test_bad_run_config_exits_2_before_any_cell(tmp_path, capsys, case):
+    section, key, value, commands = BAD_RUN_VALUES[case]
+    out = tmp_path / "results"
+    sections = _run_sections(out)
+    sections[section][key] = value
+    if case == "linear_without_validation":
+        sections["sweep"]["trainer"] = "linear"
+    cfg = tmp_path / "bad.cfg"
+    _write_run_config(cfg, sections)
+    for command in commands:
+        assert main([command, "--config", str(cfg)]) == 2, command
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_good_run_config_writes_rows(tmp_path):
+    # the base of the bad-value cases runs when nothing is broken
+    out = tmp_path / "results"
+    cfg = tmp_path / "ok.cfg"
+    _write_run_config(cfg, _run_sections(out))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["train-mlp", "--config", str(cfg)]) == 0
+    assert "error" not in (out / "bad_sweep.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+
+
+def test_distribution_arm_on_file_data_exits_2(tmp_path, rng, capsys):
+    for split, n in (("train", 12), ("val", 6)):
+        X = Dataset(rng.standard_normal((4, n)))
+        export_wbds(tmp_path / f"{split}.wbds", X, LabelSet.from_class_ids(rng.integers(0, 3, n), 3))
+    out = tmp_path / "results"
+    sections = _run_sections(out)
+    sections["data"] = {"source": "files", "train": tmp_path / "train.wbds", "val": tmp_path / "val.wbds"}
+    sections["whitening"]["modes"] = "none distribution"
+    sections["sweep"] = {"sizes": "12", "trainer": "linear"}
+    cfg = tmp_path / "files.cfg"
+    _write_run_config(cfg, sections)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "distribution" in capsys.readouterr().err
+    assert not out.exists()
+    sections["whitening"]["modes"] = "none train"
+    _write_run_config(cfg, sections)
+    assert main(["sweep", "--config", str(cfg)]) == 0

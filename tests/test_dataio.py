@@ -170,6 +170,14 @@ def test_matrix_csv_round_trip(tmp_path, rng):
     assert np.array_equal(read_matrix_csv(path), A)
 
 
+@pytest.mark.parametrize("text, line", [("1,2\n1,x\n", 2), ("1,2\n3\n", 2)])
+def test_matrix_csv_bad_cell_error(tmp_path, text, line):
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"m.csv: line {line}"):
+        read_matrix_csv(path)
+
+
 # -- every binary format rejects damaged files --------------------------------
 
 CODEC_KINDS = ("wbds", "wblb", "wbcp")

@@ -13,7 +13,6 @@ from whitebench import (
     eigh,
     estimate_input_rank,
     pseudoinverse,
-    second_moments,
 )
 from whitebench.errors import ShapeError, ValidationError
 
@@ -141,8 +140,7 @@ def test_F_and_K_share_nonzero_spectrum(A):
 @settings(max_examples=40, deadline=None)
 def test_second_moments_psd(A):
     X = Dataset(A)
-    sm = second_moments(X)
-    for M in (sm.F, sm.K):
+    for M in (compute_F(X), compute_K(X)):
         ev = np.linalg.eigvalsh(M)
         assert ev[0] >= -1e-8 * max(ev[-1], 1e-30)
 
@@ -210,3 +208,12 @@ def test_dataset_values_are_read_only():
     X = Dataset(np.eye(2))
     with pytest.raises(ValueError):
         X.values[0, 0] = 5.0
+
+
+def test_label_set_from_class_ids():
+    Y = LabelSet.from_class_ids([2, 0, 2], 3)
+    assert Y.encoding == "one_hot"
+    assert np.array_equal(Y.targets, [[0, 1, 0], [0, 0, 0], [1, 0, 1]])
+    for bad in ([0, 3], [-1, 0]):
+        with pytest.raises(ValidationError, match="class ids"):
+            LabelSet.from_class_ids(bad, 3)

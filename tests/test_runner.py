@@ -3,8 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from whitebench.errors import ConfigError
 from whitebench.runconfig import parse_config
-from whitebench.runner import derive_seed, run_experiment, sweep, write_rows_csv
+from whitebench.runner import derive_seed, plan_run, run_cell, sweep, write_rows_csv
 
 LINEAR_CFG = """
 [experiment]
@@ -67,6 +68,16 @@ step_cap = 400
 """
 
 
+def train(cfg, trainer, include_trajectory=True):
+    """What train-linear / train-mlp run: the configured n_train, every arm and seed."""
+    return sweep(cfg, trainer, [cfg.data["n_train"]], include_trajectory)
+
+
+def sweep_terminal(cfg, workers=1):
+    """What the sweep command runs: the [sweep] grid, terminal rows only."""
+    return sweep(cfg, cfg.sweep["trainer"], cfg.sweep["sizes"], include_trajectory=False, workers=workers)
+
+
 @pytest.fixture
 def linear_cfg(tmp_path):
     path = tmp_path / "lin.cfg"
@@ -90,9 +101,9 @@ def test_seed_derivation_is_stable():
     assert 0 <= a < 2**64
 
 
-def test_run_experiment_rows_and_determinism(linear_cfg, tmp_path):
-    rows1 = run_experiment(linear_cfg, trainer="linear")
-    rows2 = run_experiment(linear_cfg, trainer="linear")
+def test_train_rows_and_determinism(linear_cfg, tmp_path):
+    rows1 = train(linear_cfg, "linear")
+    rows2 = train(linear_cfg, "linear")
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_rows_csv(p1, rows1)
     write_rows_csv(p2, rows2)
@@ -103,7 +114,7 @@ def test_run_experiment_rows_and_determinism(linear_cfg, tmp_path):
 
 
 def test_sweep_cardinality_and_order(linear_cfg):
-    rows = sweep(linear_cfg, workers=1)
+    rows = sweep_terminal(linear_cfg)
     assert len(rows) == 3 * 3 * 2  # sizes x modes x seeds, terminal rows only
     keys = [(r.experiment_id, r.dataset_size, r.whitening_mode, r.seed) for r in rows]
     assert keys == sorted(keys)
@@ -111,8 +122,8 @@ def test_sweep_cardinality_and_order(linear_cfg):
 
 
 def test_sweep_parallel_matches_serial(linear_cfg, tmp_path):
-    serial = sweep(linear_cfg, workers=1)
-    parallel = sweep(linear_cfg, workers=2)
+    serial = sweep_terminal(linear_cfg)
+    parallel = sweep_terminal(linear_cfg, workers=2)
     pa, pb = tmp_path / "s.csv", tmp_path / "p.csv"
     write_rows_csv(pa, serial)
     write_rows_csv(pb, parallel)
@@ -120,7 +131,7 @@ def test_sweep_parallel_matches_serial(linear_cfg, tmp_path):
 
 
 def test_mlp_runner_records_steps(mlp_cfg):
-    rows = run_experiment(mlp_cfg, trainer="mlp")
+    rows = train(mlp_cfg, "mlp")
     terminal = [r for r in rows if r.stopping_reason]
     assert len(terminal) == 2
     for r in terminal:
@@ -130,12 +141,10 @@ def test_mlp_runner_records_steps(mlp_cfg):
 
 
 def test_row_reproducible_standalone(linear_cfg):
-    from whitebench.runner import run_cell
-
-    rows = sweep(linear_cfg, workers=1)
+    rows = sweep_terminal(linear_cfg)
     target = rows[5]
     again = run_cell(
-        linear_cfg, "linear", target.dataset_size, target.whitening_mode,
+        plan_run(linear_cfg, "linear"), target.dataset_size, target.whitening_mode,
         target.seed, include_trajectory=False,
     )[-1]
     assert again.test_loss == target.test_loss
@@ -143,13 +152,16 @@ def test_row_reproducible_standalone(linear_cfg):
 
 
 def test_env_seed_override(linear_cfg, monkeypatch, tmp_path):
-    rows_default = sweep(linear_cfg, workers=1)
+    rows_default = sweep_terminal(linear_cfg)
     monkeypatch.setenv("WHITEBENCH_SEED", "31337")
-    rows_env = sweep(linear_cfg, workers=1)
+    rows_env = sweep_terminal(linear_cfg)
     monkeypatch.delenv("WHITEBENCH_SEED")
     a = [r.test_loss for r in rows_default]
     b = [r.test_loss for r in rows_env]
     assert a != b
+    monkeypatch.setenv("WHITEBENCH_SEED", "seven")
+    with pytest.raises(ConfigError, match="WHITEBENCH_SEED"):
+        sweep_terminal(linear_cfg)
 
 
 def test_whitening_gap_shrinks_with_sample_count():
@@ -218,7 +230,7 @@ def test_full_whitening_terminal_rows_at_half_loss(tmp_path):
     path = tmp_path / "fw.cfg"
     path.write_text(FULL_WHITE_CFG, encoding="utf-8")
     cfg = parse_config(path)
-    rows = run_experiment(cfg, trainer="linear", include_trajectory=False)
+    rows = train(cfg, "linear", include_trajectory=False)
     assert len(rows) == 2
     for r in rows:
         assert abs(r.test_loss - 0.5) <= 1e-8
@@ -251,7 +263,7 @@ grid_points = 25
         encoding="utf-8",
     )
     cfg = parse_config(path)
-    rows = run_experiment(cfg, trainer="linear", include_trajectory=False)
+    rows = train(cfg, "linear", include_trajectory=False)
     modes = {r.whitening_mode for r in rows}
     assert modes == {"none", "distribution"}
     none_loss = next(r.test_loss for r in rows if r.whitening_mode == "none")
