@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .datatypes import Dataset, compute_F, hstack_datasets
-from .errors import ConfigError, WhitebenchError
+from .errors import ConfigError, ValidationError, WhitebenchError
 from .linear_flow import TimeGrid, build_flow, early_stop, flow_at
 from .models import accuracy, init_isotropic, train_to_cutoff
 from .optimizers import LineSearchConfig, OptimizerConfig
@@ -115,6 +115,7 @@ class RunPlan:
     rank_policy: RankPolicy
     optimizer: OptimizerConfig
     grid: TimeGrid | None  # fixed flow grid when [flow] t_min/t_max are set, else per cell
+    files: dict | None  # the labelled splits of a file source, read once; None for synthetic data
 
 
 def plan_run(cfg: RunConfig, trainer: str) -> RunPlan:
@@ -132,6 +133,11 @@ def plan_run(cfg: RunConfig, trainer: str) -> RunPlan:
         master_seed = int(env_seed) if env_seed else cfg.master_seed
     except ValueError:
         raise ConfigError(f"WHITEBENCH_SEED must be an integer, got {env_seed!r}") from None
+    if synthetic:
+        try:
+            _synthetic_spec(data, 1, data.get("n_val", 0), data.get("n_test", 0), master_seed, 0)
+        except ValidationError as exc:
+            raise ConfigError(f"bad [data] value: {exc}") from None
     line_search = LineSearchConfig(initial_step=opt.get("initial_step", 1.0)) if opt.get("line_search", False) else None
     grid = None
     if "t_min" in flow and "t_max" in flow:
@@ -149,23 +155,29 @@ def plan_run(cfg: RunConfig, trainer: str) -> RunPlan:
             line_search=line_search,
         ),
         grid=grid,
+        files=None if synthetic else _load_file_splits(data),
     )
 
 
-def _load_file_splits(cfg: RunConfig):
-    data = cfg.data
+def _load_file_splits(data: dict) -> dict:
+    """Read the train/val/test files of a file source; every split needs labels."""
     fmt = data.get("format", "wbds")
     splits = {}
     for name, tag in (("train", "train"), ("val", "validation"), ("test", "test")):
-        if name in data:
-            X, Y = dataio.ingest(data[name], fmt, split_tag=tag)
-            splits[name] = (X, Y)
+        if name not in data:
+            continue
+        path = data[name]
+        X, Y = dataio.ingest(path, fmt, split_tag=tag)
+        if Y is None:
+            companion = dataio.label_companion_path(path)
+            needs = "label or y0.. columns" if fmt == "csv" else f"the label companion {companion}"
+            raise ValidationError(f"{path}: no labels; a run needs {needs}")
+        splits[name] = (X, Y)
     return splits
 
 
-def _synthesize_splits(plan: RunPlan, n_train: int, n_val: int, n_test: int, run_seed: int):
-    data = plan.cfg.data
-    spec = SyntheticSpec(
+def _synthetic_spec(data: dict, n_train: int, n_val: int, n_test: int, master_seed: int, run_seed: int):
+    return SyntheticSpec(
         d=data.get("d", 64),
         n_train=n_train,
         n_val=n_val,
@@ -174,13 +186,16 @@ def _synthesize_splits(plan: RunPlan, n_train: int, n_val: int, n_test: int, run
         alpha=data.get("alpha", 2.0),
         custom_eigenvalues=tuple(data["eigenvalues"]) if "eigenvalues" in data else None,
         teacher=data.get("teacher", "linear"),
-        teacher_seed=data.get("teacher_seed", plan.master_seed),
+        teacher_seed=data.get("teacher_seed", master_seed),
         label_noise=data.get("label_noise", 0.0),
         classes=data.get("classes", 10),
         encoding=data.get("encoding", "one_hot"),
         seed=run_seed,
     )
-    drawn = synthesize(spec)
+
+
+def _synthesize_splits(plan: RunPlan, n_train: int, n_val: int, n_test: int, run_seed: int):
+    drawn = synthesize(_synthetic_spec(plan.cfg.data, n_train, n_val, n_test, plan.master_seed, run_seed))
     splits = {"train": (drawn.train, drawn.y_train)}
     if drawn.val is not None:
         splits["val"] = (drawn.val, drawn.y_val)
@@ -295,10 +310,10 @@ def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, inclu
     run_seed = derive_seed(plan.master_seed, cfg.experiment_id, dataset_size, mode, seed_index)
     base = dict(experiment_id=cfg.experiment_id, seed=seed_index, dataset_size=dataset_size, whitening_mode=mode)
     try:
-        if cfg.data.get("source", "synthetic") == "synthetic":
+        if plan.files is None:
             splits = _synthesize_splits(plan, *_split_sizes(cfg, dataset_size), run_seed)
         else:
-            splits = _load_file_splits(cfg)
+            splits = plan.files
         if cfg.data.get("normalize", False):
             splits = _normalize_splits(splits)
         arm = prepare_arm(plan, splits, mode, run_seed)

@@ -37,18 +37,27 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1 or self.n_train < 1 or self.n_val < 0 or self.n_test < 0:
-            raise ValidationError("counts must be positive (val/test may be zero)")
+        """Each message names the offending field, which is also its [data] config key."""
+        if self.d < 1 or self.n_train < 1:
+            raise ValidationError(f"d and n_train must be positive, got d={self.d}, n_train={self.n_train}")
+        if self.n_val < 0 or self.n_test < 0:
+            raise ValidationError(f"n_val and n_test must be nonnegative, got {self.n_val}, {self.n_test}")
         if self.spectrum not in SPECTRA:
             raise ValidationError(f"unknown spectrum {self.spectrum!r}")
         if self.spectrum == "custom" and (
-            self.custom_eigenvalues is None or len(self.custom_eigenvalues) != self.d
+            self.custom_eigenvalues is None
+            or len(self.custom_eigenvalues) != self.d
+            or not all(0 <= v < math.inf for v in self.custom_eigenvalues)
         ):
-            raise ValidationError("custom spectrum needs d eigenvalues")
+            raise ValidationError(f"spectrum = custom needs eigenvalues: {self.d} finite nonnegative values, one per d")
         if self.teacher not in TEACHERS:
             raise ValidationError(f"unknown teacher {self.teacher!r}")
-        if self.alpha < 0 or self.label_noise < 0 or self.classes < 1:
-            raise ValidationError("alpha, label_noise, classes must be nonnegative/positive")
+        if not 0 <= self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        if not 0 <= self.label_noise < math.inf:
+            raise ValidationError(f"label_noise must be finite and nonnegative, got {self.label_noise}")
+        if self.classes < 1:
+            raise ValidationError(f"classes must be positive, got {self.classes}")
 
     def eigenvalues(self) -> np.ndarray:
         if self.spectrum == "flat":

@@ -295,6 +295,10 @@ BAD_RUN_VALUES = {
     "activation": ("model", "activation", "gelu", ("sweep", "train-mlp")),
     "eta_zero": ("optimizer", "eta", "0", ("sweep", "train-mlp")),
     "linear_without_validation": ("data", "n_val", "0", ("sweep", "train-linear")),
+    "alpha_negative": ("data", "alpha", "-1", ("sweep", "train-mlp")),
+    "label_noise_negative": ("data", "label_noise", "-0.5", ("sweep", "train-mlp")),
+    "classes_zero": ("data", "classes", "0", ("sweep", "train-mlp")),
+    "custom_spectrum_without_eigenvalues": ("data", "spectrum", "custom", ("sweep", "train-mlp")),
 }
 
 
@@ -341,3 +345,20 @@ def test_distribution_arm_on_file_data_exits_2(tmp_path, rng, capsys):
     sections["whitening"]["modes"] = "none train"
     _write_run_config(cfg, sections)
     assert main(["sweep", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("command", ["sweep", "train-linear"])
+def test_unlabelled_file_data_exits_2(tmp_path, rng, capsys, command):
+    labels = LabelSet.from_class_ids(rng.integers(0, 3, 12), 3)
+    export_wbds(tmp_path / "train.wbds", Dataset(rng.standard_normal((4, 12))), labels)
+    export_wbds(tmp_path / "val.wbds", Dataset(rng.standard_normal((4, 6))))  # no .wblb companion
+    out = tmp_path / "results"
+    sections = _run_sections(out)
+    sections["data"] = {"source": "files", "train": tmp_path / "train.wbds", "val": tmp_path / "val.wbds"}
+    sections["sweep"] = {"sizes": "12", "trainer": "linear"}
+    cfg = tmp_path / "files.cfg"
+    _write_run_config(cfg, sections)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "val.wbds") in err and str(tmp_path / "val.wblb") in err
+    assert not out.exists()

@@ -1,0 +1,77 @@
+"""Linear sweeps pinned against rows written by the per-time early-stop scan.
+
+`data/golden_linear_sweep.csv` holds the terminal rows of the three configs
+below as written by the early-stop scan that rebuilt W(t) and predicted at
+every grid time. The closed-form loss curves must give the same rows:
+val_loss within 1e-10 relative; t* within 1e-4 relative, since golden-section
+search over a flat minimum cannot pin t* more finely; train_loss and
+test_loss, which follow t*, within 1e-4 relative; test_error and
+stopping_reason exactly.
+
+`PYTHONPATH=src python tests/test_golden_sweep.py` writes the rows of the
+current code to that file.
+"""
+import csv
+from pathlib import Path
+
+import pytest
+
+from whitebench.runconfig import parse_config
+from whitebench.runner import sweep, write_rows_csv
+
+GOLDEN = Path(__file__).parent / "data" / "golden_linear_sweep.csv"
+
+_DATA = {"source": "synthetic", "d": 16, "alpha": 1.5, "n_val": 24, "n_test": 48, "classes": 4, "label_noise": 0.5}
+# experiment id -> (whitening arms, seeds, sizes, [flow] section)
+CONFIGS = {
+    # sizes on both sides of d = 16
+    "golden": ("none train full", "0 1", "8 32 128", {"grid_points": 200}),
+    # n < d with W0 != 0: null modes keep their initial weights
+    "golden_init": ("none", "0", "8", {"init_variance": 0.05}),
+    "golden_newton": ("train", "0", "32", {"precondition": "newton"}),
+}
+KEY = ("experiment_id", "seed", "dataset_size", "whitening_mode")
+RELATIVE = {"val_loss": 1e-10, "step_or_time": 1e-4, "train_loss": 1e-4, "test_loss": 1e-4}
+EXACT = ("optimizer", "test_error", "stopping_reason")
+
+
+def _rows(tmp_dir: Path):
+    rows = []
+    for exp_id, (modes, seeds, sizes, flow) in CONFIGS.items():
+        sections = {
+            "experiment": {"id": exp_id, "master_seed": 7, "seeds": seeds},
+            "data": _DATA,
+            "whitening": {"modes": modes},
+            "flow": flow,
+        }
+        path = tmp_dir / f"{exp_id}.cfg"
+        text = [f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items()) for name, items in sections.items()]
+        path.write_text("\n".join(text), encoding="utf-8")
+        rows += sweep(parse_config(path), "linear", [int(s) for s in sizes.split()], include_trajectory=False)
+    return rows
+
+
+def _read(path: Path) -> dict:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return {tuple(row[k] for k in KEY): row for row in csv.DictReader(fh)}
+
+
+def test_sweep_matches_golden_rows(tmp_path):
+    out = tmp_path / "rows.csv"
+    write_rows_csv(out, _rows(tmp_path))
+    got, want = _read(out), _read(GOLDEN)
+    assert sorted(got) == sorted(want)
+    assert len(want) == 3 * 3 * 2 + 2
+    for key, expected in want.items():
+        row = got[key]
+        for col in EXACT:
+            assert row[col] == expected[col], (key, col)
+        for col, tol in RELATIVE.items():
+            assert float(row[col]) == pytest.approx(float(expected[col]), rel=tol, abs=0.0), (key, col)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_rows_csv(GOLDEN, _rows(Path(tmp)))

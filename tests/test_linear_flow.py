@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whitebench import (
     Dataset,
@@ -17,6 +18,7 @@ from whitebench import (
     solve_optimum,
 )
 from whitebench.errors import ValidationError
+from whitebench.linear_flow import _loss_curve
 from whitebench.synth import SyntheticSpec, synthesize
 
 from conftest import one_hot_labels, random_dataset
@@ -286,6 +288,7 @@ def test_early_stop_self_consistency():
     reported = record.metadata["val_loss_at_t_star"]
     recomputed = mse_per_sample(flow_at(sol, t_star).W @ data.val.values, data.y_val)
     assert abs(reported - recomputed) <= 1e-10
+    assert record.metadata["closed_form_gap"] <= 1e-10
 
 
 def test_early_stop_whitened_does_not_beat_unwhitened():
@@ -307,3 +310,41 @@ def test_early_stop_whitened_does_not_beat_unwhitened():
         raw_losses.append(rec_raw.test_loss[rec_raw.steps.index(rec_raw.terminal_step)])
         white_losses.append(rec_white.test_loss[rec_white.steps.index(rec_white.terminal_step)])
     assert np.mean(white_losses) >= np.mean(raw_losses)
+
+
+@given(
+    d=st.integers(1, 8),
+    n=st.integers(1, 12),
+    k=st.integers(1, 3),
+    precondition=st.sampled_from(["none", "newton"]),
+    nonzero_w0=st.booleans(),
+    real_valued=st.booleans(),
+    log_scale=st.floats(-2, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None, database=None)
+def test_closed_form_loss_matches_direct(d, n, k, precondition, nonzero_w0, real_valued, log_scale, seed):
+    # n < d leaves null modes (rate 0, no progress); n > d does not
+    rng = np.random.default_rng(seed)
+    X = Dataset(10.0**log_scale * rng.standard_normal((d, n)), split_tag="train")
+    X_eval = Dataset(rng.standard_normal((d, 7)), split_tag="test")
+    if real_valued:
+        Y, Y_eval = LabelSet(rng.standard_normal((k, n))), LabelSet(rng.standard_normal((k, 7)))
+    else:
+        Y, Y_eval = one_hot_labels(rng, k, n), one_hot_labels(rng, k, 7)
+    W0 = rng.standard_normal((Y.output_dim, d)) if nonzero_w0 else None
+    sol = build_flow(X, Y, W0=W0, precondition=precondition)
+    grid = TimeGrid.default_for(sol)
+    times = np.concatenate([[0.0], np.exp(rng.uniform(np.log(grid.t_min), np.log(grid.t_max), 6))])
+    for X_s, Y_s in ((X, Y), (X_eval, Y_eval)):
+        curve = _loss_curve(sol, X_s, Y_s)
+        initial = mse_per_sample(flow_at(sol, 0.0).predict(X_s), Y_s)  # c0 / 2n
+        progress = -np.expm1(-np.outer(sol.mode_rates, times))
+        together = curve(progress)
+        for j, t in enumerate(times):
+            direct = mse_per_sample(flow_at(sol, t).predict(X_s), Y_s)
+            # the form's terms are as large as the larger of L(0) and L(t):
+            # far from the train span L(t) can grow well past L(0)
+            tol = 1e-10 * max(1.0, initial, direct)
+            assert abs(float(curve(progress[:, j])) - direct) <= tol
+            assert abs(together[j] - direct) <= tol
