@@ -126,6 +126,13 @@ def check_paired(X: Dataset, Y: LabelSet):
         )
 
 
+def check_same_features(X_a: Dataset, X_b: Dataset):
+    if X_a.feature_dim != X_b.feature_dim:
+        raise ShapeError(
+            f"feature dims differ: {X_a.feature_dim} vs {X_b.feature_dim}"
+        )
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition with eigenvalues sorted descending.
@@ -165,10 +172,7 @@ def compute_K(X: Dataset) -> np.ndarray:
 
 def compute_mixed_K(X_a: Dataset, X_b: Dataset) -> np.ndarray:
     """Mixed Gram block X_a^T X_b (n_a x n_b)."""
-    if X_a.feature_dim != X_b.feature_dim:
-        raise ShapeError(
-            f"feature dims differ: {X_a.feature_dim} vs {X_b.feature_dim}"
-        )
+    check_same_features(X_a, X_b)
     return X_a.values.T @ X_b.values
 
 

@@ -19,6 +19,7 @@ from .datatypes import (
     NULL_MODE_RATIO,
     Spectrum,
     check_paired,
+    check_same_features,
     compute_F,
     compute_K,
     compute_mixed_K,
@@ -54,6 +55,14 @@ def mse_per_sample(predictions: np.ndarray, Y: LabelSet) -> float:
     return 0.5 * float(np.sum(diff * diff)) / diff.shape[1]
 
 
+def _initial_weights(W0: np.ndarray | None, k: int, d: int) -> np.ndarray:
+    """W(0) as a k x d float array; None means zeros."""
+    W0 = np.zeros((k, d)) if W0 is None else np.asarray(W0, dtype=np.float64)
+    if W0.shape != (k, d):
+        raise ValidationError(f"W0 must have shape {(k, d)}, got {W0.shape}")
+    return W0
+
+
 def solve_optimum(
     X_train: Dataset, Y_train: LabelSet, W0: np.ndarray | None = None
 ) -> LinearModel:
@@ -65,10 +74,7 @@ def solve_optimum(
     """
     check_paired(X_train, Y_train)
     d = X_train.feature_dim
-    k = Y_train.output_dim
-    W0 = np.zeros((k, d)) if W0 is None else np.asarray(W0, dtype=np.float64)
-    if W0.shape != (k, d):
-        raise ValidationError(f"W0 must have shape {(k, d)}, got {W0.shape}")
+    W0 = _initial_weights(W0, Y_train.output_dim, d)
 
     F = compute_F(X_train)
     spec = eigh(F)
@@ -124,11 +130,7 @@ def build_flow(
     if precondition not in PRECONDITIONS:
         raise ValidationError(f"unknown precondition {precondition!r}")
     check_paired(X_train, Y_train)
-    d = X_train.feature_dim
-    k = Y_train.output_dim
-    W0 = np.zeros((k, d)) if W0 is None else np.asarray(W0, dtype=np.float64)
-    if W0.shape != (k, d):
-        raise ValidationError(f"W0 must have shape {(k, d)}, got {W0.shape}")
+    W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim)
 
     spec = eigh(compute_F(X_train))
     lam = spec.eigenvalues
@@ -164,20 +166,26 @@ def optimum_predictions(
     X_test: Dataset,
     W0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Converged test predictions computed purely from Gram quantities.
+    """Converged test predictions f* = W* X_test from the Gram algebra of X_train.
 
-    f* = f0(X_test) - (f0(X_train) - Y) K_train^+ K_train_x_test, which equals
-    W* X_test without ever forming F. The Gram pseudoinverse is used
-    throughout (K is always singular when d < n).
+    With R = f0(X_train) - Y, the K form is
+    f* = f0(X_test) - R K_train^+ K_train_x_test, which never forms F and
+    shows that the data enter only through K. It pseudoinverts the n x n K,
+    so it is evaluated only when n <= d. When n > d the d x d F is smaller
+    and f* = f0(X_test) - (R X_train^T) F^+ X_test. The two agree: K and F
+    share their nonzero eigenvalues (the squared singular values of X_train),
+    so K^+ X^T = X^T F^+, and the relative pinv cutoff drops the same modes
+    on either side.
     """
     check_paired(X_train, Y_train)
-    k = Y_train.output_dim
-    W0 = np.zeros((k, X_train.feature_dim)) if W0 is None else np.asarray(W0, dtype=np.float64)
-    K = compute_K(X_train)
-    K_mixed = compute_mixed_K(X_train, X_test)
-    f0_train = W0 @ X_train.values
-    f0_test = W0 @ X_test.values
-    return f0_test - (f0_train - Y_train.targets) @ pseudoinverse(K) @ K_mixed
+    check_same_features(X_train, X_test)
+    W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim)
+    residual = W0 @ X_train.values - Y_train.targets
+    if X_train.sample_count <= X_train.feature_dim:
+        update = residual @ pseudoinverse(compute_K(X_train)) @ compute_mixed_K(X_train, X_test)
+    else:
+        update = (residual @ X_train.values.T) @ pseudoinverse(compute_F(X_train)) @ X_test.values
+    return W0 @ X_test.values - update
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,23 @@ def _choice_list(allowed: tuple):
     return lambda text: [one(v) for v in _split(text)]
 
 
+def _int_at_least(minimum: int):
+    """Converter for an integer bounded below (checked at parse time)."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ConfigError(f"expected an integer >= {minimum}; got {value}")
+        return value
+
+    return convert
+
+
+def _int_list_at_least(minimum: int):
+    one = _int_at_least(minimum)
+    return lambda text: [one(v) for v in _split(text)]
+
+
 def _batch(text: str):
     return None if text.strip() == "full" else int(text)
 
@@ -123,13 +140,13 @@ _SCHEMA = {
     },
     "flow": {
         "precondition": _choice(PRECONDITIONS),
-        "grid_points": int,
+        "grid_points": _int_at_least(2),
         "t_min": float,
         "t_max": float,
         "init_variance": float,
     },
     "sweep": {
-        "sizes": _int_list,
+        "sizes": _int_list_at_least(1),
         "trainer": _choice(TRAINERS),
     },
     "plot": {

@@ -299,6 +299,8 @@ BAD_RUN_VALUES = {
     "label_noise_negative": ("data", "label_noise", "-0.5", ("sweep", "train-mlp")),
     "classes_zero": ("data", "classes", "0", ("sweep", "train-mlp")),
     "custom_spectrum_without_eigenvalues": ("data", "spectrum", "custom", ("sweep", "train-mlp")),
+    "sizes_zero": ("sweep", "sizes", "0 8", ("sweep", "train-linear")),
+    "grid_points_one": ("flow", "grid_points", "1", ("sweep", "train-linear")),
 }
 
 
@@ -308,7 +310,7 @@ def test_bad_run_config_exits_2_before_any_cell(tmp_path, capsys, case):
     out = tmp_path / "results"
     sections = _run_sections(out)
     sections[section][key] = value
-    if case == "linear_without_validation":
+    if "train-linear" in commands:
         sections["sweep"]["trainer"] = "linear"
     cfg = tmp_path / "bad.cfg"
     _write_run_config(cfg, sections)

@@ -17,7 +17,7 @@ from whitebench import (
     pseudoinverse,
     solve_optimum,
 )
-from whitebench.errors import ValidationError
+from whitebench.errors import ShapeError, ValidationError
 from whitebench.linear_flow import _loss_curve
 from whitebench.synth import SyntheticSpec, synthesize
 
@@ -167,6 +167,46 @@ def test_k_sufficiency_equals_f_form(rng):
         f_form = solve_optimum(X, Y, W0=W0).W @ X_test.values
         k_form = optimum_predictions(X, Y, X_test, W0=W0)
         assert np.max(np.abs(k_form - f_form)) <= 1e-8
+
+
+@pytest.mark.parametrize("d, n", [(6, 4), (3, 9)])
+def test_optimum_predictions_rejects_misshaped_w0(rng, d, n):
+    X = random_dataset(rng, d, n)
+    Y = LabelSet(rng.standard_normal((2, n)))
+    X_test = random_dataset(rng, d, 3, split_tag="test")
+    for shape in ((2, d + 1), (3, d)):
+        with pytest.raises(ValidationError, match=r"W0 must have shape \(2, %d\)" % d):
+            optimum_predictions(X, Y, X_test, W0=np.zeros(shape))
+
+
+@given(
+    d=st.integers(1, 9),
+    n_minus_d=st.integers(-6, 6),
+    k=st.integers(1, 3),
+    rank_deficit=st.integers(0, 3),
+    nonzero_w0=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None, database=None)
+def test_optimum_predictions_both_sides_match_k_form(d, n_minus_d, k, rank_deficit, nonzero_w0, seed):
+    # n <= d pinvs the n x n K, n > d the d x d F; a rank deficit makes both singular
+    n = max(1, d + n_minus_d)
+    rng = np.random.default_rng(seed)
+    rank = max(1, min(d, n) - rank_deficit)
+    if rank_deficit:
+        X = Dataset(rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n)), split_tag="train")
+    else:
+        X = random_dataset(rng, d, n)
+    X_test = random_dataset(rng, d, 5, split_tag="test")
+    Y = LabelSet(rng.standard_normal((k, n)))
+    W0 = rng.standard_normal((k, d)) if nonzero_w0 else np.zeros((k, d))
+    K = X.values.T @ X.values
+    residual = W0 @ X.values - Y.targets
+    reference = W0 @ X_test.values - residual @ pseudoinverse(K) @ (X.values.T @ X_test.values)
+    preds = optimum_predictions(X, Y, X_test, W0=W0 if nonzero_w0 else None)
+    assert np.all(np.abs(preds - reference) <= 1e-8 * np.maximum(1.0, np.abs(reference)))
+    with pytest.raises(ShapeError):
+        optimum_predictions(X, Y, random_dataset(rng, d + 1, 5, split_tag="test"), W0=W0)
 
 
 def test_fully_whitened_zero_predictions_and_half_loss(rng):
