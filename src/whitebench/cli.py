@@ -68,7 +68,7 @@ def _cmd_run(args):
     """train-linear / train-mlp: [data] n_train with trajectories; sweep: [sweep] sizes, terminal rows."""
     cfg = parse_config(args.config)
     if args.trainer:
-        trainer, sizes, suffix = args.trainer, [cfg.data.get("n_train", 128)], args.trainer
+        trainer, sizes, suffix = args.trainer, [cfg.data.get("n_train")], args.trainer
     else:
         trainer, sizes, suffix = cfg.sweep.get("trainer", "linear"), cfg.sweep.get("sizes"), "sweep"
     rows = runner.sweep(cfg, trainer, sizes, include_trajectory=bool(args.trainer), workers=args.workers)

@@ -192,11 +192,14 @@ def eigh(A: np.ndarray) -> Spectrum:
 
 
 def pseudoinverse(A: np.ndarray, rel_tol: float = PINV_CUTOFF_RATIO) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values below rel_tol * sigma_max are zeroed."""
+    """Moore-Penrose pseudoinverse; zeroes singular values <= rel_tol * sigma_max or too small to invert."""
     if rel_tol <= 0:
         raise ValidationError("rel_tol must be positive")
     A = _as_matrix(A, "pseudoinverse input")
-    return np.linalg.pinv(A, rcond=rel_tol)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > max(rel_tol * s.max(initial=0.0), 1.0 / np.finfo(float).max)
+    inv = np.divide(1.0, s, where=keep, out=np.zeros_like(s))
+    return Vt.T @ (inv[:, None] * U.T)  # the order of numpy.linalg.pinv, so kept modes round alike
 
 
 def estimate_input_rank(X: Dataset, cutoff_ratio: float = RANK_CUTOFF_RATIO) -> int:

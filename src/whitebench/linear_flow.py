@@ -27,6 +27,7 @@ from .datatypes import (
     pseudoinverse,
 )
 from .errors import ValidationError
+from .models import accuracy
 from .records import TrainRecord
 
 PRECONDITIONS = ("none", "newton")
@@ -279,7 +280,8 @@ def early_stop(
     Grid and search losses come from one quadratic form per split
     (`_loss_curve`); the terminal row at t* is evaluated directly from
     W(t*), and metadata["closed_form_gap"] holds the relative gap between
-    the two validation losses there.
+    the two validation losses there. A one-hot "test_loss" split also
+    gets its test_error at t*.
     """
     grid = grid or TimeGrid.default_for(sol)
     times = grid.times()
@@ -305,7 +307,12 @@ def early_stop(
             t_star, v_star = float(times[best]), val_losses[best]
 
     model = flow_at(sol, t_star)
-    metrics = {name: mse_per_sample(model.predict(X), Y) for name, (X, Y) in splits.items()}
+    metrics = {}
+    for name, (X, Y) in splits.items():
+        predictions = model.predict(X)
+        metrics[name] = mse_per_sample(predictions, Y)
+        if name == "test_loss" and Y.encoding == "one_hot":
+            metrics["test_error"] = 1.0 - accuracy(predictions, Y.targets)
     direct = metrics["val_loss"]
     record.append(t_star, **metrics)
     record.terminal_step = t_star

@@ -254,7 +254,8 @@ def train_to_cutoff(
     Mutates `model` in place. Batch order is generated from `seed` and
     recorded in the metadata, so two runs with the same seed see identical
     batches. Metrics are per-sample averages; the terminal step is always
-    recorded.
+    recorded. metadata["steps_to_best_val"] is the recorded step >= 1 with
+    the lowest validation loss (None without a validation split).
     """
     from . import optimizers as opt  # local import: optimizers is model-agnostic
 
@@ -320,6 +321,8 @@ def train_to_cutoff(
     record.terminal_step = step
     record.stopping_reason = reason
     record.metadata["steps_to_cutoff"] = step if reason == "cutoff" else None
+    best = [(v, s) for s, v in zip(record.steps, record.val_loss or ()) if s >= 1]
+    record.metadata["steps_to_best_val"] = min(best)[1] if best else None
     record.metadata["epochs_to_cutoff"] = (
         step * batch_size / n if reason == "cutoff" else None
     )

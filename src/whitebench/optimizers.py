@@ -227,7 +227,8 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
 
     lambda = cfg.reg_lambda: 1 recovers the raw gradient direction, 0 the
     unregularized Gauss-Newton direction. With cfg.line_search set, the step
-    size is chosen by backtracking from the configured initial step.
+    size is chosen by backtracking from the configured initial step, and a
+    gradient already within cfg.cg_tol leaves the parameters unchanged.
     """
     lam = cfg.reg_lambda
     loss_before, grads, aux = model.loss_and_grads(X_b, Y_b)
@@ -246,7 +247,11 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
     cg = conjugate_gradient_solve(apply_A, g, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
     direction = _unflatten(-cg.x, templates)
 
-    if cfg.line_search is not None:
+    if cfg.line_search is None:
+        step = cfg.eta
+    elif cg.iterations == 0:
+        step = 0.0  # |g| <= cg_tol: a stationary point, so x = 0 and there is no descent direction
+    else:
         slope = -float(g @ cg.x)
 
         def loss_at(param_list):
@@ -261,8 +266,6 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
         step = backtracking_line_search(
             loss_at, [p.copy() for p in templates], direction, slope, cfg.line_search
         )
-    else:
-        step = cfg.eta
 
     for p, d in zip(templates, direction):
         p += step * d

@@ -94,7 +94,7 @@ _SCHEMA = {
     "data": {
         "source": _choice(DATA_SOURCES),
         "d": int,
-        "n_train": int,
+        "n_train": _int_at_least(1),
         "n_val": int,
         "n_test": int,
         "spectrum": _choice(SPECTRA),
@@ -130,7 +130,7 @@ _SCHEMA = {
         "name": _choice(OPTIMIZERS),
         "eta": float,
         "batch_size": _batch,
-        "reg_lambda": float,
+        "reg_lambda": _float_list,  # one value, or a grid of cells for the mlp trainer with name = gn
         "cg_tol": float,
         "cutoff": float,
         "step_cap": int,

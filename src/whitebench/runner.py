@@ -1,8 +1,10 @@
-"""Experiment execution: one run loop over (size, whitening arm, seed) cells.
+"""Experiment execution: one run loop over (size, whitening arm, reg_lambda, seed) cells.
 
 Every run's seed is a 64-bit hash of (master seed, experiment id, dataset
 size, whitening mode, seed index), so rows are reproducible standalone and
 sweep output is independent of worker scheduling (rows are post-sorted).
+The seed leaves reg_lambda out: every lambda of a (size, arm, seed) cell
+trains on the same draw from the same initial weights.
 """
 from __future__ import annotations
 
@@ -15,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .datatypes import Dataset, compute_F, hstack_datasets
+from .datatypes import Dataset, LabelSet, compute_F, hstack_datasets
 from .errors import ConfigError, ValidationError, WhitebenchError
-from .linear_flow import TimeGrid, build_flow, early_stop, flow_at
-from .models import accuracy, init_isotropic, train_to_cutoff
+from .linear_flow import TimeGrid, build_flow, early_stop
+from .models import init_isotropic, train_to_cutoff
 from .optimizers import LineSearchConfig, OptimizerConfig
 from .records import TrainRecord
 from .runconfig import RunConfig
@@ -41,6 +43,8 @@ class ResultRow:
     test_error: float | None = None
     steps_to_cutoff: int | None = None
     stopping_reason: str = ""
+    reg_lambda: float | None = None  # set for gn rows only
+    steps_to_best_val: int | None = None
 
     def to_csv(self) -> list:
         out = []
@@ -50,7 +54,8 @@ class ResultRow:
         return out
 
     def sort_key(self):
-        return (self.experiment_id, self.dataset_size, self.whitening_mode, self.seed, _as_float(self.step_or_time))
+        return (self.experiment_id, self.dataset_size, self.whitening_mode, _as_float(self.reg_lambda), self.seed,
+                _as_float(self.step_or_time))
 
 
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
@@ -100,6 +105,7 @@ def _record_rows(base: dict, record: TrainRecord, include_trajectory: bool, **te
             **metrics,
             steps_to_cutoff=record.metadata.get("steps_to_cutoff"),
             stopping_reason=record.stopping_reason,
+            steps_to_best_val=record.metadata.get("steps_to_best_val"),
         )
     )
     return rows
@@ -113,15 +119,23 @@ class RunPlan:
     trainer: str
     master_seed: int
     rank_policy: RankPolicy
-    optimizer: OptimizerConfig
+    optimizers: tuple  # one OptimizerConfig per [optimizer] reg_lambda value
     grid: TimeGrid | None  # fixed flow grid when [flow] t_min/t_max are set, else per cell
     files: dict | None  # the labelled splits of a file source, read once; None for synthetic data
+    sizes: tuple  # the dataset sizes, with an unset train-* n_train resolved
 
 
-def plan_run(cfg: RunConfig, trainer: str) -> RunPlan:
-    """Check what only the config decides, so a bad value fails before any cell."""
+def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
+    """Check what only the config decides, so a bad value fails before any cell.
+
+    A size of None (an unset train-* n_train) means 128 synthetic samples or
+    every train column of a file source.
+    """
     data, flow, opt = cfg.data, cfg.flow, cfg.optimizer
     synthetic = data.get("source", "synthetic") == "synthetic"
+    lambdas = opt.get("reg_lambda", [1.0])
+    if not lambdas or len(lambdas) > 1 and (trainer == "linear" or opt.get("name", "sgd") != "gn"):
+        raise ConfigError("[optimizer] reg_lambda takes one value, or a list for the mlp trainer with name = gn")
     if not synthetic and "train" not in data:
         raise ConfigError("file data source needs at least a train path")
     if trainer == "linear" and not (data.get("n_val", 0) > 0 if synthetic else "val" in data):
@@ -142,25 +156,32 @@ def plan_run(cfg: RunConfig, trainer: str) -> RunPlan:
     grid = None
     if "t_min" in flow and "t_max" in flow:
         grid = TimeGrid(flow["t_min"], flow["t_max"], flow.get("grid_points", 200))
-    return RunPlan(
-        cfg=cfg,
-        trainer=trainer,
-        master_seed=master_seed,
-        rank_policy=cfg.rank_policy(),
-        optimizer=OptimizerConfig(
+    files = None if synthetic else _load_file_splits(data)
+    full = files["train"][0].sample_count if files else 128
+    sizes = tuple(full if size is None else size for size in sizes)
+    if files and any(size > full for size in sizes):
+        raise ConfigError(f"size {max(sizes)} exceeds the {full} train samples of {data['train']}")
+    optimizers = tuple(
+        OptimizerConfig(
             eta=opt.get("eta", 0.1),
-            reg_lambda=opt.get("reg_lambda", 1.0),
+            reg_lambda=lam,
             batch_size=opt.get("batch_size", None),
             cg_tol=opt.get("cg_tol", 1e-5),
             line_search=line_search,
-        ),
-        grid=grid,
-        files=None if synthetic else _load_file_splits(data),
+        )
+        for lam in lambdas
     )
+    return RunPlan(cfg=cfg, trainer=trainer, master_seed=master_seed, rank_policy=cfg.rank_policy(),
+                   optimizers=optimizers, grid=grid, files=files, sizes=sizes)
 
 
 def _load_file_splits(data: dict) -> dict:
-    """Read the train/val/test files of a file source; every split needs labels."""
+    """Read the train/val/test files of a file source; every split needs labels.
+
+    One-hot splits are padded with zero rows to the widest split's class
+    count (a val file may lack the largest class ids); real-valued targets
+    of different widths are an error.
+    """
     fmt = data.get("format", "wbds")
     splits = {}
     for name, tag in (("train", "train"), ("val", "validation"), ("test", "test")):
@@ -173,7 +194,22 @@ def _load_file_splits(data: dict) -> dict:
             needs = "label or y0.. columns" if fmt == "csv" else f"the label companion {companion}"
             raise ValidationError(f"{path}: no labels; a run needs {needs}")
         splits[name] = (X, Y)
+    widest = max(splits, key=lambda name: splits[name][1].output_dim)
+    width = splits[widest][1].output_dim
+    for name, (X, Y) in list(splits.items()):
+        pad = width - Y.output_dim
+        if pad and Y.encoding != "one_hot":
+            raise ValidationError(f"{data[name]} has {Y.output_dim} target rows but {data[widest]} has {width}")
+        splits[name] = (X, LabelSet(np.pad(Y.targets, ((0, pad), (0, 0))), encoding=Y.encoding))
     return splits
+
+
+def _subsample_train(splits: dict, size: int, run_seed: int) -> dict:
+    """`size` train columns drawn by the run seed, in file order (all of them at the file's count)."""
+    X, Y = splits["train"]
+    cols = np.sort(np.random.default_rng(run_seed).choice(X.sample_count, size, replace=False))
+    train = (Dataset(X.values[:, cols], split_tag=X.split_tag), LabelSet(Y.targets[:, cols], encoding=Y.encoding))
+    return {**splits, "train": train}
 
 
 def _synthetic_spec(data: dict, n_train: int, n_val: int, n_test: int, master_seed: int, run_seed: int):
@@ -248,10 +284,9 @@ def _normalize_splits(splits: dict):
     }
 
 
-def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool):
+def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool, optimizer):
     Xtr, Ytr = splits["train"]
     X_val, Y_val = splits["val"]
-    X_test, Y_test = splits.get("test", (None, None))
     flow_cfg = plan.cfg.flow
     var = flow_cfg.get("init_variance", 0.0)
     k, d = Ytr.output_dim, Xtr.feature_dim
@@ -261,18 +296,14 @@ def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_t
     sol = build_flow(Xtr, Ytr, W0, precondition=precondition)
     grid = plan.grid or TimeGrid.default_for(sol, flow_cfg.get("grid_points", 200))
     extra = {"train_loss": (Xtr, Ytr)}
-    if X_test is not None:
-        extra["test_loss"] = (X_test, Y_test)
-    t_star, record = early_stop(sol, X_val, Y_val, grid, extra_eval=extra)
-    test_error = None
-    if X_test is not None and Y_test.encoding == "one_hot":
-        preds = flow_at(sol, t_star).predict(X_test)
-        test_error = 1.0 - accuracy(preds, Y_test.targets)
+    if "test" in splits:
+        extra["test_loss"] = splits["test"]
+    _, record = early_stop(sol, X_val, Y_val, grid, extra_eval=extra)
     base = {**base, "dataset_size": Xtr.sample_count, "optimizer": "flow_" + precondition}
-    return _record_rows(base, record, include_trajectory, test_error=test_error)
+    return _record_rows(base, record, include_trajectory)
 
 
-def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool):
+def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool, optimizer):
     Xtr, Ytr = splits["train"]
     X_val, Y_val = splits.get("val", (None, None))
     X_test, Y_test = splits.get("test", (None, None))
@@ -288,7 +319,7 @@ def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_tr
     )
     name = opt_cfg.get("name", "sgd")
     record = train_to_cutoff(
-        model, Xtr, Ytr, plan.optimizer,
+        model, Xtr, Ytr, optimizer,
         optimizer=name,
         cutoff=opt_cfg.get("cutoff", 0.999),
         step_cap=opt_cfg.get("step_cap", 10000),
@@ -304,20 +335,26 @@ def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_tr
 _TRAINERS = {"linear": _flow_rows, "mlp": _mlp_rows}
 
 
-def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, include_trajectory: bool):
-    """One (size, whitening mode, seed) cell; a failure of the data becomes an 'error' row."""
+def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, include_trajectory: bool, optimizer=None):
+    """One (size, whitening mode, optimizer, seed) cell; a failure of the data becomes an 'error' row.
+
+    `optimizer` is one of plan.optimizers (default the first).
+    """
     cfg = plan.cfg
+    optimizer = optimizer or plan.optimizers[0]
     run_seed = derive_seed(plan.master_seed, cfg.experiment_id, dataset_size, mode, seed_index)
     base = dict(experiment_id=cfg.experiment_id, seed=seed_index, dataset_size=dataset_size, whitening_mode=mode)
+    if plan.trainer == "mlp" and cfg.optimizer.get("name") == "gn":
+        base["reg_lambda"] = optimizer.reg_lambda
     try:
         if plan.files is None:
             splits = _synthesize_splits(plan, *_split_sizes(cfg, dataset_size), run_seed)
         else:
-            splits = plan.files
+            splits = _subsample_train(plan.files, dataset_size, run_seed)
         if cfg.data.get("normalize", False):
             splits = _normalize_splits(splits)
         arm = prepare_arm(plan, splits, mode, run_seed)
-        return _TRAINERS[plan.trainer](plan, arm, base, run_seed, include_trajectory)
+        return _TRAINERS[plan.trainer](plan, arm, base, run_seed, include_trajectory, optimizer)
     except WhitebenchError:
         return _record_rows({**base, "optimizer": plan.trainer}, TrainRecord(stopping_reason="error"), False)
 
@@ -327,17 +364,18 @@ def _run_cell(args):
 
 
 def sweep(cfg: RunConfig, trainer: str, sizes: list, include_trajectory: bool, workers: int = 1):
-    """Rows of every size x whitening mode x seed cell, sorted.
+    """Rows of every size x whitening mode x reg_lambda x seed cell, sorted.
 
     The config is checked and its shared objects built before any cell runs.
     """
     if not sizes:
         raise ConfigError("[sweep] needs a sizes list")
-    plan = plan_run(cfg, trainer)
+    plan = plan_run(cfg, trainer, sizes)
     cells = [
-        (plan, size, mode, idx, include_trajectory)
-        for size in sizes
+        (plan, size, mode, idx, include_trajectory, optimizer)
+        for size in plan.sizes
         for mode in cfg.whitening_modes
+        for optimizer in plan.optimizers
         for idx in cfg.seeds
     ]
     if workers > 1:

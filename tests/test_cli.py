@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 from pathlib import Path
@@ -7,7 +8,9 @@ import pytest
 
 from whitebench import Dataset, LabelSet
 from whitebench.cli import main
-from whitebench.dataio import export_wbds, ingest_wbds, read_matrix_csv, write_matrix_csv
+from whitebench.dataio import export_csv, export_wbds, ingest_wbds, read_matrix_csv, write_matrix_csv
+
+from conftest import one_hot_labels
 
 
 @pytest.fixture
@@ -252,7 +255,8 @@ step_cap = 300
     out = tmp_path / "results" / "cli_mlp_mlp.csv"
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) >= 3  # header, trajectory rows, terminal row
-    assert lines[-1].split(",")[-1] in ("cutoff", "cap")
+    terminal = dict(zip(lines[0].split(","), lines[-1].split(",")))
+    assert terminal["stopping_reason"] in ("cutoff", "cap")
 
 
 def test_whiten_unknown_output_suffix_exits_2(tmp_path, wbds_file, capsys):
@@ -301,6 +305,8 @@ BAD_RUN_VALUES = {
     "custom_spectrum_without_eigenvalues": ("data", "spectrum", "custom", ("sweep", "train-mlp")),
     "sizes_zero": ("sweep", "sizes", "0 8", ("sweep", "train-linear")),
     "grid_points_one": ("flow", "grid_points", "1", ("sweep", "train-linear")),
+    "n_train_zero": ("data", "n_train", "0", ("train-linear", "train-mlp")),
+    "reg_lambda_list_with_sgd": ("optimizer", "reg_lambda", "0 1", ("sweep", "train-mlp")),
 }
 
 
@@ -363,4 +369,65 @@ def test_unlabelled_file_data_exits_2(tmp_path, rng, capsys, command):
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path / "val.wbds") in err and str(tmp_path / "val.wblb") in err
+    assert not out.exists()
+
+
+def _file_run_config(tmp_path, sizes, fmt="csv"):
+    out = tmp_path / "results"
+    sections = _run_sections(out)
+    sections["data"] = {"source": "files", "format": fmt, "train": tmp_path / f"train.{fmt}",
+                        "val": tmp_path / f"val.{fmt}"}
+    sections["whitening"]["modes"] = "none"
+    sections["sweep"] = {"sizes": sizes, "trainer": "linear"}
+    cfg = tmp_path / "files.cfg"
+    _write_run_config(cfg, sections)
+    return cfg, out
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_file_sweep_subsamples_sizes(tmp_path, rng, capsys):
+    export_csv(tmp_path / "train.csv", Dataset(rng.standard_normal((4, 40))), one_hot_labels(rng, 3, 40))
+    export_csv(tmp_path / "val.csv", Dataset(rng.standard_normal((4, 10))), one_hot_labels(rng, 3, 10))
+    cfg, out = _file_run_config(tmp_path, "10 20 40")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    rows = _rows(out / "bad_sweep.csv")
+    assert [row["dataset_size"] for row in rows] == ["10", "20", "40"]
+    assert len({(row["train_loss"], row["val_loss"]) for row in rows}) == 3
+    # train-linear without n_train runs every column of the file
+    assert main(["train-linear", "--config", str(cfg)]) == 0
+    assert _rows(out / "bad_linear.csv")[-1]["dataset_size"] == "40"
+    # a size beyond the file is a config error before any cell
+    big = tmp_path / "big"
+    big.mkdir()
+    for name in ("train", "val"):
+        (big / f"{name}.csv").write_bytes((tmp_path / f"{name}.csv").read_bytes())
+    cfg, out = _file_run_config(big, "10 41")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "41" in err and "40" in err
+    assert not out.exists()
+
+
+def test_file_splits_share_one_hot_width(tmp_path, rng):
+    # the val file has no label above 2, the train file has 0..4
+    export_csv(tmp_path / "train.csv", Dataset(rng.standard_normal((4, 20))), LabelSet.from_class_ids(np.arange(20) % 5, 5))
+    export_csv(tmp_path / "val.csv", Dataset(rng.standard_normal((4, 9))), LabelSet.from_class_ids(np.arange(9) % 3, 3))
+    cfg, out = _file_run_config(tmp_path, "20")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    rows = _rows(out / "bad_sweep.csv")
+    assert len(rows) == 1 and rows[0]["stopping_reason"] != "error"
+
+
+def test_file_splits_with_different_target_widths_exit_2(tmp_path, rng, capsys):
+    export_wbds(tmp_path / "train.wbds", Dataset(rng.standard_normal((4, 20))), LabelSet(rng.standard_normal((3, 20))))
+    export_wbds(tmp_path / "val.wbds", Dataset(rng.standard_normal((4, 9))), LabelSet(rng.standard_normal((2, 9))))
+    cfg, out = _file_run_config(tmp_path, "20", fmt="wbds")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "train.wbds") in err and str(tmp_path / "val.wbds") in err
     assert not out.exists()

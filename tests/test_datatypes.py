@@ -113,6 +113,7 @@ matrices = st.integers(1, 8).flatmap(
 
 @given(matrices)
 @example(np.array([[0.0, 1.19e-7, 3.5], [0.5, 0.0, 0.0], [5.0, 0.0, 1.0]]))  # sigma ratio 6.5e-10
+@example(np.array([[5e-324]]))  # 1/sigma overflows to inf
 @settings(max_examples=40, deadline=None)
 def test_pseudoinverse_penrose_properties(A):
     P = pseudoinverse(A)

@@ -379,6 +379,25 @@ def test_descent_under_line_search(rng):
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+def test_gn_line_search_at_stationary_point_keeps_parameters(rng):
+    # lambda = 0 on a linear model with n > d lands on the least-squares optimum in
+    # one step; the next gradient is within cg_tol, CG returns x = 0 after 0
+    # iterations, and the step must leave the weights alone instead of raising
+    d, n = 6, 40
+    X = random_dataset(rng, d, n)
+    Y = one_hot_labels(rng, 3, n)
+    model = init_isotropic([d, 3], variance=0.0, seed=0)
+    cfg = OptimizerConfig(eta=1.0, reg_lambda=0.0, cg_tol=1e-6, line_search=LineSearchConfig(initial_step=1.0))
+    first = regularized_gn_step(model, X.values, Y.targets, cfg)
+    assert first.step_size == 1.0 and first.diagnostics["cg_iterations"] > 0
+    W_opt = model.weights[0].copy()
+    for _ in range(2):
+        result = regularized_gn_step(model, X.values, Y.targets, cfg)
+        assert result.diagnostics["cg_iterations"] == 0 and result.step_size == 0.0
+        assert np.array_equal(model.weights[0], W_opt)
+    assert result.loss_after == result.loss_before
+
+
 def test_lambda_sweep_steps_to_best_validation_direction():
     # steps to the best validation loss grow (weakly) as lambda -> 1
     from whitebench import Dataset

@@ -269,3 +269,13 @@ grid_points = 25
     none_loss = next(r.test_loss for r in rows if r.whitening_mode == "none")
     dist_loss = next(r.test_loss for r in rows if r.whitening_mode == "distribution")
     assert none_loss != dist_loss
+
+
+def test_reg_lambda_list_is_a_gn_cell_axis(tmp_path):
+    path = tmp_path / "gn.cfg"
+    path.write_text(MLP_CFG.replace("name = sgd", "name = gn\nreg_lambda = 0.2 1"), encoding="utf-8")
+    cfg = parse_config(path)
+    plan = plan_run(cfg, "mlp", [12])
+    assert [opt.reg_lambda for opt in plan.optimizers] == [0.2, 1.0]
+    with pytest.raises(ConfigError, match="reg_lambda"):
+        plan_run(cfg, "linear", [12])
