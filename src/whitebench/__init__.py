@@ -38,7 +38,6 @@ from .optimizers import (
     StepResult,
     backtracking_line_search,
     conjugate_gradient_solve,
-    kernel_newton_step,
     newton_step,
     regularized_gn_step,
     regularized_preconditioner_eigenform,
@@ -66,8 +65,8 @@ __all__ = [
     "mse_per_sample", "optimum_predictions", "solve_optimum",
     "MLP", "accuracy", "init_isotropic", "train_to_cutoff",
     "CGResult", "LineSearchConfig", "OptimizerConfig", "StepResult",
-    "backtracking_line_search", "conjugate_gradient_solve", "kernel_newton_step",
-    "newton_step", "regularized_gn_step", "regularized_preconditioner_eigenform", "sgd_step",
+    "backtracking_line_search", "conjugate_gradient_solve", "newton_step",
+    "regularized_gn_step", "regularized_preconditioner_eigenform", "sgd_step",
     "CompressedDataset", "OrbitReport", "compress_whitened", "count_information_parameters",
     "full_whitening_null_check", "orbit_equivalence_check", "random_orthogonal", "reconstruct_K",
     "SyntheticSpec", "synthesize", "TrainRecord",

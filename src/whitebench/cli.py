@@ -44,7 +44,7 @@ def _cmd_whiten(args):
     out = apply_whitener(whitener, X)
     dataio.export(args.output, _format_of(args.output), out, labels)
     print(f"whitened {args.input} -> {args.output} (mode={args.mode}, scope={args.scope}, "
-          f"rank={whitener.fit_rank}, fit_id={whitener.fit_dataset_id})")
+          f"rank={whitener.fit_rank}, fit_id={fit_X.fingerprint()})")
     return 0
 
 

@@ -220,20 +220,3 @@ def write_matrix_csv(path, A: np.ndarray):
         for row in np.atleast_2d(A):
             writer.writerow([_float_repr(v) for v in row])
 
-
-def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-            if len(row) != len(rows[0]):
-                raise ParseError(f"{path}: line {reader.line_num} has {len(row)} fields, expected {len(rows[0])}")
-    if not rows:
-        raise ParseError(f"{path}: empty matrix file")
-    return np.array(rows, dtype=np.float64)

@@ -64,6 +64,20 @@ def _initial_weights(W0: np.ndarray | None, k: int, d: int) -> np.ndarray:
     return W0
 
 
+def _solve_F(F: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """rhs F^{-1} for a full-rank F, else the flagged fallback rhs F^+.
+
+    Returns (solution, rank, fallback). Eigenvalues of F above
+    NULL_MODE_RATIO times the largest count toward the rank; a rank below
+    dim F (or an F with no positive eigenvalue) takes the pseudoinverse.
+    """
+    lam = eigh(F).eigenvalues
+    rank = int(np.count_nonzero(lam > NULL_MODE_RATIO * max(lam[0], 0.0))) if lam[0] > 0 else 0
+    if rank == F.shape[0]:
+        return np.linalg.solve(F, rhs.T).T, rank, False
+    return rhs @ pseudoinverse(F), rank, True
+
+
 def solve_optimum(
     X_train: Dataset, Y_train: LabelSet, W0: np.ndarray | None = None
 ) -> LinearModel:
@@ -74,21 +88,10 @@ def solve_optimum(
     the pseudoinverse fallback is flagged in the model metadata.
     """
     check_paired(X_train, Y_train)
-    d = X_train.feature_dim
-    W0 = _initial_weights(W0, Y_train.output_dim, d)
-
-    F = compute_F(X_train)
-    spec = eigh(F)
-    lam = spec.eigenvalues
-    rank = int(np.count_nonzero(lam > NULL_MODE_RATIO * max(lam[0], 0.0))) if lam[0] > 0 else 0
+    W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim)
     residual_cross = (Y_train.targets - W0 @ X_train.values) @ X_train.values.T
-    if rank == d:
-        W = W0 + np.linalg.solve(F, residual_cross.T).T
-        fallback = False
-    else:
-        W = W0 + residual_cross @ pseudoinverse(F)
-        fallback = True
-    return LinearModel(W, meta={"pseudoinverse_fallback": fallback, "rank_F": rank})
+    step, rank, fallback = _solve_F(compute_F(X_train), residual_cross)
+    return LinearModel(W0 + step, meta={"pseudoinverse_fallback": fallback, "rank_F": rank})
 
 
 @dataclass(frozen=True)

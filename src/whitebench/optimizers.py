@@ -1,5 +1,4 @@
-"""Discrete-time optimizers: SGD, Newton, regularized Gauss-Newton, and a
-kernel-space Newton update for fixed-feature models.
+"""Discrete-time optimizers: SGD, Newton and regularized Gauss-Newton.
 
 The regularized Gauss-Newton direction solves ((1 - lambda) B + lambda I) p = g
 by matrix-free conjugate gradients, where B is the generalized Gauss-Newton
@@ -12,28 +11,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .datatypes import eigh, pseudoinverse, symmetrize
+from .datatypes import eigh, symmetrize
 from .errors import (
     ConvergenceError,
     DivergenceError,
     LineSearchError,
     ValidationError,
 )
-from .linear_flow import LinearModel
+from .linear_flow import LinearModel, _solve_F
+
+#: backtracking line search: step shrink factor per backoff
+LINE_SEARCH_BACKOFF = 0.5
+#: Armijo constant c in L(p + s d) <= L(p) + c s <grad L, d>
+LINE_SEARCH_SUFFICIENT_DECREASE = 1e-4
+#: backoffs tried after the initial step before LineSearchError
+LINE_SEARCH_MAX_BACKOFFS = 50
 
 
 @dataclass(frozen=True)
 class LineSearchConfig:
     initial_step: float = 1.0
-    backoff: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backoffs: int = 50
 
     def __post_init__(self):
-        if not (self.initial_step > 0 and 0 < self.backoff < 1 and self.sufficient_decrease > 0):
-            raise ValidationError("invalid line search configuration")
+        if not self.initial_step > 0:
+            raise ValidationError("line search initial_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,6 @@ class OptimizerConfig:
 
     eta: float = 0.1
     reg_lambda: float = 1.0
-    kernel_epsilon: float = 0.0
     batch_size: int | None = None  # None = full batch
     cg_tol: float = 1e-5
     cg_max_iter: int | None = None
@@ -53,15 +54,12 @@ class OptimizerConfig:
             raise ValidationError("eta must be positive")
         if not 0.0 <= self.reg_lambda <= 1.0:
             raise ValidationError("reg_lambda must lie in [0, 1]")
-        if self.kernel_epsilon < 0:
-            raise ValidationError("kernel_epsilon must be nonnegative")
         if self.cg_tol <= 0:
             raise ValidationError("cg_tol must be positive")
 
 
 @dataclass
 class StepResult:
-    params: list
     step_size: float
     loss_before: float
     loss_after: float
@@ -124,6 +122,7 @@ def conjugate_gradient_solve(apply_A, b, tol: float = 1e-5, max_iter: int | None
 def backtracking_line_search(loss_fn, params, direction, slope, cfg: LineSearchConfig | None = None) -> float:
     """Largest step s in {s0, s0*rho, ...} with L(p + s d) <= L(p) + c s slope.
 
+    rho = LINE_SEARCH_BACKOFF and c = LINE_SEARCH_SUFFICIENT_DECREASE.
     `slope` is the directional derivative <grad L, d> at `params` and must be
     negative (descent direction), else LineSearchError.
     """
@@ -132,12 +131,12 @@ def backtracking_line_search(loss_fn, params, direction, slope, cfg: LineSearchC
         raise LineSearchError(f"not a descent direction (directional derivative {slope})")
     loss0 = loss_fn(params)
     s = cfg.initial_step
-    for _ in range(cfg.max_backoffs + 1):
+    for _ in range(LINE_SEARCH_MAX_BACKOFFS + 1):
         trial = [p + s * d for p, d in zip(params, direction)]
-        if loss_fn(trial) <= loss0 + cfg.sufficient_decrease * s * slope:
+        if loss_fn(trial) <= loss0 + LINE_SEARCH_SUFFICIENT_DECREASE * s * slope:
             return s
-        s *= cfg.backoff
-    raise LineSearchError(f"no acceptable step within {cfg.max_backoffs} backoffs")
+        s *= LINE_SEARCH_BACKOFF
+    raise LineSearchError(f"no acceptable step within {LINE_SEARCH_MAX_BACKOFFS} backoffs")
 
 
 def _check_finite_grads(grads, context):
@@ -162,7 +161,6 @@ def sgd_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig) -> S
         p -= cfg.eta * g
     predictions_after = model.predict(X_b)
     return StepResult(
-        params=params,
         step_size=cfg.eta,
         loss_before=loss_before,
         loss_after=model.loss_value(predictions_after, Y_b),
@@ -175,33 +173,27 @@ def newton_step(model: LinearModel, X_b: np.ndarray, Y_b: np.ndarray, cfg: Optim
 
     The Hessian of 1/2 ||W X - Y||^2 in each output row is F = X X^T; the
     update is W - eta (dL/dW) F^{-1}, with a flagged pseudoinverse when F is
-    rank deficient. eta = 1 on a full-rank problem lands on the optimum.
+    rank deficient (the null-mode rule of `solve_optimum`). eta = 1 on a
+    full-rank problem lands on the optimum.
     """
     X_b = np.asarray(X_b, dtype=np.float64)
     Y_b = np.asarray(Y_b, dtype=np.float64)
-    F = symmetrize(X_b @ X_b.T)
-    grad = (model.W @ X_b - Y_b) @ X_b.T
+    residual = model.W @ X_b - Y_b
+    grad = residual @ X_b.T
     _check_finite_grads([grad], "newton_step")
-    spec = eigh(F)
-    lam = spec.eigenvalues
-    full_rank = lam[-1] > 1e-12 * max(float(lam[0]), 0.0) and lam[0] > 0
-    loss_before = 0.5 * float(np.sum((model.W @ X_b - Y_b) ** 2))
-    if full_rank:
-        direction = np.linalg.solve(F, grad.T).T
-    else:
-        direction = grad @ pseudoinverse(F)
+    direction, _, fallback = _solve_F(symmetrize(X_b @ X_b.T), grad)
+    loss_before = 0.5 * float(np.sum(residual ** 2))
     model.W = model.W - cfg.eta * direction
     loss_after = 0.5 * float(np.sum((model.W @ X_b - Y_b) ** 2))
     return StepResult(
-        params=[model.W],
         step_size=cfg.eta,
         loss_before=loss_before,
         loss_after=loss_after,
-        diagnostics={"pseudoinverse_fallback": not full_rank},
+        diagnostics={"pseudoinverse_fallback": fallback},
     )
 
 
-def ggn_matvec(model, X: np.ndarray, Y: np.ndarray, cache: dict, predictions: np.ndarray, tangents: list):
+def ggn_matvec(model, Y: np.ndarray, cache: dict, predictions: np.ndarray, tangents: list):
     """Apply the generalized Gauss-Newton curvature J^T H_out J, matrix-free."""
     ju = model.jvp(cache, tangents)
     hu = model.output_hessian_apply(predictions, ju, Y)
@@ -239,9 +231,7 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
     def apply_A(v):
         if lam == 1.0:
             return v.copy()
-        gg = ggn_matvec(
-            model, X_b, Y_b, aux["cache"], aux["predictions"], _unflatten(v, templates)
-        )
+        gg = ggn_matvec(model, Y_b, aux["cache"], aux["predictions"], _unflatten(v, templates))
         return (1.0 - lam) * _flatten(gg) + lam * v
 
     cg = conjugate_gradient_solve(apply_A, g, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
@@ -271,7 +261,6 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
         p += step * d
     predictions_after = model.predict(X_b)
     return StepResult(
-        params=templates,
         step_size=step,
         loss_before=loss_before,
         loss_after=model.loss_value(predictions_after, Y_b),
@@ -294,43 +283,3 @@ def regularized_preconditioner_eigenform(B: np.ndarray, lam: float) -> np.ndarra
     scales = 1.0 / ((1.0 - lam) * spec.eigenvalues + lam)
     return (spec.eigenvectors * scales[None, :]) @ spec.eigenvectors.T
 
-
-def kernel_newton_step(
-    f_train: np.ndarray,
-    kernel_train: np.ndarray,
-    Y_train: np.ndarray,
-    cfg: OptimizerConfig,
-    f_test: np.ndarray | None = None,
-    kernel_train_test: np.ndarray | None = None,
-    loss_grad=None,
-):
-    """Function-space regularized Newton update for fixed-feature models.
-
-    f <- f - eta * Theta(x, .) (eps I + Theta)^{-1} dL/df applied to the train
-    block (and, when given, the train x test kernel block for test
-    predictions). eps = cfg.kernel_epsilon; a singular eps I + Theta is
-    rejected with instructions to use eps > 0. Default loss gradient is the
-    summed-MSE one, f - Y.
-    """
-    theta = np.asarray(kernel_train, dtype=np.float64)
-    if theta.shape[0] != theta.shape[1]:
-        raise ValidationError("kernel matrix must be square")
-    if np.max(np.abs(theta - theta.T), initial=0.0) > 1e-8:
-        raise ValidationError("kernel matrix must be symmetric")
-    n = theta.shape[0]
-    A = theta + cfg.kernel_epsilon * np.eye(n)
-    dL = (f_train - Y_train) if loss_grad is None else loss_grad(f_train, Y_train)
-    try:
-        factor = scipy.linalg.cho_factor(A)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValidationError(
-            "eps I + Theta is singular; pass kernel_epsilon > 0 for a singular kernel"
-        ) from exc
-    Q = scipy.linalg.cho_solve(factor, dL.T)  # n x k
-    f_train_new = f_train - cfg.eta * (theta @ Q).T
-    f_test_new = None
-    if f_test is not None:
-        if kernel_train_test is None:
-            raise ValidationError("test update needs the train x test kernel block")
-        f_test_new = f_test - cfg.eta * (np.asarray(kernel_train_test).T @ Q).T
-    return f_train_new, f_test_new

@@ -136,6 +136,8 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
     lambdas = opt.get("reg_lambda", [1.0])
     if not lambdas or len(lambdas) > 1 and (trainer == "linear" or opt.get("name", "sgd") != "gn"):
         raise ConfigError("[optimizer] reg_lambda takes one value, or a list for the mlp trainer with name = gn")
+    if synthetic and data.get("teacher", "linear") == "none":
+        raise ConfigError("[data] teacher = none draws no labels, but a run needs labels: use teacher = linear")
     if not synthetic and "train" not in data:
         raise ConfigError("file data source needs at least a train path")
     if trainer == "linear" and not (data.get("n_val", 0) > 0 if synthetic else "val" in data):

@@ -16,6 +16,7 @@ from .datatypes import Dataset, LabelSet, compute_K
 from .errors import WhitebenchError
 from .info_checks import (
     compress_whitened,
+    count_information_parameters,
     full_whitening_null_check,
     orbit_equivalence_check,
     random_orthogonal,
@@ -70,7 +71,7 @@ def suite_compression() -> list:
                 W = fit_whitener(X, mode="pca", rank_policy=RankPolicy("manual"), fit_scope="full")
                 X_hat = apply_whitener(W, X)
                 c = compress_whitened(X_hat)
-                payload_ok &= c.scalar_count == (n - d) * d
+                payload_ok &= c.scalar_count == count_information_parameters(d, n, whitened=True)
                 dev = float(np.max(np.abs(reconstruct_K(c) - compute_K(X_hat))))
                 worst = max(worst, dev)
     return [

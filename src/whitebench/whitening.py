@@ -60,7 +60,6 @@ class Whitener:
     mode: str
     fit_scope: str
     rank_policy: RankPolicy
-    fit_dataset_id: str
     fit_rank: int
     mean: np.ndarray | None = None
 
@@ -86,7 +85,6 @@ def fit_whitener(
     rank_policy: RankPolicy | None = None,
     fit_scope: str = "train_only",
     center: bool = False,
-    fit_dataset_id: str | None = None,
 ) -> Whitener:
     """Fit a whitening transform on X_fit.
 
@@ -130,7 +128,6 @@ def fit_whitener(
         mode=mode,
         fit_scope=fit_scope,
         rank_policy=policy,
-        fit_dataset_id=fit_dataset_id or X_fit.fingerprint(),
         fit_rank=rank,
         mean=mean,
     )

@@ -8,7 +8,7 @@ import pytest
 
 from whitebench import Dataset, LabelSet
 from whitebench.cli import main
-from whitebench.dataio import export_csv, export_wbds, ingest_wbds, read_matrix_csv, write_matrix_csv
+from whitebench.dataio import export_csv, export_wbds, ingest_wbds, write_matrix_csv
 
 from conftest import one_hot_labels
 
@@ -21,7 +21,11 @@ def wbds_file(tmp_path, rng):
     return path, X
 
 
-def test_whiten_command(tmp_path, wbds_file):
+def _read_matrix(path):
+    return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+def test_whiten_command(tmp_path, wbds_file, capsys):
     path, X = wbds_file
     out = tmp_path / "white.wbds"
     code = main([
@@ -29,6 +33,8 @@ def test_whiten_command(tmp_path, wbds_file):
         "--scope", "train", "--rank-policy", "manual", "--output", str(out),
     ])
     assert code == 0
+    fit_X, _ = ingest_wbds(path)
+    assert capsys.readouterr().out.rstrip().endswith(f"fit_id={fit_X.fingerprint()})")
     X_hat, _ = ingest_wbds(out)
     F_hat = X_hat.values @ X_hat.values.T
     assert np.max(np.abs(F_hat - np.eye(6))) <= 1e-6
@@ -38,7 +44,7 @@ def test_second_moments_command(tmp_path, wbds_file):
     path, X = wbds_file
     out = tmp_path / "f.csv"
     assert main(["second-moments", "--input", str(path), "--which", "f", "--output", str(out)]) == 0
-    F = read_matrix_csv(out)
+    F = _read_matrix(out)
     assert np.allclose(F, X.values @ X.values.T, atol=1e-12)
 
 
@@ -60,7 +66,7 @@ def test_second_moments_mixed(tmp_path, rng, wbds_file):
         "second-moments", "--input", str(path), "--which", "mixed",
         "--input2", str(path2), "--output", str(out),
     ]) == 0
-    assert read_matrix_csv(out).shape == (20, 4)
+    assert _read_matrix(out).shape == (20, 4)
 
 
 def test_rank_command(tmp_path, capsys):
@@ -82,7 +88,7 @@ def test_compress_reconstruct_round_trip(tmp_path, rng):
     out = tmp_path / "k.csv"
     assert main(["compress", "--input", str(src), "--output", str(packed)]) == 0
     assert main(["reconstruct-k", "--input", str(packed), "--output", str(out)]) == 0
-    assert np.max(np.abs(read_matrix_csv(out) - compute_K(X_hat))) <= 1e-8
+    assert np.max(np.abs(_read_matrix(out) - compute_K(X_hat))) <= 1e-8
 
 
 def _frame(magic, version, *blocks):
@@ -127,7 +133,7 @@ def test_valid_wbcp_with_permutation_reconstructs(tmp_path):
     path.write_bytes(_VALID_WBCP)
     out = tmp_path / "k.csv"
     assert main(["reconstruct-k", "--input", str(path), "--output", str(out)]) == 0
-    assert read_matrix_csv(out).shape == (8, 8)
+    assert _read_matrix(out).shape == (8, 8)
 
 
 def test_train_linear_command(tmp_path):
@@ -307,6 +313,7 @@ BAD_RUN_VALUES = {
     "grid_points_one": ("flow", "grid_points", "1", ("sweep", "train-linear")),
     "n_train_zero": ("data", "n_train", "0", ("train-linear", "train-mlp")),
     "reg_lambda_list_with_sgd": ("optimizer", "reg_lambda", "0 1", ("sweep", "train-mlp")),
+    "teacher_none": ("data", "teacher", "none", ("sweep", "train-mlp")),
 }
 
 

@@ -15,7 +15,6 @@ from whitebench.dataio import (
     ingest_csv,
     ingest_wbds,
     label_companion_path,
-    read_matrix_csv,
     write_matrix_csv,
 )
 from whitebench.errors import ParseError, ValidationError, WhitebenchError
@@ -167,15 +166,7 @@ def test_matrix_csv_round_trip(tmp_path, rng):
     A = rng.standard_normal((4, 6))
     path = tmp_path / "m.csv"
     write_matrix_csv(path, A)
-    assert np.array_equal(read_matrix_csv(path), A)
-
-
-@pytest.mark.parametrize("text, line", [("1,2\n1,x\n", 2), ("1,2\n3\n", 2)])
-def test_matrix_csv_bad_cell_error(tmp_path, text, line):
-    path = tmp_path / "m.csv"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ParseError, match=f"m.csv: line {line}"):
-        read_matrix_csv(path)
+    assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2), A)
 
 
 # -- every binary format rejects damaged files --------------------------------

@@ -1,7 +1,8 @@
 """The run configs under experiments/ plan, and run shrunk through `whitebench sweep`.
 
 Each shipped config is parsed and planned as it stands; a copy at one size,
-one seed and step_cap 5 must then run with no `error` rows.
+one seed and step_cap 5 must then run with no `error` rows. The README's
+example config runs as written, with only its output_dir moved.
 """
 import configparser
 import csv
@@ -14,7 +15,8 @@ from whitebench.plotting import PlotSpec
 from whitebench.runconfig import parse_config
 from whitebench.runner import plan_run
 
-EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
+REPO = Path(__file__).resolve().parent.parent
+EXPERIMENTS = REPO / "experiments"
 CONFIGS = sorted(EXPERIMENTS.glob("*.cfg"))
 
 
@@ -92,3 +94,16 @@ def test_lambda_sweep_rows_are_paired_and_report_the_best_validation_step(tmp_pa
         best = min(steps, key=lambda r: float(r["val_loss"]))
         assert row["steps_to_best_val"] == best["step_or_time"]
         assert row["stopping_reason"] in ("cutoff", "cap")
+
+
+def test_readme_example_config_runs_as_written(tmp_path):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert "\noutput_dir = results\n" in example
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(example.replace("\noutput_dir = results\n", f"\noutput_dir = {tmp_path / 'results'}\n"),
+                   encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    rows = _rows(tmp_path / "results" / "demo_sweep.csv")
+    assert len(rows) == 36  # 4 sizes x 3 arms x 3 seeds
+    assert all(row["stopping_reason"] != "error" for row in rows)

@@ -12,15 +12,14 @@ from whitebench import (
     conjugate_gradient_solve,
     fit_whitener,
     init_isotropic,
-    kernel_newton_step,
     newton_step,
-    pseudoinverse,
+    optimum_predictions,
     regularized_gn_step,
     regularized_preconditioner_eigenform,
     sgd_step,
     solve_optimum,
 )
-from whitebench.errors import ConvergenceError, DivergenceError, LineSearchError, ValidationError
+from whitebench.errors import ConvergenceError, DivergenceError, LineSearchError
 from whitebench.optimizers import _flatten
 
 from conftest import one_hot_labels, random_dataset
@@ -143,6 +142,28 @@ def test_newton_pseudoinverse_fallback_flagged(rng):
     model = LinearModel(np.zeros((2, 6)))
     result = newton_step(model, X.values, Y.targets, OptimizerConfig(eta=1.0))
     assert result.diagnostics["pseudoinverse_fallback"]
+
+
+@pytest.mark.parametrize("d, n", [(9, 5), (7, 7), (5, 12)])
+def test_newton_step_moves_predictions_through_K_only(rng, d, n):
+    # one Newton step at eta from W0 moves the predictions a fraction eta of
+    # the way to the K-form optimum f* = f0 - R K^+ K_train_x_test
+    n_test, k, eta = 4, 2, 0.7
+    for _ in range(5):
+        X = random_dataset(rng, d, n)
+        X_test = random_dataset(rng, d, n_test, split_tag="test")
+        Y = LabelSet(rng.standard_normal((k, n)))
+        W0 = rng.standard_normal((k, d))
+        model = LinearModel(W0.copy())
+        newton_step(model, X.values, Y.targets, OptimizerConfig(eta=eta))
+
+        expected_test = (1 - eta) * W0 @ X_test.values + eta * optimum_predictions(X, Y, X_test, W0)
+        gap = np.max(np.abs(model.W @ X_test.values - expected_test))
+        assert gap <= 1e-8 * np.max(np.abs(expected_test))
+        if n <= d:
+            expected_train = (1 - eta) * W0 @ X.values + eta * Y.targets
+            gap = np.max(np.abs(model.W @ X.values - expected_train))
+            assert gap <= 1e-8 * np.max(np.abs(expected_train))
 
 
 # -- regularized gauss-newton ---------------------------------------------------
@@ -284,63 +305,6 @@ def test_line_search_stall_error():
 
     with pytest.raises(LineSearchError):
         backtracking_line_search(bad_loss, [np.array([1.0])], [np.array([-1.0])], -1.0)
-
-
-# -- kernel newton ----------------------------------------------------------------
-
-def test_kernel_newton_interpolates_in_one_step(rng):
-    n, k = 8, 3
-    A = rng.standard_normal((n, n))
-    theta = A @ A.T + np.eye(n)
-    f = rng.standard_normal((k, n))
-    Y = rng.standard_normal((k, n))
-    cfg = OptimizerConfig(eta=1.0, kernel_epsilon=0.0)
-    f_new, _ = kernel_newton_step(f, theta, Y, cfg)
-    assert np.max(np.abs(f_new - Y)) <= 1e-8
-
-
-def test_kernel_newton_large_epsilon_is_scaled_kernel_gd(rng):
-    n, k = 6, 2
-    A = rng.standard_normal((n, n))
-    theta = A @ A.T + np.eye(n)
-    f = rng.standard_normal((k, n))
-    Y = rng.standard_normal((k, n))
-    eps = 1e6 * np.linalg.norm(theta, 2)
-    cfg = OptimizerConfig(eta=1.0, kernel_epsilon=float(eps))
-    f_new, _ = kernel_newton_step(f, theta, Y, cfg)
-    taken = f - f_new
-    expected = (1.0 / eps) * (f - Y) @ theta
-    assert np.max(np.abs(taken - expected)) <= 1e-3 * np.max(np.abs(expected))
-
-
-def test_kernel_newton_linear_features_match_parameter_newton(rng):
-    d, n, n_test, k = 9, 5, 4, 2
-    X = random_dataset(rng, d, n)
-    X_test = random_dataset(rng, d, n_test, split_tag="test")
-    Y = LabelSet(rng.standard_normal((k, n)))
-    W0 = rng.standard_normal((k, d))
-
-    model = LinearModel(W0.copy())
-    cfg = OptimizerConfig(eta=0.7, kernel_epsilon=0.0)
-    newton_step(model, X.values, Y.targets, cfg)
-    param_train = model.W @ X.values
-    param_test = model.W @ X_test.values
-
-    theta = X.values.T @ X.values
-    theta_mixed = X.values.T @ X_test.values
-    f_train, f_test = kernel_newton_step(
-        W0 @ X.values, theta, Y.targets, cfg,
-        f_test=W0 @ X_test.values, kernel_train_test=theta_mixed,
-    )
-    assert np.max(np.abs(f_train - param_train)) <= 1e-8
-    assert np.max(np.abs(f_test - param_test)) <= 1e-8
-
-
-def test_kernel_newton_singular_requires_epsilon(rng):
-    theta = np.zeros((4, 4))
-    f = rng.standard_normal((2, 4))
-    with pytest.raises(ValidationError, match="kernel_epsilon"):
-        kernel_newton_step(f, theta, f, OptimizerConfig(eta=1.0, kernel_epsilon=0.0))
 
 
 # -- gradient correctness ----------------------------------------------------------
