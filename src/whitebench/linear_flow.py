@@ -4,8 +4,10 @@ For f(X) = W X with L = 1/2 ||W X - Y||^2 the flow dW/dt = -dL/dW decomposes
 over the eigenvectors v_i of F_train: each mode relaxes exponentially,
 w_i(t) = w*_i + e^{-rate_i t} (w_i(0) - w*_i), with rate_i = lambda_i for
 plain flow and rate_i = 1 for inverse-Hessian (Newton) preconditioned flow.
-Null modes of F_train have rate 0 and never move, so components of W outside
-the data span are conserved exactly.
+Only the r modes of the train span move. They come from the smaller side of
+the train split (a thin SVD of X when n <= d, eigh of F when n > d); null
+modes are not stored, and the component of W(0) outside the span is carried
+as is, so it is conserved exactly.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from .datatypes import (
     Dataset,
     LabelSet,
     NULL_MODE_RATIO,
+    PINV_CUTOFF_RATIO,
     Spectrum,
     check_paired,
     check_same_features,
@@ -94,25 +97,42 @@ def solve_optimum(
     return LinearModel(W0 + step, meta={"pseudoinverse_fallback": fallback, "rank_F": rank})
 
 
+def _train_modes(X: Dataset, cutoff_ratio: float) -> Spectrum:
+    """The eigenpairs of F = X X^T above cutoff_ratio times the largest (and invertible).
+
+    From the smaller side: the thin SVD X = U S V^T (lambda = s^2, vectors U)
+    when n <= d, eigh of the d x d F when n > d. An all-zero X keeps none.
+    """
+    if X.sample_count <= X.feature_dim:
+        U, s, _ = np.linalg.svd(X.values, full_matrices=False)
+        lam, V = s * s, U
+    else:
+        spec = eigh(compute_F(X))
+        lam, V = spec.eigenvalues, spec.eigenvectors
+    r = int(np.count_nonzero(lam > max(cutoff_ratio * float(lam[0]), 1.0 / np.finfo(float).max)))
+    return Spectrum(eigenvalues=lam[:r], eigenvectors=V[:, :r])
+
+
 @dataclass(frozen=True)
 class FlowSolution:
-    """Eigen-decomposed flow state: W(t) is assembled from per-mode scalars.
+    """The flow in the r moving modes of F_train: W(t) = W0 + (E(t) * B) V_r^T.
 
-    Column i of w_init_modes / w_star_modes holds the component of W(0) / W*
-    along eigenvector v_i of F_train; mode_rates holds the effective
-    exponential rate per mode (0 for null modes, which therefore stay at
-    their initial value for all t).
+    spectrum holds the r modes above NULL_MODE_RATIO (d x r eigenvectors V_r),
+    column i of mode_delta is B = W* - W0 along v_i, and E_i(t) = 1 -
+    exp(-mode_rates_i t). Null modes are not stored: W0's component outside
+    span V_r is carried as is. The immutable train split is kept by reference.
     """
 
+    W0: np.ndarray
     spectrum: Spectrum
-    w_init_modes: np.ndarray
-    w_star_modes: np.ndarray
+    mode_delta: np.ndarray
     mode_rates: np.ndarray
+    X_train: Dataset
+    Y_train: LabelSet
 
     @property
     def min_positive_rate(self) -> float:
-        positive = self.mode_rates[self.mode_rates > 0]
-        return float(positive.min()) if positive.size else 1.0
+        return float(self.mode_rates.min()) if self.mode_rates.size else 1.0
 
     @property
     def max_rate(self) -> float:
@@ -128,40 +148,28 @@ def build_flow(
     """Decompose the gradient flow (optionally inverse-Hessian preconditioned).
 
     precondition "none" gives per-mode rates lambda_i; "newton" gives rate 1
-    in every non-null mode (the preconditioner is the pseudoinverse of
-    F_train, so null modes keep rate 0).
+    in every moving mode (the preconditioner is the pseudoinverse of
+    F_train, so null modes do not move either way).
     """
     if precondition not in PRECONDITIONS:
         raise ValidationError(f"unknown precondition {precondition!r}")
     check_paired(X_train, Y_train)
-    W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim)
-
-    spec = eigh(compute_F(X_train))
-    lam = spec.eigenvalues
-    null = lam <= NULL_MODE_RATIO * max(float(lam[0]), 0.0)
-
-    V = spec.eigenvectors
-    w_init = W0 @ V
+    W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim).copy()
+    spec = _train_modes(X_train, NULL_MODE_RATIO)
+    lam, V = spec.eigenvalues, spec.eigenvectors
     cross = Y_train.targets @ X_train.values.T @ V  # component i: (Y X^T) v_i
-    w_star = np.where(null[None, :], w_init, cross / np.where(null, 1.0, lam)[None, :])
-
-    if precondition == "newton":
-        rates = np.where(null, 0.0, 1.0)
-    else:
-        rates = np.where(null, 0.0, lam)
-    return FlowSolution(
-        spectrum=spec, w_init_modes=w_init, w_star_modes=w_star, mode_rates=rates
-    )
+    delta = cross / lam - W0 @ V
+    rates = np.ones_like(lam) if precondition == "newton" else lam
+    return FlowSolution(W0, spec, delta, rates, X_train, Y_train)
 
 
 def flow_at(sol: FlowSolution, t: float) -> LinearModel:
-    """Evaluate W(t); t = 0 reproduces W(0) exactly, null modes never move."""
+    """Evaluate W(t); t = 0 gives W(0) bit for bit, null modes never move."""
     t = float(t)
     if not np.isfinite(t) or t < 0:
         raise ValidationError("t must be finite and nonnegative")
-    decay = np.exp(-sol.mode_rates * t)
-    modes = sol.w_star_modes + decay[None, :] * (sol.w_init_modes - sol.w_star_modes)
-    return LinearModel(modes @ sol.spectrum.eigenvectors.T)
+    progress = -np.expm1(-sol.mode_rates * t)
+    return LinearModel(sol.W0 + (progress * sol.mode_delta) @ sol.spectrum.eigenvectors.T)
 
 
 def optimum_predictions(
@@ -179,7 +187,8 @@ def optimum_predictions(
     and f* = f0(X_test) - (R X_train^T) F^+ X_test. The two agree: K and F
     share their nonzero eigenvalues (the squared singular values of X_train),
     so K^+ X^T = X^T F^+, and the relative pinv cutoff drops the same modes
-    on either side.
+    on either side. F^+ = V diag(1/lambda) V^T comes from eigh of the PSD F
+    with the PINV_CUTOFF_RATIO cutoff, keeping the modes `pseudoinverse` keeps.
     """
     check_paired(X_train, Y_train)
     check_same_features(X_train, X_test)
@@ -188,7 +197,9 @@ def optimum_predictions(
     if X_train.sample_count <= X_train.feature_dim:
         update = residual @ pseudoinverse(compute_K(X_train)) @ compute_mixed_K(X_train, X_test)
     else:
-        update = (residual @ X_train.values.T) @ pseudoinverse(compute_F(X_train)) @ X_test.values
+        modes = _train_modes(X_train, PINV_CUTOFF_RATIO)
+        V = modes.eigenvectors
+        update = ((residual @ X_train.values.T) @ V / modes.eigenvalues) @ (V.T @ X_test.values)
     return W0 @ X_test.values - update
 
 
@@ -241,28 +252,27 @@ def _golden_section(fn, lo: float, hi: float, iterations: int = 80):
 def _loss_curve(sol: FlowSolution, X: Dataset, Y: LabelSet):
     """MSE of W(t) on (X, Y) as a function of the mode progress E = 1 - exp(-rate t).
 
-    In mode coordinates Z = V^T X, W(t) = W(0) + E * B with B = W* - W(0),
-    so the residual is R0 + (B * E) Z with R0 = W(0) Z - Y, and the loss is
-    the quadratic form L = (c0 + 2 a.E + E^T H E) / 2n with c0 = ||R0||^2,
-    a_i = sum_k (B * R0 Z^T)_ki and H = (B^T B) * (Z Z^T). Expanding around
-    W(0) rather than W* keeps the terms small in the modes that have barely
-    moved by the early-stopping time, where an ill-conditioned F makes W*
-    large. The returned function takes E as one column (a float) or as
-    d x T columns (T losses).
+    With Z = V_r^T X the residual is R0 + (B * E) Z, R0 = W0 X - Y, so the
+    loss is L = (c0 + 2 a.E + E^T H E) / 2n with c0 = ||R0||^2, a_i =
+    sum_k (B * R0 Z^T)_ki and the r x r H = (B^T B) * (Z Z^T). On the train
+    split Z Z^T = Lambda and R0 Z^T = W0 V_r Lambda - Y X^T V_r = -B Lambda,
+    so H = diag(h), h_i = lambda_i sum_k B_ki^2, and a = -h: no projection.
+    Expanding around W0 rather than W* keeps the terms small in the modes
+    that have barely moved by t*, where an ill-conditioned F makes W* large.
+    The returned function takes E as one column or as r x T columns.
     """
     check_paired(X, Y)
-    Z = sol.spectrum.eigenvectors.T @ X.values
-    B = sol.w_star_modes - sol.w_init_modes
-    R0 = sol.w_init_modes @ Z - Y.targets
+    B = sol.mode_delta
+    R0 = sol.W0 @ X.values - Y.targets
     c0 = float(np.sum(R0 * R0))
+    scale = 0.5 / X.sample_count
+    if X is sol.X_train and Y is sol.Y_train:
+        h = np.sum(B * B, axis=0) * sol.spectrum.eigenvalues
+        return lambda E: scale * (c0 - h @ (E * (2.0 - E)))
+    Z = sol.spectrum.eigenvectors.T @ X.values
     a = np.sum(B * (R0 @ Z.T), axis=0)
     H = (B.T @ B) * (Z @ Z.T)
-    scale = 0.5 / X.sample_count
-
-    def loss(E: np.ndarray):
-        return scale * (c0 + 2.0 * (a @ E) + np.sum(E * (H @ E), axis=0))
-
-    return loss
+    return lambda E: scale * (c0 + 2.0 * (a @ E) + np.sum(E * (H @ E), axis=0))
 
 
 def early_stop(
@@ -277,7 +287,9 @@ def early_stop(
     Scans the log-spaced grid, then refines with golden-section search
     between the grid neighbors of the best point. A minimum on the grid
     boundary is returned as-is and flagged boundary_hit in the record
-    metadata. extra_eval maps names ("train_loss", "test_loss") to
+    metadata, and metadata["flow_rank"] holds the count r of moving modes.
+    The train split kept by `build_flow` is always evaluated as
+    "train_loss"; extra_eval maps further names ("test_loss") to
     (Dataset, LabelSet) pairs evaluated along the grid for the record.
 
     Grid and search losses come from one quadratic form per split
@@ -288,11 +300,14 @@ def early_stop(
     """
     grid = grid or TimeGrid.default_for(sol)
     times = grid.times()
-    splits = {"val_loss": (X_val, Y_val), **(extra_eval or {})}
+    splits = {"val_loss": (X_val, Y_val), "train_loss": (sol.X_train, sol.Y_train), **(extra_eval or {})}
     curves = {name: _loss_curve(sol, X, Y) for name, (X, Y) in splits.items()}
 
     progress = -np.expm1(-np.outer(sol.mode_rates, times))
-    record = TrainRecord(steps=times.tolist(), metadata={"grid": (grid.t_min, grid.t_max, grid.points)})
+    record = TrainRecord(
+        steps=times.tolist(),
+        metadata={"grid": (grid.t_min, grid.t_max, grid.points), "flow_rank": sol.mode_rates.size},
+    )
     for name, curve in curves.items():
         setattr(record, name, curve(progress).tolist())
     val_losses = record.val_loss

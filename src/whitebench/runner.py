@@ -297,9 +297,7 @@ def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_t
     precondition = flow_cfg.get("precondition", "none")
     sol = build_flow(Xtr, Ytr, W0, precondition=precondition)
     grid = plan.grid or TimeGrid.default_for(sol, flow_cfg.get("grid_points", 200))
-    extra = {"train_loss": (Xtr, Ytr)}
-    if "test" in splits:
-        extra["test_loss"] = splits["test"]
+    extra = {"test_loss": splits["test"]} if "test" in splits else None
     _, record = early_stop(sol, X_val, Y_val, grid, extra_eval=extra)
     base = {**base, "dataset_size": Xtr.sample_count, "optimizer": "flow_" + precondition}
     return _record_rows(base, record, include_trajectory)

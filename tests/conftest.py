@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from whitebench import Dataset, LabelSet
+
+# every run draws fresh examples; no example database is replayed or written
+settings.register_profile("fresh", database=None)
+settings.load_profile("fresh")
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from whitebench import (
     pseudoinverse,
     solve_optimum,
 )
+from whitebench.datatypes import NULL_MODE_RATIO
 from whitebench.errors import ShapeError, ValidationError
 from whitebench.linear_flow import _loss_curve
 from whitebench.synth import SyntheticSpec, synthesize
@@ -187,7 +188,7 @@ def test_optimum_predictions_rejects_misshaped_w0(rng, d, n):
     nonzero_w0=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200, deadline=None)
 def test_optimum_predictions_both_sides_match_k_form(d, n_minus_d, k, rank_deficit, nonzero_w0, seed):
     # n <= d pinvs the n x n K, n > d the d x d F; a rank deficit makes both singular
     n = max(1, d + n_minus_d)
@@ -256,16 +257,54 @@ def test_null_space_conservation(rng):
     Y = LabelSet(rng.standard_normal((2, 3)))
     W0 = rng.standard_normal((2, 8))
     sol = build_flow(X, Y, W0=W0)
-    null = sol.mode_rates == 0.0
-    assert np.count_nonzero(null) == 5
+    assert sol.mode_rates.size == 3
+    # null basis of F_train, taken independently of build_flow
+    N = np.linalg.svd(X.values)[0][:, 3:]
+    assert np.array_equal(flow_at(sol, 0.0).W, W0)
     for t in (0.0, 1.0, 50.0):
-        # mode coefficients are conserved bit-exactly
-        decay = np.exp(-sol.mode_rates * t)
-        modes = sol.w_star_modes + decay[None, :] * (sol.w_init_modes - sol.w_star_modes)
-        assert np.array_equal(modes[:, null], sol.w_init_modes[:, null])
-        # matrix reassembly adds only rounding noise
-        drift = (flow_at(sol, t).W - W0) @ sol.spectrum.eigenvectors[:, null]
+        drift = (flow_at(sol, t).W - W0) @ N
         assert np.max(np.abs(drift)) <= 1e-12
+
+
+@given(
+    d=st.integers(1, 9),
+    n_minus_d=st.integers(-6, 6),
+    k=st.integers(1, 3),
+    rank_deficit=st.integers(0, 9),
+    nonzero_w0=st.booleans(),
+    precondition=st.sampled_from(["none", "newton"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_flow_matches_full_eigh_reference(d, n_minus_d, k, rank_deficit, nonzero_w0, precondition, seed):
+    # reference: w* + e^{-rate t}(w0 - w*) in every eigenvector of the full d x d F,
+    # with rate 0 and w* = w0 in the null modes. Its eigenvalues are accurate only
+    # to eps * lambda_max, so X has singular values in [0.1, 10] (cond F <= 1e4).
+    n = max(1, d + n_minus_d)
+    rng = np.random.default_rng(seed)
+    rank = max(0, min(d, n) - rank_deficit)  # rank 0: an all-zero X
+    left = np.linalg.qr(rng.standard_normal((d, d)))[0][:, :rank]
+    right = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    X = Dataset((left * rng.uniform(0.1, 10.0, rank)) @ right.T, split_tag="train")
+    Y = LabelSet(rng.standard_normal((k, n)))
+    W0 = rng.standard_normal((k, d)) if nonzero_w0 else np.zeros((k, d))
+    lam, V = np.linalg.eigh(X.values @ X.values.T)
+    moving = lam > NULL_MODE_RATIO * max(lam.max(), 0.0)
+    rates = np.where(moving, 1.0 if precondition == "newton" else lam, 0.0)
+    w_init = W0 @ V
+    w_star = np.where(moving, (Y.targets @ X.values.T @ V) / np.where(moving, lam, 1.0), w_init)
+    sol = build_flow(X, Y, W0=W0 if nonzero_w0 else None, precondition=precondition)
+    assert sol.mode_rates.size == np.count_nonzero(moving)
+    ref_min = rates[moving].min() if moving.any() else 1.0
+    ref_max = rates.max() or 1.0
+    assert abs(sol.min_positive_rate - ref_min) <= 1e-9 * ref_max
+    assert abs(sol.max_rate - ref_max) <= 1e-9 * ref_max
+    for t in (0.0, 0.3 / ref_max, 1.0 / ref_min, 40.0 / ref_min):
+        reference = (w_star + np.exp(-rates * t) * (w_init - w_star)) @ V.T
+        W = flow_at(sol, t).W
+        assert np.all(np.abs(W - reference) <= 1e-9 * np.maximum(1.0, np.abs(reference)))
+    if rank == 0:
+        assert np.array_equal(flow_at(sol, 1.0).W, W0)
 
 
 def test_mode_ordering(rng):
@@ -284,9 +323,9 @@ def test_mode_ordering(rng):
             assert rel[i] < rel[i + 1]
 
 
-def _noisy_teacher_problem(seed=0):
+def _noisy_teacher_problem(seed=0, n_train=40):
     spec = SyntheticSpec(
-        d=16, n_train=40, n_val=30, n_test=30, alpha=2.0, label_noise=0.4,
+        d=16, n_train=n_train, n_val=30, n_test=30, alpha=2.0, label_noise=0.4,
         classes=4, encoding="real_valued", seed=seed,
     )
     return synthesize(spec)
@@ -322,13 +361,20 @@ def test_early_stop_interior_and_oracle():
 
 
 def test_early_stop_self_consistency():
-    data = _noisy_teacher_problem(2)
-    sol = build_flow(data.train, data.y_train)
-    t_star, record = early_stop(sol, data.val, data.y_val)
-    reported = record.metadata["val_loss_at_t_star"]
-    recomputed = mse_per_sample(flow_at(sol, t_star).W @ data.val.values, data.y_val)
-    assert abs(reported - recomputed) <= 1e-10
-    assert record.metadata["closed_form_gap"] <= 1e-10
+    # d = 16: n < d moves the n modes of the train span, full-rank n > d all d
+    for n_train, rank in ((8, 8), (40, 16)):
+        data = _noisy_teacher_problem(2, n_train)
+        sol = build_flow(data.train, data.y_train)
+        t_star, record = early_stop(sol, data.val, data.y_val)
+        assert record.metadata["flow_rank"] == rank
+        reported = record.metadata["val_loss_at_t_star"]
+        recomputed = mse_per_sample(flow_at(sol, t_star).W @ data.val.values, data.y_val)
+        assert abs(reported - recomputed) <= 1e-10
+        assert record.metadata["closed_form_gap"] <= 1e-10
+        # the train split kept by build_flow is always recorded
+        train_direct = mse_per_sample(flow_at(sol, t_star).predict(data.train), data.y_train)
+        assert record.at(t_star)["train_loss"] == pytest.approx(train_direct, rel=1e-12, abs=1e-15)
+        assert len(record.train_loss) == len(record.steps)
 
 
 def test_early_stop_whitened_does_not_beat_unwhitened():
@@ -362,7 +408,7 @@ def test_early_stop_whitened_does_not_beat_unwhitened():
     log_scale=st.floats(-2, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200, deadline=None)
 def test_closed_form_loss_matches_direct(d, n, k, precondition, nonzero_w0, real_valued, log_scale, seed):
     # n < d leaves null modes (rate 0, no progress); n > d does not
     rng = np.random.default_rng(seed)
