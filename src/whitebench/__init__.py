@@ -17,6 +17,7 @@ from .datatypes import (
     eigh,
     estimate_input_rank,
     pseudoinverse,
+    random_orthogonal,
 )
 from .whitening import RankPolicy, Whitener, WhitenessReport, apply_whitener, fit_whitener, verify_whitened
 from .linear_flow import (
@@ -50,7 +51,6 @@ from .info_checks import (
     count_information_parameters,
     full_whitening_null_check,
     orbit_equivalence_check,
-    random_orthogonal,
     reconstruct_K,
 )
 from .synth import SyntheticSpec, synthesize
@@ -59,7 +59,7 @@ from .records import TrainRecord
 __all__ = [
     "Dataset", "LabelSet", "Spectrum",
     "compute_F", "compute_K", "compute_mixed_K", "eigh", "estimate_input_rank",
-    "pseudoinverse",
+    "pseudoinverse", "random_orthogonal",
     "RankPolicy", "Whitener", "WhitenessReport", "apply_whitener", "fit_whitener", "verify_whitened",
     "FlowSolution", "LinearModel", "TimeGrid", "build_flow", "early_stop", "flow_at",
     "mse_per_sample", "optimum_predictions", "solve_optimum",
@@ -68,6 +68,6 @@ __all__ = [
     "backtracking_line_search", "conjugate_gradient_solve", "newton_step",
     "regularized_gn_step", "regularized_preconditioner_eigenform", "sgd_step",
     "CompressedDataset", "OrbitReport", "compress_whitened", "count_information_parameters",
-    "full_whitening_null_check", "orbit_equivalence_check", "random_orthogonal", "reconstruct_K",
+    "full_whitening_null_check", "orbit_equivalence_check", "reconstruct_K",
     "SyntheticSpec", "synthesize", "TrainRecord",
 ]

@@ -12,14 +12,13 @@ import sys
 from pathlib import Path
 
 from . import dataio, plotting, runner, verify
-from .datatypes import Dataset, compute_F, compute_K, compute_mixed_K, estimate_input_rank
+from .datatypes import compute_F, compute_K, compute_mixed_K, estimate_input_rank
 from .errors import ParseError, ValidationError, WhitebenchError
 from .info_checks import compress_whitened, reconstruct_K
 from .plotting import PlotSpec
 from .runconfig import parse_config
 from .whitening import RankPolicy, apply_whitener, fit_whitener
 
-_SCOPE_BY_FLAG = {"train": "train_only", "full": "full", "distribution": "distribution"}
 _FORMAT_BY_SUFFIX = {".wbds": "wbds", ".csv": "csv"}
 
 
@@ -37,13 +36,10 @@ def _cmd_whiten(args):
     if args.fit_input:
         fit_X, _ = dataio.ingest(args.fit_input, _format_of(args.fit_input))
     policy = RankPolicy(kind="jitter" if args.rank_policy == "jitter" else "manual")
-    whitener = fit_whitener(
-        fit_X, mode=args.mode, rank_policy=policy,
-        fit_scope=_SCOPE_BY_FLAG[args.scope], center=args.center,
-    )
+    whitener = fit_whitener(fit_X, mode=args.mode, rank_policy=policy, center=args.center)
     out = apply_whitener(whitener, X)
     dataio.export(args.output, _format_of(args.output), out, labels)
-    print(f"whitened {args.input} -> {args.output} (mode={args.mode}, scope={args.scope}, "
+    print(f"whitened {args.input} -> {args.output} (mode={args.mode}, "
           f"rank={whitener.fit_rank}, fit_id={fit_X.fingerprint()})")
     return 0
 
@@ -130,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("whiten", help="fit and apply a whitening transform")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["pca", "zca"], required=True)
-    p.add_argument("--scope", choices=["train", "full", "distribution"], default="train")
     p.add_argument("--rank-policy", choices=["jitter", "manual"], default="manual")
     p.add_argument("--output", required=True)
     p.add_argument("--fit-input", help="optional file the transform is fitted on (default: --input)")

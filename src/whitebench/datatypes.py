@@ -17,13 +17,17 @@ from .errors import DegenerateSpectrumError, ShapeError, ValidationError
 SPLIT_TAGS = ("train", "validation", "test", "combined")
 LABEL_ENCODINGS = ("one_hot", "real_valued")
 
-#: relative singular-value cutoff for input-rank estimation
+#: relative eigenvalue cutoff on F for rank: `estimate_input_rank` and the
+#: manual policy of `whitening.fit_whitener`
 RANK_CUTOFF_RATIO = 1e-5
-#: relative singular-value cutoff for pseudoinverses, about sqrt(machine eps).
+#: relative cutoff for explicit inverses, about sqrt(machine eps): `pseudoinverse`
+#: (on singular values) and the F solve of `linear_flow.solve_optimum`,
+#: `optimum_predictions` and `optimizers.newton_step` (on eigenvalues of F).
 #: Rounding error in the Penrose identities grows like eps / cutoff, so a
 #: smaller cutoff keeps near-null directions whose residuals exceed 1e-8.
 PINV_CUTOFF_RATIO = 1e-8
-#: eigenvalues below this fraction of the largest are treated as exact nulls
+#: eigenvalues of F at or below this fraction of the largest are exact nulls:
+#: `linear_flow.build_flow` moves only the modes above it
 NULL_MODE_RATIO = 1e-12
 
 
@@ -202,17 +206,40 @@ def pseudoinverse(A: np.ndarray, rel_tol: float = PINV_CUTOFF_RATIO) -> np.ndarr
     return Vt.T @ (inv[:, None] * U.T)  # the order of numpy.linalg.pinv, so kept modes round alike
 
 
+def gram_modes(X: Dataset, cutoff_ratio: float) -> Spectrum:
+    """The eigenpairs of F = X X^T above cutoff_ratio times the largest (and invertible).
+
+    From the smaller side: the thin SVD X = U S V^T (lambda = s^2, vectors U)
+    when n <= d, eigh of the d x d F when n > d. An all-zero X keeps none.
+    """
+    if X.sample_count <= X.feature_dim:
+        U, s, _ = np.linalg.svd(X.values, full_matrices=False)
+        lam, V = s * s, U
+    else:
+        spec = eigh(compute_F(X))
+        lam, V = spec.eigenvalues, spec.eigenvectors
+    r = int(np.count_nonzero(lam > max(cutoff_ratio * float(lam[0]), 1.0 / np.finfo(float).max)))
+    return Spectrum(eigenvalues=lam[:r], eigenvectors=V[:, :r])
+
+
 def estimate_input_rank(X: Dataset, cutoff_ratio: float = RANK_CUTOFF_RATIO) -> int:
-    """Count of singular values of F = X X^T above cutoff_ratio * largest.
+    """Count of eigenvalues of F = X X^T above cutoff_ratio * largest.
 
     An all-zero dataset has rank 0.
     """
     if not 0.0 < cutoff_ratio < 1.0:
         raise ValidationError("cutoff_ratio must lie in (0, 1)")
-    sing = np.linalg.svd(compute_F(X), compute_uv=False, hermitian=True)
-    if sing.size == 0 or sing[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(sing > cutoff_ratio * sing[0]))
+    return gram_modes(X, cutoff_ratio).eigenvalues.size
+
+
+def random_orthogonal(dim: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Haar-ish orthogonal matrix: QR of a Gaussian with positive R diagonal.
+
+    seed is an int or a Generator; a Generator is drawn from in place.
+    """
+    rng = np.random.default_rng(seed)
+    Q, R = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return Q * np.sign(np.diag(R))[None, :]
 
 
 def require_nontrivial_spectrum(singular_values: np.ndarray, what: str):

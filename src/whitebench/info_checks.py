@@ -17,22 +17,14 @@ import scipy.linalg
 from .datatypes import (
     Dataset,
     LabelSet,
-    compute_K,
-    hstack_datasets,
     pseudoinverse,
+    random_orthogonal,  # noqa: F401 (still importable from this module)
 )
 from .errors import DegenerateDataError, ValidationError
 from .linear_flow import mse_per_sample, solve_optimum
-from .models import MLP, accuracy, init_isotropic, train_to_cutoff
+from .models import accuracy, init_isotropic, train_to_cutoff
 from .optimizers import OptimizerConfig, sgd_step
 from .whitening import RankPolicy, apply_whitener, fit_whitener, verify_whitened
-
-
-def random_orthogonal(dim: int, seed: int) -> np.ndarray:
-    """Haar-ish orthogonal matrix: QR of a Gaussian with positive R diagonal."""
-    rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return Q * np.sign(np.diag(R))[None, :]
 
 
 @dataclass(frozen=True)
@@ -273,7 +265,7 @@ def full_whitening_null_check(
         idx = np.arange(n_train + n_test) % classes
 
     combined = Dataset(X_all, split_tag="combined")
-    whitener = fit_whitener(combined, mode="pca", rank_policy=RankPolicy("manual"), fit_scope="full")
+    whitener = fit_whitener(combined, mode="pca", rank_policy=RankPolicy("manual"))
     X_hat = apply_whitener(whitener, combined).values
     Xtr = Dataset(X_hat[:, :n_train], split_tag="train")
     Xte = Dataset(X_hat[:, n_train:], split_tag="test")

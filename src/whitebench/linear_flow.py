@@ -23,11 +23,7 @@ from .datatypes import (
     Spectrum,
     check_paired,
     check_same_features,
-    compute_F,
-    compute_K,
-    compute_mixed_K,
-    eigh,
-    pseudoinverse,
+    gram_modes,
 )
 from .errors import ValidationError
 from .models import accuracy
@@ -67,18 +63,16 @@ def _initial_weights(W0: np.ndarray | None, k: int, d: int) -> np.ndarray:
     return W0
 
 
-def _solve_F(F: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """rhs F^{-1} for a full-rank F, else the flagged fallback rhs F^+.
+def _solve_F(X: Dataset, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """rhs F^+ = rhs V diag(1/lambda) V^T for F = X X^T, and the rank of F.
 
-    Returns (solution, rank, fallback). Eigenvalues of F above
-    NULL_MODE_RATIO times the largest count toward the rank; a rank below
-    dim F (or an F with no positive eigenvalue) takes the pseudoinverse.
+    The modes of F above PINV_CUTOFF_RATIO times the largest eigenvalue
+    (`gram_modes`) are inverted and count toward the rank; the rest are
+    dropped, so a rank below dim F means a pseudoinverse, not an inverse.
     """
-    lam = eigh(F).eigenvalues
-    rank = int(np.count_nonzero(lam > NULL_MODE_RATIO * max(lam[0], 0.0))) if lam[0] > 0 else 0
-    if rank == F.shape[0]:
-        return np.linalg.solve(F, rhs.T).T, rank, False
-    return rhs @ pseudoinverse(F), rank, True
+    modes = gram_modes(X, PINV_CUTOFF_RATIO)
+    V = modes.eigenvectors
+    return (rhs @ V / modes.eigenvalues) @ V.T, modes.eigenvalues.size
 
 
 def solve_optimum(
@@ -87,30 +81,16 @@ def solve_optimum(
     """Minimum-over-span MSE optimum W* = W0 + (Y - W0 X) X^T F^+.
 
     With full-rank F (d < n) this is the unique global optimum and W0 drops
-    out; otherwise components of W0 outside the data span are retained and
-    the pseudoinverse fallback is flagged in the model metadata.
+    out; otherwise components of W0 outside the kept modes are retained and
+    the pseudoinverse fallback is flagged in the model metadata, with the
+    count of kept modes as rank_F.
     """
     check_paired(X_train, Y_train)
     W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim)
     residual_cross = (Y_train.targets - W0 @ X_train.values) @ X_train.values.T
-    step, rank, fallback = _solve_F(compute_F(X_train), residual_cross)
+    step, rank = _solve_F(X_train, residual_cross)
+    fallback = rank < X_train.feature_dim
     return LinearModel(W0 + step, meta={"pseudoinverse_fallback": fallback, "rank_F": rank})
-
-
-def _train_modes(X: Dataset, cutoff_ratio: float) -> Spectrum:
-    """The eigenpairs of F = X X^T above cutoff_ratio times the largest (and invertible).
-
-    From the smaller side: the thin SVD X = U S V^T (lambda = s^2, vectors U)
-    when n <= d, eigh of the d x d F when n > d. An all-zero X keeps none.
-    """
-    if X.sample_count <= X.feature_dim:
-        U, s, _ = np.linalg.svd(X.values, full_matrices=False)
-        lam, V = s * s, U
-    else:
-        spec = eigh(compute_F(X))
-        lam, V = spec.eigenvalues, spec.eigenvectors
-    r = int(np.count_nonzero(lam > max(cutoff_ratio * float(lam[0]), 1.0 / np.finfo(float).max)))
-    return Spectrum(eigenvalues=lam[:r], eigenvectors=V[:, :r])
 
 
 @dataclass(frozen=True)
@@ -155,7 +135,7 @@ def build_flow(
         raise ValidationError(f"unknown precondition {precondition!r}")
     check_paired(X_train, Y_train)
     W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim).copy()
-    spec = _train_modes(X_train, NULL_MODE_RATIO)
+    spec = gram_modes(X_train, NULL_MODE_RATIO)
     lam, V = spec.eigenvalues, spec.eigenvectors
     cross = Y_train.targets @ X_train.values.T @ V  # component i: (Y X^T) v_i
     delta = cross / lam - W0 @ V
@@ -178,29 +158,18 @@ def optimum_predictions(
     X_test: Dataset,
     W0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Converged test predictions f* = W* X_test from the Gram algebra of X_train.
+    """Converged test predictions f* = W* X_test, with W* from `solve_optimum`.
 
-    With R = f0(X_train) - Y, the K form is
-    f* = f0(X_test) - R K_train^+ K_train_x_test, which never forms F and
-    shows that the data enter only through K. It pseudoinverts the n x n K,
-    so it is evaluated only when n <= d. When n > d the d x d F is smaller
-    and f* = f0(X_test) - (R X_train^T) F^+ X_test. The two agree: K and F
-    share their nonzero eigenvalues (the squared singular values of X_train),
-    so K^+ X^T = X^T F^+, and the relative pinv cutoff drops the same modes
-    on either side. F^+ = V diag(1/lambda) V^T comes from eigh of the PSD F
-    with the PINV_CUTOFF_RATIO cutoff, keeping the modes `pseudoinverse` keeps.
+    With R = f0(X_train) - Y this equals the K form
+    f* = f0(X_test) - R K_train^+ K_train_x_test, which shows that the data
+    enter only through K: K and F share their nonzero eigenvalues (the
+    squared singular values of X_train), so K^+ X^T = X^T F^+, and the
+    relative pinv cutoff drops the same modes on either side. With
+    X = U S V^T, the thin SVD that `solve_optimum` takes when n <= d gives
+    K^+ X^T = V S^-1 U^T directly: there it is the K form on the smaller side.
     """
-    check_paired(X_train, Y_train)
     check_same_features(X_train, X_test)
-    W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim)
-    residual = W0 @ X_train.values - Y_train.targets
-    if X_train.sample_count <= X_train.feature_dim:
-        update = residual @ pseudoinverse(compute_K(X_train)) @ compute_mixed_K(X_train, X_test)
-    else:
-        modes = _train_modes(X_train, PINV_CUTOFF_RATIO)
-        V = modes.eigenvectors
-        update = ((residual @ X_train.values.T) @ V / modes.eigenvalues) @ (V.T @ X_test.values)
-    return W0 @ X_test.values - update
+    return solve_optimum(X_train, Y_train, W0).predict(X_test)
 
 
 @dataclass(frozen=True)

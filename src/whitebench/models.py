@@ -7,7 +7,7 @@ cross entropy); reported metrics are per-sample averages.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -323,7 +323,4 @@ def train_to_cutoff(
     record.metadata["steps_to_cutoff"] = step if reason == "cutoff" else None
     best = [(v, s) for s, v in zip(record.steps, record.val_loss or ()) if s >= 1]
     record.metadata["steps_to_best_val"] = min(best)[1] if best else None
-    record.metadata["epochs_to_cutoff"] = (
-        step * batch_size / n if reason == "cutoff" else None
-    )
     return record.validate()

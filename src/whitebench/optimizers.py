@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datatypes import eigh, symmetrize
+from .datatypes import Dataset, eigh
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -172,16 +172,16 @@ def newton_step(model: LinearModel, X_b: np.ndarray, Y_b: np.ndarray, cfg: Optim
     """Inverse-Hessian preconditioned step for the linear MSE model.
 
     The Hessian of 1/2 ||W X - Y||^2 in each output row is F = X X^T; the
-    update is W - eta (dL/dW) F^{-1}, with a flagged pseudoinverse when F is
-    rank deficient (the null-mode rule of `solve_optimum`). eta = 1 on a
-    full-rank problem lands on the optimum.
+    update is W - eta (dL/dW) F^+, the F solve of `solve_optimum`, flagged
+    as a pseudoinverse fallback when it keeps fewer than d modes. eta = 1
+    lands on that optimum.
     """
     X_b = np.asarray(X_b, dtype=np.float64)
     Y_b = np.asarray(Y_b, dtype=np.float64)
     residual = model.W @ X_b - Y_b
     grad = residual @ X_b.T
     _check_finite_grads([grad], "newton_step")
-    direction, _, fallback = _solve_F(symmetrize(X_b @ X_b.T), grad)
+    direction, rank = _solve_F(Dataset(X_b), grad)
     loss_before = 0.5 * float(np.sum(residual ** 2))
     model.W = model.W - cfg.eta * direction
     loss_after = 0.5 * float(np.sum((model.W @ X_b - Y_b) ** 2))
@@ -189,7 +189,7 @@ def newton_step(model: LinearModel, X_b: np.ndarray, Y_b: np.ndarray, cfg: Optim
         step_size=cfg.eta,
         loss_before=loss_before,
         loss_after=loss_after,
-        diagnostics={"pseudoinverse_fallback": fallback},
+        diagnostics={"pseudoinverse_fallback": rank < X_b.shape[0]},
     )
 
 

@@ -257,18 +257,17 @@ def prepare_arm(plan: RunPlan, splits: dict, mode: str, run_seed: int) -> dict:
         return splits
     whitening = plan.cfg.whitening
     if mode == "train":
-        fit_set, scope = splits["train"][0], "train_only"
+        fit_set = splits["train"][0]
     elif mode == "full":
-        fit_set, scope = hstack_datasets(*[X for X, _ in splits.values()]), "full"
+        fit_set = hstack_datasets(*[X for X, _ in splits.values()])
     else:  # distribution: a fresh draw from the synthetic source
         n_dist = whitening.get("distribution_n", 8 * splits["train"][0].feature_dim)
         dist_seed = derive_seed(run_seed, "distribution-fit", n_dist, mode, 0)
-        fit_set, scope = _synthesize_splits(plan, n_dist, 0, 0, dist_seed)["train"][0], "distribution"
+        fit_set = _synthesize_splits(plan, n_dist, 0, 0, dist_seed)["train"][0]
     whitener = fit_whitener(
         fit_set,
         mode=whitening.get("transform", "pca"),
         rank_policy=plan.rank_policy,
-        fit_scope=scope,
         center=whitening.get("center", False),
     )
     return {name: (apply_whitener(whitener, X), Y) for name, (X, Y) in splits.items()}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import Dataset, LabelSet
+from .datatypes import Dataset, LabelSet, random_orthogonal
 from .errors import ValidationError
 
 SPECTRA = ("power_law", "flat", "custom")
@@ -75,13 +75,7 @@ class SyntheticData:
     y_train: LabelSet | None
     y_val: LabelSet | None
     y_test: LabelSet | None
-    basis: np.ndarray
     teacher_matrix: np.ndarray | None
-
-
-def _orthogonal_basis(d: int, rng: np.random.Generator) -> np.ndarray:
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-    return Q * np.sign(np.diag(R))[None, :]
 
 
 def synthesize(spec: SyntheticSpec) -> SyntheticData:
@@ -93,7 +87,7 @@ def synthesize(spec: SyntheticSpec) -> SyntheticData:
     holding the task fixed.
     """
     rng = np.random.default_rng(spec.seed)
-    basis = _orthogonal_basis(spec.d, rng)
+    basis = random_orthogonal(spec.d, rng)
     scales = np.sqrt(spec.eigenvalues())
     m = math.ceil(spec.d / 4)
 
@@ -128,6 +122,5 @@ def synthesize(spec: SyntheticSpec) -> SyntheticData:
         y_train=y_train,
         y_val=y_val,
         y_test=y_test,
-        basis=basis,
         teacher_matrix=teacher,
     )

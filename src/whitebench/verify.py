@@ -12,14 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .datatypes import Dataset, LabelSet, compute_K
+from .datatypes import Dataset, LabelSet, compute_K, random_orthogonal
 from .errors import WhitebenchError
 from .info_checks import (
     compress_whitened,
     count_information_parameters,
     full_whitening_null_check,
     orbit_equivalence_check,
-    random_orthogonal,
     reconstruct_K,
 )
 from .linear_flow import LinearModel
@@ -68,7 +67,7 @@ def suite_compression() -> list:
             for seed in range(10):
                 rng = np.random.default_rng(seed * 1009 + d * 31 + n)
                 X = Dataset(rng.standard_normal((d, n)))
-                W = fit_whitener(X, mode="pca", rank_policy=RankPolicy("manual"), fit_scope="full")
+                W = fit_whitener(X, mode="pca", rank_policy=RankPolicy("manual"))
                 X_hat = apply_whitener(W, X)
                 c = compress_whitened(X_hat)
                 payload_ok &= c.scalar_count == count_information_parameters(d, n, whitened=True)
@@ -94,7 +93,7 @@ def newton_whitened_gd_deviation(
     X_test = Dataset(rng.standard_normal((d, n_test)), split_tag="test")
     Y = LabelSet.from_class_ids(rng.integers(0, 10, size=n), 10)
 
-    W = fit_whitener(X, mode="pca", rank_policy=RankPolicy("manual"), fit_scope="train_only")
+    W = fit_whitener(X, mode="pca", rank_policy=RankPolicy("manual"))
     X_hat = apply_whitener(W, X)
     X_test_hat = apply_whitener(W, X_test)
 

@@ -2,10 +2,12 @@
 
 A whitening transform M maps the eigenspectrum of F = X X^T to ones and
 zeros, the multiplicity of ones equal to rank(F). PCA uses M = S^{-1/2} V^T
-from the SVD of the fitted F = U S V^T; ZCA rotates back, M = U S^{-1/2} V^T.
-Under manual rank control the trailing (below-rank) entries of S^{-1/2} are
-set to 1; under the jitter policy a small epsilon is added to the diagonal of
-S before inverting, which keeps M invertible.
+from the eigendecomposition of the fitted F = V S V^T, with eigenvalues
+clamped at 0; ZCA rotates back, M = V S^{-1/2} V^T. Under manual rank
+control the trailing (below-rank) entries of S^{-1/2} are set to 1, so ZCA
+is the identity outside the fitted span; under the jitter policy a small
+epsilon is added to the diagonal of S before inverting, which keeps M
+invertible.
 """
 from __future__ import annotations
 
@@ -17,23 +19,23 @@ from .datatypes import (
     Dataset,
     RANK_CUTOFF_RATIO,
     compute_F,
+    eigh,
     require_nontrivial_spectrum,
     symmetrize,
 )
 from .errors import ShapeError, ValidationError
 
 WHITENING_MODES = ("pca", "zca")
-FIT_SCOPES = ("train_only", "full", "distribution")
 RANK_POLICIES = ("jitter", "manual")
 
 
 @dataclass(frozen=True)
 class RankPolicy:
-    """How near-zero singular values of the fitted F are handled.
+    """How near-zero eigenvalues of the fitted F are handled.
 
     kind "jitter": add epsilon to every diagonal entry of S before inverting;
     epsilon=None means 1e-8 * mean(diag S), tied to the spectrum scale.
-    kind "manual": singular values below rank_cutoff_ratio * largest are
+    kind "manual": eigenvalues below rank_cutoff_ratio * largest are
     replaced by exact unit scaling (their S^{-1/2} entries set to 1).
     """
 
@@ -58,7 +60,6 @@ class Whitener:
 
     M: np.ndarray
     mode: str
-    fit_scope: str
     rank_policy: RankPolicy
     fit_rank: int
     mean: np.ndarray | None = None
@@ -83,19 +84,16 @@ def fit_whitener(
     X_fit: Dataset,
     mode: str = "pca",
     rank_policy: RankPolicy | None = None,
-    fit_scope: str = "train_only",
     center: bool = False,
 ) -> Whitener:
     """Fit a whitening transform on X_fit.
 
-    The scope tag is audit metadata: the fit math is identical whichever data
-    the caller passes. Centering is off by default; when on, the fit-set row
-    means are stored and subtracted by apply().
+    Which data the transform is fitted on (train split, all splits, a fresh
+    draw) is the caller's choice. Centering is off by default; when on, the
+    fit-set row means are stored and subtracted by apply().
     """
     if mode not in WHITENING_MODES:
         raise ValidationError(f"unknown whitening mode {mode!r}")
-    if fit_scope not in FIT_SCOPES:
-        raise ValidationError(f"unknown fit scope {fit_scope!r}")
     policy = rank_policy or RankPolicy()
 
     mean = None
@@ -107,7 +105,8 @@ def fit_whitener(
     else:
         F = compute_F(X_fit)
 
-    U, S, Vt = np.linalg.svd(F, hermitian=True)
+    spec = eigh(F)
+    S, V = np.maximum(spec.eigenvalues, 0.0), spec.eigenvectors
     require_nontrivial_spectrum(S, "fitted second moment")
     rank = int(np.count_nonzero(S > policy.rank_cutoff_ratio * S[0]))
 
@@ -119,14 +118,13 @@ def fit_whitener(
         inv_sqrt[:rank] = 1.0 / np.sqrt(S[:rank])
 
     if mode == "pca":
-        M = inv_sqrt[:, None] * Vt
+        M = inv_sqrt[:, None] * V.T
     else:
-        M = (U * inv_sqrt[None, :]) @ Vt
+        M = (V * inv_sqrt[None, :]) @ V.T
 
     return Whitener(
         M=M,
         mode=mode,
-        fit_scope=fit_scope,
         rank_policy=policy,
         fit_rank=rank,
         mean=mean,

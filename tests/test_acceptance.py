@@ -146,7 +146,6 @@ def _gen_direction_cells():
             W_f = fit_whitener(
                 combined, mode="pca",
                 rank_policy=RankPolicy("manual", rank_cutoff_ratio=1e-10),
-                fit_scope="full",
             )
             sol_f = build_flow(apply_whitener(W_f, data.train), data.y_train)
             _, rec_f = early_stop(

@@ -30,7 +30,7 @@ def test_whiten_command(tmp_path, wbds_file, capsys):
     out = tmp_path / "white.wbds"
     code = main([
         "whiten", "--input", str(path), "--mode", "pca",
-        "--scope", "train", "--rank-policy", "manual", "--output", str(out),
+        "--rank-policy", "manual", "--output", str(out),
     ])
     assert code == 0
     fit_X, _ = ingest_wbds(path)
@@ -81,7 +81,7 @@ def test_compress_reconstruct_round_trip(tmp_path, rng):
     from whitebench import apply_whitener, compute_K, fit_whitener
 
     X = Dataset(rng.standard_normal((3, 8)))
-    X_hat = apply_whitener(fit_whitener(X, fit_scope="full"), X)
+    X_hat = apply_whitener(fit_whitener(X), X)
     src = tmp_path / "white.wbds"
     export_wbds(src, X_hat)
     packed = tmp_path / "packed.wbcp"

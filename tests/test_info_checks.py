@@ -22,7 +22,7 @@ TOY = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
 
 def whiten_fully(X):
-    W = fit_whitener(X, mode="pca", fit_scope="full")
+    W = fit_whitener(X, mode="pca")
     return apply_whitener(W, X)
 
 
@@ -44,7 +44,7 @@ def test_compress_square_whitened_has_empty_payload(rng):
 
 def test_compress_toy_dataset_by_hand():
     # ZCA-whitened toy keeps its leading identity block: payload is column (1, 1)
-    W = fit_whitener(TOY, mode="zca", fit_scope="full")
+    W = fit_whitener(TOY, mode="zca")
     X_hat = apply_whitener(W, TOY)
     c = compress_whitened(X_hat)
     assert c.column_permutation is None

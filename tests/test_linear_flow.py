@@ -17,9 +17,10 @@ from whitebench import (
     pseudoinverse,
     solve_optimum,
 )
-from whitebench.datatypes import NULL_MODE_RATIO
+from whitebench.datatypes import NULL_MODE_RATIO, random_orthogonal
 from whitebench.errors import ShapeError, ValidationError
-from whitebench.linear_flow import _loss_curve
+from whitebench.linear_flow import LinearModel, _loss_curve
+from whitebench.optimizers import OptimizerConfig, newton_step
 from whitebench.synth import SyntheticSpec, synthesize
 
 from conftest import one_hot_labels, random_dataset
@@ -68,6 +69,23 @@ def test_solve_optimum_gradient_in_span(rng):
     assert model.meta["pseudoinverse_fallback"]
     grad = (model.W @ X.values - Y.targets) @ X.values.T
     assert np.max(np.abs(grad)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_explicit_inverses_cut_at_pinv_ratio(rng, n):
+    # singular values (1, 1e-5): F is full rank with eigenvalue ratio 1e-10,
+    # below PINV_CUTOFF_RATIO but above NULL_MODE_RATIO
+    s = np.array([1.0, 1e-5])
+    X = Dataset(random_orthogonal(2, 1) * s @ random_orthogonal(n, 2)[:, :2].T, split_tag="train")
+    Y = LabelSet(rng.standard_normal((3, n)))
+    W0 = rng.standard_normal((3, 2))
+    optimum = solve_optimum(X, Y, W0=W0)
+    assert optimum.meta["rank_F"] == 1 and optimum.meta["pseudoinverse_fallback"]
+    model = LinearModel(W0.copy())
+    result = newton_step(model, X.values, Y.targets, OptimizerConfig(eta=1.0))
+    assert result.diagnostics["pseudoinverse_fallback"]
+    assert np.max(np.abs(model.W - optimum.W)) <= 1e-10 * np.max(np.abs(optimum.W))
+    assert build_flow(X, Y, W0=W0).mode_rates.size == 2
 
 
 def test_flow_starting_at_optimum_is_constant(rng):
@@ -190,7 +208,8 @@ def test_optimum_predictions_rejects_misshaped_w0(rng, d, n):
 )
 @settings(max_examples=200, deadline=None)
 def test_optimum_predictions_both_sides_match_k_form(d, n_minus_d, k, rank_deficit, nonzero_w0, seed):
-    # n <= d pinvs the n x n K, n > d the d x d F; a rank deficit makes both singular
+    # n <= d takes F's modes from the thin SVD of X, n > d from eigh of the d x d F;
+    # a rank deficit makes both singular
     n = max(1, d + n_minus_d)
     rng = np.random.default_rng(seed)
     rank = max(1, min(d, n) - rank_deficit)
@@ -213,7 +232,7 @@ def test_optimum_predictions_both_sides_match_k_form(d, n_minus_d, k, rank_defic
 def test_fully_whitened_zero_predictions_and_half_loss(rng):
     d, n_train, n_test = 24, 10, 6
     combined = random_dataset(rng, d, n_train + n_test, split_tag="combined")
-    W = fit_whitener(combined, mode="pca", fit_scope="full")
+    W = fit_whitener(combined, mode="pca")
     X_hat = apply_whitener(W, combined).values
     Xtr = Dataset(X_hat[:, :n_train], split_tag="train")
     Xte = Dataset(X_hat[:, n_train:], split_tag="test")

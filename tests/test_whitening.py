@@ -58,6 +58,17 @@ def test_zca_symmetric_on_full_rank_fit(rng):
     assert np.max(np.abs(W.M - W.M.T)) <= 1e-8
 
 
+def test_zca_manual_is_identity_outside_fit_span():
+    # n < d: the d - n null directions of F must map to themselves (eigenvalue
+    # +1), whatever sign rounding gives their eigenvalues of F
+    X = Dataset(np.random.default_rng(0).standard_normal((16, 6)))
+    M = fit_whitener(X, mode="zca", rank_policy=RankPolicy("manual")).M
+    N = np.linalg.svd(X.values)[0][:, 6:]
+    assert np.max(np.abs(M - M.T)) <= 1e-12
+    assert np.linalg.eigvalsh((M + M.T) / 2).min() >= -1e-12
+    assert np.max(np.abs(M @ N - N)) <= 1e-12
+
+
 def test_rank_deficient_manual_control(rng):
     d, n = 7, 4
     X = Dataset(rng.standard_normal((d, n)), split_tag="train")
@@ -102,7 +113,7 @@ def test_full_scope_n_le_d_gram_is_identity(rng):
     train = Dataset(rng.standard_normal((d, 5)), split_tag="train")
     test = Dataset(rng.standard_normal((d, 4)), split_tag="test")
     combined = hstack_datasets(train, test)
-    W = fit_whitener(combined, mode="pca", rank_policy=RankPolicy("manual"), fit_scope="full")
+    W = fit_whitener(combined, mode="pca", rank_policy=RankPolicy("manual"))
     train_hat = apply_whitener(W, train)
     test_hat = apply_whitener(W, test)
     K_hat = compute_K(apply_whitener(W, combined))
