@@ -31,8 +31,8 @@ PINV_CUTOFF_RATIO = 1e-8
 NULL_MODE_RATIO = 1e-12
 
 
-def _as_matrix(values, what="values") -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, order="C")
+def _as_matrix(values, what="values", copy=True) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, order="C", copy=True if copy else None)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
@@ -57,13 +57,22 @@ class Dataset:
     values: np.ndarray
     split_tag: str = "combined"
 
-    def __post_init__(self):
-        arr = _as_matrix(self.values, "Dataset.values")
+    def __post_init__(self, copy=True):
+        arr = _as_matrix(self.values, "Dataset.values", copy)
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValidationError("Dataset needs at least one feature and one sample")
         if self.split_tag not in SPLIT_TAGS:
             raise ValidationError(f"unknown split_tag {self.split_tag!r}")
         _freeze(self, "values", arr)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, split_tag: str = "combined") -> "Dataset":
+        """A Dataset over an array its caller just computed and drops: checked, frozen, not copied."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "values", values)
+        object.__setattr__(obj, "split_tag", split_tag)
+        obj.__post_init__(copy=False)
+        return obj
 
     @property
     def feature_dim(self) -> int:
@@ -183,16 +192,18 @@ def compute_mixed_K(X_a: Dataset, X_b: Dataset) -> np.ndarray:
 def eigh(A: np.ndarray) -> Spectrum:
     """Symmetric eigendecomposition with descending eigenvalues.
 
-    Rejects non-symmetric (beyond 1e-10 absolute) or non-finite input.
+    Rejects non-symmetric (beyond 1e-10 absolute) or non-finite input; input
+    symmetric only within that tolerance is symmetrized first.
     """
-    A = _as_matrix(A, "eigh input")
+    A = _as_matrix(A, "eigh input", copy=False)
     if A.shape[0] != A.shape[1]:
         raise ShapeError("eigh needs a square matrix")
-    if np.max(np.abs(A - A.T), initial=0.0) > 1e-10:
-        raise ValidationError("eigh input is not symmetric within 1e-10 absolute")
-    vals, vecs = np.linalg.eigh(symmetrize(A))
-    order = np.argsort(vals)[::-1]
-    return Spectrum(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+    if not np.array_equal(A, A.T):
+        if np.max(np.abs(A - A.T)) > 1e-10:
+            raise ValidationError("eigh input is not symmetric within 1e-10 absolute")
+        A = symmetrize(A)
+    vals, vecs = np.linalg.eigh(A)
+    return Spectrum(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
 
 
 def pseudoinverse(A: np.ndarray, rel_tol: float = PINV_CUTOFF_RATIO) -> np.ndarray:
@@ -214,12 +225,15 @@ def gram_modes(X: Dataset, cutoff_ratio: float) -> Spectrum:
     """
     if X.sample_count <= X.feature_dim:
         U, s, _ = np.linalg.svd(X.values, full_matrices=False)
-        lam, V = s * s, U
-    else:
-        spec = eigh(compute_F(X))
-        lam, V = spec.eigenvalues, spec.eigenvectors
+        return leading_modes(Spectrum(s * s, U), cutoff_ratio)
+    return leading_modes(eigh(compute_F(X)), cutoff_ratio)
+
+
+def leading_modes(spec: Spectrum, cutoff_ratio: float) -> Spectrum:
+    """The eigenpairs of spec above cutoff_ratio times the largest (and invertible); spec itself if all are."""
+    lam = spec.eigenvalues
     r = int(np.count_nonzero(lam > max(cutoff_ratio * float(lam[0]), 1.0 / np.finfo(float).max)))
-    return Spectrum(eigenvalues=lam[:r], eigenvectors=V[:, :r])
+    return spec if r == lam.size else Spectrum(eigenvalues=lam[:r], eigenvectors=spec.eigenvectors[:, :r])
 
 
 def estimate_input_rank(X: Dataset, cutoff_ratio: float = RANK_CUTOFF_RATIO) -> int:
@@ -252,4 +266,4 @@ def hstack_datasets(*datasets: Dataset, split_tag: str = "combined") -> Dataset:
     dims = {X.feature_dim for X in datasets}
     if len(dims) != 1:
         raise ShapeError(f"feature dims differ across datasets: {sorted(dims)}")
-    return Dataset(np.hstack([X.values for X in datasets]), split_tag=split_tag)
+    return Dataset._adopt(np.hstack([X.values for X in datasets]), split_tag=split_tag)

@@ -5,9 +5,9 @@ over the eigenvectors v_i of F_train: each mode relaxes exponentially,
 w_i(t) = w*_i + e^{-rate_i t} (w_i(0) - w*_i), with rate_i = lambda_i for
 plain flow and rate_i = 1 for inverse-Hessian (Newton) preconditioned flow.
 Only the r modes of the train span move. They come from the smaller side of
-the train split (a thin SVD of X when n <= d, eigh of F when n > d); null
-modes are not stored, and the component of W(0) outside the span is carried
-as is, so it is conserved exactly.
+the train split (a thin SVD of X when n <= d, eigh of F when n > d), or from
+the whitener fitted on it; null modes are not stored, and the component of
+W(0) outside the span is carried as is, so it is conserved exactly.
 """
 from __future__ import annotations
 
@@ -24,8 +24,9 @@ from .datatypes import (
     check_paired,
     check_same_features,
     gram_modes,
+    leading_modes,
 )
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .models import accuracy
 from .records import TrainRecord
 
@@ -124,18 +125,23 @@ def build_flow(
     Y_train: LabelSet,
     W0: np.ndarray | None = None,
     precondition: str = "none",
+    modes: Spectrum | None = None,
 ) -> FlowSolution:
     """Decompose the gradient flow (optionally inverse-Hessian preconditioned).
 
     precondition "none" gives per-mode rates lambda_i; "newton" gives rate 1
     in every moving mode (the preconditioner is the pseudoinverse of
-    F_train, so null modes do not move either way).
+    F_train, so null modes do not move either way). `modes`, the eigenpairs
+    of F_train descending (a train-fitted `Whitener.modes`), save decomposing
+    X_train; either way the modes above NULL_MODE_RATIO times the largest move.
     """
     if precondition not in PRECONDITIONS:
         raise ValidationError(f"unknown precondition {precondition!r}")
     check_paired(X_train, Y_train)
     W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim).copy()
-    spec = gram_modes(X_train, NULL_MODE_RATIO)
+    if modes is not None and modes.eigenvectors.shape[0] != X_train.feature_dim:
+        raise ShapeError(f"modes have {modes.eigenvectors.shape[0]} features, X_train has {X_train.feature_dim}")
+    spec = gram_modes(X_train, NULL_MODE_RATIO) if modes is None else leading_modes(modes, NULL_MODE_RATIO)
     lam, V = spec.eigenvalues, spec.eigenvectors
     cross = Y_train.targets @ X_train.values.T @ V  # component i: (Y X^T) v_i
     delta = cross / lam - W0 @ V

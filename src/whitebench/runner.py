@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datatypes import Dataset, LabelSet, compute_F, hstack_datasets
+from .datatypes import Dataset, LabelSet, Spectrum, compute_F, compute_K, hstack_datasets
 from .errors import ConfigError, ValidationError, WhitebenchError
 from .linear_flow import TimeGrid, build_flow, early_stop
 from .models import init_isotropic, train_to_cutoff
@@ -251,10 +251,14 @@ def _split_sizes(cfg: RunConfig, dataset_size: int):
     return dataset_size, n_val, cfg.data.get("n_test", 0)
 
 
-def prepare_arm(plan: RunPlan, splits: dict, mode: str, run_seed: int) -> dict:
-    """Apply one whitening arm (none/train/full/distribution) to all splits."""
+def prepare_arm(plan: RunPlan, splits: dict, mode: str, run_seed: int) -> tuple[dict, Spectrum | None]:
+    """Apply one whitening arm (none/train/full/distribution) to all splits.
+
+    Also returns the train-fitted whitener's modes for the linear trainer's
+    train arm, so its flow need not decompose that split again; else None.
+    """
     if mode == "none":
-        return splits
+        return splits, None
     whitening = plan.cfg.whitening
     if mode == "train":
         fit_set = splits["train"][0]
@@ -269,13 +273,15 @@ def prepare_arm(plan: RunPlan, splits: dict, mode: str, run_seed: int) -> dict:
         mode=whitening.get("transform", "pca"),
         rank_policy=plan.rank_policy,
         center=whitening.get("center", False),
+        keep_modes=mode == "train" and plan.trainer == "linear",
     )
-    return {name: (apply_whitener(whitener, X), Y) for name, (X, Y) in splits.items()}
+    return {name: (apply_whitener(whitener, X), Y) for name, (X, Y) in splits.items()}, whitener.modes
 
 
 def _normalize_splits(splits: dict):
-    """Rescale every split by the train top eigenvalue (unit top mode)."""
-    top = float(np.linalg.eigvalsh(compute_F(splits["train"][0]))[-1])
+    """Rescale every split by the train top eigenvalue (unit top mode), read from K = X^T X when n < d."""
+    X = splits["train"][0]
+    top = float(np.linalg.eigvalsh(compute_K(X) if X.sample_count < X.feature_dim else compute_F(X))[-1])
     if top <= 0:
         return splits
     scale = 1.0 / np.sqrt(top)
@@ -285,7 +291,7 @@ def _normalize_splits(splits: dict):
     }
 
 
-def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool, optimizer):
+def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool, train_modes):
     Xtr, Ytr = splits["train"]
     X_val, Y_val = splits["val"]
     flow_cfg = plan.cfg.flow
@@ -294,7 +300,7 @@ def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_t
     rng = np.random.default_rng(run_seed)
     W0 = np.sqrt(var) * rng.standard_normal((k, d)) if var > 0 else np.zeros((k, d))
     precondition = flow_cfg.get("precondition", "none")
-    sol = build_flow(Xtr, Ytr, W0, precondition=precondition)
+    sol = build_flow(Xtr, Ytr, W0, precondition=precondition, modes=train_modes)
     grid = plan.grid or TimeGrid.default_for(sol, flow_cfg.get("grid_points", 200))
     extra = {"test_loss": splits["test"]} if "test" in splits else None
     _, record = early_stop(sol, X_val, Y_val, grid, extra_eval=extra)
@@ -331,9 +337,6 @@ def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_tr
     return _record_rows(base, record, include_trajectory)
 
 
-_TRAINERS = {"linear": _flow_rows, "mlp": _mlp_rows}
-
-
 def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, include_trajectory: bool, optimizer=None):
     """One (size, whitening mode, optimizer, seed) cell; a failure of the data becomes an 'error' row.
 
@@ -352,8 +355,10 @@ def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, inclu
             splits = _subsample_train(plan.files, dataset_size, run_seed)
         if cfg.data.get("normalize", False):
             splits = _normalize_splits(splits)
-        arm = prepare_arm(plan, splits, mode, run_seed)
-        return _TRAINERS[plan.trainer](plan, arm, base, run_seed, include_trajectory, optimizer)
+        arm, train_modes = prepare_arm(plan, splits, mode, run_seed)
+        if plan.trainer == "linear":
+            return _flow_rows(plan, arm, base, run_seed, include_trajectory, train_modes)
+        return _mlp_rows(plan, arm, base, run_seed, include_trajectory, optimizer)
     except WhitebenchError:
         return _record_rows({**base, "optimizer": plan.trainer}, TrainRecord(stopping_reason="error"), False)
 

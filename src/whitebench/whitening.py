@@ -2,8 +2,11 @@
 
 A whitening transform M maps the eigenspectrum of F = X X^T to ones and
 zeros, the multiplicity of ones equal to rank(F). PCA uses M = S^{-1/2} V^T
-from the eigendecomposition of the fitted F = V S V^T, with eigenvalues
-clamped at 0; ZCA rotates back, M = V S^{-1/2} V^T. Under manual rank
+from the eigendecomposition of the fitted F = V S V^T; ZCA rotates back,
+M = V S^{-1/2} V^T. F is decomposed on the smaller side of the fit set, as in
+`datatypes.gram_modes`: eigh of F (eigenvalues clamped at 0) when n > d, else
+the full SVD of X, whose d - n complement vectors (as arbitrary as eigh's
+null vectors) give PCA its trailing rows. Under manual rank
 control the trailing (below-rank) entries of S^{-1/2} are set to 1, so ZCA
 is the identity outside the fitted span; under the jitter policy a small
 epsilon is added to the diagonal of S before inverting, which keeps M
@@ -18,6 +21,7 @@ import numpy as np
 from .datatypes import (
     Dataset,
     RANK_CUTOFF_RATIO,
+    Spectrum,
     compute_F,
     eigh,
     require_nontrivial_spectrum,
@@ -55,7 +59,10 @@ class Whitener:
     """A fitted linear whitening transform.
 
     Immutable; `mean` is None unless the transform was fitted with centering,
-    in which case apply() subtracts it before multiplying by M.
+    in which case apply() subtracts it before multiplying by M. `modes` (only
+    with keep_modes): the eigenpairs of the whitened fit set's M F M^T, rates
+    inv_sqrt^2 * S descending (0 within eigh's rounding), along the standard
+    basis (PCA) or V (ZCA).
     """
 
     M: np.ndarray
@@ -63,6 +70,7 @@ class Whitener:
     rank_policy: RankPolicy
     fit_rank: int
     mean: np.ndarray | None = None
+    modes: Spectrum | None = None
 
     @property
     def feature_dim(self) -> int:
@@ -85,12 +93,14 @@ def fit_whitener(
     mode: str = "pca",
     rank_policy: RankPolicy | None = None,
     center: bool = False,
+    keep_modes: bool = False,
 ) -> Whitener:
     """Fit a whitening transform on X_fit.
 
     Which data the transform is fitted on (train split, all splits, a fresh
     draw) is the caller's choice. Centering is off by default; when on, the
-    fit-set row means are stored and subtracted by apply().
+    fit-set row means are stored and subtracted by apply(). keep_modes=True
+    also stores `Whitener.modes`, for a flow on the whitened fit set.
     """
     if mode not in WHITENING_MODES:
         raise ValidationError(f"unknown whitening mode {mode!r}")
@@ -101,12 +111,13 @@ def fit_whitener(
     if center:
         mean = values.mean(axis=1, keepdims=True)
         values = values - mean
-        F = symmetrize(values @ values.T)
+    d, n = values.shape
+    if n <= d:
+        V, s, _ = np.linalg.svd(values, full_matrices=True)
+        S = np.pad(s * s, (0, d - n))
     else:
-        F = compute_F(X_fit)
-
-    spec = eigh(F)
-    S, V = np.maximum(spec.eigenvalues, 0.0), spec.eigenvectors
+        spec = eigh(symmetrize(values @ values.T))
+        S, V = np.maximum(spec.eigenvalues, 0.0), spec.eigenvectors
     require_nontrivial_spectrum(S, "fitted second moment")
     rank = int(np.count_nonzero(S > policy.rank_cutoff_ratio * S[0]))
 
@@ -122,13 +133,15 @@ def fit_whitener(
     else:
         M = (V * inv_sqrt[None, :]) @ V.T
 
-    return Whitener(
-        M=M,
-        mode=mode,
-        rank_policy=policy,
-        fit_rank=rank,
-        mean=mean,
-    )
+    modes = None
+    if keep_modes:
+        # n > d: an eigenvalue within eigh's rounding, d * eps * S0, is a null direction, not a slow mode
+        floor = d * np.finfo(float).eps * S[0] if n > d else 0.0
+        rates = np.where(S > floor, inv_sqrt * inv_sqrt * S, 0.0)
+        order = np.argsort(-rates, kind="stable")
+        modes = Spectrum(rates[order], np.eye(d)[:, order] if mode == "pca" else V[:, order])
+
+    return Whitener(M=M, mode=mode, rank_policy=policy, fit_rank=rank, mean=mean, modes=modes)
 
 
 def apply_whitener(W: Whitener, X: Dataset) -> Dataset:
@@ -138,7 +151,7 @@ def apply_whitener(W: Whitener, X: Dataset) -> Dataset:
             f"whitener fitted on {W.feature_dim} features, data has {X.feature_dim}"
         )
     values = X.values if W.mean is None else X.values - W.mean
-    return Dataset(W.M @ values, split_tag=X.split_tag)
+    return Dataset._adopt(W.M @ values, split_tag=X.split_tag)
 
 
 def verify_whitened(X_hat: Dataset, tol: float = 1e-6) -> WhitenessReport:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from whitebench import (
     estimate_input_rank,
     pseudoinverse,
 )
+from whitebench.datatypes import hstack_datasets
 from whitebench.errors import ShapeError, ValidationError
 
 TOY = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], split_tag="train")
@@ -95,6 +97,25 @@ def test_eigh_closed_form_2x2():
 def test_eigh_rejects_asymmetric():
     with pytest.raises(ValidationError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigh_is_numpy_eigh_reversed_bit_for_bit(rng):
+    # compute_F output is exactly symmetric: no symmetrize, no reorder beyond reversal
+    F = compute_F(Dataset(rng.standard_normal((9, 30))))
+    vals, vecs = np.linalg.eigh(F)
+    spec = eigh(F)
+    assert np.array_equal(spec.eigenvalues, vals[::-1])
+    assert np.array_equal(spec.eigenvectors, vecs[:, ::-1])
+    assert spec.eigenvectors.flags.c_contiguous and not spec.eigenvectors.flags.writeable
+
+
+def test_eigh_symmetrizes_nearly_symmetric_input(rng):
+    A = compute_F(Dataset(rng.standard_normal((6, 10))))
+    skew = A + np.triu(np.full_like(A, 1e-12), 1)
+    vals, vecs = np.linalg.eigh((skew + skew.T) / 2.0)
+    spec = eigh(skew)
+    assert np.array_equal(spec.eigenvalues, vals[::-1])
+    assert np.array_equal(spec.eigenvectors, vecs[:, ::-1])
 
 
 def test_pseudoinverse_trivial_cases():
@@ -209,6 +230,29 @@ def test_dataset_values_are_read_only():
     X = Dataset(np.eye(2))
     with pytest.raises(ValueError):
         X.values[0, 0] = 5.0
+
+
+def test_dataset_copies_a_caller_array_but_adopt_does_not():
+    arr = np.eye(3)
+    X = Dataset(arr)
+    arr[0, 0] = 7.0
+    assert X.values[0, 0] == 1.0 and arr.flags.writeable
+    fresh = np.eye(3)
+    adopted = Dataset._adopt(fresh, split_tag="test")
+    assert adopted.values is fresh and not fresh.flags.writeable
+    assert adopted.split_tag == "test"
+    with pytest.raises(ValidationError):
+        Dataset._adopt(np.full((2, 2), np.nan))
+
+
+def test_hstack_datasets_allocates_the_result_once(rng):
+    parts = [Dataset(rng.standard_normal((64, 256))) for _ in range(2)]
+    tracemalloc.start()
+    joined = hstack_datasets(*parts)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert joined.values.shape == (64, 512)
+    assert peak < 1.5 * joined.values.nbytes
 
 
 def test_label_set_from_class_ids():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from whitebench import (
     Dataset,
     LabelSet,
+    RankPolicy,
     TimeGrid,
     apply_whitener,
     build_flow,
@@ -19,11 +20,12 @@ from whitebench import (
 )
 from whitebench.datatypes import NULL_MODE_RATIO, random_orthogonal
 from whitebench.errors import ShapeError, ValidationError
-from whitebench.linear_flow import LinearModel, _loss_curve
+from whitebench.linear_flow import PRECONDITIONS, LinearModel, _loss_curve
 from whitebench.optimizers import OptimizerConfig, newton_step
 from whitebench.synth import SyntheticSpec, synthesize
+from whitebench.whitening import RANK_POLICIES, WHITENING_MODES
 
-from conftest import one_hot_labels, random_dataset
+from conftest import one_hot_labels, random_dataset, spaced_dataset
 
 
 def rk4_flow(X, Y, W0, t_end, steps=4000, newton=False):
@@ -269,6 +271,52 @@ def test_newton_flow_equals_plain_flow_on_whitened(rng):
         a_tr = flow_at(newton, t).W @ X.values
         b_tr = flow_at(plain_white, t).W @ X_hat.values
         assert np.max(np.abs(a_tr - b_tr)) <= 1e-8
+
+
+@given(
+    st.integers(4, 10), st.sampled_from([-2, 0, 1, 7]), st.booleans(),
+    st.sampled_from(WHITENING_MODES), st.sampled_from(RANK_POLICIES), st.booleans(),
+    st.sampled_from(PRECONDITIONS), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_whitener_modes_give_the_flow_of_the_whitened_split(d, extra, deficient, mode, policy, center,
+                                                            precondition, seed):
+    # n < d, n = d and n > d, optionally of rank below min(d, n)
+    n = d + extra
+    rng = np.random.default_rng(seed)
+    full = min(d, n - 1 if center else n)
+    X = spaced_dataset(rng, d, n, max(1, full - 1) if deficient else full, offset=center)
+    Y = LabelSet(rng.standard_normal((3, n)))
+    W0 = rng.standard_normal((3, d))
+    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=center, keep_modes=True)
+    X_hat = apply_whitener(W, X)
+    reused = build_flow(X_hat, Y, W0, precondition, modes=W.modes)
+    own = build_flow(X_hat, Y, W0, precondition)
+    lam, lam_own = reused.spectrum.eigenvalues, own.spectrum.eigenvalues
+    assert lam.size == lam_own.size
+    assert np.max(np.abs(lam - lam_own)) <= 1e-10 * lam_own[0]
+    for t in (0.0, 1.0 / own.max_rate, 1.0 / own.min_positive_rate, 40.0 / own.min_positive_rate):
+        expected = flow_at(own, t).W
+        assert np.max(np.abs(flow_at(reused, t).W - expected)) <= 1e-9 * max(1.0, np.max(np.abs(expected)))
+
+
+def test_jitter_leaves_null_directions_of_an_eigh_fit_null(rng):
+    # rank 8 < d = 12 < n = 40: eigh's rounding on the 4 null directions, divided by the
+    # jitter epsilon, would read as slow modes (rate ~1e-8) and stretch the default grid
+    X = Dataset(rng.standard_normal((12, 8)) @ rng.standard_normal((8, 40)), split_tag="train")
+    Y = LabelSet(rng.standard_normal((2, 40)))
+    W = fit_whitener(X, rank_policy=RankPolicy("jitter"), keep_modes=True)
+    X_hat = apply_whitener(W, X)
+    reused, own = build_flow(X_hat, Y, modes=W.modes), build_flow(X_hat, Y)
+    assert reused.mode_rates.size == own.mode_rates.size == 8
+    assert TimeGrid.default_for(reused).t_max == pytest.approx(TimeGrid.default_for(own).t_max, rel=1e-10)
+
+
+def test_build_flow_rejects_modes_of_another_width(rng):
+    X = random_dataset(rng, 4, 9)
+    modes = fit_whitener(random_dataset(rng, 5, 9), keep_modes=True).modes
+    with pytest.raises(ShapeError):
+        build_flow(X, LabelSet(rng.standard_normal((2, 9))), modes=modes)
 
 
 def test_null_space_conservation(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from whitebench.errors import ConfigError
 from whitebench.runconfig import parse_config
-from whitebench.runner import derive_seed, plan_run, run_cell, sweep, write_rows_csv
+from whitebench.runner import _normalize_splits, derive_seed, plan_run, run_cell, sweep, write_rows_csv
 
 LINEAR_CFG = """
 [experiment]
@@ -162,6 +162,39 @@ def test_env_seed_override(linear_cfg, monkeypatch, tmp_path):
     monkeypatch.setenv("WHITEBENCH_SEED", "seven")
     with pytest.raises(ConfigError, match="WHITEBENCH_SEED"):
         sweep_terminal(linear_cfg)
+
+
+@pytest.mark.parametrize("size", [8, 24])
+def test_decompositions_per_linear_cell(linear_cfg, monkeypatch, size):
+    # d = 12: size 8 is n < d (SVDs), 24 is n > d (eigh); the full arm's fit set is n + 20 > d.
+    # The train arm's flow takes its modes from the whitener, so it decomposes once.
+    calls = []
+    for name in ("eigh", "svd"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    plan = plan_run(linear_cfg, "linear")
+    expected = {"none": 1, "train": 1, "full": 2}
+    for mode, count in expected.items():
+        calls.clear()
+        rows = run_cell(plan, size, mode, 0, include_trajectory=False)
+        assert rows[-1].stopping_reason != "error"
+        assert len(calls) == count, (mode, calls)
+
+
+@pytest.mark.parametrize("d, n", [(40, 9), (9, 40), (12, 12)])
+def test_normalize_scale_reads_the_top_eigenvalue_of_F(rng, d, n):
+    from whitebench import Dataset, LabelSet, compute_F
+
+    X = Dataset(rng.standard_normal((d, n)) * 3.0, split_tag="train")
+    Y = LabelSet(rng.standard_normal((2, n)))
+    splits = {"train": (X, Y), "val": (Dataset(rng.standard_normal((d, 4)), split_tag="validation"), Y)}
+    top = float(np.linalg.eigvalsh(compute_F(X))[-1])
+    out = _normalize_splits(splits)
+    scale = out["val"][0].values[0, 0] / splits["val"][0].values[0, 0]
+    assert abs(scale - 1.0 / np.sqrt(top)) <= 1e-12 / np.sqrt(top)
+    if n >= d:  # unchanged path: the same bits as before
+        assert np.array_equal(out["train"][0].values, (1.0 / np.sqrt(top)) * X.values)
+    assert out["train"][1] is Y
 
 
 def test_whitening_gap_shrinks_with_sample_count():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +8,17 @@ from whitebench import (
     Dataset,
     RankPolicy,
     apply_whitener,
+    compute_F,
     compute_K,
     compute_mixed_K,
     fit_whitener,
     verify_whitened,
 )
-from whitebench.datatypes import hstack_datasets
+from whitebench.datatypes import RANK_CUTOFF_RATIO, eigh, hstack_datasets, symmetrize
 from whitebench.errors import DegenerateSpectrumError, ShapeError
+from whitebench.whitening import RANK_POLICIES, WHITENING_MODES
+
+from conftest import spaced_dataset
 
 TOY = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], split_tag="train")
 
@@ -155,3 +161,73 @@ def test_centering_flag_recorded(rng):
     assert W.mean is not None
     report = verify_whitened(apply_whitener(W, X), tol=1e-6)
     assert report.ones_count == 3
+
+
+def eigh_whitener(values, mode, policy):
+    """Reference M and rank from eigh of the d x d F, eigenvalues clamped at 0."""
+    spec = eigh(symmetrize(values @ values.T))
+    S, V = np.maximum(spec.eigenvalues, 0.0), spec.eigenvectors
+    rank = int(np.count_nonzero(S > RANK_CUTOFF_RATIO * S[0]))
+    if policy == "jitter":
+        inv_sqrt = 1.0 / np.sqrt(S + 1e-8 * np.mean(S))
+    else:
+        inv_sqrt = np.ones_like(S)
+        inv_sqrt[:rank] = 1.0 / np.sqrt(S[:rank])
+    M = inv_sqrt[:, None] * V.T if mode == "pca" else (V * inv_sqrt) @ V.T
+    return M, rank
+
+
+@given(
+    st.integers(1, 12), st.integers(1, 12), st.integers(1, 12),
+    st.sampled_from(WHITENING_MODES), st.sampled_from(RANK_POLICIES), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_smaller_side_fit_matches_eigh_reference(d, n, rank, mode, policy, seed):
+    # n <= d: fit_whitener takes the full SVD of X instead of eigh of F
+    n, rank = min(n, d), min(rank, n, d)
+    rng = np.random.default_rng(seed)
+    X = spaced_dataset(rng, d, n, rank)
+    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy))
+    M_ref, rank_ref = eigh_whitener(X.values, mode, policy)
+    assert W.fit_rank == rank_ref == rank
+    X_hat = apply_whitener(W, X)
+    assert verify_whitened(X_hat, tol=1e-6).passed
+    if mode == "zca" and policy == "manual":
+        assert np.max(np.abs(W.M - M_ref)) <= 1e-10
+    elif mode == "zca":
+        # jitter scales the null directions by 1/sqrt(eps), where eigh's rounding is amplified:
+        # compare the whitened fit set instead
+        assert np.max(np.abs(X_hat.values - M_ref @ X.values)) <= 1e-10
+    else:
+        for row, ref in zip(W.M[:rank], M_ref[:rank]):
+            assert min(np.max(np.abs(row - ref)), np.max(np.abs(row + ref))) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+        complement = W.M[rank:]
+        if policy == "manual":
+            assert np.max(np.abs(complement @ complement.T - np.eye(d - rank)), initial=0.0) <= 1e-12
+        assert np.max(np.abs(complement @ X.values), initial=0.0) <= 1e-10 * max(1.0, np.max(np.abs(complement), initial=0.0))
+
+
+@pytest.mark.parametrize("mode", WHITENING_MODES)
+@pytest.mark.parametrize("policy", RANK_POLICIES)
+@pytest.mark.parametrize("n", [5, 9, 20])
+def test_kept_modes_diagonalize_the_whitened_fit_set(rng, mode, policy, n):
+    X = Dataset(rng.standard_normal((9, n)) + 0.5, split_tag="train")
+    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=True, keep_modes=True)
+    assert fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=True).modes is None
+    rates, V = W.modes.eigenvalues, W.modes.eigenvectors
+    assert V.shape == (9, 9) and np.all(np.diff(rates) <= 0)
+    assert np.max(np.abs(V.T @ V - np.eye(9))) <= 1e-12
+    F_hat = V.T @ compute_F(apply_whitener(W, X)) @ V
+    assert np.max(np.abs(F_hat - np.diag(rates))) <= 1e-10 * rates[0]
+    if mode == "pca":
+        assert np.array_equal(np.abs(V).sum(axis=0), np.ones(9))
+
+
+def test_apply_whitener_allocates_the_output_once(rng):
+    X = Dataset(rng.standard_normal((64, 512)))
+    W = fit_whitener(X)
+    tracemalloc.start()
+    X_hat = apply_whitener(W, X)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1.5 * X_hat.values.nbytes
