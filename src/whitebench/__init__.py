@@ -19,7 +19,7 @@ from .datatypes import (
     pseudoinverse,
     random_orthogonal,
 )
-from .whitening import RankPolicy, Whitener, WhitenessReport, apply_whitener, fit_whitener, verify_whitened
+from .whitening import RankPolicy, Whitener, WhitenessReport, apply_whitener, fit_whitener, population_whitener, verify_whitened
 from .linear_flow import (
     FlowSolution,
     LinearModel,
@@ -34,7 +34,6 @@ from .linear_flow import (
 from .models import MLP, accuracy, init_isotropic, train_to_cutoff
 from .optimizers import (
     CGResult,
-    LineSearchConfig,
     OptimizerConfig,
     StepResult,
     backtracking_line_search,
@@ -60,11 +59,11 @@ __all__ = [
     "Dataset", "LabelSet", "Spectrum",
     "compute_F", "compute_K", "compute_mixed_K", "eigh", "estimate_input_rank",
     "pseudoinverse", "random_orthogonal",
-    "RankPolicy", "Whitener", "WhitenessReport", "apply_whitener", "fit_whitener", "verify_whitened",
+    "RankPolicy", "Whitener", "WhitenessReport", "apply_whitener", "fit_whitener", "population_whitener", "verify_whitened",
     "FlowSolution", "LinearModel", "TimeGrid", "build_flow", "early_stop", "flow_at",
     "mse_per_sample", "optimum_predictions", "solve_optimum",
     "MLP", "accuracy", "init_isotropic", "train_to_cutoff",
-    "CGResult", "LineSearchConfig", "OptimizerConfig", "StepResult",
+    "CGResult", "OptimizerConfig", "StepResult",
     "backtracking_line_search", "conjugate_gradient_solve", "newton_step",
     "regularized_gn_step", "regularized_preconditioner_eigenform", "sgd_step",
     "CompressedDataset", "OrbitReport", "compress_whitened", "count_information_parameters",

@@ -30,15 +30,6 @@ LINE_SEARCH_MAX_BACKOFFS = 50
 
 
 @dataclass(frozen=True)
-class LineSearchConfig:
-    initial_step: float = 1.0
-
-    def __post_init__(self):
-        if not self.initial_step > 0:
-            raise ValidationError("line search initial_step must be positive")
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     """Shared optimizer knobs; irrelevant fields are ignored by each method."""
 
@@ -47,7 +38,7 @@ class OptimizerConfig:
     batch_size: int | None = None  # None = full batch
     cg_tol: float = 1e-5
     cg_max_iter: int | None = None
-    line_search: LineSearchConfig | None = None
+    line_search_step: float | None = None  # backtracking line search from this step; None = fixed eta
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -56,6 +47,8 @@ class OptimizerConfig:
             raise ValidationError("reg_lambda must lie in [0, 1]")
         if self.cg_tol <= 0:
             raise ValidationError("cg_tol must be positive")
+        if self.line_search_step is not None and not self.line_search_step > 0:
+            raise ValidationError("line search initial_step must be positive")
 
 
 @dataclass
@@ -119,18 +112,17 @@ def conjugate_gradient_solve(apply_A, b, tol: float = 1e-5, max_iter: int | None
     )
 
 
-def backtracking_line_search(loss_fn, params, direction, slope, cfg: LineSearchConfig | None = None) -> float:
-    """Largest step s in {s0, s0*rho, ...} with L(p + s d) <= L(p) + c s slope.
+def backtracking_line_search(loss_fn, params, direction, slope, initial_step: float = 1.0) -> float:
+    """Largest step s in {s0, s0*rho, ...} with L(p + s d) <= L(p) + c s slope, s0 = initial_step.
 
     rho = LINE_SEARCH_BACKOFF and c = LINE_SEARCH_SUFFICIENT_DECREASE.
     `slope` is the directional derivative <grad L, d> at `params` and must be
     negative (descent direction), else LineSearchError.
     """
-    cfg = cfg or LineSearchConfig()
     if not slope < 0:
         raise LineSearchError(f"not a descent direction (directional derivative {slope})")
     loss0 = loss_fn(params)
-    s = cfg.initial_step
+    s = initial_step
     for _ in range(LINE_SEARCH_MAX_BACKOFFS + 1):
         trial = [p + s * d for p, d in zip(params, direction)]
         if loss_fn(trial) <= loss0 + LINE_SEARCH_SUFFICIENT_DECREASE * s * slope:
@@ -218,8 +210,8 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
     """Step along -((1 - lambda) B + lambda I)^{-1} grad, solved by CG.
 
     lambda = cfg.reg_lambda: 1 recovers the raw gradient direction, 0 the
-    unregularized Gauss-Newton direction. With cfg.line_search set, the step
-    size is chosen by backtracking from the configured initial step, and a
+    unregularized Gauss-Newton direction. With cfg.line_search_step set, the
+    step size is chosen by backtracking from that initial step, and a
     gradient already within cfg.cg_tol leaves the parameters unchanged.
     """
     lam = cfg.reg_lambda
@@ -237,7 +229,7 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
     cg = conjugate_gradient_solve(apply_A, g, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
     direction = _unflatten(-cg.x, templates)
 
-    if cfg.line_search is None:
+    if cfg.line_search_step is None:
         step = cfg.eta
     elif cg.iterations == 0:
         step = 0.0  # |g| <= cg_tol: a stationary point, so x = 0 and there is no descent direction
@@ -254,7 +246,7 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
             return value
 
         step = backtracking_line_search(
-            loss_at, [p.copy() for p in templates], direction, slope, cfg.line_search
+            loss_at, [p.copy() for p in templates], direction, slope, cfg.line_search_step
         )
 
     for p, d in zip(templates, direction):

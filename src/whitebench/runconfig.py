@@ -117,7 +117,6 @@ _SCHEMA = {
         "rank_policy": _choice(RANK_POLICIES),
         "jitter_epsilon": float,
         "center": _bool,
-        "distribution_n": int,
     },
     "model": {
         "hidden": _int_list,
@@ -192,6 +191,8 @@ class RunConfig:
     def rank_policy(self) -> RankPolicy:
         kind = self.whitening.get("rank_policy", "manual")
         eps = self.whitening.get("jitter_epsilon")
+        if eps is not None and kind != "jitter":
+            raise ConfigError("[whitening] jitter_epsilon takes effect only with rank_policy = jitter")
         return RankPolicy(kind=kind, epsilon=eps)
 
 

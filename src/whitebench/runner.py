@@ -4,7 +4,8 @@ Every run's seed is a 64-bit hash of (master seed, experiment id, dataset
 size, whitening mode, seed index), so rows are reproducible standalone and
 sweep output is independent of worker scheduling (rows are post-sorted).
 The seed leaves reg_lambda out: every lambda of a (size, arm, seed) cell
-trains on the same draw from the same initial weights.
+trains on the same draw from the same initial weights. The `distribution`
+arm whitens with the source's E[F_train] = n_train * Sigma from that one draw.
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ from .datatypes import Dataset, LabelSet, Spectrum, compute_F, compute_K, hstack
 from .errors import ConfigError, ValidationError, WhitebenchError
 from .linear_flow import TimeGrid, build_flow, early_stop
 from .models import init_isotropic, train_to_cutoff
-from .optimizers import LineSearchConfig, OptimizerConfig
+from .optimizers import OptimizerConfig
 from .records import TrainRecord
 from .runconfig import RunConfig
 from .synth import SyntheticSpec, synthesize
-from .whitening import RankPolicy, apply_whitener, fit_whitener
+from .whitening import RankPolicy, apply_whitener, fit_whitener, population_whitener
 from . import dataio
 
 
@@ -143,7 +144,13 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
     if trainer == "linear" and not (data.get("n_val", 0) > 0 if synthetic else "val" in data):
         raise ConfigError("the linear trainer early-stops on validation loss: [data] needs n_val > 0 or a val path")
     if "distribution" in cfg.whitening_modes and not synthetic:
-        raise ConfigError("the distribution arm draws its fit set from the synthetic source; it cannot run on file data")
+        raise ConfigError("the distribution arm whitens with the synthetic source's covariance; file data has none")
+    if not synthetic and cfg.experiment.get("size_convention", "train") == "joint":
+        raise ConfigError("[experiment] size_convention = joint splits a synthetic draw; file data takes its splits as given")
+    if "initial_step" in opt and not opt.get("line_search", False):
+        raise ConfigError("[optimizer] initial_step takes effect only with line_search = true")
+    if ("t_min" in flow) != ("t_max" in flow):
+        raise ConfigError(f"[flow] {'t_max' if 't_min' in flow else 't_min'} is missing: t_min and t_max set the grid together")
     env_seed = os.environ.get("WHITEBENCH_SEED")
     try:
         master_seed = int(env_seed) if env_seed else cfg.master_seed
@@ -154,10 +161,7 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
             _synthetic_spec(data, 1, data.get("n_val", 0), data.get("n_test", 0), master_seed, 0)
         except ValidationError as exc:
             raise ConfigError(f"bad [data] value: {exc}") from None
-    line_search = LineSearchConfig(initial_step=opt.get("initial_step", 1.0)) if opt.get("line_search", False) else None
-    grid = None
-    if "t_min" in flow and "t_max" in flow:
-        grid = TimeGrid(flow["t_min"], flow["t_max"], flow.get("grid_points", 200))
+    grid = TimeGrid(flow["t_min"], flow["t_max"], flow.get("grid_points", 200)) if "t_min" in flow else None
     files = None if synthetic else _load_file_splits(data)
     full = files["train"][0].sample_count if files else 128
     sizes = tuple(full if size is None else size for size in sizes)
@@ -169,7 +173,7 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
             reg_lambda=lam,
             batch_size=opt.get("batch_size", None),
             cg_tol=opt.get("cg_tol", 1e-5),
-            line_search=line_search,
+            line_search_step=opt.get("initial_step", 1.0) if opt.get("line_search", False) else None,
         )
         for lam in lambdas
     )
@@ -232,14 +236,17 @@ def _synthetic_spec(data: dict, n_train: int, n_val: int, n_test: int, master_se
     )
 
 
-def _synthesize_splits(plan: RunPlan, n_train: int, n_val: int, n_test: int, run_seed: int):
-    drawn = synthesize(_synthetic_spec(plan.cfg.data, n_train, n_val, n_test, plan.master_seed, run_seed))
-    splits = {"train": (drawn.train, drawn.y_train)}
-    if drawn.val is not None:
-        splits["val"] = (drawn.val, drawn.y_val)
-    if drawn.test is not None:
-        splits["test"] = (drawn.test, drawn.y_test)
-    return splits
+def _synthesize_splits(plan: RunPlan, n_train: int, n_val: int, n_test: int, run_seed: int, population: bool):
+    """The splits of one draw and, if `population`, the source's E[F_train] = n_train * Sigma; else None."""
+    spec = _synthetic_spec(plan.cfg.data, n_train, n_val, n_test, plan.master_seed, run_seed)
+    drawn = synthesize(spec)
+    named = (("train", drawn.train, drawn.y_train), ("val", drawn.val, drawn.y_val), ("test", drawn.test, drawn.y_test))
+    splits = {name: (X, Y) for name, X, Y in named if X is not None}
+    if not population:
+        return splits, None
+    eigenvalues = spec.eigenvalues()
+    order = np.argsort(-eigenvalues, kind="stable")  # a custom spectrum may be unsorted
+    return splits, Spectrum(n_train * eigenvalues[order], drawn.basis[:, order])
 
 
 def _split_sizes(cfg: RunConfig, dataset_size: int):
@@ -251,44 +258,43 @@ def _split_sizes(cfg: RunConfig, dataset_size: int):
     return dataset_size, n_val, cfg.data.get("n_test", 0)
 
 
-def prepare_arm(plan: RunPlan, splits: dict, mode: str, run_seed: int) -> tuple[dict, Spectrum | None]:
+def prepare_arm(plan: RunPlan, splits: dict, mode: str, second_moment: Spectrum | None = None):
     """Apply one whitening arm (none/train/full/distribution) to all splits.
 
-    Also returns the train-fitted whitener's modes for the linear trainer's
-    train arm, so its flow need not decompose that split again; else None.
+    `train` fits on the train split, `full` on all splits; `distribution` whitens with
+    `second_moment`, the source's E[F_train] in the splits' scale (mean 0, so `center` is moot).
+    Also returns the train-fitted whitener's modes for the linear trainer's train arm, so
+    its flow need not decompose that split again; else None.
     """
     if mode == "none":
         return splits, None
     whitening = plan.cfg.whitening
-    if mode == "train":
-        fit_set = splits["train"][0]
-    elif mode == "full":
-        fit_set = hstack_datasets(*[X for X, _ in splits.values()])
-    else:  # distribution: a fresh draw from the synthetic source
-        n_dist = whitening.get("distribution_n", 8 * splits["train"][0].feature_dim)
-        dist_seed = derive_seed(run_seed, "distribution-fit", n_dist, mode, 0)
-        fit_set = _synthesize_splits(plan, n_dist, 0, 0, dist_seed)["train"][0]
-    whitener = fit_whitener(
-        fit_set,
-        mode=whitening.get("transform", "pca"),
-        rank_policy=plan.rank_policy,
-        center=whitening.get("center", False),
-        keep_modes=mode == "train" and plan.trainer == "linear",
-    )
+    transform = whitening.get("transform", "pca")
+    if mode == "distribution":
+        whitener = population_whitener(second_moment, transform, plan.rank_policy)
+    else:
+        whitener = fit_whitener(
+            splits["train"][0] if mode == "train" else hstack_datasets(*[X for X, _ in splits.values()]),
+            mode=transform,
+            rank_policy=plan.rank_policy,
+            center=whitening.get("center", False),
+            keep_modes=mode == "train" and plan.trainer == "linear",
+        )
     return {name: (apply_whitener(whitener, X), Y) for name, (X, Y) in splits.items()}, whitener.modes
 
 
 def _normalize_splits(splits: dict):
-    """Rescale every split by the train top eigenvalue (unit top mode), read from K = X^T X when n < d."""
+    """Rescale every split by the train top eigenvalue (unit top mode), read from K = X^T X when n < d.
+    Also returns 1/top, which takes a second moment to the new scale (1 when top = 0)."""
     X = splits["train"][0]
     top = float(np.linalg.eigvalsh(compute_K(X) if X.sample_count < X.feature_dim else compute_F(X))[-1])
     if top <= 0:
-        return splits
+        return splits, 1.0
     scale = 1.0 / np.sqrt(top)
     return {
         name: (Dataset(scale * X.values, split_tag=X.split_tag), Y)
         for name, (X, Y) in splits.items()
-    }
+    }, 1.0 / top
 
 
 def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool, train_modes):
@@ -350,12 +356,14 @@ def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, inclu
         base["reg_lambda"] = optimizer.reg_lambda
     try:
         if plan.files is None:
-            splits = _synthesize_splits(plan, *_split_sizes(cfg, dataset_size), run_seed)
+            splits, second_moment = _synthesize_splits(plan, *_split_sizes(cfg, dataset_size), run_seed, mode == "distribution")
         else:
-            splits = _subsample_train(plan.files, dataset_size, run_seed)
+            splits, second_moment = _subsample_train(plan.files, dataset_size, run_seed), None
         if cfg.data.get("normalize", False):
-            splits = _normalize_splits(splits)
-        arm, train_modes = prepare_arm(plan, splits, mode, run_seed)
+            splits, factor = _normalize_splits(splits)
+            if second_moment is not None:
+                second_moment = Spectrum(factor * second_moment.eigenvalues, second_moment.eigenvectors)
+        arm, train_modes = prepare_arm(plan, splits, mode, second_moment)
         if plan.trainer == "linear":
             return _flow_rows(plan, arm, base, run_seed, include_trajectory, train_modes)
         return _mlp_rows(plan, arm, base, run_seed, include_trajectory, optimizer)

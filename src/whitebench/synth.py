@@ -76,6 +76,7 @@ class SyntheticData:
     y_val: LabelSet | None
     y_test: LabelSet | None
     teacher_matrix: np.ndarray | None
+    basis: np.ndarray  # columns pair with spec.eigenvalues(): the covariance is basis diag(eigenvalues) basis^T
 
 
 def synthesize(spec: SyntheticSpec) -> SyntheticData:
@@ -123,4 +124,5 @@ def synthesize(spec: SyntheticSpec) -> SyntheticData:
         y_val=y_val,
         y_test=y_test,
         teacher_matrix=teacher,
+        basis=basis,
     )

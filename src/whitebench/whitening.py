@@ -10,7 +10,8 @@ null vectors) give PCA its trailing rows. Under manual rank
 control the trailing (below-rank) entries of S^{-1/2} are set to 1, so ZCA
 is the identity outside the fitted span; under the jitter policy a small
 epsilon is added to the diagonal of S before inverting, which keeps M
-invertible.
+invertible. `population_whitener` takes the same rank-policy and M step
+from a known second moment, such as a source's E[F], instead of a fit set.
 """
 from __future__ import annotations
 
@@ -88,6 +89,22 @@ class WhitenessReport:
     passed: bool
 
 
+def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy):
+    """M, the fit rank and the diagonal S^{-1/2} under `policy`, for descending S with eigenvectors V."""
+    if mode not in WHITENING_MODES:
+        raise ValidationError(f"unknown whitening mode {mode!r}")
+    require_nontrivial_spectrum(S, "fitted second moment")
+    rank = int(np.count_nonzero(S > policy.rank_cutoff_ratio * S[0]))
+    if policy.kind == "jitter":
+        eps = policy.epsilon if policy.epsilon is not None else 1e-8 * float(np.mean(S))
+        inv_sqrt = 1.0 / np.sqrt(S + eps)
+    else:
+        inv_sqrt = np.ones_like(S)
+        inv_sqrt[:rank] = 1.0 / np.sqrt(S[:rank])
+    M = inv_sqrt[:, None] * V.T if mode == "pca" else (V * inv_sqrt[None, :]) @ V.T
+    return M, rank, inv_sqrt
+
+
 def fit_whitener(
     X_fit: Dataset,
     mode: str = "pca",
@@ -97,15 +114,12 @@ def fit_whitener(
 ) -> Whitener:
     """Fit a whitening transform on X_fit.
 
-    Which data the transform is fitted on (train split, all splits, a fresh
-    draw) is the caller's choice. Centering is off by default; when on, the
-    fit-set row means are stored and subtracted by apply(). keep_modes=True
-    also stores `Whitener.modes`, for a flow on the whitened fit set.
+    Which data the transform is fitted on (train split, all splits) is the
+    caller's choice. Centering is off by default; when on, the fit-set row
+    means are stored and subtracted by apply(). keep_modes=True also stores
+    `Whitener.modes`, for a flow on the whitened fit set.
     """
-    if mode not in WHITENING_MODES:
-        raise ValidationError(f"unknown whitening mode {mode!r}")
     policy = rank_policy or RankPolicy()
-
     mean = None
     values = X_fit.values
     if center:
@@ -118,20 +132,7 @@ def fit_whitener(
     else:
         spec = eigh(symmetrize(values @ values.T))
         S, V = np.maximum(spec.eigenvalues, 0.0), spec.eigenvectors
-    require_nontrivial_spectrum(S, "fitted second moment")
-    rank = int(np.count_nonzero(S > policy.rank_cutoff_ratio * S[0]))
-
-    if policy.kind == "jitter":
-        eps = policy.epsilon if policy.epsilon is not None else 1e-8 * float(np.mean(S))
-        inv_sqrt = 1.0 / np.sqrt(S + eps)
-    else:
-        inv_sqrt = np.ones_like(S)
-        inv_sqrt[:rank] = 1.0 / np.sqrt(S[:rank])
-
-    if mode == "pca":
-        M = inv_sqrt[:, None] * V.T
-    else:
-        M = (V * inv_sqrt[None, :]) @ V.T
+    M, rank, inv_sqrt = _whiten_spectrum(S, V, mode, policy)
 
     modes = None
     if keep_modes:
@@ -142,6 +143,14 @@ def fit_whitener(
         modes = Spectrum(rates[order], np.eye(d)[:, order] if mode == "pca" else V[:, order])
 
     return Whitener(M=M, mode=mode, rank_policy=policy, fit_rank=rank, mean=mean, modes=modes)
+
+
+def population_whitener(second_moment: Spectrum, mode: str = "pca", rank_policy: RankPolicy | None = None) -> Whitener:
+    """Whiten with a known second moment (e.g. a source's E[F]): rank policy, jitter and
+    PCA/ZCA act on its eigenvalues exactly as on a fitted F's. There is no mean to center on."""
+    policy = rank_policy or RankPolicy()
+    M, rank, _ = _whiten_spectrum(second_moment.eigenvalues, second_moment.eigenvectors, mode, policy)
+    return Whitener(M=M, mode=mode, rank_policy=policy, fit_rank=rank)
 
 
 def apply_whitener(W: Whitener, X: Dataset) -> Dataset:

@@ -10,7 +10,6 @@ from scipy import stats
 from whitebench import (
     Dataset,
     LabelSet,
-    LineSearchConfig,
     OptimizerConfig,
     apply_whitener,
     build_flow,
@@ -199,7 +198,7 @@ def _steps_to_best_val(lam, data, X, scale, seed, steps=120):
     model = init_isotropic([64, 10], variance=0.0, seed=seed)
     cfg = OptimizerConfig(
         eta=1.0, reg_lambda=lam, cg_tol=1e-6, cg_max_iter=3000,
-        line_search=LineSearchConfig(initial_step=1.0),
+        line_search_step=1.0,
     )
     X_val = data.val.values / scale
     best, best_step = np.inf, 0

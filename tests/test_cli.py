@@ -314,14 +314,32 @@ BAD_RUN_VALUES = {
     "n_train_zero": ("data", "n_train", "0", ("train-linear", "train-mlp")),
     "reg_lambda_list_with_sgd": ("optimizer", "reg_lambda", "0 1", ("sweep", "train-mlp")),
     "teacher_none": ("data", "teacher", "none", ("sweep", "train-mlp")),
+    "t_min_alone": ("flow", "t_min", "0.5", ("sweep", "train-linear")),
+    "t_max_alone": ("flow", "t_max", "50", ("sweep", "train-linear")),
+    "jitter_epsilon_without_jitter": ("whitening", "jitter_epsilon", "5.0", ("sweep", "train-mlp")),
+    "initial_step_without_line_search": ("optimizer", "initial_step", "0.5", ("sweep", "train-mlp")),
+    "joint_size_convention_on_file_data": ("experiment", "size_convention", "joint", ("sweep", "train-mlp")),
+    "distribution_n_is_gone": ("whitening", "distribution_n", "64", ("sweep", "train-mlp")),
 }
+# cases whose key is switched off only by file data
+FILE_DATA_CASES = ("joint_size_convention_on_file_data",)
+
+
+def _file_data(tmp_path, rng):
+    """A labelled train (12 columns) and val (6 columns) file pair at d = 4: a [data] section."""
+    for split, n in (("train", 12), ("val", 6)):
+        X = Dataset(rng.standard_normal((4, n)))
+        export_wbds(tmp_path / f"{split}.wbds", X, LabelSet.from_class_ids(rng.integers(0, 3, n), 3))
+    return {"source": "files", "train": tmp_path / "train.wbds", "val": tmp_path / "val.wbds"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RUN_VALUES))
-def test_bad_run_config_exits_2_before_any_cell(tmp_path, capsys, case):
+def test_bad_run_config_exits_2_before_any_cell(tmp_path, rng, capsys, case):
     section, key, value, commands = BAD_RUN_VALUES[case]
     out = tmp_path / "results"
     sections = _run_sections(out)
+    if case in FILE_DATA_CASES:
+        sections["data"] = _file_data(tmp_path, rng)
     sections[section][key] = value
     if "train-linear" in commands:
         sections["sweep"]["trainer"] = "linear"
@@ -344,12 +362,9 @@ def test_good_run_config_writes_rows(tmp_path):
 
 
 def test_distribution_arm_on_file_data_exits_2(tmp_path, rng, capsys):
-    for split, n in (("train", 12), ("val", 6)):
-        X = Dataset(rng.standard_normal((4, n)))
-        export_wbds(tmp_path / f"{split}.wbds", X, LabelSet.from_class_ids(rng.integers(0, 3, n), 3))
     out = tmp_path / "results"
     sections = _run_sections(out)
-    sections["data"] = {"source": "files", "train": tmp_path / "train.wbds", "val": tmp_path / "val.wbds"}
+    sections["data"] = _file_data(tmp_path, rng)
     sections["whitening"]["modes"] = "none distribution"
     sections["sweep"] = {"sizes": "12", "trainer": "linear"}
     cfg = tmp_path / "files.cfg"

@@ -4,7 +4,6 @@ import pytest
 from whitebench import (
     Dataset,
     LabelSet,
-    LineSearchConfig,
     LinearModel,
     OptimizerConfig,
     apply_whitener,
@@ -19,7 +18,7 @@ from whitebench import (
     sgd_step,
     solve_optimum,
 )
-from whitebench.errors import ConvergenceError, DivergenceError, LineSearchError
+from whitebench.errors import ConvergenceError, DivergenceError, LineSearchError, ValidationError
 from whitebench.optimizers import _flatten
 
 from conftest import one_hot_labels, random_dataset
@@ -278,18 +277,22 @@ def test_line_search_accepts_small_step():
     params = [np.array([1.0])]
     direction = [np.array([-2.0])]  # -grad
     slope = -4.0
-    cfg = LineSearchConfig(initial_step=0.1)
-    assert backtracking_line_search(quadratic_loss, params, direction, slope, cfg) == 0.1
+    assert backtracking_line_search(quadratic_loss, params, direction, slope, 0.1) == 0.1
 
 
 def test_line_search_backs_off_and_satisfies_armijo():
     params = [np.array([1.0])]
     direction = [np.array([-2.0])]
     slope = -4.0
-    cfg = LineSearchConfig(initial_step=2.0)
-    s = backtracking_line_search(quadratic_loss, params, direction, slope, cfg)
+    s = backtracking_line_search(quadratic_loss, params, direction, slope, 2.0)
     assert s < 2.0
     assert quadratic_loss([params[0] + s * direction[0]]) <= quadratic_loss(params) + 1e-4 * s * slope
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
+def test_line_search_step_must_be_positive(step):
+    with pytest.raises(ValidationError, match="initial_step"):
+        OptimizerConfig(line_search_step=step)
 
 
 def test_line_search_rejects_ascent_direction():
@@ -334,7 +337,7 @@ def test_descent_under_line_search(rng):
     Y = one_hot_labels(rng, 3, 20)
     model = init_isotropic([5, 8, 3], variance=0.1, seed=11)
     cfg = OptimizerConfig(
-        eta=1.0, reg_lambda=0.4, line_search=LineSearchConfig(initial_step=1.0)
+        eta=1.0, reg_lambda=0.4, line_search_step=1.0
     )
     losses = [model.loss_on(X.values, Y.targets)]
     for _ in range(12):
@@ -351,7 +354,7 @@ def test_gn_line_search_at_stationary_point_keeps_parameters(rng):
     X = random_dataset(rng, d, n)
     Y = one_hot_labels(rng, 3, n)
     model = init_isotropic([d, 3], variance=0.0, seed=0)
-    cfg = OptimizerConfig(eta=1.0, reg_lambda=0.0, cg_tol=1e-6, line_search=LineSearchConfig(initial_step=1.0))
+    cfg = OptimizerConfig(eta=1.0, reg_lambda=0.0, cg_tol=1e-6, line_search_step=1.0)
     first = regularized_gn_step(model, X.values, Y.targets, cfg)
     assert first.step_size == 1.0 and first.diagnostics["cg_iterations"] > 0
     W_opt = model.weights[0].copy()
@@ -371,7 +374,7 @@ def test_lambda_sweep_steps_to_best_validation_direction():
         model = init_isotropic([24, 4], variance=0.0, seed=seed)
         cfg = OptimizerConfig(
             eta=1.0, reg_lambda=lam, cg_tol=1e-6, cg_max_iter=2000,
-            line_search=LineSearchConfig(initial_step=1.0),
+            line_search_step=1.0,
         )
         X_val = data.val.values / scale
         best, best_step = np.inf, 0

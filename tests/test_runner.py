@@ -189,7 +189,7 @@ def test_normalize_scale_reads_the_top_eigenvalue_of_F(rng, d, n):
     Y = LabelSet(rng.standard_normal((2, n)))
     splits = {"train": (X, Y), "val": (Dataset(rng.standard_normal((d, 4)), split_tag="validation"), Y)}
     top = float(np.linalg.eigvalsh(compute_F(X))[-1])
-    out = _normalize_splits(splits)
+    out, _ = _normalize_splits(splits)
     scale = out["val"][0].values[0, 0] / splits["val"][0].values[0, 0]
     assert abs(scale - 1.0 / np.sqrt(top)) <= 1e-12 / np.sqrt(top)
     if n >= d:  # unchanged path: the same bits as before
@@ -288,7 +288,6 @@ label_noise = 0.1
 
 [whitening]
 modes = none distribution
-distribution_n = 64
 
 [flow]
 grid_points = 25
@@ -302,6 +301,56 @@ grid_points = 25
     none_loss = next(r.test_loss for r in rows if r.whitening_mode == "none")
     dist_loss = next(r.test_loss for r in rows if r.whitening_mode == "distribution")
     assert none_loss != dist_loss
+
+
+def _distribution_cell_splits(monkeypatch, data: dict, n: int, transform="pca"):
+    """The whitened splits of one distribution-arm linear cell, captured before the flow."""
+    from whitebench import runner
+    from whitebench.runconfig import RunConfig
+
+    cfg = RunConfig(experiment={"id": "dist"}, data={"classes": 3, "n_val": 8, "n_test": 8, **data},
+                    whitening={"modes": ["distribution"], "transform": transform})
+    captured = {}
+    monkeypatch.setattr(runner, "_flow_rows", lambda plan, splits, *rest: captured.update(splits) or [])
+    run_cell(plan_run(cfg, "linear", [n]), n, "distribution", 0, False)
+    return captured
+
+
+def test_distribution_arm_whitens_a_large_sample(monkeypatch):
+    # with the source's covariance, the whitened train F is near n * I (a second draw gave condition ~1e4)
+    from whitebench import compute_F
+
+    splits = _distribution_cell_splits(monkeypatch, {"d": 16, "alpha": 2.0}, 4000)
+    eigenvalues = np.linalg.eigvalsh(compute_F(splits["train"][0]))
+    assert eigenvalues[-1] / eigenvalues[0] <= 1.5
+
+
+def test_distribution_cell_synthesizes_once(monkeypatch):
+    from whitebench import runner
+
+    calls = []
+    original = runner.synthesize
+    monkeypatch.setattr(runner, "synthesize", lambda spec: calls.append(spec) or original(spec))
+    splits = _distribution_cell_splits(monkeypatch, {"d": 8}, 20)
+    assert len(calls) == 1 and splits["train"][0].sample_count == 20
+
+
+@pytest.mark.parametrize("transform", ["pca", "zca"])
+@pytest.mark.parametrize("data", [{"d": 8}, {"d": 6, "spectrum": "custom", "eigenvalues": [0.5, 2, 1, 0.01, 3, 0.2]}])
+def test_distribution_arm_does_not_depend_on_normalize(monkeypatch, transform, data):
+    raw = _distribution_cell_splits(monkeypatch, data, 20, transform)
+    scaled = _distribution_cell_splits(monkeypatch, {**data, "normalize": True}, 20, transform)
+    for name, (X, Y) in raw.items():
+        gap = np.max(np.abs(scaled[name][0].values - X.values)) / np.max(np.abs(X.values))
+        assert gap <= 1e-12, name
+
+
+def test_mlp_distribution_arm_runs(tmp_path):
+    path = tmp_path / "mlp_dist.cfg"
+    path.write_text(MLP_CFG.replace("modes = none train", "modes = distribution"), encoding="utf-8")
+    rows = train(parse_config(path), "mlp", include_trajectory=False)
+    assert [r.whitening_mode for r in rows] == ["distribution"]
+    assert rows[0].stopping_reason in ("cutoff", "cap") and rows[0].test_loss is not None
 
 
 def test_reg_lambda_list_is_a_gn_cell_axis(tmp_path):

@@ -12,9 +12,11 @@ from whitebench import (
     compute_K,
     compute_mixed_K,
     fit_whitener,
+    population_whitener,
+    random_orthogonal,
     verify_whitened,
 )
-from whitebench.datatypes import RANK_CUTOFF_RATIO, eigh, hstack_datasets, symmetrize
+from whitebench.datatypes import RANK_CUTOFF_RATIO, Spectrum, eigh, hstack_datasets, symmetrize
 from whitebench.errors import DegenerateSpectrumError, ShapeError
 from whitebench.whitening import RANK_POLICIES, WHITENING_MODES
 
@@ -231,3 +233,27 @@ def test_apply_whitener_allocates_the_output_once(rng):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1.5 * X_hat.values.nbytes
+
+
+@pytest.mark.parametrize("mode", WHITENING_MODES)
+def test_population_whitener_whitens_its_second_moment(rng, mode):
+    # a known n * Sigma whose every mode is above RANK_CUTOFF_RATIO: M (n Sigma) M^T = I
+    d, n = 12, 500
+    basis = random_orthogonal(d, rng)
+    lam = np.sort(rng.uniform(1e-3, 1.0, d))[::-1]
+    assert lam[-1] > RANK_CUTOFF_RATIO * lam[0]
+    W = population_whitener(Spectrum(n * lam, basis), mode, RankPolicy("manual"))
+    assert W.fit_rank == d and W.mean is None and W.mode == mode
+    second_moment = (basis * (n * lam)) @ basis.T
+    np.testing.assert_allclose(W.M @ second_moment @ W.M.T, np.eye(d), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", WHITENING_MODES)
+@pytest.mark.parametrize("policy", RANK_POLICIES)
+def test_population_whitener_on_a_fitted_spectrum_is_the_fit(rng, mode, policy):
+    # one spectrum-to-M step: handed the eigenpairs fit_whitener decomposes (n > d, two modes below
+    # the manual cutoff), the same M bit for bit
+    X = Dataset(rng.standard_normal((6, 40)) * np.array([[5.0], [2.0], [1.0], [1.0], [1e-2], [1e-3]]))
+    fitted = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy))
+    known = population_whitener(eigh(compute_F(X)), mode, RankPolicy(policy))
+    assert np.array_equal(known.M, fitted.M) and known.fit_rank == fitted.fit_rank == 4
