@@ -12,12 +12,12 @@ import sys
 from pathlib import Path
 
 from . import dataio, plotting, runner, verify
-from .datatypes import compute_F, compute_K, compute_mixed_K, estimate_input_rank
+from .datatypes import RANK_CUTOFF_RATIO, compute_F, compute_K, compute_mixed_K, estimate_input_rank
 from .errors import ParseError, ValidationError, WhitebenchError
 from .info_checks import compress_whitened, reconstruct_K
 from .plotting import PlotSpec
 from .runconfig import parse_config
-from .whitening import RankPolicy, apply_whitener, fit_whitener
+from .whitening import RANK_POLICIES, WHITENING_MODES, RankPolicy, apply_whitener, fit_whitener
 
 _FORMAT_BY_SUFFIX = {".wbds": "wbds", ".csv": "csv"}
 
@@ -35,8 +35,7 @@ def _cmd_whiten(args):
     fit_X = X
     if args.fit_input:
         fit_X, _ = dataio.ingest(args.fit_input, _format_of(args.fit_input))
-    policy = RankPolicy(kind="jitter" if args.rank_policy == "jitter" else "manual")
-    whitener = fit_whitener(fit_X, mode=args.mode, rank_policy=policy, center=args.center)
+    whitener = fit_whitener(fit_X, mode=args.mode, rank_policy=RankPolicy(args.rank_policy), center=args.center)
     out = apply_whitener(whitener, X)
     dataio.export(args.output, _format_of(args.output), out, labels)
     print(f"whitened {args.input} -> {args.output} (mode={args.mode}, "
@@ -125,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("whiten", help="fit and apply a whitening transform")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=["pca", "zca"], required=True)
-    p.add_argument("--rank-policy", choices=["jitter", "manual"], default="manual")
+    p.add_argument("--mode", choices=WHITENING_MODES, required=True)
+    p.add_argument("--rank-policy", choices=RANK_POLICIES, default="manual")
     p.add_argument("--output", required=True)
     p.add_argument("--fit-input", help="optional file the transform is fitted on (default: --input)")
     p.add_argument("--center", action="store_true")
@@ -164,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="estimate the input rank of a dataset")
     p.add_argument("--input", required=True)
-    p.add_argument("--cutoff-ratio", type=float, default=1e-5)
+    p.add_argument("--cutoff-ratio", type=float, default=RANK_CUTOFF_RATIO)
     p.set_defaults(fn=_cmd_rank)
 
     p = sub.add_parser("verify", help="run the property battery; exit 0 iff all pass")

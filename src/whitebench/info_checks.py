@@ -12,14 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .datatypes import (
-    Dataset,
-    LabelSet,
-    pseudoinverse,
-    random_orthogonal,  # noqa: F401 (still importable from this module)
-)
+from .datatypes import Dataset, LabelSet, pseudoinverse
 from .errors import DegenerateDataError, ValidationError
 from .linear_flow import mse_per_sample, solve_optimum
 from .models import accuracy, init_isotropic, train_to_cutoff
@@ -53,13 +47,31 @@ class CompressedDataset:
         return self.payload.size
 
 
+def _pivot_columns(values: np.ndarray, d: int) -> np.ndarray:
+    """The d lead columns of a column-pivoted QR (LAPACK's geqp3 rule), by modified Gram-Schmidt.
+
+    Each pick is the unpicked column with the largest residual norm (first on
+    ties); its direction is then projected out of every residual column.
+    """
+    residual = values.copy()
+    lead = []
+    for _ in range(d):
+        norms = np.einsum("ij,ij->j", residual, residual)
+        norms[lead] = -1.0
+        j = int(np.argmax(norms))
+        lead.append(j)
+        if norms[j] > 0:
+            residual -= np.outer(residual[:, j], residual[:, j] @ residual) / norms[j]
+    return np.array(lead)
+
+
 def compress_whitened(X_hat: Dataset, whiteness_tol: float = 1e-6) -> CompressedDataset:
     """Reduce fully whitened data to its free (n - d) d scalars.
 
     Requires F-hat = I within whiteness_tol and n >= d. If the leading d
-    columns are singular, a pivoted-QR column permutation is applied first
-    and stored; with rank(X-hat) < d no invertible block exists and a
-    degeneracy error is raised.
+    columns are singular, the lead columns of a column-pivoted QR are moved
+    to the front and the permutation is stored; with rank(X-hat) < d no
+    invertible block exists and a degeneracy error is raised.
     """
     d, n = X_hat.feature_dim, X_hat.sample_count
     if n < d:
@@ -77,10 +89,8 @@ def compress_whitened(X_hat: Dataset, whiteness_tol: float = 1e-6) -> Compressed
     cond = float(np.linalg.cond(block)) if d > 0 else 1.0
     if not np.isfinite(cond) or cond > 1e8:
         # off the generic case: pick an invertible block by column pivoting
-        _, _, piv = scipy.linalg.qr(values, pivoting=True, mode="economic")
-        lead = piv[:d]
-        rest = np.array([j for j in range(n) if j not in set(lead.tolist())], dtype=int)
-        perm = np.concatenate([lead, rest])
+        lead = _pivot_columns(values, d)
+        perm = np.concatenate([lead, np.setdiff1d(np.arange(n), lead)])
         values = values[:, perm]
         block = values[:, :d]
         cond = float(np.linalg.cond(block))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -147,6 +146,9 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
         raise ConfigError("the distribution arm whitens with the synthetic source's covariance; file data has none")
     if not synthetic and cfg.experiment.get("size_convention", "train") == "joint":
         raise ConfigError("[experiment] size_convention = joint splits a synthetic draw; file data takes its splits as given")
+    gn_only = [key for key in ("reg_lambda", "cg_tol", "line_search") if key in opt]
+    if gn_only and opt.get("name", "sgd") != "gn":
+        raise ConfigError(f"[optimizer] {gn_only[0]} takes effect only with name = gn")
     if "initial_step" in opt and not opt.get("line_search", False):
         raise ConfigError("[optimizer] initial_step takes effect only with line_search = true")
     if ("t_min" in flow) != ("t_max" in flow):
@@ -391,6 +393,8 @@ def sweep(cfg: RunConfig, trainer: str, sizes: list, include_trajectory: bool, w
         for idx in cfg.seeds
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays for this import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_cell, cells))
     else:

@@ -6,7 +6,9 @@ from the eigendecomposition of the fitted F = V S V^T; ZCA rotates back,
 M = V S^{-1/2} V^T. F is decomposed on the smaller side of the fit set, as in
 `datatypes.gram_modes`: eigh of F (eigenvalues clamped at 0) when n > d, else
 the full SVD of X, whose d - n complement vectors (as arbitrary as eigh's
-null vectors) give PCA its trailing rows. Under manual rank
+null vectors) give PCA its trailing rows. Every eigenvector is signed so its
+largest-magnitude entry is positive, so PCA's row signs do not depend on
+which LAPACK driver produced V. Under manual rank
 control the trailing (below-rank) entries of S^{-1/2} are set to 1, so ZCA
 is the identity outside the fitted span; under the jitter policy a small
 epsilon is added to the diagonal of S before inverting, which keeps M
@@ -90,10 +92,16 @@ class WhitenessReport:
 
 
 def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy):
-    """M, the fit rank and the diagonal S^{-1/2} under `policy`, for descending S with eigenvectors V."""
+    """M, the fit rank and the diagonal S^{-1/2} under `policy`, for descending S with eigenvectors V.
+
+    Each column of V is first signed so that its largest-magnitude entry (the
+    first on ties) is positive, which fixes PCA's row signs; ZCA's are moot.
+    """
     if mode not in WHITENING_MODES:
         raise ValidationError(f"unknown whitening mode {mode!r}")
     require_nontrivial_spectrum(S, "fitted second moment")
+    cols = np.arange(V.shape[1])
+    V = V * np.sign(V[np.argmax(np.abs(V), axis=0), cols])
     rank = int(np.count_nonzero(S > policy.rank_cutoff_ratio * S[0]))
     if policy.kind == "jitter":
         eps = policy.epsilon if policy.epsilon is not None else 1e-8 * float(np.mean(S))

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import whitebench
 from whitebench import Dataset, LabelSet
 from whitebench.cli import main
 from whitebench.dataio import export_csv, export_wbds, ingest_wbds, write_matrix_csv
@@ -320,6 +324,9 @@ BAD_RUN_VALUES = {
     "initial_step_without_line_search": ("optimizer", "initial_step", "0.5", ("sweep", "train-mlp")),
     "joint_size_convention_on_file_data": ("experiment", "size_convention", "joint", ("sweep", "train-mlp")),
     "distribution_n_is_gone": ("whitening", "distribution_n", "64", ("sweep", "train-mlp")),
+    "reg_lambda_with_sgd": ("optimizer", "reg_lambda", "1.0", ("sweep", "train-mlp")),
+    "cg_tol_with_sgd": ("optimizer", "cg_tol", "1e-6", ("sweep", "train-mlp")),
+    "line_search_with_sgd": ("optimizer", "line_search", "true", ("sweep", "train-mlp")),
 }
 # cases whose key is switched off only by file data
 FILE_DATA_CASES = ("joint_size_convention_on_file_data",)
@@ -349,6 +356,44 @@ def test_bad_run_config_exits_2_before_any_cell(tmp_path, rng, capsys, case):
         assert main([command, "--config", str(cfg)]) == 2, command
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_degenerate_train_file_writes_error_rows(tmp_path, rng, capsys):
+    # an all-zero train file: the train arm's whitener has no spectrum to fit, so its cell is an error row
+    out = tmp_path / "results"
+    sections = _run_sections(out)
+    sections["data"] = _file_data(tmp_path, rng)
+    export_wbds(tmp_path / "train.wbds", Dataset(np.zeros((4, 12))), LabelSet.from_class_ids(rng.integers(0, 3, 12), 3))
+    sections["sweep"]["trainer"] = "linear"
+    cfg = tmp_path / "zero.cfg"
+    _write_run_config(cfg, sections)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    with open(out / "bad_sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    reasons = {mode: [r["stopping_reason"] for r in rows if r["whitening_mode"] == mode] for mode in ("none", "train")}
+    assert reasons["train"] and set(reasons["train"]) == {"error"}
+    assert reasons["none"] and "error" not in reasons["none"]
+    assert f"({len(reasons['train'])} error rows)" in capsys.readouterr().out
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # numpy is the only runtime dependency: a fresh interpreter verifies and sweeps with no scipy module loaded
+    sections = _run_sections(tmp_path / "results")
+    sections["sweep"]["trainer"] = "linear"
+    cfg = tmp_path / "tiny.cfg"
+    _write_run_config(cfg, sections)
+    script = (
+        "import sys\n"
+        "from whitebench.cli import main\n"
+        "assert main(['verify', '--suite', 'compression']) == 0\n"
+        f"assert main(['sweep', '--config', {str(cfg)!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(whitebench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_good_run_config_writes_rows(tmp_path):

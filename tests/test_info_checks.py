@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from whitebench import (
@@ -81,6 +82,22 @@ def test_compress_permutes_singular_leading_block():
     X_hat = Dataset(values)
     c = compress_whitened(X_hat)
     assert c.column_permutation is not None
+    assert np.max(np.abs(reconstruct_K(c) - compute_K(X_hat))) <= 1e-8
+    # the lead columns are LAPACK's column-pivoted QR's (scipy is the reference, a test-only dependency)
+    _, _, piv = scipy.linalg.qr(values, pivoting=True, mode="economic")
+    assert np.array_equal(c.column_permutation[:3], piv[:3])
+
+
+@given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_compress_pivots_past_a_repeated_column(d, extra, seed):
+    # column 1 repeats column 0, so the leading block is singular and the pivot branch picks another
+    X = np.random.default_rng(seed).standard_normal((d, d + extra))
+    X[:, 1] = X[:, 0]
+    X_hat = whiten_fully(Dataset(X))
+    c = compress_whitened(X_hat)
+    assert c.column_permutation is not None
+    assert c.leading_block_condition <= 1e8
     assert np.max(np.abs(reconstruct_K(c) - compute_K(X_hat))) <= 1e-8
 
 

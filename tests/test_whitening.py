@@ -252,8 +252,18 @@ def test_population_whitener_whitens_its_second_moment(rng, mode):
 @pytest.mark.parametrize("policy", RANK_POLICIES)
 def test_population_whitener_on_a_fitted_spectrum_is_the_fit(rng, mode, policy):
     # one spectrum-to-M step: handed the eigenpairs fit_whitener decomposes (n > d, two modes below
-    # the manual cutoff), the same M bit for bit
+    # the manual cutoff), with eigenvector signs flipped at random, the same M bit for bit
     X = Dataset(rng.standard_normal((6, 40)) * np.array([[5.0], [2.0], [1.0], [1.0], [1e-2], [1e-3]]))
     fitted = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy))
-    known = population_whitener(eigh(compute_F(X)), mode, RankPolicy(policy))
+    spec = eigh(compute_F(X))
+    flips = rng.choice([-1.0, 1.0], size=6)
+    flips[0] = -1.0
+    known = population_whitener(Spectrum(spec.eigenvalues, spec.eigenvectors * flips), mode, RankPolicy(policy))
     assert np.array_equal(known.M, fitted.M) and known.fit_rank == fitted.fit_rank == 4
+
+
+@pytest.mark.parametrize("n", [5, 9, 40])
+def test_pca_rows_are_signed_by_their_largest_entry(rng, n):
+    # both fit sides (full SVD of X for n <= d, eigh of F for n > d) take the same sign rule
+    M = fit_whitener(Dataset(rng.standard_normal((9, n))), mode="pca").M
+    assert np.all(M[np.arange(9), np.argmax(np.abs(M), axis=1)] > 0)
