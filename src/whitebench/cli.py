@@ -63,11 +63,11 @@ def _cmd_run(args):
     """train-linear / train-mlp: [data] n_train with trajectories; sweep: [sweep] sizes, terminal rows."""
     cfg = parse_config(args.config)
     if args.trainer:
-        trainer, sizes, suffix = args.trainer, [cfg.data.get("n_train")], args.trainer
+        trainer, sizes, suffix = args.trainer, [cfg.get("data", "n_train")], args.trainer
     else:
-        trainer, sizes, suffix = cfg.sweep.get("trainer", "linear"), cfg.sweep.get("sizes"), "sweep"
+        trainer, sizes, suffix = cfg.get("sweep", "trainer"), cfg.get("sweep", "sizes"), "sweep"
     rows = runner.sweep(cfg, trainer, sizes, include_trajectory=bool(args.trainer), workers=args.workers)
-    out = Path(cfg.experiment.get("output_dir", "results")) / f"{cfg.experiment_id}_{suffix}.csv"
+    out = Path(cfg.get("experiment", "output_dir")) / f"{cfg.experiment_id}_{suffix}.csv"
     runner.write_rows_csv(out, rows)
     errors = sum(1 for r in rows if r.stopping_reason == "error")
     print(f"wrote {len(rows)} rows to {out} ({errors} error rows)")
@@ -112,7 +112,7 @@ def _cmd_verify(args):
 
 def _cmd_plot(args):
     cfg = parse_config(args.spec)
-    spec = PlotSpec.from_config(cfg.plot)
+    spec = PlotSpec.from_config(cfg)
     plotting.emit_plot(args.results, spec, args.output)
     print(f"wrote {args.output}")
     return 0

@@ -261,6 +261,8 @@ def train_to_cutoff(
 
     if not 0.0 < cutoff <= 1.0:
         raise ValidationError("cutoff must lie in (0, 1]")
+    if record_every < 1:
+        raise ValidationError("record_every must be at least 1")
     if optimizer not in OPTIMIZERS:
         raise ValidationError(f"unknown optimizer {optimizer!r}")
     check_paired(X_train, Y_train)

@@ -47,6 +47,8 @@ class OptimizerConfig:
             raise ValidationError("reg_lambda must lie in [0, 1]")
         if self.cg_tol <= 0:
             raise ValidationError("cg_tol must be positive")
+        if self.batch_size is not None and self.batch_size < 0:
+            raise ValidationError("batch_size must be nonnegative (None or 0 is the full batch)")
         if self.line_search_step is not None and not self.line_search_step > 0:
             raise ValidationError("line search initial_step must be positive")
 

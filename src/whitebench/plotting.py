@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -30,18 +30,12 @@ class PlotSpec:
     title: str = ""
 
     @staticmethod
-    def from_config(plot_section: dict) -> "PlotSpec":
-        missing = [k for k in ("x", "y", "group") if k not in plot_section]
+    def from_config(cfg) -> "PlotSpec":
+        """The [plot] section of a RunConfig; unset optional keys take their schema defaults."""
+        missing = [k for k in ("x", "y", "group") if k not in cfg.plot]
         if missing:
             raise ConfigError(f"[plot] section is missing keys: {missing}")
-        return PlotSpec(
-            x=plot_section["x"],
-            y=plot_section["y"],
-            group=plot_section["group"],
-            logx=plot_section.get("logx", False),
-            logy=plot_section.get("logy", False),
-            title=plot_section.get("title", ""),
-        )
+        return PlotSpec(**{f.name: cfg.get("plot", f.name) for f in fields(PlotSpec)})
 
 
 def _fmt(v: float) -> str:

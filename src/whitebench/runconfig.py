@@ -1,9 +1,12 @@
 """Flat `key = value` run configuration files with [section] headers.
 
 Unknown sections or keys are errors (typos in sweep definitions should not
-pass silently), and so is a value outside a key's allowed choices: the
-choices are the tuples the modules that use the value define. Lists are
+pass silently), and so is a value outside a key's allowed choices or bounds:
+the choices are the tuples the modules that use the value define. Lists are
 space- or comma-separated.
+
+`_SCHEMA` gives each key its converter and default; `_TAKES_EFFECT` says when
+a key is read, and a run rejects a key set where it would be ignored.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from .errors import ConfigError
 from .linear_flow import PRECONDITIONS
 from .models import ACTIVATIONS, OPTIMIZERS, OUTPUT_HEADS
 from .synth import SPECTRA, TEACHERS
-from .whitening import RANK_POLICIES, WHITENING_MODES, RankPolicy
+from .whitening import RANK_POLICIES, WHITENING_MODES
 
 WHITENING_ARMS = ("none", "train", "full", "distribution")
 TRAINERS = ("linear", "mlp")
@@ -34,134 +37,145 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _split(text: str) -> list:
-    return text.replace(",", " ").split()
+def _list(one):
+    """Converter for a space- or comma-separated list of `one` values."""
+    return lambda text: [one(v) for v in text.replace(",", " ").split()]
 
 
-def _int_list(text: str) -> list:
-    return [int(v) for v in _split(text)]
+def _checked(kind, holds, expected: str):
+    """Converter for a `kind` value that must satisfy `holds` (checked at parse time)."""
 
-
-def _float_list(text: str) -> list:
-    return [float(v) for v in _split(text)]
-
-
-def _choice(allowed: tuple):
-    """Converter that accepts only the listed values (checked at parse time)."""
-
-    def convert(text: str) -> str:
-        if text not in allowed:
-            raise ConfigError(f"expected one of {', '.join(allowed)}; got {text!r}")
-        return text
-
-    return convert
-
-
-def _choice_list(allowed: tuple):
-    one = _choice(allowed)
-    return lambda text: [one(v) for v in _split(text)]
-
-
-def _int_at_least(minimum: int):
-    """Converter for an integer bounded below (checked at parse time)."""
-
-    def convert(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise ConfigError(f"expected an integer >= {minimum}; got {value}")
+    def convert(text: str):
+        value = kind(text)
+        if not holds(value):
+            raise ConfigError(f"expected {expected}; got {value!r}")
         return value
 
     return convert
 
 
-def _int_list_at_least(minimum: int):
-    one = _int_at_least(minimum)
-    return lambda text: [one(v) for v in _split(text)]
+def _choice(allowed: tuple):
+    return _checked(str, lambda value: value in allowed, f"one of {', '.join(allowed)}")
+
+
+def _at_least(kind, minimum):
+    return _checked(kind, lambda value: value >= minimum, f"a value >= {minimum}")
 
 
 def _batch(text: str):
-    return None if text.strip() == "full" else int(text)
+    return None if text.strip() == "full" else _at_least(int, 1)(text)
 
 
+# section -> key -> (converter, default); a default of None means "unset" (see README's key table)
 _SCHEMA = {
     "experiment": {
-        "id": str,
-        "master_seed": int,
-        "seeds": _int_list,
-        "output_dir": str,
-        "size_convention": _choice(SIZE_CONVENTIONS),
+        "id": (str, "experiment"),
+        "master_seed": (int, 0),
+        "seeds": (_list(int), [0]),
+        "output_dir": (str, "results"),
+        "size_convention": (_choice(SIZE_CONVENTIONS), "train"),
     },
     "data": {
-        "source": _choice(DATA_SOURCES),
-        "d": int,
-        "n_train": _int_at_least(1),
-        "n_val": int,
-        "n_test": int,
-        "spectrum": _choice(SPECTRA),
-        "alpha": float,
-        "eigenvalues": _float_list,
-        "teacher": _choice(TEACHERS),
-        "teacher_seed": int,
-        "label_noise": float,
-        "classes": int,
-        "encoding": _choice(LABEL_ENCODINGS),
-        "normalize": _bool,
-        "format": _choice(FORMATS),
-        "train": str,
-        "val": str,
-        "test": str,
+        "source": (_choice(DATA_SOURCES), "synthetic"),
+        "d": (int, 64),
+        "n_train": (_at_least(int, 1), None),  # 128 synthetic samples, or every train column of a file
+        "n_val": (int, 0),
+        "n_test": (int, 0),
+        "spectrum": (_choice(SPECTRA), "power_law"),
+        "alpha": (float, 2.0),
+        "eigenvalues": (_list(float), None),
+        "teacher": (_choice(TEACHERS), "linear"),
+        "teacher_seed": (int, None),  # the master seed
+        "label_noise": (float, 0.0),
+        "classes": (int, 10),
+        "encoding": (_choice(LABEL_ENCODINGS), "one_hot"),
+        "normalize": (_bool, False),
+        "format": (_choice(FORMATS), "wbds"),
+        "train": (str, None),
+        "val": (str, None),
+        "test": (str, None),
     },
     "whitening": {
-        "modes": _choice_list(WHITENING_ARMS),
-        "transform": _choice(WHITENING_MODES),
-        "rank_policy": _choice(RANK_POLICIES),
-        "jitter_epsilon": float,
-        "center": _bool,
+        "modes": (_list(_choice(WHITENING_ARMS)), ["none"]),
+        "transform": (_choice(WHITENING_MODES), "pca"),
+        "rank_policy": (_choice(RANK_POLICIES), "manual"),
+        "jitter_epsilon": (float, None),  # 1e-8 times the mean fitted eigenvalue
+        "center": (_bool, False),
     },
     "model": {
-        "hidden": _int_list,
-        "activation": _choice(ACTIVATIONS),
-        "head": _choice(OUTPUT_HEADS),
-        "init_variance": float,
-        "biases": _bool,
+        "hidden": (_list(_at_least(int, 1)), [64, 64]),
+        "activation": (_choice(ACTIVATIONS), "relu"),
+        "head": (_choice(OUTPUT_HEADS), "linear_mse"),
+        "init_variance": (_at_least(float, 0.0), 1e-4),
+        "biases": (_bool, False),
     },
     "optimizer": {
-        "name": _choice(OPTIMIZERS),
-        "eta": float,
-        "batch_size": _batch,
-        "reg_lambda": _float_list,  # one value, or a grid of cells for the mlp trainer with name = gn
-        "cg_tol": float,
-        "cutoff": float,
-        "step_cap": int,
-        "record_every": int,
-        "line_search": _bool,
-        "initial_step": float,
+        "name": (_choice(OPTIMIZERS), "sgd"),
+        "eta": (float, 0.1),
+        "batch_size": (_batch, None),  # full batch
+        "reg_lambda": (_list(float), [1.0]),  # a list is one cell per value
+        "cg_tol": (float, 1e-5),
+        "cutoff": (_checked(float, lambda value: 0 < value <= 1, "a value in (0, 1]"), 0.999),
+        "step_cap": (_at_least(int, 1), 10000),
+        "record_every": (_at_least(int, 1), 1),
+        "line_search": (_bool, False),
+        "initial_step": (float, 1.0),
     },
     "flow": {
-        "precondition": _choice(PRECONDITIONS),
-        "grid_points": _int_at_least(2),
-        "t_min": float,
-        "t_max": float,
-        "init_variance": float,
+        "precondition": (_choice(PRECONDITIONS), "none"),
+        "grid_points": (_at_least(int, 2), 200),
+        "t_min": (float, None),  # with t_max: a fixed grid; unset, each cell's grid spans its rates
+        "t_max": (float, None),
+        "init_variance": (_at_least(float, 0.0), 0.0),
     },
     "sweep": {
-        "sizes": _int_list_at_least(1),
-        "trainer": _choice(TRAINERS),
+        "sizes": (_list(_at_least(int, 1)), None),
+        "trainer": (_choice(TRAINERS), "linear"),
     },
     "plot": {
-        "x": str,
-        "y": str,
-        "group": str,
-        "logx": _bool,
-        "logy": _bool,
-        "title": str,
+        "x": (str, None),
+        "y": (str, None),
+        "group": (str, None),
+        "logx": (_bool, False),
+        "logy": (_bool, False),
+        "title": (str, ""),
     },
 }
 
 
+def _set_to(section: str, key: str, value):
+    return lambda cfg, trainer: cfg.get(section, key) == value
+
+
+# (section, keys or None for the whole section, condition, predicate on (cfg, trainer)): a key set
+# where its predicate is false would be ignored. [sweep], [plot] and [data] n_train are read per
+# command (one file serves sweep, train-* and plot), so no rule names them.
+_TAKES_EFFECT = (
+    ("flow", None, "the linear trainer", lambda cfg, trainer: trainer == "linear"),
+    ("model", None, "the mlp trainer", lambda cfg, trainer: trainer == "mlp"),
+    ("optimizer", None, "the mlp trainer", lambda cfg, trainer: trainer == "mlp"),
+    ("optimizer", ("reg_lambda", "cg_tol", "line_search"), "name = gn", _set_to("optimizer", "name", "gn")),
+    ("optimizer", ("initial_step",), "line_search = true", _set_to("optimizer", "line_search", True)),
+    ("optimizer", ("eta",), "line_search = false", _set_to("optimizer", "line_search", False)),
+    ("flow", ("t_min",), "t_max set", lambda cfg, trainer: "t_max" in cfg.flow),
+    ("flow", ("t_max",), "t_min set", lambda cfg, trainer: "t_min" in cfg.flow),
+    ("data", ("d", "n_val", "n_test", "spectrum", "alpha", "eigenvalues", "teacher", "teacher_seed", "label_noise",
+              "classes", "encoding"), "source = synthetic", _set_to("data", "source", "synthetic")),
+    ("experiment", ("size_convention",), "source = synthetic", _set_to("data", "source", "synthetic")),
+    ("data", ("format", "train", "val", "test"), "source = files", _set_to("data", "source", "files")),
+    ("data", ("alpha",), "spectrum = power_law", _set_to("data", "spectrum", "power_law")),
+    ("data", ("eigenvalues",), "spectrum = custom", _set_to("data", "spectrum", "custom")),
+    ("whitening", ("transform", "rank_policy"), "an arm other than none",
+     lambda cfg, trainer: set(cfg.get("whitening", "modes")) - {"none"}),
+    ("whitening", ("center",), "a train or full arm",
+     lambda cfg, trainer: {"train", "full"} & set(cfg.get("whitening", "modes"))),
+    ("whitening", ("jitter_epsilon",), "rank_policy = jitter", _set_to("whitening", "rank_policy", "jitter")),
+)
+
+
 @dataclass
 class RunConfig:
-    """Parsed configuration; sections become plain dicts with typed values."""
+    """Parsed configuration: each section is a dict of the keys the file sets, with typed values."""
 
     experiment: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)
@@ -172,28 +186,24 @@ class RunConfig:
     sweep: dict = field(default_factory=dict)
     plot: dict = field(default_factory=dict)
 
+    def get(self, section: str, key: str):
+        """The value set for `key` in `section`, else its schema default."""
+        values = getattr(self, section)
+        return values[key] if key in values else _SCHEMA[section][key][1]
+
     @property
     def experiment_id(self) -> str:
-        return self.experiment.get("id", "experiment")
+        return self.get("experiment", "id")
 
-    @property
-    def master_seed(self) -> int:
-        return self.experiment.get("master_seed", 0)
-
-    @property
-    def seeds(self) -> list:
-        return self.experiment.get("seeds", [0])
-
-    @property
-    def whitening_modes(self) -> list:
-        return self.whitening.get("modes", ["none"])
-
-    def rank_policy(self) -> RankPolicy:
-        kind = self.whitening.get("rank_policy", "manual")
-        eps = self.whitening.get("jitter_epsilon")
-        if eps is not None and kind != "jitter":
-            raise ConfigError("[whitening] jitter_epsilon takes effect only with rank_policy = jitter")
-        return RankPolicy(kind=kind, epsilon=eps)
+    def check_takes_effect(self, trainer: str):
+        """Raise ConfigError naming every set key that a run with `trainer` would ignore."""
+        problems = []
+        for section, keys, condition, holds in _TAKES_EFFECT:
+            off = [key for key in (keys or getattr(self, section)) if key in getattr(self, section)]
+            if off and not holds(self, trainer):
+                problems.append(f"[{section}] {', '.join(off)}: takes effect only with {condition}")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
 
 def parse_config(path) -> RunConfig:
@@ -216,7 +226,7 @@ def parse_config(path) -> RunConfig:
             if key not in schema:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:
-                out[key] = schema[key](raw)
+                out[key] = schema[key][0](raw)
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}: bad value for {key!r} in [{section}]: {exc}") from None
         setattr(cfg, section, out)

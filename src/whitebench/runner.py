@@ -13,6 +13,7 @@ import csv
 import hashlib
 import os
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -131,66 +132,56 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
     A size of None (an unset train-* n_train) means 128 synthetic samples or
     every train column of a file source.
     """
-    data, flow, opt = cfg.data, cfg.flow, cfg.optimizer
-    synthetic = data.get("source", "synthetic") == "synthetic"
-    lambdas = opt.get("reg_lambda", [1.0])
-    if not lambdas or len(lambdas) > 1 and (trainer == "linear" or opt.get("name", "sgd") != "gn"):
-        raise ConfigError("[optimizer] reg_lambda takes one value, or a list for the mlp trainer with name = gn")
-    if synthetic and data.get("teacher", "linear") == "none":
+    cfg.check_takes_effect(trainer)
+    data = cfg.data
+    synthetic = cfg.get("data", "source") == "synthetic"
+    lambdas = cfg.get("optimizer", "reg_lambda")
+    if not lambdas:
+        raise ConfigError("[optimizer] reg_lambda needs at least one value")
+    if synthetic and cfg.get("data", "teacher") == "none":
         raise ConfigError("[data] teacher = none draws no labels, but a run needs labels: use teacher = linear")
     if not synthetic and "train" not in data:
         raise ConfigError("file data source needs at least a train path")
-    if trainer == "linear" and not (data.get("n_val", 0) > 0 if synthetic else "val" in data):
+    if trainer == "linear" and not (cfg.get("data", "n_val") > 0 if synthetic else "val" in data):
         raise ConfigError("the linear trainer early-stops on validation loss: [data] needs n_val > 0 or a val path")
-    if "distribution" in cfg.whitening_modes and not synthetic:
+    if "distribution" in cfg.get("whitening", "modes") and not synthetic:
         raise ConfigError("the distribution arm whitens with the synthetic source's covariance; file data has none")
-    if not synthetic and cfg.experiment.get("size_convention", "train") == "joint":
-        raise ConfigError("[experiment] size_convention = joint splits a synthetic draw; file data takes its splits as given")
-    gn_only = [key for key in ("reg_lambda", "cg_tol", "line_search") if key in opt]
-    if gn_only and opt.get("name", "sgd") != "gn":
-        raise ConfigError(f"[optimizer] {gn_only[0]} takes effect only with name = gn")
-    if "initial_step" in opt and not opt.get("line_search", False):
-        raise ConfigError("[optimizer] initial_step takes effect only with line_search = true")
-    if ("t_min" in flow) != ("t_max" in flow):
-        raise ConfigError(f"[flow] {'t_max' if 't_min' in flow else 't_min'} is missing: t_min and t_max set the grid together")
     env_seed = os.environ.get("WHITEBENCH_SEED")
     try:
-        master_seed = int(env_seed) if env_seed else cfg.master_seed
+        master_seed = int(env_seed) if env_seed else cfg.get("experiment", "master_seed")
     except ValueError:
         raise ConfigError(f"WHITEBENCH_SEED must be an integer, got {env_seed!r}") from None
     if synthetic:
         try:
-            _synthetic_spec(data, 1, data.get("n_val", 0), data.get("n_test", 0), master_seed, 0)
+            _synthetic_spec(cfg, 1, cfg.get("data", "n_val"), cfg.get("data", "n_test"), master_seed, 0)
         except ValidationError as exc:
             raise ConfigError(f"bad [data] value: {exc}") from None
-    grid = TimeGrid(flow["t_min"], flow["t_max"], flow.get("grid_points", 200)) if "t_min" in flow else None
-    files = None if synthetic else _load_file_splits(data)
+    flow = partial(cfg.get, "flow")
+    grid = TimeGrid(flow("t_min"), flow("t_max"), flow("grid_points")) if "t_min" in cfg.flow else None
+    files = None if synthetic else _load_file_splits(cfg)
     full = files["train"][0].sample_count if files else 128
     sizes = tuple(full if size is None else size for size in sizes)
     if files and any(size > full for size in sizes):
         raise ConfigError(f"size {max(sizes)} exceeds the {full} train samples of {data['train']}")
+    opt = partial(cfg.get, "optimizer")
     optimizers = tuple(
-        OptimizerConfig(
-            eta=opt.get("eta", 0.1),
-            reg_lambda=lam,
-            batch_size=opt.get("batch_size", None),
-            cg_tol=opt.get("cg_tol", 1e-5),
-            line_search_step=opt.get("initial_step", 1.0) if opt.get("line_search", False) else None,
-        )
+        OptimizerConfig(eta=opt("eta"), reg_lambda=lam, batch_size=opt("batch_size"), cg_tol=opt("cg_tol"),
+                        line_search_step=opt("initial_step") if opt("line_search") else None)
         for lam in lambdas
     )
-    return RunPlan(cfg=cfg, trainer=trainer, master_seed=master_seed, rank_policy=cfg.rank_policy(),
+    rank_policy = RankPolicy(cfg.get("whitening", "rank_policy"), cfg.get("whitening", "jitter_epsilon"))
+    return RunPlan(cfg=cfg, trainer=trainer, master_seed=master_seed, rank_policy=rank_policy,
                    optimizers=optimizers, grid=grid, files=files, sizes=sizes)
 
 
-def _load_file_splits(data: dict) -> dict:
+def _load_file_splits(cfg: RunConfig) -> dict:
     """Read the train/val/test files of a file source; every split needs labels.
 
     One-hot splits are padded with zero rows to the widest split's class
     count (a val file may lack the largest class ids); real-valued targets
     of different widths are an error.
     """
-    fmt = data.get("format", "wbds")
+    data, fmt = cfg.data, cfg.get("data", "format")
     splits = {}
     for name, tag in (("train", "train"), ("val", "validation"), ("test", "test")):
         if name not in data:
@@ -220,27 +211,28 @@ def _subsample_train(splits: dict, size: int, run_seed: int) -> dict:
     return {**splits, "train": train}
 
 
-def _synthetic_spec(data: dict, n_train: int, n_val: int, n_test: int, master_seed: int, run_seed: int):
+def _synthetic_spec(cfg: RunConfig, n_train: int, n_val: int, n_test: int, master_seed: int, run_seed: int):
+    data = partial(cfg.get, "data")
     return SyntheticSpec(
-        d=data.get("d", 64),
+        d=data("d"),
         n_train=n_train,
         n_val=n_val,
         n_test=n_test,
-        spectrum=data.get("spectrum", "power_law"),
-        alpha=data.get("alpha", 2.0),
-        custom_eigenvalues=tuple(data["eigenvalues"]) if "eigenvalues" in data else None,
-        teacher=data.get("teacher", "linear"),
-        teacher_seed=data.get("teacher_seed", master_seed),
-        label_noise=data.get("label_noise", 0.0),
-        classes=data.get("classes", 10),
-        encoding=data.get("encoding", "one_hot"),
+        spectrum=data("spectrum"),
+        alpha=data("alpha"),
+        custom_eigenvalues=None if data("eigenvalues") is None else tuple(data("eigenvalues")),
+        teacher=data("teacher"),
+        teacher_seed=master_seed if data("teacher_seed") is None else data("teacher_seed"),
+        label_noise=data("label_noise"),
+        classes=data("classes"),
+        encoding=data("encoding"),
         seed=run_seed,
     )
 
 
 def _synthesize_splits(plan: RunPlan, n_train: int, n_val: int, n_test: int, run_seed: int, population: bool):
     """The splits of one draw and, if `population`, the source's E[F_train] = n_train * Sigma; else None."""
-    spec = _synthetic_spec(plan.cfg.data, n_train, n_val, n_test, plan.master_seed, run_seed)
+    spec = _synthetic_spec(plan.cfg, n_train, n_val, n_test, plan.master_seed, run_seed)
     drawn = synthesize(spec)
     named = (("train", drawn.train, drawn.y_train), ("val", drawn.val, drawn.y_val), ("test", drawn.test, drawn.y_test))
     splits = {name: (X, Y) for name, X, Y in named if X is not None}
@@ -253,11 +245,11 @@ def _synthesize_splits(plan: RunPlan, n_train: int, n_val: int, n_test: int, run
 
 def _split_sizes(cfg: RunConfig, dataset_size: int):
     """Map a grid size to (n_train, n_val, n_test) per the size convention."""
-    n_val = cfg.data.get("n_val", 0)
-    if cfg.experiment.get("size_convention", "train") == "joint":
+    n_val = cfg.get("data", "n_val")
+    if cfg.get("experiment", "size_convention") == "joint":
         n_train = max(1, int(round(dataset_size * 0.8)))
         return n_train, n_val, max(1, dataset_size - n_train)
-    return dataset_size, n_val, cfg.data.get("n_test", 0)
+    return dataset_size, n_val, cfg.get("data", "n_test")
 
 
 def prepare_arm(plan: RunPlan, splits: dict, mode: str, second_moment: Spectrum | None = None):
@@ -270,8 +262,7 @@ def prepare_arm(plan: RunPlan, splits: dict, mode: str, second_moment: Spectrum 
     """
     if mode == "none":
         return splits, None
-    whitening = plan.cfg.whitening
-    transform = whitening.get("transform", "pca")
+    transform = plan.cfg.get("whitening", "transform")
     if mode == "distribution":
         whitener = population_whitener(second_moment, transform, plan.rank_policy)
     else:
@@ -279,7 +270,7 @@ def prepare_arm(plan: RunPlan, splits: dict, mode: str, second_moment: Spectrum 
             splits["train"][0] if mode == "train" else hstack_datasets(*[X for X, _ in splits.values()]),
             mode=transform,
             rank_policy=plan.rank_policy,
-            center=whitening.get("center", False),
+            center=plan.cfg.get("whitening", "center"),
             keep_modes=mode == "train" and plan.trainer == "linear",
         )
     return {name: (apply_whitener(whitener, X), Y) for name, (X, Y) in splits.items()}, whitener.modes
@@ -302,14 +293,13 @@ def _normalize_splits(splits: dict):
 def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool, train_modes):
     Xtr, Ytr = splits["train"]
     X_val, Y_val = splits["val"]
-    flow_cfg = plan.cfg.flow
-    var = flow_cfg.get("init_variance", 0.0)
+    var = plan.cfg.get("flow", "init_variance")
     k, d = Ytr.output_dim, Xtr.feature_dim
     rng = np.random.default_rng(run_seed)
     W0 = np.sqrt(var) * rng.standard_normal((k, d)) if var > 0 else np.zeros((k, d))
-    precondition = flow_cfg.get("precondition", "none")
+    precondition = plan.cfg.get("flow", "precondition")
     sol = build_flow(Xtr, Ytr, W0, precondition=precondition, modes=train_modes)
-    grid = plan.grid or TimeGrid.default_for(sol, flow_cfg.get("grid_points", 200))
+    grid = plan.grid or TimeGrid.default_for(sol, plan.cfg.get("flow", "grid_points"))
     extra = {"test_loss": splits["test"]} if "test" in splits else None
     _, record = early_stop(sol, X_val, Y_val, grid, extra_eval=extra)
     base = {**base, "dataset_size": Xtr.sample_count, "optimizer": "flow_" + precondition}
@@ -320,25 +310,25 @@ def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_tr
     Xtr, Ytr = splits["train"]
     X_val, Y_val = splits.get("val", (None, None))
     X_test, Y_test = splits.get("test", (None, None))
-    model_cfg = plan.cfg.model
-    opt_cfg = plan.cfg.optimizer
+    model_cfg = partial(plan.cfg.get, "model")
+    opt_cfg = partial(plan.cfg.get, "optimizer")
     model = init_isotropic(
-        [Xtr.feature_dim] + model_cfg.get("hidden", [64, 64]) + [Ytr.output_dim],
-        variance=model_cfg.get("init_variance", 1e-4),
+        [Xtr.feature_dim] + model_cfg("hidden") + [Ytr.output_dim],
+        variance=model_cfg("init_variance"),
         seed=run_seed,
-        activation=model_cfg.get("activation", "relu"),
-        output_head=model_cfg.get("head", "linear_mse"),
-        deeper_biases=model_cfg.get("biases", False),
+        activation=model_cfg("activation"),
+        output_head=model_cfg("head"),
+        deeper_biases=model_cfg("biases"),
     )
-    name = opt_cfg.get("name", "sgd")
+    name = opt_cfg("name")
     record = train_to_cutoff(
         model, Xtr, Ytr, optimizer,
         optimizer=name,
-        cutoff=opt_cfg.get("cutoff", 0.999),
-        step_cap=opt_cfg.get("step_cap", 10000),
+        cutoff=opt_cfg("cutoff"),
+        step_cap=opt_cfg("step_cap"),
         seed=run_seed,
         X_val=X_val, Y_val=Y_val, X_test=X_test, Y_test=Y_test,
-        record_every=opt_cfg.get("record_every", 1),
+        record_every=opt_cfg("record_every"),
         metadata={"whitening_mode": base["whitening_mode"]},
     )
     base = {**base, "dataset_size": Xtr.sample_count, "optimizer": name}
@@ -354,14 +344,14 @@ def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, inclu
     optimizer = optimizer or plan.optimizers[0]
     run_seed = derive_seed(plan.master_seed, cfg.experiment_id, dataset_size, mode, seed_index)
     base = dict(experiment_id=cfg.experiment_id, seed=seed_index, dataset_size=dataset_size, whitening_mode=mode)
-    if plan.trainer == "mlp" and cfg.optimizer.get("name") == "gn":
+    if plan.trainer == "mlp" and cfg.get("optimizer", "name") == "gn":
         base["reg_lambda"] = optimizer.reg_lambda
     try:
         if plan.files is None:
             splits, second_moment = _synthesize_splits(plan, *_split_sizes(cfg, dataset_size), run_seed, mode == "distribution")
         else:
             splits, second_moment = _subsample_train(plan.files, dataset_size, run_seed), None
-        if cfg.data.get("normalize", False):
+        if cfg.get("data", "normalize"):
             splits, factor = _normalize_splits(splits)
             if second_moment is not None:
                 second_moment = Spectrum(factor * second_moment.eigenvalues, second_moment.eigenvectors)
@@ -388,9 +378,9 @@ def sweep(cfg: RunConfig, trainer: str, sizes: list, include_trajectory: bool, w
     cells = [
         (plan, size, mode, idx, include_trajectory, optimizer)
         for size in plan.sizes
-        for mode in cfg.whitening_modes
+        for mode in cfg.get("whitening", "modes")
         for optimizer in plan.optimizers
-        for idx in cfg.seeds
+        for idx in cfg.get("experiment", "seeds")
     ]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays for this import

@@ -286,19 +286,24 @@ def _write_run_config(path, sections):
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
-def _run_sections(out):
+def _linear_sections(out):
     return {
         "experiment": {"id": "bad", "seeds": "0", "output_dir": out},
         "data": {"source": "synthetic", "d": 6, "n_train": 8, "n_val": 4, "n_test": 4, "classes": 3},
         "whitening": {"modes": "none train"},
         "flow": {"grid_points": 20},
-        "model": {"hidden": 4},
-        "optimizer": {"step_cap": 5},
-        "sweep": {"sizes": "8", "trainer": "mlp"},
+        "sweep": {"sizes": "8", "trainer": "linear"},
     }
 
 
-# (section, key, bad value, commands that must reject it)
+def _mlp_sections(out):
+    sections = _linear_sections(out)
+    del sections["flow"]
+    return {**sections, "model": {"hidden": 4}, "optimizer": {"step_cap": 5}, "sweep": {"sizes": "8", "trainer": "mlp"}}
+
+
+# (section, key, bad value, commands that must reject it); a case with train-linear among its
+# commands starts from the linear sections, any other from the mlp sections
 BAD_RUN_VALUES = {
     "unknown_trainer": ("sweep", "trainer", "mlpp", ("sweep", "train-mlp")),
     "unknown_optimizer": ("optimizer", "name", "adam", ("sweep", "train-mlp")),
@@ -327,9 +332,41 @@ BAD_RUN_VALUES = {
     "reg_lambda_with_sgd": ("optimizer", "reg_lambda", "1.0", ("sweep", "train-mlp")),
     "cg_tol_with_sgd": ("optimizer", "cg_tol", "1e-6", ("sweep", "train-mlp")),
     "line_search_with_sgd": ("optimizer", "line_search", "true", ("sweep", "train-mlp")),
+    # parse-time bounds
+    "batch_size_negative": ("optimizer", "batch_size", "-3", ("sweep", "train-mlp")),
+    "batch_size_zero": ("optimizer", "batch_size", "0", ("sweep", "train-mlp")),
+    "record_every_zero": ("optimizer", "record_every", "0", ("sweep", "train-mlp")),
+    "step_cap_zero": ("optimizer", "step_cap", "0", ("sweep", "train-mlp")),
+    "cutoff_above_one": ("optimizer", "cutoff", "1.5", ("sweep", "train-mlp")),
+    "cutoff_zero": ("optimizer", "cutoff", "0", ("sweep", "train-mlp")),
+    "model_init_variance_negative": ("model", "init_variance", "-0.1", ("sweep", "train-mlp")),
+    "flow_init_variance_negative": ("flow", "init_variance", "-1", ("sweep", "train-linear")),
+    "hidden_zero": ("model", "hidden", "0", ("sweep", "train-mlp")),
+    # keys the run would ignore
+    "flow_under_mlp": ("flow", "grid_points", "20", ("sweep", "train-mlp")),
+    "model_under_linear": ("model", "hidden", "4", ("sweep", "train-linear")),
+    "optimizer_under_linear": ("optimizer", "step_cap", "5", ("sweep", "train-linear")),
+    "eta_with_line_search": ("optimizer", "eta", "0.5", ("sweep", "train-mlp")),
+    "d_on_file_data": ("data", "d", "999", ("sweep", "train-linear")),
+    "n_val_on_file_data": ("data", "n_val", "4", ("sweep", "train-linear")),
+    "format_on_synthetic_data": ("data", "format", "csv", ("sweep", "train-mlp")),
+    "test_path_on_synthetic_data": ("data", "test", "test.wbds", ("sweep", "train-mlp")),
+    "alpha_with_flat_spectrum": ("data", "alpha", "1.0", ("sweep", "train-mlp")),
+    "eigenvalues_with_power_law": ("data", "eigenvalues", "1 2 3 4 5 6", ("sweep", "train-mlp")),
+    "transform_without_whitening": ("whitening", "transform", "zca", ("sweep", "train-linear")),
+    "rank_policy_without_whitening": ("whitening", "rank_policy", "jitter", ("sweep", "train-linear")),
+    "center_with_distribution_arm_only": ("whitening", "center", "true", ("sweep", "train-linear")),
 }
 # cases whose key is switched off only by file data
-FILE_DATA_CASES = ("joint_size_convention_on_file_data",)
+FILE_DATA_CASES = ("joint_size_convention_on_file_data", "d_on_file_data", "n_val_on_file_data")
+# what a case sets besides its bad key, so that only that key is switched off
+CASE_SETTINGS = {
+    "eta_with_line_search": {"optimizer": {"name": "gn", "line_search": "true"}},
+    "alpha_with_flat_spectrum": {"data": {"spectrum": "flat"}},
+    "transform_without_whitening": {"whitening": {"modes": "none"}},
+    "rank_policy_without_whitening": {"whitening": {"modes": "none"}},
+    "center_with_distribution_arm_only": {"whitening": {"modes": "none distribution"}},
+}
 
 
 def _file_data(tmp_path, rng):
@@ -344,12 +381,12 @@ def _file_data(tmp_path, rng):
 def test_bad_run_config_exits_2_before_any_cell(tmp_path, rng, capsys, case):
     section, key, value, commands = BAD_RUN_VALUES[case]
     out = tmp_path / "results"
-    sections = _run_sections(out)
+    sections = (_linear_sections if "train-linear" in commands else _mlp_sections)(out)
     if case in FILE_DATA_CASES:
         sections["data"] = _file_data(tmp_path, rng)
-    sections[section][key] = value
-    if "train-linear" in commands:
-        sections["sweep"]["trainer"] = "linear"
+    for name, items in CASE_SETTINGS.get(case, {}).items():
+        sections[name].update(items)
+    sections.setdefault(section, {})[key] = value
     cfg = tmp_path / "bad.cfg"
     _write_run_config(cfg, sections)
     for command in commands:
@@ -361,10 +398,9 @@ def test_bad_run_config_exits_2_before_any_cell(tmp_path, rng, capsys, case):
 def test_degenerate_train_file_writes_error_rows(tmp_path, rng, capsys):
     # an all-zero train file: the train arm's whitener has no spectrum to fit, so its cell is an error row
     out = tmp_path / "results"
-    sections = _run_sections(out)
+    sections = _linear_sections(out)
     sections["data"] = _file_data(tmp_path, rng)
     export_wbds(tmp_path / "train.wbds", Dataset(np.zeros((4, 12))), LabelSet.from_class_ids(rng.integers(0, 3, 12), 3))
-    sections["sweep"]["trainer"] = "linear"
     cfg = tmp_path / "zero.cfg"
     _write_run_config(cfg, sections)
     assert main(["sweep", "--config", str(cfg)]) == 0
@@ -378,8 +414,7 @@ def test_degenerate_train_file_writes_error_rows(tmp_path, rng, capsys):
 
 def test_cli_runs_without_importing_scipy(tmp_path):
     # numpy is the only runtime dependency: a fresh interpreter verifies and sweeps with no scipy module loaded
-    sections = _run_sections(tmp_path / "results")
-    sections["sweep"]["trainer"] = "linear"
+    sections = _linear_sections(tmp_path / "results")
     cfg = tmp_path / "tiny.cfg"
     _write_run_config(cfg, sections)
     script = (
@@ -397,18 +432,51 @@ def test_cli_runs_without_importing_scipy(tmp_path):
 
 
 def test_good_run_config_writes_rows(tmp_path):
-    # the base of the bad-value cases runs when nothing is broken
+    # the bases of the bad-value cases run when nothing is broken
     out = tmp_path / "results"
     cfg = tmp_path / "ok.cfg"
-    _write_run_config(cfg, _run_sections(out))
+    _write_run_config(cfg, _mlp_sections(out))
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert main(["train-mlp", "--config", str(cfg)]) == 0
     assert "error" not in (out / "bad_sweep.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+    _write_run_config(cfg, _linear_sections(out))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["train-linear", "--config", str(cfg)]) == 0
+    assert "error" not in (out / "bad_sweep.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+
+
+# configs that used to run with keys they ignored: (base sections, file data?, keys added); each
+# exits 2 naming every ignored key
+IGNORED_KEY_CONFIGS = {
+    "linear_sweep_with_mlp_keys": (_linear_sections, False, {
+        "model": {"hidden": "4"}, "optimizer": {"name": "gn"}, "whitening": {"modes": "none", "transform": "zca"}}),
+    "mlp_sweep_with_a_flow_grid": (_mlp_sections, False, {"flow": {"t_min": "0.5", "t_max": "50", "grid_points": "30"}}),
+    "file_sweep_with_synthetic_keys": (_linear_sections, True, {
+        "data": {"d": "999", "alpha": "2.0", "classes": "50", "n_val": "4"}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_KEY_CONFIGS))
+def test_ignored_keys_exit_2_naming_each(tmp_path, rng, capsys, case):
+    base, file_data, added = IGNORED_KEY_CONFIGS[case]
+    out = tmp_path / "results"
+    sections = base(out)
+    if file_data:
+        sections["data"] = _file_data(tmp_path, rng)
+    for name, items in added.items():
+        sections.setdefault(name, {}).update(items)
+    cfg = tmp_path / "ignored.cfg"
+    _write_run_config(cfg, sections)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    ignored = [key for items in added.values() for key in items if key != "modes"]
+    assert all(key in err for key in ignored), (ignored, err)
+    assert not out.exists()
 
 
 def test_distribution_arm_on_file_data_exits_2(tmp_path, rng, capsys):
     out = tmp_path / "results"
-    sections = _run_sections(out)
+    sections = _linear_sections(out)
     sections["data"] = _file_data(tmp_path, rng)
     sections["whitening"]["modes"] = "none distribution"
     sections["sweep"] = {"sizes": "12", "trainer": "linear"}
@@ -428,7 +496,7 @@ def test_unlabelled_file_data_exits_2(tmp_path, rng, capsys, command):
     export_wbds(tmp_path / "train.wbds", Dataset(rng.standard_normal((4, 12))), labels)
     export_wbds(tmp_path / "val.wbds", Dataset(rng.standard_normal((4, 6))))  # no .wblb companion
     out = tmp_path / "results"
-    sections = _run_sections(out)
+    sections = _linear_sections(out)
     sections["data"] = {"source": "files", "train": tmp_path / "train.wbds", "val": tmp_path / "val.wbds"}
     sections["sweep"] = {"sizes": "12", "trainer": "linear"}
     cfg = tmp_path / "files.cfg"
@@ -441,7 +509,7 @@ def test_unlabelled_file_data_exits_2(tmp_path, rng, capsys, command):
 
 def _file_run_config(tmp_path, sizes, fmt="csv"):
     out = tmp_path / "results"
-    sections = _run_sections(out)
+    sections = _linear_sections(out)
     sections["data"] = {"source": "files", "format": fmt, "train": tmp_path / f"train.{fmt}",
                         "val": tmp_path / f"val.{fmt}"}
     sections["whitening"]["modes"] = "none"

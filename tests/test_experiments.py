@@ -2,7 +2,7 @@
 
 Each shipped config is parsed and planned as it stands; a copy at one size,
 one seed and step_cap 5 must then run with no `error` rows. The README's
-example config runs as written, with only its output_dir moved.
+example configs run as written, with only their output_dir moved.
 """
 import configparser
 import csv
@@ -52,14 +52,14 @@ def test_experiment_config_plans(path):
     cfg = parse_config(path)
     plan = plan_run(cfg, cfg.sweep["trainer"], cfg.sweep["sizes"])
     assert plan.sizes == tuple(cfg.sweep["sizes"])
-    assert PlotSpec.from_config(cfg.plot).x in ("dataset_size", "reg_lambda")
+    assert PlotSpec.from_config(cfg).x in ("dataset_size", "reg_lambda")
 
 
 def test_plot_spec_files_parse():
     specs = sorted(EXPERIMENTS.glob("*.spec"))
     assert specs
     for path in specs:
-        assert PlotSpec.from_config(parse_config(path).plot).y == "test_error"
+        assert PlotSpec.from_config(parse_config(path)).y == "test_error"
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
@@ -68,7 +68,7 @@ def test_experiment_config_runs_shrunk(path, tmp_path):
     assert main(["sweep", "--config", str(shrunk)]) == 0
     cfg = parse_config(shrunk)
     rows = _rows(tmp_path / "results" / f"{cfg.experiment_id}_sweep.csv")
-    assert len(rows) == len(cfg.whitening_modes) * len(cfg.optimizer.get("reg_lambda", [1.0]))
+    assert len(rows) == len(cfg.get("whitening", "modes")) * len(cfg.get("optimizer", "reg_lambda"))
     assert all(row["stopping_reason"] != "error" for row in rows)
 
 
@@ -97,13 +97,18 @@ def test_lambda_sweep_rows_are_paired_and_report_the_best_validation_step(tmp_pa
 
 
 def test_readme_example_config_runs_as_written(tmp_path):
+    # every ini block of the README, under `sweep` and the train-* command of its [sweep] trainer
     readme = (REPO / "README.md").read_text(encoding="utf-8")
-    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    assert "\noutput_dir = results\n" in example
-    cfg = tmp_path / "demo.cfg"
-    cfg.write_text(example.replace("\noutput_dir = results\n", f"\noutput_dir = {tmp_path / 'results'}\n"),
-                   encoding="utf-8")
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    rows = _rows(tmp_path / "results" / "demo_sweep.csv")
-    assert len(rows) == 36  # 4 sizes x 3 arms x 3 seeds
-    assert all(row["stopping_reason"] != "error" for row in rows)
+    examples = [block.split("```", 1)[0] for block in readme.split("```ini\n")[1:]]
+    assert len(examples) == 2
+    for i, example in enumerate(examples):
+        assert "\noutput_dir = results\n" in example
+        cfg = tmp_path / f"example{i}.cfg"
+        cfg.write_text(example.replace("\noutput_dir = results\n", f"\noutput_dir = {tmp_path / 'results'}\n"),
+                       encoding="utf-8")
+        parsed = parse_config(cfg)
+        for command in ("sweep", f"train-{parsed.get('sweep', 'trainer')}"):
+            assert main([command, "--config", str(cfg)]) == 0, (i, command)
+        rows = _rows(tmp_path / "results" / f"{parsed.experiment_id}_sweep.csv")
+        assert all(row["stopping_reason"] != "error" for row in rows)
+    assert len(_rows(tmp_path / "results" / "demo_sweep.csv")) == 36  # 4 sizes x 3 arms x 3 seeds

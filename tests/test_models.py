@@ -108,6 +108,13 @@ def test_train_cap_reached(rng):
     assert record.metadata["steps_to_cutoff"] is None
 
 
+def test_record_every_below_one_is_rejected(rng):
+    # 0 used to raise ZeroDivisionError at the first step
+    X, Y = random_dataset(rng, 3, 8), one_hot_labels(rng, 4, 8)
+    with pytest.raises(ValidationError, match="record_every"):
+        train_to_cutoff(init_isotropic([3, 4]), X, Y, OptimizerConfig(), step_cap=5, record_every=0)
+
+
 def test_default_cutoff_is_0999():
     import inspect
 

@@ -295,6 +295,13 @@ def test_line_search_step_must_be_positive(step):
         OptimizerConfig(line_search_step=step)
 
 
+def test_negative_batch_size_is_rejected():
+    # a negative batch used to make the batch schedule spin without yielding a batch
+    with pytest.raises(ValidationError, match="batch_size"):
+        OptimizerConfig(batch_size=-3)
+    assert OptimizerConfig(batch_size=0).batch_size == 0  # 0, like None, is the full batch
+
+
 def test_line_search_rejects_ascent_direction():
     with pytest.raises(LineSearchError):
         backtracking_line_search(quadratic_loss, [np.array([1.0])], [np.array([2.0])], 4.0)
