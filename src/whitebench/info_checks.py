@@ -16,7 +16,7 @@ import numpy as np
 from .datatypes import Dataset, LabelSet, pseudoinverse
 from .errors import DegenerateDataError, ValidationError
 from .linear_flow import mse_per_sample, solve_optimum
-from .models import accuracy, init_isotropic, train_to_cutoff
+from .models import MLP, accuracy, init_isotropic, train_to_cutoff
 from .optimizers import OptimizerConfig, sgd_step
 from .whitening import RankPolicy, apply_whitener, fit_whitener, verify_whitened
 
@@ -160,8 +160,10 @@ class OrbitReport:
         )
 
 
-def _max_abs(a, b) -> float:
-    return float(np.max(np.abs(a - b), initial=0.0))
+def _pair_gap(stack) -> float:
+    """Largest |slice i - slice m + i| over the pairs of a 2m stack."""
+    m = len(stack) // 2
+    return float(np.max(np.abs(stack[:m] - stack[m:]), initial=0.0))
 
 
 def orbit_equivalence_check(
@@ -180,29 +182,37 @@ def orbit_equivalence_check(
 ) -> OrbitReport:
     """Train on (X, W0) and on (R X, W0 R^T) and compare the trajectories.
 
-    Deeper-layer inits and the minibatch order are shared between the two
-    runs, so the parameter, activation, and loss trajectories (and the test
-    predictions on X_test vs R X_test) must agree to rounding. family is
-    "linear" (one dense layer) or "mlp" (one relu hidden layer of `hidden`).
+    R is one d x d rotation or an m x d x d stack. Pair i starts from the
+    init of seed + i; all 2m runs (m bases, then m twins) train as one
+    stacked MLP on the minibatch order drawn from `seed`. The parameter,
+    activation, and loss trajectories (and the test predictions on X_test
+    vs R X_test) must agree to rounding; the report keeps the worst pair.
+    family is "linear" (one dense layer) or "mlp" (one relu hidden layer of
+    `hidden`).
     """
     R = np.asarray(R, dtype=np.float64)
     d = X.feature_dim
-    if R.shape != (d, d):
-        raise ValidationError(f"R must be {d} x {d}")
-    if np.max(np.abs(R.T @ R - np.eye(d))) > 1e-10:
+    rotations = R[None] if R.ndim == 2 else R
+    if rotations.ndim != 3 or rotations.shape[1:] != (d, d) or len(rotations) == 0:
+        raise ValidationError(f"R must be {d} x {d} or a nonempty m x {d} x {d} stack, got shape {R.shape}")
+    R_T = np.swapaxes(rotations, -1, -2)
+    if np.max(np.abs(R_T @ rotations - np.eye(d))) > 1e-10:
         raise ValidationError("R is not orthogonal within 1e-10")
     if family not in ("linear", "mlp"):
         raise ValidationError(f"unknown model family {family!r}")
 
-    k = Y.output_dim
-    sizes = [d, k] if family == "linear" else [d, hidden, k]
-    base = init_isotropic(sizes, variance=init_variance, seed=seed)
-    twin = base.copy()
-    twin.weights[0] = base.weights[0] @ R.T
+    m = len(rotations)
+    sizes = [d, Y.output_dim] if family == "linear" else [d, hidden, Y.output_dim]
+    inits = [init_isotropic(sizes, variance=init_variance, seed=seed + i) for i in range(m)]
+    weights = [np.concatenate([np.stack(layer)] * 2) for layer in zip(*(init.weights for init in inits))]
+    weights[0][m:] = weights[0][:m] @ R_T
+    model = MLP(weights=weights, biases=inits[0].biases)
 
-    X_rot = R @ X.values
-    Xt = X_test.values if X_test is not None else None
-    Xt_rot = R @ Xt if Xt is not None else None
+    def rotated(values):  # m copies of values, then the m rotated copies
+        return np.concatenate([np.broadcast_to(values, (m,) + values.shape), rotations @ values])
+
+    Xs = rotated(X.values)
+    Xts = rotated(X_test.values) if X_test is not None else None
 
     cfg = OptimizerConfig(eta=eta, batch_size=batch_size)
     n = X.sample_count
@@ -213,14 +223,13 @@ def orbit_equivalence_check(
     for step in range(steps):
         order = np.arange(n) if size >= n else rng.permutation(n)
         batch = order[:size]
-        ra = sgd_step(base, X.values[:, batch], Y.targets[:, batch], cfg)
-        rb = sgd_step(twin, X_rot[:, batch], Y.targets[:, batch], cfg)
-        dev_loss = max(dev_loss, abs(ra.loss_after - rb.loss_after))
-        for pa, pb in zip(base.weights[1:], twin.weights[1:]):
-            dev_param = max(dev_param, _max_abs(pa, pb))
-        dev_act = max(dev_act, _max_abs(base.weights[0] @ X.values, twin.weights[0] @ X_rot))
-        if Xt is not None:
-            dev_pred = max(dev_pred, _max_abs(base.predict(Xt), twin.predict(Xt_rot)))
+        result = sgd_step(model, Xs[..., batch], Y.targets[:, batch], cfg)
+        dev_loss = max(dev_loss, _pair_gap(result.loss_after))
+        for W in model.weights[1:]:
+            dev_param = max(dev_param, _pair_gap(W))
+        dev_act = max(dev_act, _pair_gap(model.weights[0] @ Xs))
+        if Xts is not None:
+            dev_pred = max(dev_pred, _pair_gap(model.predict(Xts)))
     worst = max(dev_param, dev_act, dev_loss, dev_pred)
     return OrbitReport(
         max_param_deviation=dev_param,

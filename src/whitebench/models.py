@@ -33,9 +33,14 @@ def _act_deriv(name, Z):
 
 
 def softmax_columns(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=0, keepdims=True)
+    shifted = logits - logits.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=-2, keepdims=True)
+
+
+def _total(a: np.ndarray):
+    """Sum over the last two axes: a float for one model, an m-vector for a stack."""
+    return float(np.sum(a)) if a.ndim == 2 else np.sum(a, axis=(-2, -1))
 
 
 def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -50,6 +55,10 @@ class MLP:
     weights[l] maps layer_sizes[l] -> layer_sizes[l+1]. biases[0] is always
     None; deeper biases are optional and default off so the update algebra
     stays exact for the equivariance checks.
+
+    Weights may carry a leading stack axis (m x out x in): m independent
+    models, with inputs d x n or m x d x n and an m-vector loss. sgd_step
+    steps a stack; regularized_gn_step and train_to_cutoff reject one.
     """
 
     weights: list
@@ -70,7 +79,11 @@ class MLP:
 
     @property
     def layer_sizes(self) -> list:
-        return [self.weights[0].shape[1]] + [W.shape[0] for W in self.weights]
+        return [self.weights[0].shape[-1]] + [W.shape[-2] for W in self.weights]
+
+    @property
+    def stacked(self) -> bool:
+        return self.weights[0].ndim > 2
 
     @property
     def depth(self) -> int:
@@ -93,9 +106,9 @@ class MLP:
     def forward(self, X: np.ndarray):
         """Predictions (logits for the softmax head) plus backprop cache."""
         X = np.asarray(X, dtype=np.float64)
-        if X.shape[0] != self.layer_sizes[0]:
+        if X.shape[-2] != self.layer_sizes[0]:
             raise ShapeError(
-                f"model expects {self.layer_sizes[0]} features, got {X.shape[0]}"
+                f"model expects {self.layer_sizes[0]} features, got {X.shape[-2]}"
             )
         A = X
         pre = []
@@ -104,7 +117,7 @@ class MLP:
             inputs.append(A)
             Z = W @ A
             if self.biases[l] is not None:
-                Z = Z + self.biases[l][:, None]
+                Z = Z + self.biases[l][..., None]
             pre.append(Z)
             A = _act(self.activation, Z) if l < self.depth - 1 else Z
         return A, {"pre": pre, "inputs": inputs, "X": X}
@@ -112,19 +125,19 @@ class MLP:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.forward(X)[0]
 
-    def loss_value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def loss_value(self, predictions: np.ndarray, targets: np.ndarray):
         if self.output_head == "linear_mse":
             diff = predictions - targets
-            return 0.5 * float(np.sum(diff * diff))
-        shifted = predictions - predictions.max(axis=0, keepdims=True)
-        lse = np.log(np.sum(np.exp(shifted), axis=0)) + predictions.max(axis=0)
-        return float(np.sum(lse * targets.sum(axis=0)) - np.sum(targets * predictions))
+            return 0.5 * _total(diff * diff)
+        top = predictions.max(axis=-2, keepdims=True)
+        lse = np.log(np.sum(np.exp(predictions - top), axis=-2, keepdims=True)) + top
+        return _total(lse * targets.sum(axis=-2, keepdims=True)) - _total(targets * predictions)
 
     def loss_grad(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         if self.output_head == "linear_mse":
             return predictions - targets
         p = softmax_columns(predictions)
-        return p * targets.sum(axis=0, keepdims=True) - targets
+        return p * targets.sum(axis=-2, keepdims=True) - targets
 
     def output_hessian_apply(
         self, predictions: np.ndarray, U: np.ndarray, targets: np.ndarray
@@ -133,8 +146,8 @@ class MLP:
         if self.output_head == "linear_mse":
             return U
         p = softmax_columns(predictions)
-        scale = targets.sum(axis=0, keepdims=True)
-        return scale * (p * U - p * np.sum(p * U, axis=0, keepdims=True))
+        scale = targets.sum(axis=-2, keepdims=True)
+        return scale * (p * U - p * np.sum(p * U, axis=-2, keepdims=True))
 
     def grads_from(self, cache: dict, dPred: np.ndarray):
         """Backpropagate an output cotangent; returns grads aligned with trainable().
@@ -146,11 +159,11 @@ class MLP:
         weight_grads = [None] * self.depth
         bias_grads = [None] * self.depth
         for l in range(self.depth - 1, -1, -1):
-            weight_grads[l] = dZ @ cache["inputs"][l].T
+            weight_grads[l] = dZ @ np.swapaxes(cache["inputs"][l], -1, -2)
             if self.biases[l] is not None:
-                bias_grads[l] = dZ.sum(axis=1)
+                bias_grads[l] = dZ.sum(axis=-1)
             if l > 0:
-                dA = self.weights[l].T @ dZ
+                dA = np.swapaxes(self.weights[l], -1, -2) @ dZ
                 dZ = dA * _act_deriv(self.activation, cache["pre"][l - 1])
         grads = weight_grads + [g for g in bias_grads if g is not None]
         return grads, {"dZ_first": dZ}
@@ -178,7 +191,7 @@ class MLP:
         for l in range(self.depth):
             dZ = weight_t[l] @ cache["inputs"][l] + self.weights[l] @ dA
             if self.biases[l] is not None:
-                dZ = dZ + next(bias_t)[:, None]
+                dZ = dZ + next(bias_t)[..., None]
             if l < self.depth - 1:
                 dA = dZ * _act_deriv(self.activation, cache["pre"][l])
             else:
@@ -253,9 +266,11 @@ def train_to_cutoff(
 
     Mutates `model` in place. Batch order is generated from `seed` and
     recorded in the metadata, so two runs with the same seed see identical
-    batches. Metrics are per-sample averages; the terminal step is always
-    recorded. metadata["steps_to_best_val"] is the recorded step >= 1 with
-    the lowest validation loss (None without a validation split).
+    batches. Metrics are per-sample averages, recorded every `record_every`
+    steps and at the terminal step; a full batch tests the cutoff after every
+    step, minibatches at recorded steps. metadata["steps_to_best_val"] is the
+    recorded step >= 1 with the lowest validation loss (None without a
+    validation split).
     """
     from . import optimizers as opt  # local import: optimizers is model-agnostic
 
@@ -265,6 +280,8 @@ def train_to_cutoff(
         raise ValidationError("record_every must be at least 1")
     if optimizer not in OPTIMIZERS:
         raise ValidationError(f"unknown optimizer {optimizer!r}")
+    if model.stacked:
+        raise ShapeError("train_to_cutoff trains one model; a stack would share one stopping rule")
     check_paired(X_train, Y_train)
     if Y_train.encoding != "one_hot":
         raise ValidationError("accuracy cutoff training needs one_hot labels")
@@ -300,9 +317,8 @@ def train_to_cutoff(
         record.append(step, **metrics)
         return metrics
 
-    metrics = evaluate(0)
     step = 0
-    reason = "cutoff" if metrics["train_accuracy"] >= cutoff else ""
+    reason = "cutoff" if evaluate(0)["train_accuracy"] >= cutoff else ""
     while not reason:
         batch = next(schedule)
         Xb = X_train.values[:, batch]
@@ -311,15 +327,13 @@ def train_to_cutoff(
         result = step_fn(model, Xb, Yb, cfg)
         step += 1
         train_pred = result.diagnostics.get("predictions_after") if full_batch else None
-        must_record = step % record_every == 0 or step >= step_cap
-        if full_batch or must_record:
-            metrics = evaluate(step, train_pred)
-            if metrics["train_accuracy"] >= cutoff:
-                reason = "cutoff"
+        record_now = step % record_every == 0 or step >= step_cap
+        if not record_now and train_pred is not None:
+            record_now = accuracy(train_pred, Y_train.targets) >= cutoff
+        if record_now and evaluate(step, train_pred)["train_accuracy"] >= cutoff:
+            reason = "cutoff"
         if not reason and step >= step_cap:
             reason = "cap"
-    if step not in record.steps:
-        metrics = evaluate(step)
     record.terminal_step = step
     record.stopping_reason = reason
     record.metadata["steps_to_cutoff"] = step if reason == "cutoff" else None

@@ -17,6 +17,7 @@ from .errors import (
     ConvergenceError,
     DivergenceError,
     LineSearchError,
+    ShapeError,
     ValidationError,
 )
 from .linear_flow import LinearModel, _solve_F
@@ -61,7 +62,7 @@ class StepResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not np.isfinite(self.loss_after):
+        if not np.all(np.isfinite(self.loss_after)):
             raise DivergenceError("loss after step is not finite", self.diagnostics)
 
 
@@ -146,7 +147,8 @@ def sgd_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig) -> S
     """One (stochastic) gradient step on all parameters of an MLP-style model.
 
     The first-layer update is W - eta (dL/dZ) X_b^T by construction of the
-    model's backward pass.
+    model's backward pass. A stacked MLP takes one step per model, and the
+    losses in the result are m-vectors.
     """
     loss_before, grads, _ = model.loss_and_grads(X_b, Y_b)
     _check_finite_grads(grads, "sgd_step")
@@ -214,8 +216,11 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
     lambda = cfg.reg_lambda: 1 recovers the raw gradient direction, 0 the
     unregularized Gauss-Newton direction. With cfg.line_search_step set, the
     step size is chosen by backtracking from that initial step, and a
-    gradient already within cfg.cg_tol leaves the parameters unchanged.
+    gradient already within cfg.cg_tol leaves the parameters unchanged. A
+    stacked MLP raises ShapeError: one CG solve would couple its models.
     """
+    if model.stacked:
+        raise ShapeError("regularized_gn_step takes one model; CG over a stack would couple its models")
     lam = cfg.reg_lambda
     loss_before, grads, aux = model.loss_and_grads(X_b, Y_b)
     _check_finite_grads(grads, "regularized_gn_step")

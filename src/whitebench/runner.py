@@ -159,6 +159,9 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
     flow = partial(cfg.get, "flow")
     grid = TimeGrid(flow("t_min"), flow("t_max"), flow("grid_points")) if "t_min" in cfg.flow else None
     files = None if synthetic else _load_file_splits(cfg)
+    if trainer == "mlp" and (cfg.get("data", "encoding") if synthetic else files["train"][1].encoding) != "one_hot":
+        labels = "[data] encoding = real_valued" if synthetic else f"the train file {data['train']} has real-valued targets"
+        raise ConfigError(f"the mlp trainer trains to an accuracy cutoff, which needs one-hot labels, but {labels}")
     full = files["train"][0].sample_count if files else 128
     sizes = tuple(full if size is None else size for size in sizes)
     if files and any(size > full for size in sizes):

@@ -332,6 +332,7 @@ BAD_RUN_VALUES = {
     "reg_lambda_with_sgd": ("optimizer", "reg_lambda", "1.0", ("sweep", "train-mlp")),
     "cg_tol_with_sgd": ("optimizer", "cg_tol", "1e-6", ("sweep", "train-mlp")),
     "line_search_with_sgd": ("optimizer", "line_search", "true", ("sweep", "train-mlp")),
+    "real_valued_encoding_under_mlp": ("data", "encoding", "real_valued", ("sweep", "train-mlp")),
     # parse-time bounds
     "batch_size_negative": ("optimizer", "batch_size", "-3", ("sweep", "train-mlp")),
     "batch_size_zero": ("optimizer", "batch_size", "0", ("sweep", "train-mlp")),
@@ -487,6 +488,22 @@ def test_distribution_arm_on_file_data_exits_2(tmp_path, rng, capsys):
     assert not out.exists()
     sections["whitening"]["modes"] = "none train"
     _write_run_config(cfg, sections)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+
+
+def test_real_valued_train_file_under_mlp_exits_2(tmp_path, rng, capsys):
+    # the mlp trainer stops at a train accuracy, which real-valued targets do not have; the linear trainer runs
+    sections = _file_data(tmp_path, rng)
+    export_wbds(sections["train"], Dataset(rng.standard_normal((4, 12))), LabelSet(rng.standard_normal((3, 12))))
+    out = tmp_path / "results"
+    cfg = tmp_path / "files.cfg"
+    _write_run_config(cfg, {**_mlp_sections(out), "data": sections, "sweep": {"sizes": "12", "trainer": "mlp"}})
+    for command in ("sweep", "train-mlp"):
+        assert main([command, "--config", str(cfg)]) == 2, command
+        err = capsys.readouterr().err
+        assert str(sections["train"]) in err and "one-hot" in err
+        assert not out.exists()
+    _write_run_config(cfg, {**_linear_sections(out), "data": sections, "sweep": {"sizes": "12", "trainer": "linear"}})
     assert main(["sweep", "--config", str(cfg)]) == 0
 
 

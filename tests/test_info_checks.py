@@ -16,6 +16,7 @@ from whitebench import (
     reconstruct_K,
 )
 from whitebench.errors import DegenerateDataError, ValidationError
+from whitebench.verify import suite_orbit
 
 from conftest import one_hot_labels, random_dataset
 
@@ -191,15 +192,44 @@ def test_orbit_many_rotations_linear_and_mlp(rng):
     X = random_dataset(rng, 5, 12)
     Y = one_hot_labels(rng, 3, 12)
     X_test = random_dataset(rng, 5, 4, split_tag="test")
+    R = np.stack([random_orthogonal(5, seed=100 + i) for i in range(20)])
     for family, steps, tol in (("linear", 30, 1e-10), ("mlp", 15, 1e-8)):
-        worst = 0.0
-        for i in range(20):
-            R = random_orthogonal(5, seed=100 + i)
-            rep = orbit_equivalence_check(
-                X, Y, R, seed=i, steps=steps, tol=tol, family=family, X_test=X_test
-            )
-            worst = max(worst, rep.max_deviation)
-        assert worst <= tol
+        rep = orbit_equivalence_check(X, Y, R, seed=0, steps=steps, tol=tol, family=family, X_test=X_test)
+        assert rep.passed and rep.max_deviation <= tol
+
+
+@pytest.mark.parametrize("family", ["linear", "mlp"])
+def test_orbit_stack_matches_one_call_per_rotation(rng, family):
+    # pair i of a stack is the 2-D call at seed + i; the report keeps each deviation's worst pair
+    X = random_dataset(rng, 5, 10)
+    Y = one_hot_labels(rng, 3, 10)
+    X_test = random_dataset(rng, 5, 4, split_tag="test")
+    R = np.stack([random_orthogonal(5, seed=40 + i) for i in range(4)])
+    kw = dict(steps=12, family=family, X_test=X_test)
+    stacked = orbit_equivalence_check(X, Y, R, seed=3, **kw)
+    single = [orbit_equivalence_check(X, Y, R[i], seed=3 + i, **kw) for i in range(4)]
+    for field in ("max_param_deviation", "max_activation_deviation", "max_loss_deviation",
+                  "max_prediction_deviation"):
+        assert getattr(stacked, field) == max(getattr(rep, field) for rep in single), field
+    assert orbit_equivalence_check(X, Y, R[:1], seed=3, batch_size=4, **kw) == orbit_equivalence_check(
+        X, Y, R[0], seed=3, batch_size=4, **kw
+    )
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (2, 3, 4), (2, 4, 4), (1, 1, 3, 3), (3,)])
+def test_orbit_rejects_a_malformed_rotation_stack(rng, shape):
+    X = random_dataset(rng, 3, 6)
+    Y = one_hot_labels(rng, 2, 6)
+    R = np.zeros(shape)
+    if len(shape) == 3 and shape[1] == shape[2]:
+        R[:] = np.eye(shape[1])
+    with pytest.raises(ValidationError, match="R must be 3 x 3"):
+        orbit_equivalence_check(X, Y, R, seed=0, steps=2)
+
+
+def test_suite_orbit_needs_a_rotation():
+    with pytest.raises(ValidationError, match="nonempty"):
+        suite_orbit(r_count=0)
 
 
 # -- full-whitening null predictions -----------------------------------------------

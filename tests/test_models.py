@@ -12,7 +12,7 @@ from whitebench import (
     init_isotropic,
     train_to_cutoff,
 )
-from whitebench.errors import ValidationError
+from whitebench.errors import ShapeError, ValidationError
 from whitebench.synth import SyntheticSpec, synthesize
 
 from conftest import one_hot_labels, random_dataset
@@ -113,6 +113,44 @@ def test_record_every_below_one_is_rejected(rng):
     X, Y = random_dataset(rng, 3, 8), one_hot_labels(rng, 4, 8)
     with pytest.raises(ValidationError, match="record_every"):
         train_to_cutoff(init_isotropic([3, 4]), X, Y, OptimizerConfig(), step_cap=5, record_every=0)
+
+
+@pytest.mark.parametrize("batch_size", [None, 3])
+def test_record_every_thins_the_rows(rng, batch_size):
+    # full batch used to record every step whatever record_every said
+    X, Y = random_dataset(rng, 3, 8), one_hot_labels(rng, 4, 8)
+    model = init_isotropic([3, 4], variance=0.0, seed=0)
+    record = train_to_cutoff(
+        model, X, Y, OptimizerConfig(eta=1e-12, batch_size=batch_size), step_cap=30, record_every=10, seed=0
+    )
+    assert record.stopping_reason == "cap"
+    assert record.steps == [0, 10, 20, 30]
+
+
+def test_full_batch_cutoff_between_recorded_steps_stops_and_records(rng):
+    X, Y = random_dataset(rng, 4, 12), one_hot_labels(rng, 3, 12)
+    val = (random_dataset(rng, 4, 5, split_tag="validation"), one_hot_labels(rng, 3, 5))
+
+    def run(record_every):
+        model = init_isotropic([4, 3], variance=0.01, seed=0)
+        return train_to_cutoff(model, X, Y, OptimizerConfig(eta=0.02), cutoff=0.75, step_cap=500,
+                               X_val=val[0], Y_val=val[1], record_every=record_every)
+
+    every, sparse = run(1), run(7)
+    cut = every.terminal_step
+    assert every.stopping_reason == sparse.stopping_reason == "cutoff" and cut % 7 != 0
+    assert sparse.terminal_step == cut
+    assert sparse.steps == list(range(0, cut, 7)) + [cut]
+    rows = dict(zip(every.steps, zip(every.train_loss, every.train_accuracy, every.val_loss)))
+    assert list(zip(sparse.train_loss, sparse.train_accuracy, sparse.val_loss)) == [rows[s] for s in sparse.steps]
+
+
+def test_train_to_cutoff_rejects_a_stacked_model(rng):
+    X, Y = random_dataset(rng, 3, 8), one_hot_labels(rng, 4, 8)
+    model = init_isotropic([3, 4])
+    model.weights[0] = np.stack([model.weights[0]] * 2)
+    with pytest.raises(ShapeError, match="stack"):
+        train_to_cutoff(model, X, Y, OptimizerConfig(), step_cap=5)
 
 
 def test_default_cutoff_is_0999():

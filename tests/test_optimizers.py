@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from whitebench import (
+    MLP,
     Dataset,
     LabelSet,
     LinearModel,
@@ -18,7 +19,7 @@ from whitebench import (
     sgd_step,
     solve_optimum,
 )
-from whitebench.errors import ConvergenceError, DivergenceError, LineSearchError, ValidationError
+from whitebench.errors import ConvergenceError, DivergenceError, LineSearchError, ShapeError, ValidationError
 from whitebench.optimizers import _flatten
 
 from conftest import one_hot_labels, random_dataset
@@ -90,6 +91,54 @@ def test_sgd_divergence_error():
     model.weights[0][0, 0] = 1e300
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         sgd_step(model, np.array([[1e300]]), np.array([[0.0]]), OptimizerConfig(eta=10.0))
+
+
+def _stack(models):
+    """One stacked MLP whose slice i is a copy of models[i]."""
+    first = models[0]
+    return MLP(
+        weights=[np.stack(layer) for layer in zip(*(m.weights for m in models))],
+        biases=[None if b is None else np.stack([m.biases[l] for m in models]) for l, b in enumerate(first.biases)],
+        activation=first.activation,
+        output_head=first.output_head,
+    )
+
+
+@pytest.mark.parametrize("shared_inputs", [True, False])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("head", ["linear_mse", "softmax_xent"])
+def test_stacked_sgd_matches_separate_runs(rng, activation, head, shared_inputs):
+    # inputs are one d x n matrix for the whole stack, or one per model (m x d x n)
+    m, n = 5, 10
+    X = rng.standard_normal((4, n)) if shared_inputs else rng.standard_normal((m, 4, n))
+    Y = one_hot_labels(rng, 3, n).targets
+    models = [
+        init_isotropic([4, 6, 5, 3], variance=0.3, seed=s, activation=activation, output_head=head, deeper_biases=True)
+        for s in range(m)
+    ]
+    stack = _stack(models)
+    assert stack.stacked and stack.layer_sizes == models[0].layer_sizes
+    cfg = OptimizerConfig(eta=0.05)
+    order = np.random.default_rng(1)
+    for _ in range(20):
+        batch = order.choice(n, size=4, replace=False)
+        result = sgd_step(stack, X[..., batch], Y[:, batch], cfg)
+        single = [sgd_step(model, (X if shared_inputs else X[i])[:, batch], Y[:, batch], cfg)
+                  for i, model in enumerate(models)]
+        for got, want in ((result.loss_before, [r.loss_before for r in single]),
+                          (result.loss_after, [r.loss_after for r in single])):
+            assert got.shape == (m,)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    for i, model in enumerate(models):
+        assert len(stack.trainable()) == len(model.trainable()) == 5
+        for p, q in zip(stack.trainable(), model.trainable()):
+            np.testing.assert_allclose(p[i], q, rtol=1e-14, atol=0)
+
+
+def test_gn_rejects_a_stacked_model(rng):
+    stack = _stack([init_isotropic([4, 3], variance=0.1, seed=s) for s in range(2)])
+    with pytest.raises(ShapeError, match="stack"):
+        regularized_gn_step(stack, rng.standard_normal((4, 6)), one_hot_labels(rng, 3, 6).targets, OptimizerConfig())
 
 
 # -- newton -------------------------------------------------------------------
