@@ -234,16 +234,23 @@ def _synthetic_spec(cfg: RunConfig, n_train: int, n_val: int, n_test: int, maste
 
 
 def _synthesize_splits(plan: RunPlan, n_train: int, n_val: int, n_test: int, run_seed: int, population: bool):
-    """The splits of one draw and, if `population`, the source's E[F_train] = n_train * Sigma; else None."""
+    """The splits of one draw and, if `population`, the source's E[F_train] = n_train * Sigma; else None.
+
+    A linear flow from W0 = 0 sees its data only through K = X^T X, which rotating the inputs does
+    not change (the orbit theorem), so such a cell draws in the covariance eigenbasis: B = I.
+    A seeded W0 or MLP init is not rotation-invariant, so those cells keep the rotated draw.
+    """
     spec = _synthetic_spec(plan.cfg, n_train, n_val, n_test, plan.master_seed, run_seed)
-    drawn = synthesize(spec)
+    rotate = plan.trainer != "linear" or plan.cfg.get("flow", "init_variance") > 0
+    drawn = synthesize(spec, rotate=rotate)
     named = (("train", drawn.train, drawn.y_train), ("val", drawn.val, drawn.y_val), ("test", drawn.test, drawn.y_test))
     splits = {name: (X, Y) for name, X, Y in named if X is not None}
     if not population:
         return splits, None
     eigenvalues = spec.eigenvalues()
     order = np.argsort(-eigenvalues, kind="stable")  # a custom spectrum may be unsorted
-    return splits, Spectrum(n_train * eigenvalues[order], drawn.basis[:, order])
+    basis = np.eye(spec.d) if drawn.basis is None else drawn.basis
+    return splits, Spectrum(n_train * eigenvalues[order], basis[:, order])
 
 
 def _split_sizes(cfg: RunConfig, dataset_size: int):

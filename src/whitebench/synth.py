@@ -1,7 +1,8 @@
 """Synthetic dataset generation with a controlled covariance spectrum.
 
 Columns are zero-mean Gaussians whose covariance eigenvalues follow a power
-law lambda_j ~ j^{-alpha} (alpha = 0 is isotropic) in a seeded random basis.
+law lambda_j ~ j^{-alpha} (alpha = 0 is isotropic) in a seeded random basis
+(or, on request, in the eigenbasis itself).
 Labels come from a fixed random linear teacher acting on the top ceil(d/4)
 covariance modes plus Gaussian noise; classification targets one-hot-ify the
 teacher output by argmax. Everything is deterministic per seed.
@@ -76,19 +77,32 @@ class SyntheticData:
     y_val: LabelSet | None
     y_test: LabelSet | None
     teacher_matrix: np.ndarray | None
-    basis: np.ndarray  # columns pair with spec.eigenvalues(): the covariance is basis diag(eigenvalues) basis^T
+    # Columns pair with spec.eigenvalues(): the covariance is basis diag(eigenvalues) basis^T.
+    # None for an unrotated draw, whose covariance is diag(eigenvalues) itself.
+    basis: np.ndarray | None
 
 
-def synthesize(spec: SyntheticSpec) -> SyntheticData:
+def synthesize(spec: SyntheticSpec, *, rotate: bool = True) -> SyntheticData:
     """Draw train/val/test splits plus labels from one seeded generator.
 
     Draw order (basis, teacher, then per-split samples and noise) is fixed, so
     identical specs produce identical data. The teacher matrix depends only
     on teacher_seed (default: seed), letting sweeps vary the data draw while
     holding the task fixed.
+
+    rotate=False returns the samples in the covariance eigenbasis, i.e. the
+    rotated splits with the basis B taken off (`basis` is None): B's normals
+    are still drawn, so the teacher, the labels and every other draw are the
+    same bits, and B @ split equals the rotated split bit for bit. It skips
+    B's QR and the d x d x n product per split, for callers whose result no
+    rotation of the inputs can change.
     """
     rng = np.random.default_rng(spec.seed)
-    basis = random_orthogonal(spec.d, rng)
+    if rotate:
+        basis = random_orthogonal(spec.d, rng)
+    else:
+        rng.standard_normal((spec.d, spec.d))  # B's normals, so the later draws keep their place in the stream
+        basis = None
     scales = np.sqrt(spec.eigenvalues())
     m = math.ceil(spec.d / 4)
 
@@ -103,7 +117,7 @@ def synthesize(spec: SyntheticSpec) -> SyntheticData:
         if count == 0:
             return None, None
         coords = scales[:, None] * rng.standard_normal((spec.d, count))
-        X = Dataset(basis @ coords, split_tag=tag)
+        X = Dataset._adopt(coords if basis is None else basis @ coords, split_tag=tag)
         if teacher is None:
             return X, None
         logits = teacher @ coords[:m, :]

@@ -7,6 +7,8 @@ from whitebench.errors import ConfigError
 from whitebench.runconfig import parse_config
 from whitebench.runner import _normalize_splits, derive_seed, plan_run, run_cell, sweep, write_rows_csv
 
+from test_golden_sweep import RELATIVE
+
 LINEAR_CFG = """
 [experiment]
 id = lin
@@ -330,7 +332,7 @@ def test_distribution_cell_synthesizes_once(monkeypatch):
 
     calls = []
     original = runner.synthesize
-    monkeypatch.setattr(runner, "synthesize", lambda spec: calls.append(spec) or original(spec))
+    monkeypatch.setattr(runner, "synthesize", lambda spec, **kw: calls.append(spec) or original(spec, **kw))
     splits = _distribution_cell_splits(monkeypatch, {"d": 8}, 20)
     assert len(calls) == 1 and splits["train"][0].sample_count == 20
 
@@ -361,3 +363,81 @@ def test_reg_lambda_list_is_a_gn_cell_axis(tmp_path):
     assert [opt.reg_lambda for opt in plan.optimizers] == [0.2, 1.0]
     with pytest.raises(ConfigError, match="reg_lambda"):
         plan_run(cfg, "linear", [12])
+
+
+ORBIT_CFG = """
+[experiment]
+id = orbit
+master_seed = 3
+seeds = 0 1
+
+[data]
+source = synthetic
+d = 10
+n_val = 12
+n_test = 20
+alpha = 1.5
+label_noise = 0.3
+classes = 4
+normalize = {normalize}
+
+[whitening]
+modes = none train full distribution
+transform = {transform}
+center = {center}
+rank_policy = {rank_policy}
+
+[flow]
+precondition = {precondition}
+grid_points = 60
+"""
+
+
+@pytest.mark.parametrize(
+    "transform, center, normalize, precondition, rank_policy",
+    [
+        ("pca", "false", "false", "none", "manual"),
+        ("zca", "true", "false", "newton", "manual"),
+        ("pca", "true", "true", "newton", "manual"),
+        ("zca", "false", "true", "none", "jitter"),
+    ],
+)
+def test_eigenbasis_rows_match_rotated_rows(tmp_path, monkeypatch, transform, center, normalize, precondition, rank_policy):
+    # W0 = 0: the flow sees the data only through K = X^T X, so the unrotated draw moves rows by rounding
+    # alone, held to the golden-row tolerances. Sizes 6, 10, 25 put n below, at and above d = 10.
+    from whitebench import runner
+
+    path = tmp_path / "orbit.cfg"
+    path.write_text(ORBIT_CFG.format(transform=transform, center=center, normalize=normalize,
+                                     precondition=precondition, rank_policy=rank_policy), encoding="utf-8")
+    cfg = parse_config(path)
+    eigenbasis = sweep(cfg, "linear", [6, 10, 25], include_trajectory=False)
+    original = runner.synthesize
+    monkeypatch.setattr(runner, "synthesize", lambda spec, **kw: original(spec))
+    rotated = sweep(cfg, "linear", [6, 10, 25], include_trajectory=False)
+    assert len(rotated) == 3 * 4 * 2
+    for fast, slow in zip(eigenbasis, rotated):
+        key = (slow.dataset_size, slow.whitening_mode, slow.seed)
+        assert (fast.dataset_size, fast.whitening_mode, fast.seed) == key
+        assert slow.stopping_reason not in (None, "error"), key
+        assert (fast.test_error, fast.stopping_reason) == (slow.test_error, slow.stopping_reason), key
+        for col, tol in RELATIVE.items():
+            assert getattr(fast, col) == pytest.approx(getattr(slow, col), rel=tol, abs=0.0), (key, col)
+
+
+@pytest.mark.parametrize("trainer, text, rotations_per_cell", [
+    ("linear", LINEAR_CFG, 0),
+    ("linear", LINEAR_CFG.replace("precondition = none", "precondition = none\ninit_variance = 0.01"), 1),
+    ("mlp", MLP_CFG, 1),
+])
+def test_only_rotation_sensitive_cells_draw_a_basis(tmp_path, monkeypatch, trainer, text, rotations_per_cell):
+    from whitebench import synth
+
+    path = tmp_path / "count.cfg"
+    path.write_text(text, encoding="utf-8")
+    calls = []
+    original = synth.random_orthogonal
+    monkeypatch.setattr(synth, "random_orthogonal", lambda *a: calls.append(a) or original(*a))
+    rows = sweep(parse_config(path), trainer, [8, 12], include_trajectory=False)
+    assert all(r.stopping_reason not in (None, "error") for r in rows)
+    assert len(calls) == rotations_per_cell * len(rows)

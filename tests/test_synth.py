@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whitebench import Dataset, mse_per_sample, solve_optimum
 from whitebench.datatypes import compute_F
@@ -74,3 +75,53 @@ def test_custom_spectrum():
     )
     ev = np.sort(np.linalg.eigvalsh(compute_F(synthesize(spec).train) / 5000.0))[::-1]
     assert ev == pytest.approx([4.0, 1.0, 0.25], rel=0.15)
+
+
+def _draw_keeping_generator(spec, rotate):
+    """synthesize(spec, rotate=...) and the bit-generator state of its data generator afterwards."""
+    made = []
+    original = np.random.default_rng
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda seed: made.append(original(seed)) or made[-1])
+        data = synthesize(spec, rotate=rotate)
+    return data, made[0].bit_generator.state  # the first generator is seeded by spec.seed: the data's
+
+
+@given(
+    d=st.integers(1, 12),
+    sizes=st.tuples(st.integers(1, 20), st.integers(0, 20), st.integers(0, 20)),
+    spectrum=st.sampled_from(["power_law", "flat", "custom"]),
+    alpha=st.floats(0.0, 4.0),
+    teacher=st.sampled_from(["linear", "none"]),
+    encoding=st.sampled_from(["one_hot", "real_valued"]),
+    label_noise=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_unrotated_draw_is_the_rotated_draw_without_its_basis(
+    d, sizes, spectrum, alpha, teacher, encoding, label_noise, seed, data
+):
+    custom = None
+    if spectrum == "custom":
+        custom = tuple(data.draw(st.lists(st.floats(0.0, 10.0), min_size=d, max_size=d)))
+    spec = SyntheticSpec(
+        d=d, n_train=sizes[0], n_val=sizes[1], n_test=sizes[2], spectrum=spectrum, alpha=alpha,
+        custom_eigenvalues=custom, teacher=teacher, classes=3, encoding=encoding,
+        label_noise=label_noise, seed=seed,
+    )
+    rotated, rotated_state = _draw_keeping_generator(spec, rotate=True)
+    plain, plain_state = _draw_keeping_generator(spec, rotate=False)
+    assert plain.basis is None and rotated_state == plain_state
+    assert (plain.teacher_matrix is None) == (rotated.teacher_matrix is None)
+    if plain.teacher_matrix is not None:
+        assert np.array_equal(plain.teacher_matrix, rotated.teacher_matrix)
+    for split in ("train", "val", "test"):
+        X, X_rot = getattr(plain, split), getattr(rotated, split)
+        Y, Y_rot = getattr(plain, "y_" + split), getattr(rotated, "y_" + split)
+        assert (X is None) == (X_rot is None) and (Y is None) == (Y_rot is None)
+        if X is not None:
+            assert X.split_tag == X_rot.split_tag
+            assert np.array_equal(rotated.basis @ X.values, X_rot.values)
+        if Y is not None:
+            assert Y.encoding == Y_rot.encoding and np.array_equal(Y.targets, Y_rot.targets)
