@@ -276,19 +276,20 @@ def early_stop(
     grid = grid or TimeGrid.default_for(sol)
     times = grid.times()
     splits = {"val_loss": (X_val, Y_val), "train_loss": (sol.X_train, sol.Y_train), **(extra_eval or {})}
-    curves = {name: _loss_curve(sol, X, Y) for name, (X, Y) in splits.items()}
 
     progress = -np.expm1(-np.outer(sol.mode_rates, times))
     record = TrainRecord(
         steps=times.tolist(),
         metadata={"grid": (grid.t_min, grid.t_max, grid.points), "flow_rank": sol.mode_rates.size},
     )
-    for name, curve in curves.items():
-        setattr(record, name, curve(progress).tolist())
-    val_losses = record.val_loss
+    for name, (X, Y) in splits.items():  # one r x r H at a time; the val curve, kept for the refine, comes last
+        if name != "val_loss":
+            setattr(record, name, _loss_curve(sol, X, Y)(progress).tolist())
+    val_curve = _loss_curve(sol, *splits["val_loss"])
+    record.val_loss = val_losses = val_curve(progress).tolist()
 
     def val_loss_at(t: float) -> float:
-        return float(curves["val_loss"](-np.expm1(-sol.mode_rates * t)))
+        return float(val_curve(-np.expm1(-sol.mode_rates * t)))
 
     best = int(np.argmin(val_losses))
     boundary = best in (0, len(times) - 1)

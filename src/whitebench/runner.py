@@ -1,11 +1,10 @@
-"""Experiment execution: one run loop over (size, whitening arm, reg_lambda, seed) cells.
+"""Experiment execution: one run loop over (size, seed) groups of (whitening arm, reg_lambda) cells.
 
-Every run's seed is a 64-bit hash of (master seed, experiment id, dataset
-size, whitening mode, seed index), so rows are reproducible standalone and
-sweep output is independent of worker scheduling (rows are post-sorted).
-The seed leaves reg_lambda out: every lambda of a (size, arm, seed) cell
-trains on the same draw from the same initial weights. The `distribution`
-arm whitens with the source's E[F_train] = n_train * Sigma from that one draw.
+A group draws once, seeded by the 64-bit hash `derive_seed` gives its `none`
+arm, and every arm and lambda trains on whitened copies of that draw from the
+same initial weights. So rows are reproducible standalone and sweep output is
+independent of worker scheduling (rows are post-sorted). The `distribution`
+arm whitens with the source's E[F_train] = n_train * Sigma of that draw.
 """
 from __future__ import annotations
 
@@ -13,12 +12,12 @@ import csv
 import hashlib
 import os
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
-from .datatypes import Dataset, LabelSet, Spectrum, compute_F, compute_K, hstack_datasets
+from .datatypes import Dataset, LabelSet, Spectrum, compute_F, compute_K, eigh, hstack_datasets
 from .errors import ConfigError, ValidationError, WhitebenchError
 from .linear_flow import TimeGrid, build_flow, early_stop
 from .models import init_isotropic, train_to_cutoff
@@ -68,7 +67,7 @@ def _as_float(v):
 
 
 def derive_seed(master_seed: int, experiment_id: str, dataset_size: int, whitening_mode: str, seed_index: int) -> int:
-    """Stable 64-bit run seed (sha256 of the canonical tuple string)."""
+    """Stable 64-bit run seed (sha256 of the canonical tuple string); every arm of a group takes the `none` arm's."""
     text = f"{master_seed}|{experiment_id}|{dataset_size}|{whitening_mode}|{seed_index}"
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -233,26 +232,6 @@ def _synthetic_spec(cfg: RunConfig, n_train: int, n_val: int, n_test: int, maste
     )
 
 
-def _synthesize_splits(plan: RunPlan, n_train: int, n_val: int, n_test: int, run_seed: int, population: bool):
-    """The splits of one draw and, if `population`, the source's E[F_train] = n_train * Sigma; else None.
-
-    A linear flow from W0 = 0 sees its data only through K = X^T X, which rotating the inputs does
-    not change (the orbit theorem), so such a cell draws in the covariance eigenbasis: B = I.
-    A seeded W0 or MLP init is not rotation-invariant, so those cells keep the rotated draw.
-    """
-    spec = _synthetic_spec(plan.cfg, n_train, n_val, n_test, plan.master_seed, run_seed)
-    rotate = plan.trainer != "linear" or plan.cfg.get("flow", "init_variance") > 0
-    drawn = synthesize(spec, rotate=rotate)
-    named = (("train", drawn.train, drawn.y_train), ("val", drawn.val, drawn.y_val), ("test", drawn.test, drawn.y_test))
-    splits = {name: (X, Y) for name, X, Y in named if X is not None}
-    if not population:
-        return splits, None
-    eigenvalues = spec.eigenvalues()
-    order = np.argsort(-eigenvalues, kind="stable")  # a custom spectrum may be unsorted
-    basis = np.eye(spec.d) if drawn.basis is None else drawn.basis
-    return splits, Spectrum(n_train * eigenvalues[order], basis[:, order])
-
-
 def _split_sizes(cfg: RunConfig, dataset_size: int):
     """Map a grid size to (n_train, n_val, n_test) per the size convention."""
     n_val = cfg.get("data", "n_val")
@@ -262,19 +241,60 @@ def _split_sizes(cfg: RunConfig, dataset_size: int):
     return dataset_size, n_val, cfg.get("data", "n_test")
 
 
-def prepare_arm(plan: RunPlan, splits: dict, mode: str, second_moment: Spectrum | None = None):
-    """Apply one whitening arm (none/train/full/distribution) to all splits.
+@dataclass
+class _GroupDraw:
+    """One (size, seed) group's draw, shared by its every arm and reg_lambda."""
 
-    `train` fits on the train split, `full` on all splits; `distribution` whitens with
-    `second_moment`, the source's E[F_train] in the splits' scale (mean 0, so `center` is moot).
-    Also returns the train-fitted whitener's modes for the linear trainer's train arm, so
-    its flow need not decompose that split again; else None.
+    seed: int
+    splits: dict  # normalized if the config asks
+    second_moment: Spectrum | None  # the source's E[F_train] in the splits' scale, if drawn with `population`
+
+    @cached_property
+    def train_eigh(self) -> Spectrum | None:
+        """eigh of F_train if n > d, else None, on first read; the `none` flow and an uncentered `train` fit share it."""
+        X = self.splits["train"][0]
+        return eigh(compute_F(X)) if X.sample_count > X.feature_dim else None
+
+
+def _draw_group(plan: RunPlan, dataset_size: int, seed_index: int, population: bool) -> _GroupDraw:
+    """Synthesize a group's splits (or subsample the file's train split) with the `none` arm's seed, then normalize.
+
+    A linear flow from W0 = 0 sees its data only through K = X^T X, which rotating the inputs does
+    not change (the orbit theorem), so such a group draws in the covariance eigenbasis: B = I.
+    A seeded W0 or MLP init is not rotation-invariant, so those groups keep the rotated draw.
     """
+    cfg = plan.cfg
+    seed = derive_seed(plan.master_seed, cfg.experiment_id, dataset_size, "none", seed_index)
+    if plan.files is None:
+        spec = _synthetic_spec(cfg, *_split_sizes(cfg, dataset_size), plan.master_seed, seed)
+        drawn = synthesize(spec, rotate=plan.trainer != "linear" or cfg.get("flow", "init_variance") > 0)
+        named = (("train", drawn.train, drawn.y_train), ("val", drawn.val, drawn.y_val), ("test", drawn.test, drawn.y_test))
+        splits = {name: (X, Y) for name, X, Y in named if X is not None}
+    else:
+        splits = _subsample_train(plan.files, dataset_size, seed)
+    splits, factor = _normalize_splits(splits) if cfg.get("data", "normalize") else (splits, 1.0)
+    if not population:  # file data has no population second moment: plan_run rejects that arm there
+        return _GroupDraw(seed, splits, None)
+    eigenvalues = spec.eigenvalues()
+    order = np.argsort(-eigenvalues, kind="stable")  # a custom spectrum may be unsorted
+    basis = np.eye(spec.d) if drawn.basis is None else drawn.basis
+    return _GroupDraw(seed, splits, Spectrum(factor * (spec.n_train * eigenvalues[order]), basis[:, order]))
+
+
+def prepare_arm(plan: RunPlan, draw: _GroupDraw, mode: str):
+    """Apply one whitening arm (none/train/full/distribution) to all splits of a group's draw.
+
+    `train` fits on the train split, `full` on all splits; `distribution` whitens with the
+    source's E[F_train] (mean 0, so `center` is moot). Also returns the modes of the arm's F_train
+    that the linear trainer's flow need not decompose again (the draw's for `none`, the
+    whitener's for `train`), else None.
+    """
+    splits = draw.splits
     if mode == "none":
-        return splits, None
+        return splits, draw.train_eigh if plan.trainer == "linear" else None
     transform = plan.cfg.get("whitening", "transform")
     if mode == "distribution":
-        whitener = population_whitener(second_moment, transform, plan.rank_policy)
+        whitener = population_whitener(draw.second_moment, transform, plan.rank_policy)
     else:
         whitener = fit_whitener(
             splits["train"][0] if mode == "train" else hstack_datasets(*[X for X, _ in splits.values()]),
@@ -282,6 +302,7 @@ def prepare_arm(plan: RunPlan, splits: dict, mode: str, second_moment: Spectrum 
             rank_policy=plan.rank_policy,
             center=plan.cfg.get("whitening", "center"),
             keep_modes=mode == "train" and plan.trainer == "linear",
+            fit_spectrum=draw.train_eigh if mode == "train" and not plan.cfg.get("whitening", "center") else None,
         )
     return {name: (apply_whitener(whitener, X), Y) for name, (X, Y) in splits.items()}, whitener.modes
 
@@ -345,58 +366,57 @@ def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_tr
     return _record_rows(base, record, include_trajectory)
 
 
-def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, include_trajectory: bool, optimizer=None):
+def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, include_trajectory: bool, optimizer=None,
+             draw=None):
     """One (size, whitening mode, optimizer, seed) cell; a failure of the data becomes an 'error' row.
 
-    `optimizer` is one of plan.optimizers (default the first).
+    `optimizer` is one of plan.optimizers (default the first). `draw` is the group's draw or the
+    WhitebenchError it raised; a standalone cell makes the group's draw itself.
     """
     cfg = plan.cfg
     optimizer = optimizer or plan.optimizers[0]
-    run_seed = derive_seed(plan.master_seed, cfg.experiment_id, dataset_size, mode, seed_index)
     base = dict(experiment_id=cfg.experiment_id, seed=seed_index, dataset_size=dataset_size, whitening_mode=mode)
     if plan.trainer == "mlp" and cfg.get("optimizer", "name") == "gn":
         base["reg_lambda"] = optimizer.reg_lambda
     try:
-        if plan.files is None:
-            splits, second_moment = _synthesize_splits(plan, *_split_sizes(cfg, dataset_size), run_seed, mode == "distribution")
-        else:
-            splits, second_moment = _subsample_train(plan.files, dataset_size, run_seed), None
-        if cfg.get("data", "normalize"):
-            splits, factor = _normalize_splits(splits)
-            if second_moment is not None:
-                second_moment = Spectrum(factor * second_moment.eigenvalues, second_moment.eigenvectors)
-        arm, train_modes = prepare_arm(plan, splits, mode, second_moment)
+        if draw is None:
+            draw = _draw_group(plan, dataset_size, seed_index, mode == "distribution")
+        elif isinstance(draw, WhitebenchError):
+            raise draw
+        arm, train_modes = prepare_arm(plan, draw, mode)
         if plan.trainer == "linear":
-            return _flow_rows(plan, arm, base, run_seed, include_trajectory, train_modes)
-        return _mlp_rows(plan, arm, base, run_seed, include_trajectory, optimizer)
+            return _flow_rows(plan, arm, base, draw.seed, include_trajectory, train_modes)
+        return _mlp_rows(plan, arm, base, draw.seed, include_trajectory, optimizer)
     except WhitebenchError:
         return _record_rows({**base, "optimizer": plan.trainer}, TrainRecord(stopping_reason="error"), False)
 
 
-def _run_cell(args):
-    return run_cell(*args)
+def _run_group(args):
+    """The cells of one (size, seed) group: every arm and reg_lambda on its one draw."""
+    plan, size, seed_index, include_trajectory = args
+    modes = plan.cfg.get("whitening", "modes")
+    try:
+        draw = _draw_group(plan, size, seed_index, "distribution" in modes)
+    except WhitebenchError as exc:
+        draw = exc  # every cell of the group writes an error row
+    return [row for mode in modes for optimizer in plan.optimizers
+            for row in run_cell(plan, size, mode, seed_index, include_trajectory, optimizer, draw)]
 
 
 def sweep(cfg: RunConfig, trainer: str, sizes: list, include_trajectory: bool, workers: int = 1):
     """Rows of every size x whitening mode x reg_lambda x seed cell, sorted.
 
-    The config is checked and its shared objects built before any cell runs.
+    The config is checked and its shared objects built before any cell runs. Workers take (size, seed) groups.
     """
     if not sizes:
         raise ConfigError("[sweep] needs a sizes list")
     plan = plan_run(cfg, trainer, sizes)
-    cells = [
-        (plan, size, mode, idx, include_trajectory, optimizer)
-        for size in plan.sizes
-        for mode in cfg.get("whitening", "modes")
-        for optimizer in plan.optimizers
-        for idx in cfg.get("experiment", "seeds")
-    ]
+    groups = [(plan, size, idx, include_trajectory) for size in plan.sizes for idx in cfg.get("experiment", "seeds")]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays for this import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_cell, cells))
+            chunks = list(pool.map(_run_group, groups))
     else:
-        chunks = map(_run_cell, cells)
+        chunks = map(_run_group, groups)
     return sorted((row for chunk in chunks for row in chunk), key=ResultRow.sort_key)

@@ -119,13 +119,15 @@ def fit_whitener(
     rank_policy: RankPolicy | None = None,
     center: bool = False,
     keep_modes: bool = False,
+    fit_spectrum: Spectrum | None = None,
 ) -> Whitener:
     """Fit a whitening transform on X_fit.
 
     Which data the transform is fitted on (train split, all splits) is the
     caller's choice. Centering is off by default; when on, the fit-set row
     means are stored and subtracted by apply(). keep_modes=True also stores
-    `Whitener.modes`, for a flow on the whitened fit set.
+    `Whitener.modes`, for a flow on the whitened fit set. fit_spectrum, the
+    caller's eigh(compute_F(X_fit)), is used in its place when n > d and center is off.
     """
     policy = rank_policy or RankPolicy()
     mean = None
@@ -138,7 +140,7 @@ def fit_whitener(
         V, s, _ = np.linalg.svd(values, full_matrices=True)
         S = np.pad(s * s, (0, d - n))
     else:
-        spec = eigh(symmetrize(values @ values.T))
+        spec = fit_spectrum if fit_spectrum is not None and not center else eigh(symmetrize(values @ values.T))
         S, V = np.maximum(spec.eigenvalues, 0.0), spec.eigenvectors
     M, rank, inv_sqrt = _whiten_spectrum(S, V, mode, policy)
 

@@ -1,8 +1,11 @@
-"""Linear sweeps pinned against rows written by the per-time early-stop scan.
+"""Linear sweeps pinned against rows written by earlier, independent code.
 
 `data/golden_linear_sweep.csv` holds the terminal rows of the three configs
-below as written by the early-stop scan that rebuilt W(t) and predicted at
-every grid time. The closed-form loss curves must give the same rows:
+below. The `none` rows were written by the early-stop scan that rebuilt W(t)
+and predicted at every grid time. The whitened rows (train and full,
+`golden_newton`) were rewritten when the arms of a (size, seed) group came to
+share one draw, by the code before that change, which drew per arm, with its
+run seed pinned to the `none` arm's. The shared-draw code must give the same rows:
 val_loss within 1e-10 relative; t* within 1e-4 relative, since golden-section
 search over a flat minimum cannot pin t* more finely; train_loss and
 test_loss, which follow t*, within 1e-4 relative; test_error and

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -501,3 +503,21 @@ def test_closed_form_loss_matches_direct(d, n, k, precondition, nonzero_w0, real
             tol = 1e-10 * max(1.0, initial, direct)
             assert abs(float(curve(progress[:, j])) - direct) <= tol
             assert abs(together[j] - direct) <= tol
+
+
+def test_early_stop_holds_one_held_out_H_at_a_time(rng):
+    # r = 256 moving modes: each held-out split's r x r H is built, evaluated and dropped in turn,
+    # and only the val curve outlives the grid scan (two live at once would pass 3 H)
+    d, k = 256, 4
+
+    def split(n):
+        return random_dataset(rng, d, n), LabelSet(rng.standard_normal((k, n)))
+
+    sol = build_flow(*split(2 * d))
+    (X_val, Y_val), test = split(32), split(32)
+    tracemalloc.start()
+    early_stop(sol, X_val, Y_val, TimeGrid(1e-3, 1e3, 20), extra_eval={"test_loss": test})
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert sol.mode_rates.size == d
+    assert peak < 2.6 * d * d * 8

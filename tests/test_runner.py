@@ -168,19 +168,22 @@ def test_env_seed_override(linear_cfg, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("size", [8, 24])
 def test_decompositions_per_linear_cell(linear_cfg, monkeypatch, size):
-    # d = 12: size 8 is n < d (SVDs), 24 is n > d (eigh); the full arm's fit set is n + 20 > d.
-    # The train arm's flow takes its modes from the whitener, so it decomposes once.
+    # Counted per (size, seed) group of none, train and full cells. d = 12: size 8 is n < d (SVDs,
+    # one per arm, plus the full arm's eigh of its n + 20 > d fit set), 24 is n > d (eigh). The
+    # train arm's flow takes its modes from the whitener, so it decomposes once; at n > d the none
+    # arm's flow and the train arm's fit share the group's one eigh of F_train, and full takes two.
+    from collections import Counter
+
+    from whitebench.runner import _run_group
+
     calls = []
     for name in ("eigh", "svd"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
-    plan = plan_run(linear_cfg, "linear")
-    expected = {"none": 1, "train": 1, "full": 2}
-    for mode, count in expected.items():
-        calls.clear()
-        rows = run_cell(plan, size, mode, 0, include_trajectory=False)
-        assert rows[-1].stopping_reason != "error"
-        assert len(calls) == count, (mode, calls)
+    rows = _run_group((plan_run(linear_cfg, "linear"), size, 0, False))
+    assert [r.whitening_mode for r in rows] == ["none", "train", "full"]
+    assert all(r.stopping_reason != "error" for r in rows)
+    assert Counter(calls) == ({"svd": 3, "eigh": 1} if size == 8 else {"eigh": 3})
 
 
 @pytest.mark.parametrize("d, n", [(40, 9), (9, 40), (12, 12)])
@@ -425,19 +428,87 @@ def test_eigenbasis_rows_match_rotated_rows(tmp_path, monkeypatch, transform, ce
             assert getattr(fast, col) == pytest.approx(getattr(slow, col), rel=tol, abs=0.0), (key, col)
 
 
-@pytest.mark.parametrize("trainer, text, rotations_per_cell", [
+@pytest.mark.parametrize("trainer, text, rotations_per_group", [
     ("linear", LINEAR_CFG, 0),
     ("linear", LINEAR_CFG.replace("precondition = none", "precondition = none\ninit_variance = 0.01"), 1),
     ("mlp", MLP_CFG, 1),
 ])
-def test_only_rotation_sensitive_cells_draw_a_basis(tmp_path, monkeypatch, trainer, text, rotations_per_cell):
+def test_only_rotation_sensitive_cells_draw_a_basis(tmp_path, monkeypatch, trainer, text, rotations_per_group):
+    # counted per (size, seed) group: its arms share one draw
     from whitebench import synth
 
     path = tmp_path / "count.cfg"
     path.write_text(text, encoding="utf-8")
+    cfg = parse_config(path)
     calls = []
     original = synth.random_orthogonal
     monkeypatch.setattr(synth, "random_orthogonal", lambda *a: calls.append(a) or original(*a))
-    rows = sweep(parse_config(path), trainer, [8, 12], include_trajectory=False)
+    rows = sweep(cfg, trainer, [8, 12], include_trajectory=False)
     assert all(r.stopping_reason not in (None, "error") for r in rows)
-    assert len(calls) == rotations_per_cell * len(rows)
+    groups = 2 * len(cfg.get("experiment", "seeds"))
+    assert len(rows) == groups * len(cfg.get("whitening", "modes"))
+    assert len(calls) == rotations_per_group * groups
+
+
+GN_CFG = MLP_CFG.replace("modes = none train", "modes = none train distribution").replace(
+    "name = sgd", "name = gn\nreg_lambda = 0.2 1").replace("step_cap = 400", "step_cap = 20")
+
+
+def test_one_draw_per_group(tmp_path, monkeypatch):
+    # every arm and reg_lambda of a (size, seed) group trains on one draw; each is still its own run_cell
+    from whitebench import runner
+
+    path = tmp_path / "gn.cfg"
+    path.write_text(GN_CFG, encoding="utf-8")
+    draws, cells = [], []
+    synthesize, cell = runner.synthesize, runner.run_cell
+    monkeypatch.setattr(runner, "synthesize", lambda spec, **kw: draws.append(spec.n_train) or synthesize(spec, **kw))
+    monkeypatch.setattr(runner, "run_cell", lambda *a, **kw: cells.append(a[1:3]) or cell(*a, **kw))
+    rows = sweep(parse_config(path), "mlp", [8, 12], include_trajectory=False)
+    assert len(rows) == 2 * 3 * 2 and all(r.stopping_reason != "error" for r in rows)
+    assert sorted(draws) == [8, 12]
+    assert len(cells) == len(rows)
+
+
+@pytest.mark.parametrize("size", [8, 24])
+def test_train_arm_whitens_the_none_arms_draw(linear_cfg, monkeypatch, size):
+    # the arms are whitened copies of one dataset: each train-arm split is M @ the none arm's split
+    from whitebench import runner
+
+    captured, whiteners = {}, []
+    fit = runner.fit_whitener
+    monkeypatch.setattr(runner, "fit_whitener", lambda *a, **kw: whiteners.append(fit(*a, **kw)) or whiteners[-1])
+    monkeypatch.setattr(runner, "_flow_rows", lambda plan, splits, base, *rest: captured.update(
+        {(base["seed"], base["whitening_mode"]): splits}) or [])
+    sweep(linear_cfg, "linear", [size], include_trajectory=False)
+    train_fits = [W for W in whiteners if W.modes is not None]  # the full arm's fit keeps no modes
+    for seed, M in zip((0, 1), (W.M for W in train_fits), strict=True):
+        raw, whitened = captured[seed, "none"], captured[seed, "train"]
+        for name, (X, Y) in raw.items():
+            assert np.array_equal(whitened[name][0].values, M @ X.values), (seed, name)
+            assert whitened[name][1] is Y
+
+
+def test_failed_group_draw_is_an_error_row_per_cell(tmp_path, monkeypatch):
+    # the first draw at size 8 fails: every (arm, reg_lambda) of that group writes an error row, later groups run
+    from whitebench import runner
+    from whitebench.errors import ValidationError
+
+    path = tmp_path / "gn.cfg"
+    path.write_text(GN_CFG, encoding="utf-8")
+    failed = []
+    synthesize = runner.synthesize
+
+    def flaky(spec, **kw):
+        if spec.n_train == 8 and not failed:
+            failed.append(spec)
+            raise ValidationError("draw failed")
+        return synthesize(spec, **kw)
+
+    monkeypatch.setattr(runner, "synthesize", flaky)
+    rows = sweep(parse_config(path), "mlp", [8, 12], include_trajectory=False)
+    reasons = {size: [r.stopping_reason for r in rows if r.dataset_size == size] for size in (8, 12)}
+    assert reasons[8] == ["error"] * 6
+    assert len(reasons[12]) == 6 and "error" not in reasons[12]
+    assert {(r.whitening_mode, r.reg_lambda) for r in rows if r.dataset_size == 8} == {
+        (mode, lam) for mode in ("none", "train", "distribution") for lam in (0.2, 1.0)}
