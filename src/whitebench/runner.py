@@ -4,20 +4,22 @@ A group draws once, seeded by the 64-bit hash `derive_seed` gives its `none`
 arm, and every arm and lambda trains on whitened copies of that draw from the
 same initial weights. So rows are reproducible standalone and sweep output is
 independent of worker scheduling (rows are post-sorted). The `distribution`
-arm whitens with the source's E[F_train] = n_train * Sigma of that draw.
+arm whitens with the source's E[F_train] = n_train * Sigma of that draw. The
+linear trainer folds each whitener into its flow; the mlp trainer's arms are whitened once per group.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
-from .datatypes import Dataset, LabelSet, Spectrum, compute_F, compute_K, eigh, hstack_datasets
+from .datatypes import (NULL_MODE_RATIO, Dataset, LabelSet, Spectrum, compute_F, compute_K, eigh, gram_modes,
+                        hstack_datasets, symmetrize)
 from .errors import ConfigError, ValidationError, WhitebenchError
 from .linear_flow import TimeGrid, build_flow, early_stop
 from .models import init_isotropic, train_to_cutoff
@@ -25,7 +27,7 @@ from .optimizers import OptimizerConfig
 from .records import TrainRecord
 from .runconfig import RunConfig
 from .synth import SyntheticSpec, synthesize
-from .whitening import RankPolicy, apply_whitener, fit_whitener, population_whitener
+from .whitening import RankPolicy, Whitener, apply_whitener, fit_whitener, population_whitener, whitened_modes
 from . import dataio
 
 
@@ -247,13 +249,21 @@ class _GroupDraw:
 
     seed: int
     splits: dict  # normalized if the config asks
-    second_moment: Spectrum | None  # the source's E[F_train] in the splits' scale, if drawn with `population`
+    second_moment: Spectrum | None = None  # the source's E[F_train] in the splits' scale, if drawn with `population`
+    arms: dict = field(default_factory=dict)  # the mlp trainer's whitened splits per arm
 
     @cached_property
-    def train_eigh(self) -> Spectrum | None:
-        """eigh of F_train if n > d, else None, on first read; the `none` flow and an uncentered `train` fit share it."""
+    def train_F(self) -> np.ndarray | None:
         X = self.splits["train"][0]
-        return eigh(compute_F(X)) if X.sample_count > X.feature_dim else None
+        return compute_F(X) if X.sample_count > X.feature_dim else None  # only when n > d
+
+    @cached_property
+    def train_modes(self) -> Spectrum:
+        """Every eigenpair of F_train from the smaller side: eigh of the cached F (n > d), else the thin SVD of X."""
+        if self.train_F is not None:
+            return eigh(self.train_F)
+        U, s, _ = np.linalg.svd(self.splits["train"][0].values, full_matrices=False)
+        return Spectrum(s * s, U)
 
 
 def _draw_group(plan: RunPlan, dataset_size: int, seed_index: int, population: bool) -> _GroupDraw:
@@ -272,68 +282,98 @@ def _draw_group(plan: RunPlan, dataset_size: int, seed_index: int, population: b
         splits = {name: (X, Y) for name, X, Y in named if X is not None}
     else:
         splits = _subsample_train(plan.files, dataset_size, seed)
-    splits, factor = _normalize_splits(splits) if cfg.get("data", "normalize") else (splits, 1.0)
+    draw, factor = _GroupDraw(seed, splits), 1.0
+    if cfg.get("data", "normalize"):
+        draw, factor = _normalized(draw, share=plan.trainer == "linear")
     if not population:  # file data has no population second moment: plan_run rejects that arm there
-        return _GroupDraw(seed, splits, None)
+        return draw
     eigenvalues = spec.eigenvalues()
     order = np.argsort(-eigenvalues, kind="stable")  # a custom spectrum may be unsorted
     basis = np.eye(spec.d) if drawn.basis is None else drawn.basis
-    return _GroupDraw(seed, splits, Spectrum(factor * (spec.n_train * eigenvalues[order]), basis[:, order]))
+    draw.second_moment = Spectrum(factor * (spec.n_train * eigenvalues[order]), basis[:, order])
+    return draw
 
 
-def prepare_arm(plan: RunPlan, draw: _GroupDraw, mode: str):
-    """Apply one whitening arm (none/train/full/distribution) to all splits of a group's draw.
-
-    `train` fits on the train split, `full` on all splits; `distribution` whitens with the
-    source's E[F_train] (mean 0, so `center` is moot). Also returns the modes of the arm's F_train
-    that the linear trainer's flow need not decompose again (the draw's for `none`, the
-    whitener's for `train`), else None.
-    """
-    splits = draw.splits
-    if mode == "none":
-        return splits, draw.train_eigh if plan.trainer == "linear" else None
-    transform = plan.cfg.get("whitening", "transform")
+def _arm_whitener(plan: RunPlan, draw: _GroupDraw, mode: str) -> Whitener:
+    """`train` fits on the train split, `full` on all splits; `distribution` whitens with the source's E[F_train]
+    (mean 0, so `center` is moot). Uncentered at n > d, `train` takes the group's eigh of F_train and the linear
+    trainer's `full` the eigh of F_train + X_s X_s^T over the other splits (mlp rows keep the stacked fit's bits)."""
+    transform, policy, center = plan.cfg.get("whitening", "transform"), plan.rank_policy, plan.cfg.get("whitening", "center")
     if mode == "distribution":
-        whitener = population_whitener(draw.second_moment, transform, plan.rank_policy)
+        return population_whitener(draw.second_moment, transform, policy)
+    shared = not center and draw.train_F is not None
+    if mode == "train" and shared:
+        return population_whitener(draw.train_modes, transform, policy)
+    if mode == "full" and shared and plan.trainer == "linear":
+        F = draw.train_F + sum(compute_F(X) for name, (X, _) in draw.splits.items() if name != "train")
+        return population_whitener(eigh(F), transform, policy)
+    X = draw.splits["train"][0] if mode == "train" else hstack_datasets(*[X for X, _ in draw.splits.values()])
+    return fit_whitener(X, transform, policy, center)
+
+
+def prepare_arm(plan: RunPlan, draw: _GroupDraw, mode: str) -> dict:
+    """The mlp trainer's splits of one arm (none/train/full/distribution), whitened once per group."""
+    if mode != "none" and mode not in draw.arms:
+        W = _arm_whitener(plan, draw, mode)
+        draw.arms[mode] = {name: (apply_whitener(W, X), Y) for name, (X, Y) in draw.splits.items()}
+    return draw.arms.get(mode, draw.splits)
+
+
+def _normalized(draw: _GroupDraw, share: bool):
+    """The draw with every split rescaled by the train top eigenvalue (unit top mode), and 1/top, which takes a
+    second moment to the new scale (1 when top = 0). With `share` at n > d the top is the group's eigh's, and F_train
+    and its modes scale with the splits: no second decomposition. Else it is read from K = X^T X when n < d or F."""
+    X = draw.splits["train"][0]
+    modes = draw.train_modes if share and draw.train_F is not None else None
+    if modes is not None:
+        top = float(modes.eigenvalues[0])
     else:
-        whitener = fit_whitener(
-            splits["train"][0] if mode == "train" else hstack_datasets(*[X for X, _ in splits.values()]),
-            mode=transform,
-            rank_policy=plan.rank_policy,
-            center=plan.cfg.get("whitening", "center"),
-            keep_modes=mode == "train" and plan.trainer == "linear",
-            fit_spectrum=draw.train_eigh if mode == "train" and not plan.cfg.get("whitening", "center") else None,
-        )
-    return {name: (apply_whitener(whitener, X), Y) for name, (X, Y) in splits.items()}, whitener.modes
-
-
-def _normalize_splits(splits: dict):
-    """Rescale every split by the train top eigenvalue (unit top mode), read from K = X^T X when n < d.
-    Also returns 1/top, which takes a second moment to the new scale (1 when top = 0)."""
-    X = splits["train"][0]
-    top = float(np.linalg.eigvalsh(compute_K(X) if X.sample_count < X.feature_dim else compute_F(X))[-1])
+        top = float(np.linalg.eigvalsh(compute_K(X) if X.sample_count < X.feature_dim else compute_F(X))[-1])
     if top <= 0:
-        return splits, 1.0
+        return draw, 1.0
     scale = 1.0 / np.sqrt(top)
-    return {
-        name: (Dataset(scale * X.values, split_tag=X.split_tag), Y)
-        for name, (X, Y) in splits.items()
-    }, 1.0 / top
+    scaled = _GroupDraw(draw.seed, {name: (Dataset(scale * X.values, split_tag=X.split_tag), Y)
+                                    for name, (X, Y) in draw.splits.items()})
+    if modes is not None:  # seed the cached properties
+        scaled.__dict__.update(train_F=draw.train_F / top, train_modes=Spectrum(modes.eigenvalues / top, modes.eigenvectors))
+    return scaled, 1.0 / top
 
 
-def _flow_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool, train_modes):
-    Xtr, Ytr = splits["train"]
-    X_val, Y_val = splits["val"]
-    var = plan.cfg.get("flow", "init_variance")
-    k, d = Ytr.output_dim, Xtr.feature_dim
-    rng = np.random.default_rng(run_seed)
-    W0 = np.sqrt(var) * rng.standard_normal((k, d)) if var > 0 else np.zeros((k, d))
-    precondition = plan.cfg.get("flow", "precondition")
-    sol = build_flow(Xtr, Ytr, W0, precondition=precondition, modes=train_modes)
+def _arm_flow(plan: RunPlan, draw: _GroupDraw, mode: str, W0: np.ndarray):
+    """One arm's linear flow with its whitener folded in, and its splits: the group's, less the whitener's mean.
+
+    The whitened train split's modes come from the `train` fit (with no fit and no M from the group's F_train
+    modes when uncentered at W0 = 0), else from M F_train M^T (n > d) or the thin SVD of M X_train.
+    """
+    precondition, splits = plan.cfg.get("flow", "precondition"), draw.splits
+    if mode == "none":
+        return build_flow(*splits["train"], W0, precondition, modes=draw.train_modes), splits
+    shared = mode == "train" and not plan.cfg.get("whitening", "center") and not W0.any()
+    W = None if shared else _arm_whitener(plan, draw, mode)
+    if W is not None and W.mean is not None:
+        splits = {name: (Dataset._adopt(X.values - W.mean, X.split_tag), Y) for name, (X, Y) in splits.items()}
+    X = splits["train"][0]
+    eigh_side = X.sample_count > X.feature_dim
+    if mode == "train":
+        transform = plan.cfg.get("whitening", "transform")
+        modes, U = whitened_modes(draw.train_modes if shared else W.spectrum, transform, plan.rank_policy, eigh_side)
+    elif eigh_side:
+        F = draw.train_F if W.mean is None else compute_F(X)
+        modes, U = eigh(symmetrize(W.M @ F @ W.M.T)), None
+    else:
+        modes, U = gram_modes(Dataset._adopt(W.M @ X.values), NULL_MODE_RATIO), None
+    return build_flow(*splits["train"], W0, precondition, modes, fold=(None if W is None else W.M, U)), splits
+
+
+def _flow_rows(plan: RunPlan, draw: _GroupDraw, mode: str, base: dict, include_trajectory: bool):
+    Xtr, Ytr = draw.splits["train"]
+    var, shape = plan.cfg.get("flow", "init_variance"), (Ytr.output_dim, Xtr.feature_dim)
+    W0 = np.sqrt(var) * np.random.default_rng(draw.seed).standard_normal(shape) if var > 0 else np.zeros(shape)
+    sol, splits = _arm_flow(plan, draw, mode, W0)
     grid = plan.grid or TimeGrid.default_for(sol, plan.cfg.get("flow", "grid_points"))
     extra = {"test_loss": splits["test"]} if "test" in splits else None
-    _, record = early_stop(sol, X_val, Y_val, grid, extra_eval=extra)
-    base = {**base, "dataset_size": Xtr.sample_count, "optimizer": "flow_" + precondition}
+    _, record = early_stop(sol, *splits["val"], grid, extra_eval=extra)
+    base = {**base, "dataset_size": Xtr.sample_count, "optimizer": "flow_" + plan.cfg.get("flow", "precondition")}
     return _record_rows(base, record, include_trajectory)
 
 
@@ -383,10 +423,9 @@ def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, inclu
             draw = _draw_group(plan, dataset_size, seed_index, mode == "distribution")
         elif isinstance(draw, WhitebenchError):
             raise draw
-        arm, train_modes = prepare_arm(plan, draw, mode)
         if plan.trainer == "linear":
-            return _flow_rows(plan, arm, base, draw.seed, include_trajectory, train_modes)
-        return _mlp_rows(plan, arm, base, draw.seed, include_trajectory, optimizer)
+            return _flow_rows(plan, draw, mode, base, include_trajectory)
+        return _mlp_rows(plan, prepare_arm(plan, draw, mode), base, draw.seed, include_trajectory, optimizer)
     except WhitebenchError:
         return _record_rows({**base, "optimizer": plan.trainer}, TrainRecord(stopping_reason="error"), False)
 

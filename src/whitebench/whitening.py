@@ -13,7 +13,7 @@ control the trailing (below-rank) entries of S^{-1/2} are set to 1, so ZCA
 is the identity outside the fitted span; under the jitter policy a small
 epsilon is added to the diagonal of S before inverting, which keeps M
 invertible. `population_whitener` takes the same rank-policy and M step
-from a known second moment, such as a source's E[F], instead of a fit set.
+from a known second moment, such as a source's E[F] or a fit set's eigh of F.
 """
 from __future__ import annotations
 
@@ -62,18 +62,17 @@ class Whitener:
     """A fitted linear whitening transform.
 
     Immutable; `mean` is None unless the transform was fitted with centering,
-    in which case apply() subtracts it before multiplying by M. `modes` (only
-    with keep_modes): the eigenpairs of the whitened fit set's M F M^T, rates
-    inv_sqrt^2 * S descending (0 within eigh's rounding), along the standard
-    basis (PCA) or V (ZCA).
+    in which case apply() subtracts it before multiplying by M. `spectrum`
+    holds the eigenpairs (S, V) of the second moment M was built from, S
+    clamped at 0 and V signed as in M.
     """
 
     M: np.ndarray
     mode: str
     rank_policy: RankPolicy
     fit_rank: int
+    spectrum: Spectrum
     mean: np.ndarray | None = None
-    modes: Spectrum | None = None
 
     @property
     def feature_dim(self) -> int:
@@ -91,26 +90,32 @@ class WhitenessReport:
     passed: bool
 
 
-def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy):
-    """M, the fit rank and the diagonal S^{-1/2} under `policy`, for descending S with eigenvectors V.
+def _inv_sqrt(S: np.ndarray, policy: RankPolicy):
+    """The diagonal S^{-1/2} under `policy` and the fit rank, for all d descending eigenvalues S >= 0."""
+    require_nontrivial_spectrum(S, "fitted second moment")
+    rank = int(np.count_nonzero(S > policy.rank_cutoff_ratio * S[0]))
+    if policy.kind == "jitter":
+        eps = policy.epsilon if policy.epsilon is not None else 1e-8 * float(np.mean(S))
+        return 1.0 / np.sqrt(S + eps), rank
+    inv_sqrt = np.ones_like(S)
+    inv_sqrt[:rank] = 1.0 / np.sqrt(S[:rank])
+    return inv_sqrt, rank
+
+
+def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy, mean=None) -> Whitener:
+    """The whitener of the second moment V diag(S) V^T (S descending, clamped at 0 here) under `policy`.
 
     Each column of V is first signed so that its largest-magnitude entry (the
     first on ties) is positive, which fixes PCA's row signs; ZCA's are moot.
     """
     if mode not in WHITENING_MODES:
         raise ValidationError(f"unknown whitening mode {mode!r}")
-    require_nontrivial_spectrum(S, "fitted second moment")
+    S = np.maximum(S, 0.0)
+    inv_sqrt, rank = _inv_sqrt(S, policy)
     cols = np.arange(V.shape[1])
     V = V * np.sign(V[np.argmax(np.abs(V), axis=0), cols])
-    rank = int(np.count_nonzero(S > policy.rank_cutoff_ratio * S[0]))
-    if policy.kind == "jitter":
-        eps = policy.epsilon if policy.epsilon is not None else 1e-8 * float(np.mean(S))
-        inv_sqrt = 1.0 / np.sqrt(S + eps)
-    else:
-        inv_sqrt = np.ones_like(S)
-        inv_sqrt[:rank] = 1.0 / np.sqrt(S[:rank])
     M = inv_sqrt[:, None] * V.T if mode == "pca" else (V * inv_sqrt[None, :]) @ V.T
-    return M, rank, inv_sqrt
+    return Whitener(M=M, mode=mode, rank_policy=policy, fit_rank=rank, spectrum=Spectrum(S, V), mean=mean)
 
 
 def fit_whitener(
@@ -118,18 +123,13 @@ def fit_whitener(
     mode: str = "pca",
     rank_policy: RankPolicy | None = None,
     center: bool = False,
-    keep_modes: bool = False,
-    fit_spectrum: Spectrum | None = None,
 ) -> Whitener:
     """Fit a whitening transform on X_fit.
 
     Which data the transform is fitted on (train split, all splits) is the
     caller's choice. Centering is off by default; when on, the fit-set row
-    means are stored and subtracted by apply(). keep_modes=True also stores
-    `Whitener.modes`, for a flow on the whitened fit set. fit_spectrum, the
-    caller's eigh(compute_F(X_fit)), is used in its place when n > d and center is off.
+    means are stored and subtracted by apply().
     """
-    policy = rank_policy or RankPolicy()
     mean = None
     values = X_fit.values
     if center:
@@ -140,27 +140,35 @@ def fit_whitener(
         V, s, _ = np.linalg.svd(values, full_matrices=True)
         S = np.pad(s * s, (0, d - n))
     else:
-        spec = fit_spectrum if fit_spectrum is not None and not center else eigh(symmetrize(values @ values.T))
-        S, V = np.maximum(spec.eigenvalues, 0.0), spec.eigenvectors
-    M, rank, inv_sqrt = _whiten_spectrum(S, V, mode, policy)
-
-    modes = None
-    if keep_modes:
-        # n > d: an eigenvalue within eigh's rounding, d * eps * S0, is a null direction, not a slow mode
-        floor = d * np.finfo(float).eps * S[0] if n > d else 0.0
-        rates = np.where(S > floor, inv_sqrt * inv_sqrt * S, 0.0)
-        order = np.argsort(-rates, kind="stable")
-        modes = Spectrum(rates[order], np.eye(d)[:, order] if mode == "pca" else V[:, order])
-
-    return Whitener(M=M, mode=mode, rank_policy=policy, fit_rank=rank, mean=mean, modes=modes)
+        spec = eigh(symmetrize(values @ values.T))
+        S, V = spec.eigenvalues, spec.eigenvectors
+    return _whiten_spectrum(S, V, mode, rank_policy or RankPolicy(), mean)
 
 
 def population_whitener(second_moment: Spectrum, mode: str = "pca", rank_policy: RankPolicy | None = None) -> Whitener:
-    """Whiten with a known second moment (e.g. a source's E[F]): rank policy, jitter and
-    PCA/ZCA act on its eigenvalues exactly as on a fitted F's. There is no mean to center on."""
-    policy = rank_policy or RankPolicy()
-    M, rank, _ = _whiten_spectrum(second_moment.eigenvalues, second_moment.eigenvectors, mode, policy)
-    return Whitener(M=M, mode=mode, rank_policy=policy, fit_rank=rank)
+    """Whiten with a known second moment (e.g. a source's E[F], or eigh(F) of an uncentered fit set): rank
+    policy, jitter and PCA/ZCA act on its eigenvalues exactly as on a fitted F's. There is no mean to center on."""
+    return _whiten_spectrum(second_moment.eigenvalues, second_moment.eigenvectors, mode, rank_policy or RankPolicy())
+
+
+def whitened_modes(fit: Spectrum, mode: str, rank_policy: RankPolicy, from_eigh: bool) -> tuple[Spectrum, np.ndarray]:
+    """The eigenpairs (rates, V-hat) of M F M^T, descending, for the whitener M of F = V diag(S) V^T, and U = M^T V-hat.
+
+    M F M^T = V-hat diag(inv_sqrt^2 S) V-hat^T with V-hat the standard basis (PCA) or V (ZCA), so U = V diag(inv_sqrt)
+    either way and neither M nor F is multiplied. `fit` may hold only a thin SVD's leading V: the rest have rate 0.
+    From eigh (n > d), an eigenvalue within its rounding, d * eps * S0, is a null direction (rate 0), not a slow mode.
+    """
+    d, r = fit.eigenvectors.shape
+    S = np.maximum(fit.eigenvalues, 0.0)
+    inv_sqrt = _inv_sqrt(np.pad(S, (0, d - r)), rank_policy)[0][:r]
+    floor = d * np.finfo(float).eps * S[0] if from_eigh else 0.0
+    rates = np.where(S > floor, inv_sqrt * inv_sqrt * S, 0.0)
+    order = np.argsort(-rates, kind="stable")
+    V = fit.eigenvectors[:, order]
+    V_hat = V if mode == "zca" else np.zeros((d, r))
+    if mode == "pca":  # the standard basis in rate order, built d x r: np.eye(d) would take d x d
+        V_hat[order, np.arange(r)] = 1.0
+    return Spectrum(rates[order], V_hat), V * inv_sqrt[order]
 
 
 def apply_whitener(W: Whitener, X: Dataset) -> Dataset:

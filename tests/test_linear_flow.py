@@ -25,7 +25,7 @@ from whitebench.errors import ShapeError, ValidationError
 from whitebench.linear_flow import PRECONDITIONS, LinearModel, _loss_curve
 from whitebench.optimizers import OptimizerConfig, newton_step
 from whitebench.synth import SyntheticSpec, synthesize
-from whitebench.whitening import RANK_POLICIES, WHITENING_MODES
+from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, whitened_modes
 
 from conftest import one_hot_labels, random_dataset, spaced_dataset
 
@@ -283,23 +283,29 @@ def test_newton_flow_equals_plain_flow_on_whitened(rng):
 @settings(max_examples=80, deadline=None)
 def test_whitener_modes_give_the_flow_of_the_whitened_split(d, extra, deficient, mode, policy, center,
                                                             precondition, seed):
-    # n < d, n = d and n > d, optionally of rank below min(d, n)
+    # n < d, n = d and n > d, optionally of rank below min(d, n): the whitener folded into the flow on the
+    # raw (mean-shifted) splits predicts what the flow of the whitened splits predicts
     n = d + extra
     rng = np.random.default_rng(seed)
     full = min(d, n - 1 if center else n)
     X = spaced_dataset(rng, d, n, max(1, full - 1) if deficient else full, offset=center)
+    X_test = random_dataset(rng, d, 5, split_tag="test")
     Y = LabelSet(rng.standard_normal((3, n)))
     W0 = rng.standard_normal((3, d))
-    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=center, keep_modes=True)
-    X_hat = apply_whitener(W, X)
-    reused = build_flow(X_hat, Y, W0, precondition, modes=W.modes)
-    own = build_flow(X_hat, Y, W0, precondition)
-    lam, lam_own = reused.spectrum.eigenvalues, own.spectrum.eigenvalues
+    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=center)
+    modes, U = whitened_modes(W.spectrum, mode, RankPolicy(policy), n > d)
+    shift = 0.0 if W.mean is None else W.mean
+    raw = [Dataset(Z.values - shift, split_tag=Z.split_tag) for Z in (X, X_test)]
+    folded = build_flow(raw[0], Y, W0, precondition, modes=modes, fold=(W.M, U))
+    own = build_flow(apply_whitener(W, X), Y, W0, precondition)
+    lam, lam_own = folded.spectrum.eigenvalues, own.spectrum.eigenvalues
     assert lam.size == lam_own.size
     assert np.max(np.abs(lam - lam_own)) <= 1e-10 * lam_own[0]
     for t in (0.0, 1.0 / own.max_rate, 1.0 / own.min_positive_rate, 40.0 / own.min_positive_rate):
-        expected = flow_at(own, t).W
-        assert np.max(np.abs(flow_at(reused, t).W - expected)) <= 1e-9 * max(1.0, np.max(np.abs(expected)))
+        for Z, Z_raw in zip((X, X_test), raw):
+            expected = flow_at(own, t).W @ apply_whitener(W, Z).values
+            got = flow_at(folded, t).W @ Z_raw.values
+            assert np.max(np.abs(got - expected)) <= 1e-9 * max(1.0, np.max(np.abs(expected)))
 
 
 def test_jitter_leaves_null_directions_of_an_eigh_fit_null(rng):
@@ -307,18 +313,28 @@ def test_jitter_leaves_null_directions_of_an_eigh_fit_null(rng):
     # jitter epsilon, would read as slow modes (rate ~1e-8) and stretch the default grid
     X = Dataset(rng.standard_normal((12, 8)) @ rng.standard_normal((8, 40)), split_tag="train")
     Y = LabelSet(rng.standard_normal((2, 40)))
-    W = fit_whitener(X, rank_policy=RankPolicy("jitter"), keep_modes=True)
-    X_hat = apply_whitener(W, X)
-    reused, own = build_flow(X_hat, Y, modes=W.modes), build_flow(X_hat, Y)
+    W = fit_whitener(X, rank_policy=RankPolicy("jitter"))
+    modes, U = whitened_modes(W.spectrum, "pca", RankPolicy("jitter"), from_eigh=True)
+    reused, own = build_flow(X, Y, modes=modes, fold=(W.M, U)), build_flow(apply_whitener(W, X), Y)
     assert reused.mode_rates.size == own.mode_rates.size == 8
     assert TimeGrid.default_for(reused).t_max == pytest.approx(TimeGrid.default_for(own).t_max, rel=1e-10)
 
 
 def test_build_flow_rejects_modes_of_another_width(rng):
     X = random_dataset(rng, 4, 9)
-    modes = fit_whitener(random_dataset(rng, 5, 9), keep_modes=True).modes
+    modes = fit_whitener(random_dataset(rng, 5, 9)).spectrum
     with pytest.raises(ShapeError):
         build_flow(X, LabelSet(rng.standard_normal((2, 9))), modes=modes)
+
+
+def test_a_fold_without_M_needs_zero_W0(rng):
+    X = random_dataset(rng, 4, 9)
+    W = fit_whitener(X)
+    modes, U = whitened_modes(W.spectrum, "pca", RankPolicy(), from_eigh=True)
+    Y = LabelSet(rng.standard_normal((2, 9)))
+    assert not build_flow(X, Y, modes=modes, fold=(None, U)).W0.any()
+    with pytest.raises(ValidationError, match="W0 = 0"):
+        build_flow(X, Y, np.ones((2, 4)), modes=modes, fold=(None, U))
 
 
 def test_null_space_conservation(rng):

@@ -18,7 +18,7 @@ from whitebench import (
 )
 from whitebench.datatypes import RANK_CUTOFF_RATIO, Spectrum, eigh, hstack_datasets, symmetrize
 from whitebench.errors import DegenerateSpectrumError, ShapeError
-from whitebench.whitening import RANK_POLICIES, WHITENING_MODES
+from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, whitened_modes
 
 from conftest import spaced_dataset
 
@@ -213,14 +213,16 @@ def test_smaller_side_fit_matches_eigh_reference(d, n, rank, mode, policy, seed)
 @pytest.mark.parametrize("policy", RANK_POLICIES)
 @pytest.mark.parametrize("n", [5, 9, 20])
 def test_kept_modes_diagonalize_the_whitened_fit_set(rng, mode, policy, n):
+    # whitened_modes reads the eigenpairs of M F M^T and U = M^T V-hat off the fit, multiplying neither
     X = Dataset(rng.standard_normal((9, n)) + 0.5, split_tag="train")
-    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=True, keep_modes=True)
-    assert fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=True).modes is None
-    rates, V = W.modes.eigenvalues, W.modes.eigenvectors
+    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=True)
+    modes, U = whitened_modes(W.spectrum, mode, RankPolicy(policy), from_eigh=n > 9)
+    rates, V = modes.eigenvalues, modes.eigenvectors
     assert V.shape == (9, 9) and np.all(np.diff(rates) <= 0)
     assert np.max(np.abs(V.T @ V - np.eye(9))) <= 1e-12
     F_hat = V.T @ compute_F(apply_whitener(W, X)) @ V
     assert np.max(np.abs(F_hat - np.diag(rates))) <= 1e-10 * rates[0]
+    assert np.max(np.abs(U - W.M.T @ V)) <= 1e-12 * np.max(np.abs(W.M))
     if mode == "pca":
         assert np.array_equal(np.abs(V).sum(axis=0), np.ones(9))
 
