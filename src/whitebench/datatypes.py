@@ -217,16 +217,19 @@ def pseudoinverse(A: np.ndarray, rel_tol: float = PINV_CUTOFF_RATIO) -> np.ndarr
     return Vt.T @ (inv[:, None] * U.T)  # the order of numpy.linalg.pinv, so kept modes round alike
 
 
-def gram_modes(X: Dataset, cutoff_ratio: float) -> Spectrum:
-    """The eigenpairs of F = X X^T above cutoff_ratio times the largest (and invertible).
+def gram_modes(X: Dataset, cutoff_ratio: float | None, F: np.ndarray | None = None) -> Spectrum:
+    """The eigenpairs of F = X X^T above cutoff_ratio times the largest (and invertible), or all if None.
 
     From the smaller side: the thin SVD X = U S V^T (lambda = s^2, vectors U)
-    when n <= d, eigh of the d x d F when n > d. An all-zero X keeps none.
+    when n <= d, eigh of the d x d F (the caller's `F` if given) when n > d.
+    An all-zero X keeps none above a cutoff.
     """
     if X.sample_count <= X.feature_dim:
         U, s, _ = np.linalg.svd(X.values, full_matrices=False)
-        return leading_modes(Spectrum(s * s, U), cutoff_ratio)
-    return leading_modes(eigh(compute_F(X)), cutoff_ratio)
+        spec = Spectrum(s * s, U)
+    else:
+        spec = eigh(compute_F(X) if F is None else F)
+    return spec if cutoff_ratio is None else leading_modes(spec, cutoff_ratio)
 
 
 def leading_modes(spec: Spectrum, cutoff_ratio: float) -> Spectrum:

@@ -229,21 +229,14 @@ def init_isotropic(
     return MLP(weights=weights, biases=biases, activation=activation, output_head=output_head)
 
 
-@dataclass
-class BatchSchedule:
-    """Deterministic minibatch order derived from the run seed."""
-
-    n: int
-    batch_size: int | None
-    seed: int
-
-    def epochs(self):
-        rng = np.random.default_rng(self.seed)
-        size = self.n if self.batch_size in (None, 0) else min(self.batch_size, self.n)
-        while True:
-            order = np.arange(self.n) if size == self.n else rng.permutation(self.n)
-            for start in range(0, self.n, size):
-                yield order[start : start + size]
+def _batches(n: int, size: int, seed: int):
+    """Deterministic minibatch order derived from the run seed: epoch after epoch of `size` columns."""
+    rng = np.random.default_rng(seed)
+    size = min(size, n)
+    while True:
+        order = np.arange(n) if size == n else rng.permutation(n)
+        for start in range(0, n, size):
+            yield order[start : start + size]
 
 
 def train_to_cutoff(
@@ -288,7 +281,7 @@ def train_to_cutoff(
 
     n = X_train.sample_count
     batch_size = cfg.batch_size if cfg.batch_size not in (None, 0) else n
-    schedule = BatchSchedule(n=n, batch_size=batch_size, seed=seed).epochs()
+    schedule = _batches(n, batch_size, seed)
     full_batch = batch_size >= n
 
     record = TrainRecord(

@@ -189,14 +189,6 @@ def newton_step(model: LinearModel, X_b: np.ndarray, Y_b: np.ndarray, cfg: Optim
     )
 
 
-def ggn_matvec(model, Y: np.ndarray, cache: dict, predictions: np.ndarray, tangents: list):
-    """Apply the generalized Gauss-Newton curvature J^T H_out J, matrix-free."""
-    ju = model.jvp(cache, tangents)
-    hu = model.output_hessian_apply(predictions, ju, Y)
-    grads, _ = model.grads_from(cache, hu)
-    return grads
-
-
 def _flatten(arrays):
     return np.concatenate([a.ravel() for a in arrays])
 
@@ -227,10 +219,11 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
     g = _flatten(grads)
     templates = model.trainable()
 
-    def apply_A(v):
+    def apply_A(v):  # ((1 - lambda) J^T H_out J + lambda I) v, matrix-free
         if lam == 1.0:
             return v.copy()
-        gg = ggn_matvec(model, Y_b, aux["cache"], aux["predictions"], _unflatten(v, templates))
+        ju = model.jvp(aux["cache"], _unflatten(v, templates))
+        gg, _ = model.grads_from(aux["cache"], model.output_hessian_apply(aux["predictions"], ju, Y_b))
         return (1.0 - lam) * _flatten(gg) + lam * v
 
     cg = conjugate_gradient_solve(apply_A, g, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)

@@ -259,11 +259,8 @@ class _GroupDraw:
 
     @cached_property
     def train_modes(self) -> Spectrum:
-        """Every eigenpair of F_train from the smaller side: eigh of the cached F (n > d), else the thin SVD of X."""
-        if self.train_F is not None:
-            return eigh(self.train_F)
-        U, s, _ = np.linalg.svd(self.splits["train"][0].values, full_matrices=False)
-        return Spectrum(s * s, U)
+        """Every eigenpair of F_train from the smaller side (eigh of the cached F when n > d)."""
+        return gram_modes(self.splits["train"][0], None, self.train_F)
 
 
 def _draw_group(plan: RunPlan, dataset_size: int, seed_index: int, population: bool) -> _GroupDraw:
@@ -284,7 +281,7 @@ def _draw_group(plan: RunPlan, dataset_size: int, seed_index: int, population: b
         splits = _subsample_train(plan.files, dataset_size, seed)
     draw, factor = _GroupDraw(seed, splits), 1.0
     if cfg.get("data", "normalize"):
-        draw, factor = _normalized(draw, share=plan.trainer == "linear")
+        draw, factor = _normalized(draw)
     if not population:  # file data has no population second moment: plan_run rejects that arm there
         return draw
     eigenvalues = spec.eigenvalues()
@@ -296,15 +293,15 @@ def _draw_group(plan: RunPlan, dataset_size: int, seed_index: int, population: b
 
 def _arm_whitener(plan: RunPlan, draw: _GroupDraw, mode: str) -> Whitener:
     """`train` fits on the train split, `full` on all splits; `distribution` whitens with the source's E[F_train]
-    (mean 0, so `center` is moot). Uncentered at n > d, `train` takes the group's eigh of F_train and the linear
-    trainer's `full` the eigh of F_train + X_s X_s^T over the other splits (mlp rows keep the stacked fit's bits)."""
+    (mean 0, so `center` is moot). Uncentered at n > d, `train` takes the group's eigh of F_train and `full` the
+    eigh of F_train + X_s X_s^T over the other splits: no stacked copy."""
     transform, policy, center = plan.cfg.get("whitening", "transform"), plan.rank_policy, plan.cfg.get("whitening", "center")
     if mode == "distribution":
         return population_whitener(draw.second_moment, transform, policy)
     shared = not center and draw.train_F is not None
     if mode == "train" and shared:
         return population_whitener(draw.train_modes, transform, policy)
-    if mode == "full" and shared and plan.trainer == "linear":
+    if mode == "full" and shared:
         F = draw.train_F + sum(compute_F(X) for name, (X, _) in draw.splits.items() if name != "train")
         return population_whitener(eigh(F), transform, policy)
     X = draw.splits["train"][0] if mode == "train" else hstack_datasets(*[X for X, _ in draw.splits.values()])
@@ -319,23 +316,22 @@ def prepare_arm(plan: RunPlan, draw: _GroupDraw, mode: str) -> dict:
     return draw.arms.get(mode, draw.splits)
 
 
-def _normalized(draw: _GroupDraw, share: bool):
+def _normalized(draw: _GroupDraw):
     """The draw with every split rescaled by the train top eigenvalue (unit top mode), and 1/top, which takes a
-    second moment to the new scale (1 when top = 0). With `share` at n > d the top is the group's eigh's, and F_train
-    and its modes scale with the splits: no second decomposition. Else it is read from K = X^T X when n < d or F."""
-    X = draw.splits["train"][0]
-    modes = draw.train_modes if share and draw.train_F is not None else None
-    if modes is not None:
-        top = float(modes.eigenvalues[0])
-    else:
-        top = float(np.linalg.eigvalsh(compute_K(X) if X.sample_count < X.feature_dim else compute_F(X))[-1])
+    second moment to the new scale (1 when top = 0). At n > d the top is the group's eigh's, and the scaled draw
+    caches (F/top, lambda/top, V), its splits' F_train and modes to rounding: no second decomposition. At n <= d
+    the top is eigvalsh's of K = X^T X (n < d) or F."""
+    X, F = draw.splits["train"][0], draw.train_F
+    modes = None if F is None else draw.train_modes
+    top = float(np.linalg.eigvalsh(compute_K(X) if X.sample_count < X.feature_dim else compute_F(X))[-1]
+                if modes is None else modes.eigenvalues[0])
     if top <= 0:
         return draw, 1.0
     scale = 1.0 / np.sqrt(top)
     scaled = _GroupDraw(draw.seed, {name: (Dataset(scale * X.values, split_tag=X.split_tag), Y)
                                     for name, (X, Y) in draw.splits.items()})
-    if modes is not None:  # seed the cached properties
-        scaled.__dict__.update(train_F=draw.train_F / top, train_modes=Spectrum(modes.eigenvalues / top, modes.eigenvectors))
+    if F is not None:  # a cached_property takes a plain write
+        scaled.train_F, scaled.train_modes = F / top, Spectrum(modes.eigenvalues / top, modes.eigenvectors)
     return scaled, 1.0 / top
 
 

@@ -62,21 +62,26 @@ class Whitener:
     """A fitted linear whitening transform.
 
     Immutable; `mean` is None unless the transform was fitted with centering,
-    in which case apply() subtracts it before multiplying by M. `spectrum`
-    holds the eigenpairs (S, V) of the second moment M was built from, S
-    clamped at 0 and V signed as in M.
+    in which case apply() subtracts it before multiplying by M. `eigenpairs`
+    holds (S, V) of the second moment M was built from, S clamped at 0 and V
+    signed as in M; `spectrum` checks them into a Spectrum only when read,
+    which keeps that cost off the many small fits that never read it.
     """
 
     M: np.ndarray
     mode: str
     rank_policy: RankPolicy
     fit_rank: int
-    spectrum: Spectrum
+    eigenpairs: tuple
     mean: np.ndarray | None = None
 
     @property
     def feature_dim(self) -> int:
         return self.M.shape[1]
+
+    @property
+    def spectrum(self) -> Spectrum:
+        return Spectrum(*self.eigenpairs)
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy
     cols = np.arange(V.shape[1])
     V = V * np.sign(V[np.argmax(np.abs(V), axis=0), cols])
     M = inv_sqrt[:, None] * V.T if mode == "pca" else (V * inv_sqrt[None, :]) @ V.T
-    return Whitener(M=M, mode=mode, rank_policy=policy, fit_rank=rank, spectrum=Spectrum(S, V), mean=mean)
+    return Whitener(M=M, mode=mode, rank_policy=policy, fit_rank=rank, eigenpairs=(S, V), mean=mean)
 
 
 def fit_whitener(

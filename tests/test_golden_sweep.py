@@ -5,10 +5,11 @@ below. The `none` rows were written by the early-stop scan that rebuilt W(t)
 and predicted at every grid time. The whitened rows (train and full,
 `golden_newton`) were rewritten when the arms of a (size, seed) group came to
 share one draw, by the code before that change, which drew per arm, with its
-run seed pinned to the `none` arm's. The `golden_white` rows (ZCA, centered,
-jitter, W0 != 0) were written by the code that still multiplied every split
-by M, before the linear trainer folded the whitener into the flow. The
-current code must give the same rows:
+run seed pinned to the `none` arm's. The `golden_white` (ZCA, centered,
+manual, W0 != 0) and `golden_jitter` (ZCA, centered, jitter, W0 = 0) rows
+were written by the code that still multiplied every split by M, before the
+linear trainer folded the whitener into the flow. The current code must give
+the same rows:
 val_loss within 1e-10 relative; t* within 1e-4 relative, since golden-section
 search over a flat minimum cannot pin t* more finely; train_loss and
 test_loss, which follow t*, within 1e-4 relative; test_error and
@@ -35,9 +36,11 @@ CONFIGS = {
     # n < d with W0 != 0: null modes keep their initial weights
     "golden_init": ("none", "0", "8", {"init_variance": 0.05}, {}),
     "golden_newton": ("train", "0", "32", {"precondition": "newton"}, {}),
-    # the whitener's options with W0 != 0, on both sides of d
-    "golden_white": ("train full", "0", "8 32", {"init_variance": 0.05},
-                     {"transform": "zca", "center": "true", "rank_policy": "jitter"}),
+    # the whitener's options on both sides of d: W0 != 0 under manual rank control, W0 = 0 under jitter,
+    # which scales a W0's weight outside the fit's span by up to 1/sqrt(epsilon)
+    "golden_white": ("train full", "0 1", "8 32", {"init_variance": 0.05},
+                     {"transform": "zca", "center": "true", "rank_policy": "manual"}),
+    "golden_jitter": ("train full", "0 1", "8 32", {}, {"transform": "zca", "center": "true", "rank_policy": "jitter"}),
 }
 KEY = ("experiment_id", "seed", "dataset_size", "whitening_mode")
 RELATIVE = {"val_loss": 1e-10, "step_or_time": 1e-4, "train_loss": 1e-4, "test_loss": 1e-4}
@@ -70,7 +73,7 @@ def test_sweep_matches_golden_rows(tmp_path):
     write_rows_csv(out, _rows(tmp_path))
     got, want = _read(out), _read(GOLDEN)
     assert sorted(got) == sorted(want)
-    assert len(want) == 3 * 3 * 2 + 2 + 2 * 2
+    assert len(want) == 3 * 3 * 2 + 2 + 2 * 2 * 2 * 2
     for key, expected in want.items():
         row = got[key]
         for col in EXACT:

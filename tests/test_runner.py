@@ -199,7 +199,7 @@ def test_normalize_scale_reads_the_top_eigenvalue_of_F(rng, d, n):
     Y = LabelSet(rng.standard_normal((2, n)))
     splits = {"train": (X, Y), "val": (Dataset(rng.standard_normal((d, 4)), split_tag="validation"), Y)}
     top = float(np.linalg.eigvalsh(compute_F(X))[-1])
-    out, _ = _normalized(_GroupDraw(0, splits), share=True)  # at n > d the top of the group's eigh of F_train
+    out, _ = _normalized(_GroupDraw(0, splits))  # at n > d the top of the group's eigh of F_train
     scale = out.splits["val"][0].values[0, 0] / splits["val"][0].values[0, 0]
     assert abs(scale - 1.0 / np.sqrt(top)) <= 1e-12 / np.sqrt(top)
     # eigh's top eigenvalue and eigvalsh's can differ in rounding: the golden val_loss tolerance
@@ -611,7 +611,7 @@ def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, poli
     # apply_whitener, then build_flow and early_stop on the whitened splits. n < d, n = d and n > d.
     from whitebench import Dataset, LabelSet, apply_whitener, build_flow, early_stop, flow_at
     from whitebench.datatypes import Spectrum, random_orthogonal
-    from whitebench.linear_flow import TimeGrid
+    from whitebench.linear_flow import TimeGrid, mse_per_sample
     from whitebench.runconfig import RunConfig
     from whitebench.runner import _arm_flow, _arm_whitener, _GroupDraw
 
@@ -639,18 +639,20 @@ def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, poli
                 W_t, X_hat = flow_at(ref, t).W, white[name][0].values
                 got = flow_at(sol, t).W @ raw[name][0].values
                 assert np.max(np.abs(got - W_t @ X_hat)) <= 1e-9 * _product_scale(W_t, X_hat), (mode, name, t)
-        if W is not None and policy == "jitter" and W.fit_rank < d:
-            # Jitter scales the directions outside the fit's span by up to 1/sqrt(epsilon). That multiplies the
-            # reference's own rounding (in its decomposition of the whitened train split) into relative errors
-            # near 1e-8 on held-out splits, and with W0 != 0 it can flatten the val curve to rounding, where t*
-            # follows noise. The predictions above hold for these draws; the rows are compared where the
-            # reference is accurate to the golden tolerances.
-            continue
         rows = [early_stop(s, *z["val"], TimeGrid.default_for(s), extra_eval={"test_loss": z["test"]})[1]
                 for s, z in ((sol, raw), (ref, white))]
-        got, want = (r.at(r.terminal_step) for r in rows)
+        t_star = rows[0].terminal_step
+        got, want = rows[0].at(t_star), rows[1].at(rows[1].terminal_step)
         assert (got["test_error"], rows[0].stopping_reason) == (want["test_error"], rows[1].stopping_reason), mode
-        assert rows[0].terminal_step == pytest.approx(rows[1].terminal_step, rel=RELATIVE["step_or_time"], abs=0.0)
-        for col, tol in RELATIVE.items():
-            if col != "step_or_time":
-                assert got[col] == pytest.approx(want[col], rel=tol, abs=0.0), (mode, col)
+        # Where the val curve is flat to rounding, t* follows the rounding (ROADMAP, Small defects), so the
+        # reference is read at the fold's t*: it must give the fold's losses there, and its val loss must be the
+        # reference's minimum. Jitter scales the directions outside the fit's span by up to 1/sqrt(epsilon), which
+        # multiplies the reference's own rounding into relative errors near 1e-8 (at most 1.9e-8 on held-out
+        # losses over 3000 draws) and into train losses at rounding level when the flow interpolates.
+        loose = W is not None and policy == "jitter" and W.fit_rank < d
+        W_t = flow_at(ref, t_star).W
+        for col, name in (("train_loss", "train"), ("val_loss", "val"), ("test_loss", "test")):
+            expected = mse_per_sample(W_t @ white[name][0].values, white[name][1])
+            rel, floor = (1e-6, 1e-12) if loose else (RELATIVE[col], 0.0)
+            assert got[col] == pytest.approx(expected, rel=rel, abs=floor), (mode, col)
+        assert got["val_loss"] <= want["val_loss"] * (1.0 + (1e-6 if loose else RELATIVE["val_loss"])), mode
