@@ -67,7 +67,7 @@ def export_csv(path, X: Dataset, labels: LabelSet | None = None):
             writer.writerow(row)
 
 
-def ingest_csv(path, split_tag: str = "combined"):
+def ingest_csv(path):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -103,7 +103,7 @@ def ingest_csv(path, split_tag: str = "combined"):
         columns.append(values)
     if not columns:
         raise ParseError(f"{path}: no data rows")
-    X = Dataset(np.array(columns, dtype=np.float64).T, split_tag=split_tag)
+    X = Dataset(np.array(columns, dtype=np.float64).T)
     labels = None
     if label_idx is not None:
         labels = LabelSet.from_class_ids(class_ids, max(class_ids) + 1)
@@ -164,8 +164,8 @@ def export_wbds(path, X: Dataset, labels: LabelSet | None = None):
         _write_frame(label_companion_path(path), _WBLB, labels.targets)
 
 
-def ingest_wbds(path, split_tag: str = "combined"):
-    X = Dataset(_read_frame(path, _WBDS)[0], split_tag=split_tag)
+def ingest_wbds(path):
+    X = Dataset(_read_frame(path, _WBDS)[0])
     labels = None
     companion = label_companion_path(path)
     if companion.exists():
@@ -197,13 +197,13 @@ def ingest_compressed(path) -> CompressedDataset:
     return CompressedDataset(payload=payload, d=d, n=n, column_permutation=perm[0].astype(int))
 
 
-def ingest(path, fmt: str, split_tag: str = "combined"):
+def ingest(path, fmt: str):
     """Load a dataset (+ labels when present) from csv or wbds."""
     if fmt not in FORMATS:
         raise ValidationError(f"unsupported format {fmt!r}; supported: {FORMATS}")
     if not Path(path).exists():
         raise ParseError(f"{path}: no such file")
-    return ingest_csv(path, split_tag) if fmt == "csv" else ingest_wbds(path, split_tag)
+    return ingest_csv(path) if fmt == "csv" else ingest_wbds(path)
 
 
 def export(path, fmt: str, X: Dataset, labels: LabelSet | None = None):

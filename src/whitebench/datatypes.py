@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, ShapeError, ValidationError
 
-SPLIT_TAGS = ("train", "validation", "test", "combined")
 LABEL_ENCODINGS = ("one_hot", "real_valued")
 
 #: relative eigenvalue cutoff on F for rank: `estimate_input_rank` and the
@@ -49,28 +48,24 @@ def _freeze(obj, name, arr):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A d x n matrix of samples-as-columns plus a split tag.
+    """A d x n matrix of samples-as-columns.
 
     Immutable after construction; the backing array is marked read-only.
     """
 
     values: np.ndarray
-    split_tag: str = "combined"
 
     def __post_init__(self, copy=True):
         arr = _as_matrix(self.values, "Dataset.values", copy)
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValidationError("Dataset needs at least one feature and one sample")
-        if self.split_tag not in SPLIT_TAGS:
-            raise ValidationError(f"unknown split_tag {self.split_tag!r}")
         _freeze(self, "values", arr)
 
     @classmethod
-    def _adopt(cls, values: np.ndarray, split_tag: str = "combined") -> "Dataset":
+    def _adopt(cls, values: np.ndarray) -> "Dataset":
         """A Dataset over an array its caller just computed and drops: checked, frozen, not copied."""
         obj = cls.__new__(cls)
         object.__setattr__(obj, "values", values)
-        object.__setattr__(obj, "split_tag", split_tag)
         obj.__post_init__(copy=False)
         return obj
 
@@ -83,10 +78,8 @@ class Dataset:
         return self.values.shape[1]
 
     def fingerprint(self) -> str:
-        """Short content hash used as a dataset identifier in audit metadata."""
-        h = hashlib.sha256(self.values.tobytes())
-        h.update(self.split_tag.encode())
-        return h.hexdigest()[:16]
+        """Short hash of the shape and values, used as a dataset identifier in audit metadata."""
+        return hashlib.sha256(repr(self.values.shape).encode() + self.values.tobytes()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -264,9 +257,9 @@ def require_nontrivial_spectrum(singular_values: np.ndarray, what: str):
         raise DegenerateSpectrumError(f"{what} has an identically zero spectrum")
 
 
-def hstack_datasets(*datasets: Dataset, split_tag: str = "combined") -> Dataset:
+def hstack_datasets(*datasets: Dataset) -> Dataset:
     """Concatenate datasets along the sample axis into a single split."""
     dims = {X.feature_dim for X in datasets}
     if len(dims) != 1:
         raise ShapeError(f"feature dims differ across datasets: {sorted(dims)}")
-    return Dataset._adopt(np.hstack([X.values for X in datasets]), split_tag=split_tag)
+    return Dataset._adopt(np.hstack([X.values for X in datasets]))

@@ -35,7 +35,6 @@ class CompressedDataset:
     d: int
     n: int
     column_permutation: np.ndarray | None = None
-    leading_block_condition: float = float("nan")
 
     def __post_init__(self):
         payload = np.array(self.payload, dtype=np.float64).reshape(self.d, self.n - self.d)
@@ -99,13 +98,7 @@ def compress_whitened(X_hat: Dataset, whiteness_tol: float = 1e-6) -> Compressed
                 "no invertible d-column block exists (rank-deficient whitened data)"
             )
     reduced = np.linalg.solve(block, values)  # [I | payload]
-    return CompressedDataset(
-        payload=reduced[:, d:],
-        d=d,
-        n=n,
-        column_permutation=perm,
-        leading_block_condition=cond,
-    )
+    return CompressedDataset(payload=reduced[:, d:], d=d, n=n, column_permutation=perm)
 
 
 def reconstruct_K(c: CompressedDataset) -> np.ndarray:
@@ -283,11 +276,11 @@ def full_whitening_null_check(
     else:
         idx = np.arange(n_train + n_test) % classes
 
-    combined = Dataset(X_all, split_tag="combined")
+    combined = Dataset(X_all)
     whitener = fit_whitener(combined, mode="pca", rank_policy=RankPolicy("manual"))
     X_hat = apply_whitener(whitener, combined).values
-    Xtr = Dataset(X_hat[:, :n_train], split_tag="train")
-    Xte = Dataset(X_hat[:, n_train:], split_tag="test")
+    Xtr = Dataset(X_hat[:, :n_train])
+    Xte = Dataset(X_hat[:, n_train:])
     Ytr = LabelSet.from_class_ids(idx[:n_train], classes)
     Yte = LabelSet.from_class_ids(idx[n_train:], classes)
 

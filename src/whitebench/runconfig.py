@@ -19,7 +19,7 @@ from .datatypes import LABEL_ENCODINGS
 from .errors import ConfigError
 from .linear_flow import PRECONDITIONS
 from .models import ACTIVATIONS, OPTIMIZERS, OUTPUT_HEADS
-from .synth import SPECTRA, TEACHERS
+from .synth import SPECTRA
 from .whitening import RANK_POLICIES, WHITENING_MODES
 
 WHITENING_ARMS = ("none", "train", "full", "distribution")
@@ -84,7 +84,6 @@ _SCHEMA = {
         "spectrum": (_choice(SPECTRA), "power_law"),
         "alpha": (float, 2.0),
         "eigenvalues": (_list(float), None),
-        "teacher": (_choice(TEACHERS), "linear"),
         "teacher_seed": (int, None),  # the master seed
         "label_noise": (float, 0.0),
         "classes": (int, 10),
@@ -159,7 +158,7 @@ _TAKES_EFFECT = (
     ("optimizer", ("eta",), "line_search = false", _set_to("optimizer", "line_search", False)),
     ("flow", ("t_min",), "t_max set", lambda cfg, trainer: "t_max" in cfg.flow),
     ("flow", ("t_max",), "t_min set", lambda cfg, trainer: "t_min" in cfg.flow),
-    ("data", ("d", "n_val", "n_test", "spectrum", "alpha", "eigenvalues", "teacher", "teacher_seed", "label_noise",
+    ("data", ("d", "n_val", "n_test", "spectrum", "alpha", "eigenvalues", "teacher_seed", "label_noise",
               "classes", "encoding"), "source = synthetic", _set_to("data", "source", "synthetic")),
     ("experiment", ("size_convention",), "source = synthetic", _set_to("data", "source", "synthetic")),
     ("data", ("format", "train", "val", "test"), "source = files", _set_to("data", "source", "files")),

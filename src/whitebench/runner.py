@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datatypes import (NULL_MODE_RATIO, Dataset, LabelSet, Spectrum, compute_F, compute_K, eigh, gram_modes,
+from .datatypes import (NULL_MODE_RATIO, Dataset, LabelSet, Spectrum, compute_F, eigh, gram_modes,
                         hstack_datasets, symmetrize)
 from .errors import ConfigError, ValidationError, WhitebenchError
 from .linear_flow import TimeGrid, build_flow, early_stop
@@ -139,8 +139,6 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
     lambdas = cfg.get("optimizer", "reg_lambda")
     if not lambdas:
         raise ConfigError("[optimizer] reg_lambda needs at least one value")
-    if synthetic and cfg.get("data", "teacher") == "none":
-        raise ConfigError("[data] teacher = none draws no labels, but a run needs labels: use teacher = linear")
     if not synthetic and "train" not in data:
         raise ConfigError("file data source needs at least a train path")
     if trainer == "linear" and not (cfg.get("data", "n_val") > 0 if synthetic else "val" in data):
@@ -187,11 +185,11 @@ def _load_file_splits(cfg: RunConfig) -> dict:
     """
     data, fmt = cfg.data, cfg.get("data", "format")
     splits = {}
-    for name, tag in (("train", "train"), ("val", "validation"), ("test", "test")):
+    for name in ("train", "val", "test"):
         if name not in data:
             continue
         path = data[name]
-        X, Y = dataio.ingest(path, fmt, split_tag=tag)
+        X, Y = dataio.ingest(path, fmt)
         if Y is None:
             companion = dataio.label_companion_path(path)
             needs = "label or y0.. columns" if fmt == "csv" else f"the label companion {companion}"
@@ -211,7 +209,7 @@ def _subsample_train(splits: dict, size: int, run_seed: int) -> dict:
     """`size` train columns drawn by the run seed, in file order (all of them at the file's count)."""
     X, Y = splits["train"]
     cols = np.sort(np.random.default_rng(run_seed).choice(X.sample_count, size, replace=False))
-    train = (Dataset(X.values[:, cols], split_tag=X.split_tag), LabelSet(Y.targets[:, cols], encoding=Y.encoding))
+    train = (Dataset(X.values[:, cols]), LabelSet(Y.targets[:, cols], encoding=Y.encoding))
     return {**splits, "train": train}
 
 
@@ -225,7 +223,6 @@ def _synthetic_spec(cfg: RunConfig, n_train: int, n_val: int, n_test: int, maste
         spectrum=data("spectrum"),
         alpha=data("alpha"),
         custom_eigenvalues=None if data("eigenvalues") is None else tuple(data("eigenvalues")),
-        teacher=data("teacher"),
         teacher_seed=master_seed if data("teacher_seed") is None else data("teacher_seed"),
         label_noise=data("label_noise"),
         classes=data("classes"),
@@ -318,20 +315,18 @@ def prepare_arm(plan: RunPlan, draw: _GroupDraw, mode: str) -> dict:
 
 def _normalized(draw: _GroupDraw):
     """The draw with every split rescaled by the train top eigenvalue (unit top mode), and 1/top, which takes a
-    second moment to the new scale (1 when top = 0). At n > d the top is the group's eigh's, and the scaled draw
-    caches (F/top, lambda/top, V), its splits' F_train and modes to rounding: no second decomposition. At n <= d
-    the top is eigvalsh's of K = X^T X (n < d) or F."""
-    X, F = draw.splits["train"][0], draw.train_F
-    modes = None if F is None else draw.train_modes
-    top = float(np.linalg.eigvalsh(compute_K(X) if X.sample_count < X.feature_dim else compute_F(X))[-1]
-                if modes is None else modes.eigenvalues[0])
+    second moment to the new scale (1 when top = 0). The top is that of the group's one decomposition of F_train
+    (thin SVD when n <= d, eigh when n > d), and the scaled draw caches lambda/top with the same vectors (and
+    F/top at n > d), its splits' modes (and F_train) to rounding: no second decomposition."""
+    modes = draw.train_modes
+    top = float(modes.eigenvalues[0])
     if top <= 0:
         return draw, 1.0
     scale = 1.0 / np.sqrt(top)
-    scaled = _GroupDraw(draw.seed, {name: (Dataset(scale * X.values, split_tag=X.split_tag), Y)
-                                    for name, (X, Y) in draw.splits.items()})
-    if F is not None:  # a cached_property takes a plain write
-        scaled.train_F, scaled.train_modes = F / top, Spectrum(modes.eigenvalues / top, modes.eigenvectors)
+    scaled = _GroupDraw(draw.seed, {name: (Dataset(scale * X.values), Y) for name, (X, Y) in draw.splits.items()})
+    # a cached_property takes a plain write
+    scaled.train_F = None if draw.train_F is None else draw.train_F / top
+    scaled.train_modes = Spectrum(modes.eigenvalues / top, modes.eigenvectors)
     return scaled, 1.0 / top
 
 
@@ -347,7 +342,7 @@ def _arm_flow(plan: RunPlan, draw: _GroupDraw, mode: str, W0: np.ndarray):
     shared = mode == "train" and not plan.cfg.get("whitening", "center") and not W0.any()
     W = None if shared else _arm_whitener(plan, draw, mode)
     if W is not None and W.mean is not None:
-        splits = {name: (Dataset._adopt(X.values - W.mean, X.split_tag), Y) for name, (X, Y) in splits.items()}
+        splits = {name: (Dataset._adopt(X.values - W.mean), Y) for name, (X, Y) in splits.items()}
     X = splits["train"][0]
     eigh_side = X.sample_count > X.feature_dim
     if mode == "train":

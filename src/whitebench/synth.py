@@ -113,11 +113,11 @@ def synthesize(spec: SyntheticSpec, *, rotate: bool = True) -> SyntheticData:
         )
         teacher = teacher_rng.standard_normal((spec.classes, m))
 
-    def draw(count: int, tag: str):
+    def draw(count: int):
         if count == 0:
             return None, None
         coords = scales[:, None] * rng.standard_normal((spec.d, count))
-        X = Dataset._adopt(coords if basis is None else basis @ coords, split_tag=tag)
+        X = Dataset._adopt(coords if basis is None else basis @ coords)
         if teacher is None:
             return X, None
         logits = teacher @ coords[:m, :]
@@ -127,9 +127,9 @@ def synthesize(spec: SyntheticSpec, *, rotate: bool = True) -> SyntheticData:
             return X, LabelSet.from_class_ids(np.argmax(logits, axis=0), spec.classes)
         return X, LabelSet(logits, encoding="real_valued")
 
-    train, y_train = draw(spec.n_train, "train")
-    val, y_val = draw(spec.n_val, "validation")
-    test, y_test = draw(spec.n_test, "test")
+    train, y_train = draw(spec.n_train)
+    val, y_val = draw(spec.n_val)
+    test, y_test = draw(spec.n_test)
     return SyntheticData(
         train=train,
         val=val,

@@ -69,8 +69,6 @@ class Whitener:
     """
 
     M: np.ndarray
-    mode: str
-    rank_policy: RankPolicy
     fit_rank: int
     eigenpairs: tuple
     mean: np.ndarray | None = None
@@ -120,7 +118,7 @@ def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy
     cols = np.arange(V.shape[1])
     V = V * np.sign(V[np.argmax(np.abs(V), axis=0), cols])
     M = inv_sqrt[:, None] * V.T if mode == "pca" else (V * inv_sqrt[None, :]) @ V.T
-    return Whitener(M=M, mode=mode, rank_policy=policy, fit_rank=rank, eigenpairs=(S, V), mean=mean)
+    return Whitener(M=M, fit_rank=rank, eigenpairs=(S, V), mean=mean)
 
 
 def fit_whitener(
@@ -183,7 +181,7 @@ def apply_whitener(W: Whitener, X: Dataset) -> Dataset:
             f"whitener fitted on {W.feature_dim} features, data has {X.feature_dim}"
         )
     values = X.values if W.mean is None else X.values - W.mean
-    return Dataset._adopt(W.M @ values, split_tag=X.split_tag)
+    return Dataset._adopt(W.M @ values)
 
 
 def verify_whitened(X_hat: Dataset, tol: float = 1e-6) -> WhitenessReport:

@@ -19,8 +19,8 @@ def one_hot_labels(rng, classes, n):
     return LabelSet.from_class_ids(rng.integers(0, classes, size=n), classes)
 
 
-def random_dataset(rng, d, n, split_tag="train"):
-    return Dataset(rng.standard_normal((d, n)), split_tag=split_tag)
+def random_dataset(rng, d, n):
+    return Dataset(rng.standard_normal((d, n)))
 
 
 def spaced_dataset(rng, d, n, rank, offset=False):
@@ -33,6 +33,6 @@ def spaced_dataset(rng, d, n, rank, offset=False):
     U = random_orthogonal(d, rng)[:, :rank]
     V = random_orthogonal(n, rng)[:, :rank]
     if not offset:
-        return Dataset((U * s) @ V.T, split_tag="train")
+        return Dataset((U * s) @ V.T)
     V = np.linalg.qr(V - V.mean(axis=0))[0]
-    return Dataset((U * s) @ V.T + rng.standard_normal((d, 1)), split_tag="train")
+    return Dataset((U * s) @ V.T + rng.standard_normal((d, 1)))

@@ -98,7 +98,7 @@ def test_criterion_06_flow_matches_rk4():
     worst = 0.0
     for newton in (False, True):
         for _ in range(3):
-            X = Dataset(rng.standard_normal((3, 5)), split_tag="train")
+            X = Dataset(rng.standard_normal((3, 5)))
             Y = LabelSet(rng.standard_normal((2, 5)))
             W0 = rng.standard_normal((2, 3))
             sol = build_flow(X, Y, W0=W0, precondition="newton" if newton else "none")
@@ -137,9 +137,9 @@ def _gen_direction_cells():
             )
             res[("train", size, seed)] = rec_w.test_loss[rec_w.steps.index(rec_w.terminal_step)]
 
-            val10 = Dataset(data.val.values[:, :10], split_tag="validation")
+            val10 = Dataset(data.val.values[:, :10])
             y_val10 = LabelSet(data.y_val.targets[:, :10], encoding="one_hot")
-            test10 = Dataset(data.test.values[:, :10], split_tag="test")
+            test10 = Dataset(data.test.values[:, :10])
             y_test10 = LabelSet(data.y_test.targets[:, :10], encoding="one_hot")
             combined = hstack_datasets(data.train, val10, test10)
             W_f = fit_whitener(
@@ -182,7 +182,7 @@ def _steps_to_cutoff_pair(size, seed):
     )
     data = synthesize(spec)
     top = float(np.linalg.eigvalsh(data.train.values @ data.train.values.T)[-1])
-    X = Dataset(data.train.values / np.sqrt(top), split_tag="train")
+    X = Dataset(data.train.values / np.sqrt(top))
     cfg = OptimizerConfig(eta=0.1)
     raw = init_isotropic([64, 32, 10], variance=1e-2, seed=seed)
     white = raw.copy()
@@ -230,7 +230,7 @@ def test_criterion_08_speedup_direction():
             )
             data = synthesize(spec)
             scale = np.sqrt(float(np.linalg.eigvalsh(data.train.values @ data.train.values.T)[-1]))
-            X = Dataset(data.train.values / scale, split_tag="train")
+            X = Dataset(data.train.values / scale)
             gn_cells += 1
             gn_wins += _steps_to_best_val(0.3, data, X, scale, seed) < _steps_to_best_val(
                 1.0, data, X, scale, seed

@@ -19,7 +19,7 @@ from conftest import one_hot_labels
 
 @pytest.fixture
 def wbds_file(tmp_path, rng):
-    X = Dataset(rng.standard_normal((6, 20)), split_tag="train")
+    X = Dataset(rng.standard_normal((6, 20)))
     path = tmp_path / "data.wbds"
     export_wbds(path, X)
     return path, X
@@ -62,7 +62,7 @@ def test_second_moments_mixed_needs_input2(tmp_path, wbds_file, capsys):
 
 def test_second_moments_mixed(tmp_path, rng, wbds_file):
     path, X = wbds_file
-    other = Dataset(rng.standard_normal((6, 4)), split_tag="test")
+    other = Dataset(rng.standard_normal((6, 4)))
     path2 = tmp_path / "other.wbds"
     export_wbds(path2, other)
     out = tmp_path / "mixed.csv"
@@ -322,13 +322,13 @@ BAD_RUN_VALUES = {
     "grid_points_one": ("flow", "grid_points", "1", ("sweep", "train-linear")),
     "n_train_zero": ("data", "n_train", "0", ("train-linear", "train-mlp")),
     "reg_lambda_list_with_sgd": ("optimizer", "reg_lambda", "0 1", ("sweep", "train-mlp")),
-    "teacher_none": ("data", "teacher", "none", ("sweep", "train-mlp")),
     "t_min_alone": ("flow", "t_min", "0.5", ("sweep", "train-linear")),
     "t_max_alone": ("flow", "t_max", "50", ("sweep", "train-linear")),
     "jitter_epsilon_without_jitter": ("whitening", "jitter_epsilon", "5.0", ("sweep", "train-mlp")),
     "initial_step_without_line_search": ("optimizer", "initial_step", "0.5", ("sweep", "train-mlp")),
     "joint_size_convention_on_file_data": ("experiment", "size_convention", "joint", ("sweep", "train-mlp")),
     "distribution_n_is_gone": ("whitening", "distribution_n", "64", ("sweep", "train-mlp")),
+    "teacher_is_gone": ("data", "teacher", "linear", ("sweep", "train-mlp")),
     "reg_lambda_with_sgd": ("optimizer", "reg_lambda", "1.0", ("sweep", "train-mlp")),
     "cg_tol_with_sgd": ("optimizer", "cg_tol", "1e-6", ("sweep", "train-mlp")),
     "line_search_with_sgd": ("optimizer", "line_search", "true", ("sweep", "train-mlp")),

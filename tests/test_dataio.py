@@ -31,7 +31,7 @@ def test_golden_two_sample_csv_fixture():
 
 
 def test_csv_round_trip(tmp_path, rng):
-    X = Dataset(rng.standard_normal((4, 7)), split_tag="train")
+    X = Dataset(rng.standard_normal((4, 7)))
     idx = rng.integers(0, 3, size=7)
     onehot = np.zeros((3, 7))
     onehot[idx, np.arange(7)] = 1.0
@@ -112,7 +112,7 @@ def test_wbcp_round_trip_with_permutation(tmp_path):
 
 
 def test_wbds_round_trip_bit_identical(tmp_path, rng):
-    X = Dataset(rng.standard_normal((5, 9)), split_tag="train")
+    X = Dataset(rng.standard_normal((5, 9)))
     idx = rng.integers(0, 4, size=9)
     onehot = np.zeros((4, 9))
     onehot[idx, np.arange(9)] = 1.0

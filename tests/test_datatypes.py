@@ -18,7 +18,7 @@ from whitebench import (
 from whitebench.datatypes import hstack_datasets
 from whitebench.errors import ShapeError, ValidationError
 
-TOY = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], split_tag="train")
+TOY = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
 
 def brute_force_gram(A, B):
@@ -55,9 +55,9 @@ def test_compute_K_toy_hand_values():
 
 
 def test_mixed_K_self_pairing_and_toy():
-    X = Dataset([[1.0, 0.0], [0.0, 1.0]], split_tag="train")
+    X = Dataset([[1.0, 0.0], [0.0, 1.0]])
     assert np.allclose(compute_mixed_K(X, X), compute_K(X))
-    X_test = Dataset([[1.0], [1.0]], split_tag="test")
+    X_test = Dataset([[1.0], [1.0]])
     assert np.allclose(compute_mixed_K(X, X_test), [[1.0], [1.0]])
 
 
@@ -238,11 +238,19 @@ def test_dataset_copies_a_caller_array_but_adopt_does_not():
     arr[0, 0] = 7.0
     assert X.values[0, 0] == 1.0 and arr.flags.writeable
     fresh = np.eye(3)
-    adopted = Dataset._adopt(fresh, split_tag="test")
+    adopted = Dataset._adopt(fresh)
     assert adopted.values is fresh and not fresh.flags.writeable
-    assert adopted.split_tag == "test"
     with pytest.raises(ValidationError):
         Dataset._adopt(np.full((2, 2), np.nan))
+
+
+def test_fingerprint_distinguishes_shapes(rng):
+    # the same bytes in another shape are another dataset
+    d, n = 3, 8
+    x = rng.standard_normal((d, n))
+    assert Dataset(x).values.tobytes() == Dataset(x.reshape(n, d)).values.tobytes()
+    assert Dataset(x).fingerprint() != Dataset(x.reshape(n, d)).fingerprint()
+    assert Dataset(x).fingerprint() == Dataset(x.copy()).fingerprint()
 
 
 def test_hstack_datasets_allocates_the_result_once(rng):

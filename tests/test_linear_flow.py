@@ -51,13 +51,13 @@ def rk4_flow(X, Y, W0, t_end, steps=4000, newton=False):
 
 
 def test_solve_optimum_identity_regression():
-    X = Dataset(np.eye(2), split_tag="train")
+    X = Dataset(np.eye(2))
     Y = LabelSet(np.eye(2))
     assert np.allclose(solve_optimum(X, Y).W, np.eye(2), atol=1e-12)
 
 
 def test_solve_optimum_normal_equations_residual(rng):
-    X = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], split_tag="train")
+    X = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     Y = LabelSet(rng.standard_normal((1, 3)))
     W = solve_optimum(X, Y).W
     residual = compute_F(X) @ W.T - X.values @ Y.targets.T
@@ -80,7 +80,7 @@ def test_explicit_inverses_cut_at_pinv_ratio(rng, n):
     # singular values (1, 1e-5): F is full rank with eigenvalue ratio 1e-10,
     # below PINV_CUTOFF_RATIO but above NULL_MODE_RATIO
     s = np.array([1.0, 1e-5])
-    X = Dataset(random_orthogonal(2, 1) * s @ random_orthogonal(n, 2)[:, :2].T, split_tag="train")
+    X = Dataset(random_orthogonal(2, 1) * s @ random_orthogonal(n, 2)[:, :2].T)
     Y = LabelSet(rng.standard_normal((3, n)))
     W0 = rng.standard_normal((3, 2))
     optimum = solve_optimum(X, Y, W0=W0)
@@ -103,7 +103,7 @@ def test_flow_starting_at_optimum_is_constant(rng):
 
 def test_one_dimensional_halflife():
     # lambda = 2, w(0) = 0, w* = 1: w(ln2 / 2) = 0.5
-    X = Dataset([[np.sqrt(2.0)]], split_tag="train")
+    X = Dataset([[np.sqrt(2.0)]])
     Y = LabelSet([[np.sqrt(2.0)]])
     sol = build_flow(X, Y)
     assert abs(flow_at(sol, np.log(2.0) / 2.0).W[0, 0] - 0.5) <= 1e-12
@@ -127,7 +127,7 @@ def test_flow_at_initial_and_saturated(rng):
 def test_flow_matches_rk4_oracle(newton):
     rng = np.random.default_rng(7)
     for trial in range(3):
-        X = Dataset(rng.standard_normal((3, 5)), split_tag="train")
+        X = Dataset(rng.standard_normal((3, 5)))
         Y = LabelSet(rng.standard_normal((2, 5)))
         W0 = rng.standard_normal((2, 3))
         sol = build_flow(X, Y, W0=W0, precondition="newton" if newton else "none")
@@ -163,7 +163,7 @@ def test_monotone_mode_convergence(rng):
 def test_optimum_predictions_consistency(rng):
     X = random_dataset(rng, 3, 10)
     Y = LabelSet(rng.standard_normal((2, 10)))
-    X_test = Dataset(X.values[:, [4]], split_tag="test")
+    X_test = Dataset(X.values[:, [4]])
     fitted = solve_optimum(X, Y).W @ X.values[:, [4]]
     assert np.allclose(optimum_predictions(X, Y, X_test), fitted, atol=1e-8)
 
@@ -173,7 +173,7 @@ def test_optimum_predictions_match_flow_saturation(rng):
         X = random_dataset(rng, 4, 7)
         Y = LabelSet(rng.standard_normal((3, 7)))
         W0 = rng.standard_normal((3, 4))
-        X_test = random_dataset(rng, 4, 5, split_tag="test")
+        X_test = random_dataset(rng, 4, 5)
         sol = build_flow(X, Y, W0=W0)
         t_sat = 60.0 / sol.min_positive_rate
         flow_preds = flow_at(sol, t_sat).W @ X_test.values
@@ -186,7 +186,7 @@ def test_k_sufficiency_equals_f_form(rng):
         X = random_dataset(rng, d, n)
         Y = LabelSet(rng.standard_normal((2, n)))
         W0 = rng.standard_normal((2, d))
-        X_test = random_dataset(rng, d, 6, split_tag="test")
+        X_test = random_dataset(rng, d, 6)
         f_form = solve_optimum(X, Y, W0=W0).W @ X_test.values
         k_form = optimum_predictions(X, Y, X_test, W0=W0)
         assert np.max(np.abs(k_form - f_form)) <= 1e-8
@@ -196,7 +196,7 @@ def test_k_sufficiency_equals_f_form(rng):
 def test_optimum_predictions_rejects_misshaped_w0(rng, d, n):
     X = random_dataset(rng, d, n)
     Y = LabelSet(rng.standard_normal((2, n)))
-    X_test = random_dataset(rng, d, 3, split_tag="test")
+    X_test = random_dataset(rng, d, 3)
     for shape in ((2, d + 1), (3, d)):
         with pytest.raises(ValidationError, match=r"W0 must have shape \(2, %d\)" % d):
             optimum_predictions(X, Y, X_test, W0=np.zeros(shape))
@@ -218,10 +218,10 @@ def test_optimum_predictions_both_sides_match_k_form(d, n_minus_d, k, rank_defic
     rng = np.random.default_rng(seed)
     rank = max(1, min(d, n) - rank_deficit)
     if rank_deficit:
-        X = Dataset(rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n)), split_tag="train")
+        X = Dataset(rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n)))
     else:
         X = random_dataset(rng, d, n)
-    X_test = random_dataset(rng, d, 5, split_tag="test")
+    X_test = random_dataset(rng, d, 5)
     Y = LabelSet(rng.standard_normal((k, n)))
     W0 = rng.standard_normal((k, d)) if nonzero_w0 else np.zeros((k, d))
     K = X.values.T @ X.values
@@ -230,16 +230,16 @@ def test_optimum_predictions_both_sides_match_k_form(d, n_minus_d, k, rank_defic
     preds = optimum_predictions(X, Y, X_test, W0=W0 if nonzero_w0 else None)
     assert np.all(np.abs(preds - reference) <= 1e-8 * np.maximum(1.0, np.abs(reference)))
     with pytest.raises(ShapeError):
-        optimum_predictions(X, Y, random_dataset(rng, d + 1, 5, split_tag="test"), W0=W0)
+        optimum_predictions(X, Y, random_dataset(rng, d + 1, 5), W0=W0)
 
 
 def test_fully_whitened_zero_predictions_and_half_loss(rng):
     d, n_train, n_test = 24, 10, 6
-    combined = random_dataset(rng, d, n_train + n_test, split_tag="combined")
+    combined = random_dataset(rng, d, n_train + n_test)
     W = fit_whitener(combined, mode="pca")
     X_hat = apply_whitener(W, combined).values
-    Xtr = Dataset(X_hat[:, :n_train], split_tag="train")
-    Xte = Dataset(X_hat[:, n_train:], split_tag="test")
+    Xtr = Dataset(X_hat[:, :n_train])
+    Xte = Dataset(X_hat[:, n_train:])
     Ytr = one_hot_labels(rng, 10, n_train)
     Yte = one_hot_labels(rng, 10, n_test)
     preds = optimum_predictions(Xtr, Ytr, Xte)
@@ -251,7 +251,7 @@ def test_whitening_invariance_of_converged_predictions(rng):
     # d < n, full rank: optimum predictions unchanged by any whitening transform
     X = random_dataset(rng, 5, 40)
     Y = LabelSet(rng.standard_normal((3, 40)))
-    X_test = random_dataset(rng, 5, 8, split_tag="test")
+    X_test = random_dataset(rng, 5, 8)
     W = fit_whitener(X, mode="pca")
     raw = solve_optimum(X, Y).W @ X_test.values
     white = solve_optimum(apply_whitener(W, X), Y).W @ apply_whitener(W, X_test).values
@@ -261,7 +261,7 @@ def test_whitening_invariance_of_converged_predictions(rng):
 def test_newton_flow_equals_plain_flow_on_whitened(rng):
     X = random_dataset(rng, 4, 30)
     Y = LabelSet(rng.standard_normal((2, 30)))
-    X_test = random_dataset(rng, 4, 7, split_tag="test")
+    X_test = random_dataset(rng, 4, 7)
     W = fit_whitener(X, mode="pca")
     X_hat, X_test_hat = apply_whitener(W, X), apply_whitener(W, X_test)
     newton = build_flow(X, Y, precondition="newton")
@@ -289,13 +289,13 @@ def test_whitener_modes_give_the_flow_of_the_whitened_split(d, extra, deficient,
     rng = np.random.default_rng(seed)
     full = min(d, n - 1 if center else n)
     X = spaced_dataset(rng, d, n, max(1, full - 1) if deficient else full, offset=center)
-    X_test = random_dataset(rng, d, 5, split_tag="test")
+    X_test = random_dataset(rng, d, 5)
     Y = LabelSet(rng.standard_normal((3, n)))
     W0 = rng.standard_normal((3, d))
     W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=center)
     modes, U = whitened_modes(W.spectrum, mode, RankPolicy(policy), n > d)
     shift = 0.0 if W.mean is None else W.mean
-    raw = [Dataset(Z.values - shift, split_tag=Z.split_tag) for Z in (X, X_test)]
+    raw = [Dataset(Z.values - shift) for Z in (X, X_test)]
     folded = build_flow(raw[0], Y, W0, precondition, modes=modes, fold=(W.M, U))
     own = build_flow(apply_whitener(W, X), Y, W0, precondition)
     lam, lam_own = folded.spectrum.eigenvalues, own.spectrum.eigenvalues
@@ -311,7 +311,7 @@ def test_whitener_modes_give_the_flow_of_the_whitened_split(d, extra, deficient,
 def test_jitter_leaves_null_directions_of_an_eigh_fit_null(rng):
     # rank 8 < d = 12 < n = 40: eigh's rounding on the 4 null directions, divided by the
     # jitter epsilon, would read as slow modes (rate ~1e-8) and stretch the default grid
-    X = Dataset(rng.standard_normal((12, 8)) @ rng.standard_normal((8, 40)), split_tag="train")
+    X = Dataset(rng.standard_normal((12, 8)) @ rng.standard_normal((8, 40)))
     Y = LabelSet(rng.standard_normal((2, 40)))
     W = fit_whitener(X, rank_policy=RankPolicy("jitter"))
     modes, U = whitened_modes(W.spectrum, "pca", RankPolicy("jitter"), from_eigh=True)
@@ -370,7 +370,7 @@ def test_flow_matches_full_eigh_reference(d, n_minus_d, k, rank_deficit, nonzero
     rank = max(0, min(d, n) - rank_deficit)  # rank 0: an all-zero X
     left = np.linalg.qr(rng.standard_normal((d, d)))[0][:, :rank]
     right = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
-    X = Dataset((left * rng.uniform(0.1, 10.0, rank)) @ right.T, split_tag="train")
+    X = Dataset((left * rng.uniform(0.1, 10.0, rank)) @ right.T)
     Y = LabelSet(rng.standard_normal((k, n)))
     W0 = rng.standard_normal((k, d)) if nonzero_w0 else np.zeros((k, d))
     lam, V = np.linalg.eigh(X.values @ X.values.T)
@@ -497,8 +497,8 @@ def test_early_stop_whitened_does_not_beat_unwhitened():
 def test_closed_form_loss_matches_direct(d, n, k, precondition, nonzero_w0, real_valued, log_scale, seed):
     # n < d leaves null modes (rate 0, no progress); n > d does not
     rng = np.random.default_rng(seed)
-    X = Dataset(10.0**log_scale * rng.standard_normal((d, n)), split_tag="train")
-    X_eval = Dataset(rng.standard_normal((d, 7)), split_tag="test")
+    X = Dataset(10.0**log_scale * rng.standard_normal((d, n)))
+    X_eval = Dataset(rng.standard_normal((d, 7)))
     if real_valued:
         Y, Y_eval = LabelSet(rng.standard_normal((k, n))), LabelSet(rng.standard_normal((k, 7)))
     else:

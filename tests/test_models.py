@@ -88,7 +88,7 @@ def test_first_layer_never_has_bias():
 
 
 def test_train_single_sample_terminates(rng):
-    X = Dataset(rng.standard_normal((4, 1)), split_tag="train")
+    X = Dataset(rng.standard_normal((4, 1)))
     Y = one_hot_labels(rng, 3, 1)
     model = init_isotropic([4, 3], variance=0.01, seed=0)
     record = train_to_cutoff(model, X, Y, OptimizerConfig(eta=0.5), step_cap=500, seed=0)
@@ -129,7 +129,7 @@ def test_record_every_thins_the_rows(rng, batch_size):
 
 def test_full_batch_cutoff_between_recorded_steps_stops_and_records(rng):
     X, Y = random_dataset(rng, 4, 12), one_hot_labels(rng, 3, 12)
-    val = (random_dataset(rng, 4, 5, split_tag="validation"), one_hot_labels(rng, 3, 5))
+    val = (random_dataset(rng, 4, 5), one_hot_labels(rng, 3, 5))
 
     def run(record_every):
         model = init_isotropic([4, 3], variance=0.01, seed=0)
@@ -166,7 +166,7 @@ def _speedup_data(seed, n=96, d=24):
     )
     data = synthesize(spec)
     top = float(np.linalg.eigvalsh(data.train.values @ data.train.values.T)[-1])
-    X = Dataset(data.train.values / np.sqrt(top), split_tag="train")
+    X = Dataset(data.train.values / np.sqrt(top))
     return X, data.y_train
 
 

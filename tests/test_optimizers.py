@@ -169,7 +169,7 @@ def test_newton_equals_sgd_on_exactly_white_data(rng):
 def test_newton_prediction_sequence_matches_whitened_gd(rng):
     d, n, n_test, steps = 16, 80, 12, 60
     X = random_dataset(rng, d, n)
-    X_test = random_dataset(rng, d, n_test, split_tag="test")
+    X_test = random_dataset(rng, d, n_test)
     Y = one_hot_labels(rng, 10, n)
     Wt = fit_whitener(X, mode="pca")
     X_hat = apply_whitener(Wt, X)
@@ -199,7 +199,7 @@ def test_newton_step_moves_predictions_through_K_only(rng, d, n):
     n_test, k, eta = 4, 2, 0.7
     for _ in range(5):
         X = random_dataset(rng, d, n)
-        X_test = random_dataset(rng, d, n_test, split_tag="test")
+        X_test = random_dataset(rng, d, n_test)
         Y = LabelSet(rng.standard_normal((k, n)))
         W0 = rng.standard_normal((k, d))
         model = LinearModel(W0.copy())
@@ -452,7 +452,7 @@ def test_lambda_sweep_steps_to_best_validation_direction():
             )
             data = synthesize(spec)
             scale = np.sqrt(float(np.linalg.eigvalsh(data.train.values @ data.train.values.T)[-1]))
-            X = Dataset(data.train.values / scale, split_tag="train")
+            X = Dataset(data.train.values / scale)
             steps.append(steps_to_best(lam, data, X, scale, seed))
         means.append(np.mean(steps))
     assert means[0] <= means[1] <= means[2]

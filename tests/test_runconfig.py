@@ -105,7 +105,7 @@ def _library_default(owner, name):
 # the library's, so an unset key gives what a direct library call gives
 MIRRORED_DEFAULTS = {
     **{("data", key): (SyntheticSpec, key)
-       for key in ("n_val", "n_test", "spectrum", "alpha", "teacher", "label_noise", "classes", "encoding")},
+       for key in ("n_val", "n_test", "spectrum", "alpha", "label_noise", "classes", "encoding")},
     ("data", "eigenvalues"): (SyntheticSpec, "custom_eigenvalues"),
     ("whitening", "transform"): (fit_whitener, "mode"),
     ("whitening", "center"): (fit_whitener, "center"),

@@ -195,16 +195,22 @@ def test_normalize_scale_reads_the_top_eigenvalue_of_F(rng, d, n):
     from whitebench import Dataset, LabelSet, compute_F
     from whitebench.runner import _GroupDraw
 
-    X = Dataset(rng.standard_normal((d, n)) * 3.0, split_tag="train")
+    X = Dataset(rng.standard_normal((d, n)) * 3.0)
     Y = LabelSet(rng.standard_normal((2, n)))
-    splits = {"train": (X, Y), "val": (Dataset(rng.standard_normal((d, 4)), split_tag="validation"), Y)}
+    splits = {"train": (X, Y), "val": (Dataset(rng.standard_normal((d, 4))), Y)}
     top = float(np.linalg.eigvalsh(compute_F(X))[-1])
-    out, _ = _normalized(_GroupDraw(0, splits))  # at n > d the top of the group's eigh of F_train
+    out, factor = _normalized(_GroupDraw(0, splits))  # the top of the group's thin SVD (n <= d) or eigh (n > d)
     scale = out.splits["val"][0].values[0, 0] / splits["val"][0].values[0, 0]
     assert abs(scale - 1.0 / np.sqrt(top)) <= 1e-12 / np.sqrt(top)
-    # eigh's top eigenvalue and eigvalsh's can differ in rounding: the golden val_loss tolerance
+    assert abs(factor - 1.0 / top) <= 1e-12 / top
+    # the decomposition's top eigenvalue and eigvalsh's can differ in rounding: the golden val_loss tolerance
     assert np.allclose(out.splits["train"][0].values, (1.0 / np.sqrt(top)) * X.values, rtol=RELATIVE["val_loss"], atol=0.0)
     assert out.splits["train"][1] is Y
+    # the scaled draw keeps (lambda / top, V): the modes of its own train split to rounding
+    lam, V = out.train_modes.eigenvalues, out.train_modes.eigenvectors
+    assert abs(lam[0] - 1.0) <= 1e-10
+    F = compute_F(out.splits["train"][0])
+    assert np.max(np.abs((V * lam) @ V.T - F)) <= 1e-10 * np.max(np.abs(F))
 
 
 def test_normalized_group_decomposes_F_train_once(tmp_path, monkeypatch):
@@ -228,6 +234,26 @@ def test_normalized_group_decomposes_F_train_once(tmp_path, monkeypatch):
     assert np.max(np.abs(draw.train_F - F)) <= 1e-14
     lam, V = draw.train_modes.eigenvalues, draw.train_modes.eigenvectors
     assert np.max(np.abs((V * lam) @ V.T - F)) <= 1e-13
+
+
+def test_normalized_group_below_d_takes_one_thin_svd(tmp_path, monkeypatch):
+    # n = 8 < d = 12 with normalize = true: the scale is s_1^2 of the group's thin SVD of the raw train split,
+    # and the none and train flows read (lambda / top, U) off it, with no eigvalsh and no SVD of the scaled split
+    from collections import Counter
+
+    from whitebench.runner import _run_group
+
+    path = tmp_path / "norm.cfg"
+    text = LINEAR_CFG.replace("classes = 3", "classes = 3\nnormalize = true").replace("none train full", "none train")
+    path.write_text(text, encoding="utf-8")
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    rows = _run_group((plan_run(parse_config(path), "linear"), 8, 0, False))
+    assert [r.whitening_mode for r in rows] == ["none", "train"]
+    assert all(r.stopping_reason != "error" for r in rows)
+    assert Counter(calls) == {"svd": 1}
 
 
 def test_whitening_gap_shrinks_with_sample_count():
@@ -561,8 +587,8 @@ def test_all_zero_train_split_fails_only_the_whitened_cells(n):
     from whitebench.runner import _GroupDraw
 
     Y = LabelSet.from_class_ids(np.arange(n) % 3, 3)
-    splits = {"train": (Dataset(np.zeros((6, n)), split_tag="train"), Y),
-              "val": (Dataset(np.ones((6, 3)), split_tag="validation"), LabelSet.from_class_ids([0, 1, 2], 3))}
+    splits = {"train": (Dataset(np.zeros((6, n))), Y),
+              "val": (Dataset(np.ones((6, 3))), LabelSet.from_class_ids([0, 1, 2], 3))}
     cfg = RunConfig(experiment={"id": "zero"}, data={"classes": 3, "n_val": 3}, whitening={"modes": ["none", "train"]})
     plan = plan_run(cfg, "linear")
     draw = _GroupDraw(0, splits)
@@ -619,8 +645,8 @@ def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, poli
     rng = np.random.default_rng(seed)
     X = spaced_dataset(rng, d, n, min(d, n - 1 if center else n), offset=center)
     splits = {"train": (X, LabelSet.from_class_ids(rng.permutation(n) % 3, 3))}  # two classes at least: Y X_c^T != 0
-    for name, tag, count in (("val", "validation", 6), ("test", "test", 9)):
-        splits[name] = (Dataset(rng.standard_normal((d, count)) + 0.5, split_tag=tag), one_hot_labels(rng, 3, count))
+    for name, count in (("val", 6), ("test", 9)):
+        splits[name] = (Dataset(rng.standard_normal((d, count)) + 0.5), one_hot_labels(rng, 3, count))
     second_moment = Spectrum(n * np.sort(rng.uniform(0.1, 2.0, d))[::-1], random_orthogonal(d, rng))
     cfg = RunConfig(experiment={"id": "fold"}, data={"classes": 3, "n_val": 6},
                     whitening={"modes": ["none", "train", "full", "distribution"], "transform": transform,

@@ -121,7 +121,6 @@ def test_unrotated_draw_is_the_rotated_draw_without_its_basis(
         Y, Y_rot = getattr(plain, "y_" + split), getattr(rotated, "y_" + split)
         assert (X is None) == (X_rot is None) and (Y is None) == (Y_rot is None)
         if X is not None:
-            assert X.split_tag == X_rot.split_tag
             assert np.array_equal(rotated.basis @ X.values, X_rot.values)
         if Y is not None:
             assert Y.encoding == Y_rot.encoding and np.array_equal(Y.targets, Y_rot.targets)

@@ -22,7 +22,7 @@ from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, whitened_modes
 
 from conftest import spaced_dataset
 
-TOY = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], split_tag="train")
+TOY = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
 
 def closed_form_inverse_sqrt_2x2(F):
@@ -53,7 +53,7 @@ def test_already_white_data_gives_identity_zca():
 
 @pytest.mark.parametrize("mode", ["pca", "zca"])
 def test_full_rank_fit_gives_unit_spectrum(rng, mode):
-    X = Dataset(rng.standard_normal((5, 40)), split_tag="train")
+    X = Dataset(rng.standard_normal((5, 40)))
     W = fit_whitener(X, mode=mode)
     X_hat = apply_whitener(W, X)
     report = verify_whitened(X_hat, tol=1e-6)
@@ -79,7 +79,7 @@ def test_zca_manual_is_identity_outside_fit_span():
 
 def test_rank_deficient_manual_control(rng):
     d, n = 7, 4
-    X = Dataset(rng.standard_normal((d, n)), split_tag="train")
+    X = Dataset(rng.standard_normal((d, n)))
     W = fit_whitener(X, mode="pca", rank_policy=RankPolicy("manual"))
     assert W.fit_rank == n
     report = verify_whitened(apply_whitener(W, X), tol=1e-6)
@@ -97,11 +97,10 @@ def test_jitter_policy_keeps_M_invertible(rng):
 
 
 def test_apply_uses_same_transform_on_test_data(rng):
-    train = Dataset(rng.standard_normal((4, 30)), split_tag="train")
-    test = Dataset(rng.standard_normal((4, 10)), split_tag="test")
+    train = Dataset(rng.standard_normal((4, 30)))
+    test = Dataset(rng.standard_normal((4, 10)))
     W = fit_whitener(train, mode="pca")
     out = apply_whitener(W, test)
-    assert out.split_tag == "test"
     assert np.allclose(out.values, W.M @ test.values)
 
 
@@ -118,8 +117,8 @@ def test_zero_dataset_degenerate():
 
 def test_full_scope_n_le_d_gram_is_identity(rng):
     d = 12
-    train = Dataset(rng.standard_normal((d, 5)), split_tag="train")
-    test = Dataset(rng.standard_normal((d, 4)), split_tag="test")
+    train = Dataset(rng.standard_normal((d, 5)))
+    test = Dataset(rng.standard_normal((d, 4)))
     combined = hstack_datasets(train, test)
     W = fit_whitener(combined, mode="pca", rank_policy=RankPolicy("manual"))
     train_hat = apply_whitener(W, train)
@@ -214,7 +213,7 @@ def test_smaller_side_fit_matches_eigh_reference(d, n, rank, mode, policy, seed)
 @pytest.mark.parametrize("n", [5, 9, 20])
 def test_kept_modes_diagonalize_the_whitened_fit_set(rng, mode, policy, n):
     # whitened_modes reads the eigenpairs of M F M^T and U = M^T V-hat off the fit, multiplying neither
-    X = Dataset(rng.standard_normal((9, n)) + 0.5, split_tag="train")
+    X = Dataset(rng.standard_normal((9, n)) + 0.5)
     W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=True)
     modes, U = whitened_modes(W.spectrum, mode, RankPolicy(policy), from_eigh=n > 9)
     rates, V = modes.eigenvalues, modes.eigenvectors
@@ -245,7 +244,7 @@ def test_population_whitener_whitens_its_second_moment(rng, mode):
     lam = np.sort(rng.uniform(1e-3, 1.0, d))[::-1]
     assert lam[-1] > RANK_CUTOFF_RATIO * lam[0]
     W = population_whitener(Spectrum(n * lam, basis), mode, RankPolicy("manual"))
-    assert W.fit_rank == d and W.mean is None and W.mode == mode
+    assert W.fit_rank == d and W.mean is None
     second_moment = (basis * (n * lam)) @ basis.T
     np.testing.assert_allclose(W.M @ second_moment @ W.M.T, np.eye(d), rtol=0, atol=1e-12)
 
