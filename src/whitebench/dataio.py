@@ -30,6 +30,9 @@ _WBCP = (b"WBCP", 2)
 _HEADER = struct.Struct("<4sH")
 _BLOCK = struct.Struct("<II")
 _CSV_COLUMN = re.compile(r"f\d+|y\d+|label")
+#: largest class id a csv `label` column may hold: the one-hot matrix has a row
+#: per id up to the largest, so one stray large id would allocate that many rows
+MAX_CLASS_ID = 65535
 
 
 def _float_repr(x: float) -> str:
@@ -98,6 +101,8 @@ def ingest_csv(path):
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
         if class_ids and class_ids[-1] < 0:
             raise ParseError(f"{path}: line {lineno}: negative class id {class_ids[-1]}")
+        if class_ids and class_ids[-1] > MAX_CLASS_ID:
+            raise ParseError(f"{path}: line {lineno}: class id {class_ids[-1]} above {MAX_CLASS_ID}")
         if not all(np.isfinite(values)):
             raise ParseError(f"{path}: line {lineno} contains non-finite values")
         columns.append(values)

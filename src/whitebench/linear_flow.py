@@ -32,6 +32,10 @@ from .models import accuracy
 from .records import TrainRecord
 
 PRECONDITIONS = ("none", "newton")
+#: validation losses within this fraction of the grid minimum form one flat
+#: minimum: `early_stop` brackets t* at its earliest grid time, and keeps the
+#: slope's root only if the root's loss exceeds that time's by at most this much
+FLAT_LOSS_RATIO = 1e-12
 
 
 @dataclass
@@ -213,32 +217,6 @@ class TimeGrid:
         return TimeGrid(1e-3 / sol.max_rate, 40.0 / sol.min_positive_rate, points)
 
 
-def _golden_section(fn, lo: float, hi: float, iterations: int = 80):
-    """Golden-section minimum of fn over [lo, hi] in log-time coordinates."""
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.log(lo), np.log(hi)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(np.exp(c)), fn(np.exp(d))
-    best_t, best_f = (np.exp(c), fc) if fc <= fd else (np.exp(d), fd)
-    for _ in range(iterations):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(np.exp(d))
-        if fc <= fd and fc < best_f:
-            best_t, best_f = np.exp(c), fc
-        elif fd < fc and fd < best_f:
-            best_t, best_f = np.exp(d), fd
-        if b - a < 1e-12:
-            break
-    return float(best_t), float(best_f)
-
-
 def _loss_curve(sol: FlowSolution, X: Dataset, Y: LabelSet):
     """MSE of W(t) on (X, Y) as a function of the mode progress E = 1 - exp(-rate t).
 
@@ -249,7 +227,8 @@ def _loss_curve(sol: FlowSolution, X: Dataset, Y: LabelSet):
     so H = diag(h), h_i = lambda_i sum_k B_ki^2, and a = -h: no projection.
     Expanding around W0 rather than W* keeps the terms small in the modes
     that have barely moved by t*, where an ill-conditioned F makes W* large.
-    The returned function takes E as one column or as r x T columns.
+    Returns L, which takes E as one column or as r x T columns, and its
+    gradient dL/dE = (a + H E) / n at one column.
     """
     check_paired(X, Y)
     B = sol.mode_delta
@@ -258,11 +237,12 @@ def _loss_curve(sol: FlowSolution, X: Dataset, Y: LabelSet):
     scale = 0.5 / X.sample_count
     if X is sol.X_train and Y is sol.Y_train:
         h = np.sum(B * B, axis=0) * sol.spectrum.eigenvalues
-        return lambda E: scale * (c0 - h @ (E * (2.0 - E)))
+        return lambda E: scale * (c0 - h @ (E * (2.0 - E))), lambda E: -2.0 * scale * h * (1.0 - E)
     Z = sol.spectrum.eigenvectors.T @ X.values
     a = np.sum(B * (R0 @ Z.T), axis=0)
     H = (B.T @ B) * (Z @ Z.T)
-    return lambda E: scale * (c0 + 2.0 * (a @ E) + np.sum(E * (H @ E), axis=0))
+    return (lambda E: scale * (c0 + 2.0 * (a @ E) + np.sum(E * (H @ E), axis=0)),
+            lambda E: 2.0 * scale * (a + H @ E))
 
 
 def early_stop(
@@ -272,48 +252,56 @@ def early_stop(
     grid: TimeGrid | None = None,
     extra_eval: dict | None = None,
 ) -> tuple[float, TrainRecord]:
-    """Pick the flow time with the lowest validation MSE.
+    """Pick the flow time t* with the lowest validation MSE.
 
-    Scans the log-spaced grid, then refines with golden-section search
-    between the grid neighbors of the best point. A minimum on the grid
-    boundary is returned as-is and flagged boundary_hit in the record
-    metadata, and metadata["flow_rank"] holds the count r of moving modes.
-    The train split kept by `build_flow` is always evaluated as
-    "train_loss"; extra_eval maps further names ("test_loss") to
-    (Dataset, LabelSet) pairs evaluated along the grid for the record.
+    Scans the log-spaced grid for the earliest time whose validation loss is
+    within FLAT_LOSS_RATIO of the grid minimum, then bisects log t between its
+    grid neighbors, to 1e-12, on the sign of the closed-form slope
+    dL/dt = dL/dE . (rate * exp(-rate t)). The root is kept unless its loss is
+    worse than the grid time's beyond FLAT_LOSS_RATIO, so a minimum flat to
+    rounding reports its earliest time. A boundary grid time is returned as-is
+    and flagged boundary_hit in the record metadata; metadata["flow_rank"]
+    holds the count r of moving modes. The train split kept by `build_flow` is
+    always evaluated as "train_loss"; extra_eval maps further names
+    ("test_loss") to (Dataset, LabelSet) pairs evaluated along the grid.
 
-    Grid and search losses come from one quadratic form per split
-    (`_loss_curve`); the terminal row at t* is evaluated directly from
-    W(t*), and metadata["closed_form_gap"] holds the relative gap between
-    the two validation losses there. A one-hot "test_loss" split also
-    gets its test_error at t*.
+    Grid losses and the slope come from one quadratic form per split
+    (`_loss_curve`); the terminal row at t* is evaluated directly from W(t*),
+    and metadata["closed_form_gap"] holds the relative gap between the two
+    validation losses there. A one-hot "test_loss" split also gets its
+    test_error at t*.
     """
     grid = grid or TimeGrid.default_for(sol)
     times = grid.times()
     splits = {"val_loss": (X_val, Y_val), "train_loss": (sol.X_train, sol.Y_train), **(extra_eval or {})}
 
-    progress = -np.expm1(-np.outer(sol.mode_rates, times))
+    rates = sol.mode_rates
+    progress = -np.expm1(-np.outer(rates, times))
     record = TrainRecord(
         steps=times.tolist(),
-        metadata={"grid": (grid.t_min, grid.t_max, grid.points), "flow_rank": sol.mode_rates.size},
+        metadata={"grid": (grid.t_min, grid.t_max, grid.points), "flow_rank": rates.size},
     )
-    for name, (X, Y) in splits.items():  # one r x r H at a time; the val curve, kept for the refine, comes last
+    for name, (X, Y) in splits.items():  # one r x r H at a time; the val curve, kept for the slope, comes last
         if name != "val_loss":
-            setattr(record, name, _loss_curve(sol, X, Y)(progress).tolist())
-    val_curve = _loss_curve(sol, *splits["val_loss"])
-    record.val_loss = val_losses = val_curve(progress).tolist()
+            setattr(record, name, _loss_curve(sol, X, Y)[0](progress).tolist())
+    val_curve, val_gradient = _loss_curve(sol, *splits["val_loss"])
+    val_losses = val_curve(progress)
+    record.val_loss = val_losses.tolist()
 
-    def val_loss_at(t: float) -> float:
-        return float(val_curve(-np.expm1(-sol.mode_rates * t)))
-
-    best = int(np.argmin(val_losses))
+    floor = val_losses.min()
+    best = int(np.argmax(val_losses <= floor + FLAT_LOSS_RATIO * abs(floor)))
     boundary = best in (0, len(times) - 1)
-    if boundary:
-        t_star, v_star = float(times[best]), val_losses[best]
-    else:
-        t_star, v_star = _golden_section(val_loss_at, times[best - 1], times[best + 1])
-        if val_losses[best] <= v_star:
-            t_star, v_star = float(times[best]), val_losses[best]
+    t_star, v_star = float(times[best]), float(val_losses[best])
+    if not boundary:
+        lo, hi = np.log(times[best - 1]), np.log(times[best + 1])
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            rate_t = rates * np.exp(mid)
+            lo, hi = (mid, hi) if val_gradient(-np.expm1(-rate_t)) @ (rates * np.exp(-rate_t)) < 0.0 else (lo, mid)
+        t = float(np.exp(0.5 * (lo + hi)))
+        v = float(val_curve(-np.expm1(-rates * t)))
+        if v <= v_star + FLAT_LOSS_RATIO * abs(v_star):
+            t_star, v_star = t, v
 
     model = flow_at(sol, t_star)
     metrics = {}

@@ -5,8 +5,9 @@ from hypothesis import settings
 from whitebench import Dataset, LabelSet
 from whitebench.datatypes import random_orthogonal
 
-# every run draws fresh examples; no example database is replayed or written
-settings.register_profile("fresh", database=None)
+# every run draws fresh examples; no example database is replayed or written, so a failure prints
+# the @reproduce_failure blob that replays its example
+settings.register_profile("fresh", database=None, print_blob=True)
 settings.load_profile("fresh")
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitebench import Dataset, LabelSet
+from whitebench.cli import main
 from whitebench.dataio import (
+    MAX_CLASS_ID,
     export,
     export_compressed,
     export_csv,
@@ -79,6 +81,15 @@ def test_csv_negative_class_id_error(tmp_path):
     path.write_text("f0,label\n1.0,0\n2.0,-1\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 3: negative class id -1"):
         ingest_csv(path)
+
+
+def test_csv_class_id_above_bound_error(tmp_path):
+    # the one-hot matrix would have a row per id up to the largest
+    path = tmp_path / "bad.csv"
+    path.write_text("f0,label\n1.0,0\n2.0,99999\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line 3: class id 99999 above {MAX_CLASS_ID}"):
+        ingest_csv(path)
+    assert main(["whiten", "--input", str(path), "--mode", "pca", "--output", str(tmp_path / "w.wbds")]) == 2
 
 
 def test_csv_binary_file_error(tmp_path):

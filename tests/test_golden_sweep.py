@@ -1,6 +1,6 @@
 """Linear sweeps pinned against rows written by earlier, independent code.
 
-`data/golden_linear_sweep.csv` holds the terminal rows of the three configs
+`data/golden_linear_sweep.csv` holds the terminal rows of the configs
 below. The `none` rows were written by the early-stop scan that rebuilt W(t)
 and predicted at every grid time. The whitened rows (train and full,
 `golden_newton`) were rewritten when the arms of a (size, seed) group came to
@@ -8,11 +8,14 @@ share one draw, by the code before that change, which drew per arm, with its
 run seed pinned to the `none` arm's. The `golden_white` (ZCA, centered,
 manual, W0 != 0) and `golden_jitter` (ZCA, centered, jitter, W0 = 0) rows
 were written by the code that still multiplied every split by M, before the
-linear trainer folded the whitener into the flow. The current code must give
-the same rows:
-val_loss within 1e-10 relative; t* within 1e-4 relative, since golden-section
-search over a flat minimum cannot pin t* more finely; train_loss and
-test_loss, which follow t*, within 1e-4 relative; test_error and
+linear trainer folded the whitener into the flow. The `golden_jitter_init`
+rows (ZCA, centered, jitter, W0 != 0, above d) were written by the code that
+first bisected the closed-form slope for t*. The current code must give the
+same rows:
+val_loss within 1e-10 relative; t* within 1e-6 relative, since the older
+rows' t* came from a golden-section search on loss values, up to 1.7e-7 from
+the root of the validation slope that `early_stop` now finds; train_loss and
+test_loss, which follow t*, within 1e-6 relative; test_error and
 stopping_reason exactly.
 
 `PYTHONPATH=src python tests/test_golden_sweep.py` writes the rows of the
@@ -41,9 +44,12 @@ CONFIGS = {
     "golden_white": ("train full", "0 1", "8 32", {"init_variance": 0.05},
                      {"transform": "zca", "center": "true", "rank_policy": "manual"}),
     "golden_jitter": ("train full", "0 1", "8 32", {}, {"transform": "zca", "center": "true", "rank_policy": "jitter"}),
+    # W0 != 0 under jitter above d, where the fit spans every direction and no weight is scaled by 1/sqrt(epsilon)
+    "golden_jitter_init": ("train full", "0 1", "32", {"init_variance": 0.05},
+                           {"transform": "zca", "center": "true", "rank_policy": "jitter"}),
 }
 KEY = ("experiment_id", "seed", "dataset_size", "whitening_mode")
-RELATIVE = {"val_loss": 1e-10, "step_or_time": 1e-4, "train_loss": 1e-4, "test_loss": 1e-4}
+RELATIVE = {"val_loss": 1e-10, "step_or_time": 1e-6, "train_loss": 1e-6, "test_loss": 1e-6}
 EXACT = ("optimizer", "test_error", "stopping_reason")
 
 
@@ -73,7 +79,7 @@ def test_sweep_matches_golden_rows(tmp_path):
     write_rows_csv(out, _rows(tmp_path))
     got, want = _read(out), _read(GOLDEN)
     assert sorted(got) == sorted(want)
-    assert len(want) == 3 * 3 * 2 + 2 + 2 * 2 * 2 * 2
+    assert len(want) == 3 * 3 * 2 + 2 + 2 * 2 * 2 * 2 + 2 * 2
     for key, expected in want.items():
         row = got[key]
         for col in EXACT:

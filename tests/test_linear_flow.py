@@ -445,6 +445,25 @@ def test_early_stop_interior_and_oracle():
     assert record.metadata["val_loss_at_t_star"] <= fine_best + 1e-8
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_early_stop_finds_the_one_mode_minimizer(seed):
+    # one moving mode: along W(E) = W0 + E B v^T the val loss s (c0 + 2 a E + H E^2) is least at E* = -a / H,
+    # that is at t* = -log1p(a / H) / rate
+    rng = np.random.default_rng(seed)
+    X, Y = Dataset(rng.standard_normal((1, 6))), LabelSet(rng.standard_normal((2, 6)))
+    sol = build_flow(X, Y, W0=rng.standard_normal((2, 1)))
+    X_val = Dataset(rng.standard_normal((1, 5)))
+    direction = sol.mode_delta @ sol.spectrum.eigenvectors.T @ X_val.values  # B z, with z = v^T X_val
+    noise = 0.2 * np.linalg.norm(direction) / np.sqrt(direction.size) * rng.standard_normal(direction.shape)
+    Y_val = LabelSet(sol.W0 @ X_val.values + rng.uniform(0.2, 0.8) * direction + noise)
+    R0 = sol.W0 @ X_val.values - Y_val.targets
+    a, H = np.sum(R0 * direction), np.sum(direction * direction)
+    assert 0.0 < -a / H < 1.0
+    t_star, record = early_stop(sol, X_val, Y_val)
+    assert not record.metadata["boundary_hit"]
+    assert t_star == pytest.approx(-np.log1p(a / H) / sol.mode_rates[0], rel=1e-10, abs=0.0)
+
+
 def test_early_stop_self_consistency():
     # d = 16: n < d moves the n modes of the train span, full-rank n > d all d
     for n_train, rank in ((8, 8), (40, 16)):
@@ -508,7 +527,7 @@ def test_closed_form_loss_matches_direct(d, n, k, precondition, nonzero_w0, real
     grid = TimeGrid.default_for(sol)
     times = np.concatenate([[0.0], np.exp(rng.uniform(np.log(grid.t_min), np.log(grid.t_max), 6))])
     for X_s, Y_s in ((X, Y), (X_eval, Y_eval)):
-        curve = _loss_curve(sol, X_s, Y_s)
+        curve, gradient = _loss_curve(sol, X_s, Y_s)
         initial = mse_per_sample(flow_at(sol, 0.0).predict(X_s), Y_s)  # c0 / 2n
         progress = -np.expm1(-np.outer(sol.mode_rates, times))
         together = curve(progress)
@@ -519,6 +538,10 @@ def test_closed_form_loss_matches_direct(d, n, k, precondition, nonzero_w0, real
             tol = 1e-10 * max(1.0, initial, direct)
             assert abs(float(curve(progress[:, j])) - direct) <= tol
             assert abs(together[j] - direct) <= tol
+            # L is quadratic in E, so a central difference gives its gradient exactly
+            E, step = progress[:, j], rng.uniform(-0.5, 0.5, sol.mode_rates.size)
+            difference = float(curve(E + step) - curve(E - step))
+            assert abs(difference - 2.0 * gradient(E) @ step) <= 10.0 * tol
 
 
 def test_early_stop_holds_one_held_out_H_at_a_time(rng):

@@ -482,6 +482,50 @@ def test_eigenbasis_rows_match_rotated_rows(tmp_path, monkeypatch, transform, ce
             assert getattr(fast, col) == pytest.approx(getattr(slow, col), rel=tol, abs=0.0), (key, col)
 
 
+PLATEAU_CFG = """
+[experiment]
+id = plateau481
+master_seed = 1
+seeds = 0
+
+[data]
+source = synthetic
+d = 24
+n_val = 40
+n_test = 80
+alpha = 2.0
+label_noise = 0.2
+classes = 4
+normalize = true
+
+[whitening]
+modes = full
+transform = zca
+center = true
+rank_policy = jitter
+
+[flow]
+precondition = newton
+"""
+
+
+def test_flat_minimum_t_star_does_not_follow_the_rotation(tmp_path, monkeypatch):
+    # under newton every rate is 1; this draw's val loss falls until the flow converges, so its minimum is flat
+    # to rounding from t ~ 23 on. The rotated draw rounds differently from the eigenbasis draw, yet t*, the
+    # earliest time of that flat minimum, is the same
+    from whitebench import runner
+
+    path = tmp_path / "plateau.cfg"
+    path.write_text(PLATEAU_CFG, encoding="utf-8")
+    cfg = parse_config(path)
+    (eigenbasis,) = sweep(cfg, "linear", [200], include_trajectory=False)
+    original = runner.synthesize
+    monkeypatch.setattr(runner, "synthesize", lambda spec, **kw: original(spec))
+    (rotated,) = sweep(cfg, "linear", [200], include_trajectory=False)
+    assert rotated.stopping_reason == eigenbasis.stopping_reason == "early_stop"
+    assert eigenbasis.step_or_time == pytest.approx(rotated.step_or_time, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("trainer, text, rotations_per_group", [
     ("linear", LINEAR_CFG, 0),
     ("linear", LINEAR_CFG.replace("precondition = none", "precondition = none\ninit_variance = 0.01"), 1),
@@ -670,12 +714,14 @@ def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, poli
         t_star = rows[0].terminal_step
         got, want = rows[0].at(t_star), rows[1].at(rows[1].terminal_step)
         assert (got["test_error"], rows[0].stopping_reason) == (want["test_error"], rows[1].stopping_reason), mode
-        # Where the val curve is flat to rounding, t* follows the rounding (ROADMAP, Small defects), so the
-        # reference is read at the fold's t*: it must give the fold's losses there, and its val loss must be the
-        # reference's minimum. Jitter scales the directions outside the fit's span by up to 1/sqrt(epsilon), which
-        # multiplies the reference's own rounding into relative errors near 1e-8 (at most 1.9e-8 on held-out
-        # losses over 3000 draws) and into train losses at rounding level when the flow interpolates.
+        # t* is the root of the closed-form val slope, or the earliest time of a minimum flat to rounding, so both
+        # computations find it. The reference is read at the fold's t*: it must give the fold's losses there, and
+        # its val loss must be the reference's minimum. Jitter scales the directions outside the fit's span by up
+        # to 1/sqrt(epsilon), which multiplies the reference's own rounding into relative errors near 1e-8 (at
+        # most 1.9e-8 on held-out losses over 3000 draws), into t* errors near 1e-6 (at most 7.4e-7 over 356
+        # arms) and into train losses at rounding level when the flow interpolates.
         loose = W is not None and policy == "jitter" and W.fit_rank < d
+        assert t_star == pytest.approx(rows[1].terminal_step, rel=1e-5 if loose else 1e-9, abs=0.0), mode
         W_t = flow_at(ref, t_star).W
         for col, name in (("train_loss", "train"), ("val_loss", "val"), ("test_loss", "test")):
             expected = mse_per_sample(W_t @ white[name][0].values, white[name][1])
