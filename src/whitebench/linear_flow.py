@@ -251,19 +251,23 @@ def early_stop(
     Y_val: LabelSet,
     grid: TimeGrid | None = None,
     extra_eval: dict | None = None,
+    trajectory: bool = True,
 ) -> tuple[float, TrainRecord]:
     """Pick the flow time t* with the lowest validation MSE.
 
     Scans the log-spaced grid for the earliest time whose validation loss is
-    within FLAT_LOSS_RATIO of the grid minimum, then bisects log t between its
-    grid neighbors, to 1e-12, on the sign of the closed-form slope
-    dL/dt = dL/dE . (rate * exp(-rate t)). The root is kept unless its loss is
+    within FLAT_LOSS_RATIO of the grid minimum, then finds the root of the
+    closed-form slope dL/du = dL/dE . (rate t exp(-rate t)), u = log t,
+    between its grid neighbors by Illinois regula falsi, until the sign
+    bracket is 1e-12 wide in log t. The root is kept unless its loss is
     worse than the grid time's beyond FLAT_LOSS_RATIO, so a minimum flat to
     rounding reports its earliest time. A boundary grid time is returned as-is
     and flagged boundary_hit in the record metadata; metadata["flow_rank"]
     holds the count r of moving modes. The train split kept by `build_flow` is
-    always evaluated as "train_loss"; extra_eval maps further names
-    ("test_loss") to (Dataset, LabelSet) pairs evaluated along the grid.
+    evaluated at t* as "train_loss"; extra_eval may add "test_loss", a
+    (Dataset, LabelSet) pair, and any other name is a ValidationError. With
+    trajectory=False only the validation loss is evaluated on the grid, and
+    the other splits only at t*.
 
     Grid losses and the slope come from one quadratic form per split
     (`_loss_curve`); the terminal row at t* is evaluated directly from W(t*),
@@ -271,6 +275,9 @@ def early_stop(
     validation losses there. A one-hot "test_loss" split also gets its
     test_error at t*.
     """
+    unknown = sorted(set(extra_eval or ()) - {"test_loss"})
+    if unknown:
+        raise ValidationError(f"extra_eval takes only 'test_loss', got {unknown}")
     grid = grid or TimeGrid.default_for(sol)
     times = grid.times()
     splits = {"val_loss": (X_val, Y_val), "train_loss": (sol.X_train, sol.Y_train), **(extra_eval or {})}
@@ -282,7 +289,7 @@ def early_stop(
         metadata={"grid": (grid.t_min, grid.t_max, grid.points), "flow_rank": rates.size},
     )
     for name, (X, Y) in splits.items():  # one r x r H at a time; the val curve, kept for the slope, comes last
-        if name != "val_loss":
+        if name != "val_loss" and trajectory:
             setattr(record, name, _loss_curve(sol, X, Y)[0](progress).tolist())
     val_curve, val_gradient = _loss_curve(sol, *splits["val_loss"])
     val_losses = val_curve(progress)
@@ -293,11 +300,24 @@ def early_stop(
     boundary = best in (0, len(times) - 1)
     t_star, v_star = float(times[best]), float(val_losses[best])
     if not boundary:
+        def slope(u):  # dL/du at u = log t: dL/dE . (rate t exp(-rate t))
+            rate_t = rates * np.exp(u)
+            return float(val_gradient(-np.expm1(-rate_t)) @ (rate_t * np.exp(-rate_t)))
+
         lo, hi = np.log(times[best - 1]), np.log(times[best + 1])
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            rate_t = rates * np.exp(mid)
-            lo, hi = (mid, hi) if val_gradient(-np.expm1(-rate_t)) @ (rates * np.exp(-rate_t)) < 0.0 else (lo, mid)
+        g_lo, g_hi, side = slope(lo), slope(hi), 0
+        if g_lo >= 0.0 or g_hi < 0.0:  # no sign change: the slope leads to one end
+            lo = hi = lo if g_lo >= 0.0 else hi
+        while hi - lo > 1e-12:  # Illinois regula falsi on g_lo < 0 <= g_hi
+            u = lo - (hi - lo) * g_lo / (g_hi - g_lo)
+            u = u if lo < u < hi else 0.5 * (lo + hi)
+            g = slope(u)
+            if g == 0.0:
+                lo = hi = u
+            elif g < 0.0:
+                lo, g_lo, g_hi, side = u, g, g_hi * (0.5 if side < 0 else 1.0), -1
+            else:
+                hi, g_hi, g_lo, side = u, g, g_lo * (0.5 if side > 0 else 1.0), 1
         t = float(np.exp(0.5 * (lo + hi)))
         v = float(val_curve(-np.expm1(-rates * t)))
         if v <= v_star + FLAT_LOSS_RATIO * abs(v_star):

@@ -363,7 +363,7 @@ def _flow_rows(plan: RunPlan, draw: _GroupDraw, mode: str, base: dict, include_t
     sol, splits = _arm_flow(plan, draw, mode, W0)
     grid = plan.grid or TimeGrid.default_for(sol, plan.cfg.get("flow", "grid_points"))
     extra = {"test_loss": splits["test"]} if "test" in splits else None
-    _, record = early_stop(sol, *splits["val"], grid, extra_eval=extra)
+    _, record = early_stop(sol, *splits["val"], grid, extra_eval=extra, trajectory=include_trajectory)
     base = {**base, "dataset_size": Xtr.sample_count, "optimizer": "flow_" + plan.cfg.get("flow", "precondition")}
     return _record_rows(base, record, include_trajectory)
 

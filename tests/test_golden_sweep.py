@@ -10,16 +10,18 @@ manual, W0 != 0) and `golden_jitter` (ZCA, centered, jitter, W0 = 0) rows
 were written by the code that still multiplied every split by M, before the
 linear trainer folded the whitener into the flow. The `golden_jitter_init`
 rows (ZCA, centered, jitter, W0 != 0, above d) were written by the code that
-first bisected the closed-form slope for t*. The current code must give the
-same rows:
+bisected the closed-form slope for t*, before the regula falsi solve. The
+current code must give the same rows:
 val_loss within 1e-10 relative; t* within 1e-6 relative, since the older
 rows' t* came from a golden-section search on loss values, up to 1.7e-7 from
 the root of the validation slope that `early_stop` now finds; train_loss and
 test_loss, which follow t*, within 1e-6 relative; test_error and
 stopping_reason exactly.
 
-`PYTHONPATH=src python tests/test_golden_sweep.py` writes the rows of the
-current code to that file.
+`PYTHONPATH=src python tests/test_golden_sweep.py` appends to that file the
+rows of each config below whose experiment id has none there yet, from the
+current code and in the file's own header columns. Rows already pinned keep
+their bytes: the writer never re-pins them to the code under test.
 """
 import csv
 from pathlib import Path
@@ -27,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from whitebench.runconfig import parse_config
-from whitebench.runner import sweep, write_rows_csv
+from whitebench.runner import RESULT_COLUMNS, sweep, write_rows_csv
 
 GOLDEN = Path(__file__).parent / "data" / "golden_linear_sweep.csv"
 
@@ -53,9 +55,9 @@ RELATIVE = {"val_loss": 1e-10, "step_or_time": 1e-6, "train_loss": 1e-6, "test_l
 EXACT = ("optimizer", "test_error", "stopping_reason")
 
 
-def _rows(tmp_dir: Path):
+def _rows(tmp_dir: Path, configs: dict = CONFIGS):
     rows = []
-    for exp_id, (modes, seeds, sizes, flow, whitening) in CONFIGS.items():
+    for exp_id, (modes, seeds, sizes, flow, whitening) in configs.items():
         sections = {
             "experiment": {"id": exp_id, "master_seed": 7, "seeds": seeds},
             "data": _DATA,
@@ -88,8 +90,42 @@ def test_sweep_matches_golden_rows(tmp_path):
             assert float(row[col]) == pytest.approx(float(expected[col]), rel=tol, abs=0.0), (key, col)
 
 
-if __name__ == "__main__":
+def test_writer_appends_only_the_missing_configs(tmp_path):
+    # rows already pinned keep their bytes; a config with no row gets its rows in the file's own columns
+    path = tmp_path / "golden.csv"
+    kept = b"".join(line for line in GOLDEN.read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b"golden_init,"))
+    path.write_bytes(kept)
+    assert append_missing_rows(path) == ["golden_init"]
+    written = path.read_bytes()
+    assert written.startswith(kept) and len(written) > len(kept)
+    assert append_missing_rows(path) == [] and path.read_bytes() == written
+    got, want = _read(path), _read(GOLDEN)
+    assert sorted(got) == sorted(want)
+    key = ("golden_init", "0", "8", "none")
+    assert list(got[key]) == list(want[key])
+    for col, tol in RELATIVE.items():
+        assert float(got[key][col]) == pytest.approx(float(want[key][col]), rel=tol, abs=0.0), col
+
+
+def append_missing_rows(path: Path = GOLDEN):
+    """Append the rows of the configs with no row in `path` yet, in its header's columns."""
     import tempfile
 
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        pinned = {row["experiment_id"] for row in reader}
+        header = reader.fieldnames
+    missing = {exp_id: config for exp_id, config in CONFIGS.items() if exp_id not in pinned}
     with tempfile.TemporaryDirectory() as tmp:
-        write_rows_csv(GOLDEN, _rows(Path(tmp)))
+        rows = _rows(Path(tmp), missing)
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            cells = dict(zip(RESULT_COLUMNS, row.to_csv()))
+            writer.writerow([cells[col] for col in header])
+    return sorted(missing)
+
+
+if __name__ == "__main__":
+    print("appended the rows of", append_missing_rows() or "no config")

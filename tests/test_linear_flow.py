@@ -15,6 +15,7 @@ from whitebench import (
     early_stop,
     fit_whitener,
     flow_at,
+    linear_flow,
     mse_per_sample,
     optimum_predictions,
     pseudoinverse,
@@ -22,7 +23,7 @@ from whitebench import (
 )
 from whitebench.datatypes import NULL_MODE_RATIO, random_orthogonal
 from whitebench.errors import ShapeError, ValidationError
-from whitebench.linear_flow import PRECONDITIONS, LinearModel, _loss_curve
+from whitebench.linear_flow import FLAT_LOSS_RATIO, PRECONDITIONS, LinearModel, _loss_curve
 from whitebench.optimizers import OptimizerConfig, newton_step
 from whitebench.synth import SyntheticSpec, synthesize
 from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, whitened_modes
@@ -462,6 +463,79 @@ def test_early_stop_finds_the_one_mode_minimizer(seed):
     t_star, record = early_stop(sol, X_val, Y_val)
     assert not record.metadata["boundary_hit"]
     assert t_star == pytest.approx(-np.log1p(a / H) / sol.mode_rates[0], rel=1e-10, abs=0.0)
+
+
+def _bisected_t_star(sol, X_val, Y_val):
+    """Reference t*: bisect log t to 1e-12 on the sign of the val slope; returns t* and its slope evaluations."""
+    times, rates = TimeGrid.default_for(sol).times(), sol.mode_rates
+    curve, gradient = _loss_curve(sol, X_val, Y_val)
+    losses = curve(-np.expm1(-np.outer(rates, times)))
+    best = int(np.argmax(losses <= losses.min() + FLAT_LOSS_RATIO * abs(losses.min())))
+    if best in (0, times.size - 1):
+        return times[best], 0
+    lo, hi, evaluations = np.log(times[best - 1]), np.log(times[best + 1]), 0
+    while hi - lo > 1e-12:
+        mid, evaluations = 0.5 * (lo + hi), evaluations + 1
+        rate_t = rates * np.exp(mid)
+        lo, hi = (mid, hi) if gradient(-np.expm1(-rate_t)) @ (rates * np.exp(-rate_t)) < 0.0 else (lo, mid)
+    t = np.exp(0.5 * (lo + hi))
+    flat = curve(-np.expm1(-rates * t)) <= losses[best] + FLAT_LOSS_RATIO * abs(losses[best])
+    return (t if flat else times[best]), evaluations
+
+
+def test_early_stop_t_star_matches_bisection_at_half_the_slope_evaluations(monkeypatch):
+    # 200 small noisy flows: none and newton, W0 = 0 and W0 != 0, n below and above d
+    evaluations = []
+    original = linear_flow._loss_curve
+
+    def counting(*args):
+        curve, gradient = original(*args)
+        return curve, lambda E: evaluations.append(1) or gradient(E)
+
+    monkeypatch.setattr(linear_flow, "_loss_curve", counting)
+    reference_evaluations, interior = 0, 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        d, k = int(rng.integers(2, 10)), int(rng.integers(1, 4))
+        n = int(rng.integers(1, d)) if seed % 2 else int(rng.integers(d + 1, 3 * d))
+        scale = np.exp(rng.uniform(-2.0, 1.0, (d, 1)))
+        teacher, noise = rng.standard_normal((k, d)), rng.uniform(0.1, 1.5)
+
+        def split(count):
+            X = Dataset(scale * rng.standard_normal((d, count)))
+            return X, LabelSet(teacher @ X.values + noise * rng.standard_normal((k, count)))
+
+        W0 = 0.3 * rng.standard_normal((k, d)) if seed % 4 >= 2 else None
+        sol = build_flow(*split(n), W0=W0, precondition=PRECONDITIONS[seed // 4 % 2])
+        X_val, Y_val = split(15)
+        reference, count = _bisected_t_star(sol, X_val, Y_val)
+        t_star, record = early_stop(sol, X_val, Y_val)
+        assert t_star == pytest.approx(reference, rel=1e-11, abs=0.0), seed
+        reference_evaluations += count
+        interior += not record.metadata["boundary_hit"]
+    assert interior >= 150
+    assert len(evaluations) <= reference_evaluations / 2
+
+
+@pytest.mark.parametrize("name", ["val_loss", "train_loss", "test_error", "bogus"])
+def test_early_stop_takes_only_a_test_loss_extra(rng, monkeypatch, name):
+    # an extra named after the val or train split would replace the split that picks t* or the train split
+    X, Y = random_dataset(rng, 4, 10), LabelSet(rng.standard_normal((2, 10)))
+    sol = build_flow(X, Y)
+    monkeypatch.setattr(linear_flow, "_loss_curve", lambda *a: pytest.fail("early_stop worked before checking"))
+    with pytest.raises(ValidationError, match=name):
+        early_stop(sol, X, Y, extra_eval={name: (X, Y)})
+
+
+def test_early_stop_without_trajectory_records_only_the_val_curve(rng):
+    X, Y = random_dataset(rng, 6, 12), LabelSet(rng.standard_normal((2, 12)))
+    sol = build_flow(X, Y, W0=rng.standard_normal((2, 6)))
+    (X_val, Y_val), test = [(random_dataset(rng, 6, 9), LabelSet(rng.standard_normal((2, 9)))) for _ in range(2)]
+    t_full, full = early_stop(sol, X_val, Y_val, extra_eval={"test_loss": test})
+    t_bare, bare = early_stop(sol, X_val, Y_val, extra_eval={"test_loss": test}, trajectory=False)
+    assert t_bare == t_full and bare.at(t_bare) == full.at(t_full) and bare.val_loss == full.val_loss
+    for series in (bare.train_loss, bare.test_loss):
+        assert [i for i, v in enumerate(series) if v is not None] == [bare.steps.index(t_bare)]
 
 
 def test_early_stop_self_consistency():

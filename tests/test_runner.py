@@ -482,6 +482,35 @@ def test_eigenbasis_rows_match_rotated_rows(tmp_path, monkeypatch, transform, ce
             assert getattr(fast, col) == pytest.approx(getattr(slow, col), rel=tol, abs=0.0), (key, col)
 
 
+@pytest.mark.parametrize("init", ["", "init_variance = 0.05\n"], ids=["W0_zero", "W0_random"])
+def test_train_linear_terminal_row_is_the_sweep_row(tmp_path, init):
+    # a sweep skips the held-out grid curves that train-linear writes, and its row is still train-linear's
+    # terminal row to the byte: every arm, n = 6 and 25 on both sides of d = 10, W0 = 0 and W0 != 0
+    path = tmp_path / "orbit.cfg"
+    path.write_text(ORBIT_CFG.format(transform="zca", center="true", normalize="false", precondition="none",
+                                     rank_policy="manual") + init, encoding="utf-8")
+    cfg = parse_config(path)
+    for size in (6, 25):
+        rows = sweep(cfg, "linear", [size], include_trajectory=False)
+        terminal = [r for r in sweep(cfg, "linear", [size], include_trajectory=True) if r.stopping_reason]
+        assert {r.whitening_mode for r in rows} == {"none", "train", "full", "distribution"}
+        assert all(r.stopping_reason != "error" for r in rows)
+        assert [r.to_csv() for r in terminal] == [r.to_csv() for r in rows]
+
+
+def test_loss_curves_per_linear_cell(linear_cfg, monkeypatch):
+    # a sweep cell builds only the val curve, which picks t*; a train-linear cell adds the train and test curves
+    from whitebench import linear_flow
+
+    calls = []
+    original = linear_flow._loss_curve
+    monkeypatch.setattr(linear_flow, "_loss_curve", lambda *a: calls.append(a) or original(*a))
+    assert len(sweep_terminal(linear_cfg)) == len(calls) == 3 * 3 * 2
+    calls.clear()
+    assert len([r for r in train(linear_cfg, "linear") if r.stopping_reason]) == 3 * 2
+    assert len(calls) == 3 * 3 * 2
+
+
 PLATEAU_CFG = """
 [experiment]
 id = plateau481
