@@ -16,8 +16,8 @@ from .errors import DegenerateSpectrumError, ShapeError, ValidationError
 
 LABEL_ENCODINGS = ("one_hot", "real_valued")
 
-#: relative eigenvalue cutoff on F for rank: `estimate_input_rank` and the
-#: manual policy of `whitening.fit_whitener`
+#: relative eigenvalue cutoff on F for an input-rank estimate: the default of
+#: `estimate_input_rank` and `whitebench rank`
 RANK_CUTOFF_RATIO = 1e-5
 #: relative cutoff for explicit inverses, about sqrt(machine eps): `pseudoinverse`
 #: (on singular values) and the F solve of `linear_flow.solve_optimum`,
@@ -28,6 +28,13 @@ PINV_CUTOFF_RATIO = 1e-8
 #: eigenvalues of F at or below this fraction of the largest are exact nulls:
 #: `linear_flow.build_flow` moves only the modes above it
 NULL_MODE_RATIO = 1e-12
+
+
+def resolved_rank(S: np.ndarray) -> int:
+    """How many of the d descending eigenvalues S of a d x d second moment its decomposition resolves: those
+    above d * eps * S[0], the rounding of an eigenvalue of a d x d product, below which an exact zero lands.
+    Every whitener (`whitening.fit_whitener`, `population_whitener`, `whitened_modes`) keeps this rank."""
+    return int(np.count_nonzero(S > S.size * np.finfo(float).eps * S[0]))
 
 
 def _as_matrix(values, what="values", copy=True) -> np.ndarray:

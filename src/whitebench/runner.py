@@ -344,11 +344,10 @@ def _arm_flow(plan: RunPlan, draw: _GroupDraw, mode: str, W0: np.ndarray):
     if W is not None and W.mean is not None:
         splits = {name: (Dataset._adopt(X.values - W.mean), Y) for name, (X, Y) in splits.items()}
     X = splits["train"][0]
-    eigh_side = X.sample_count > X.feature_dim
     if mode == "train":
         transform = plan.cfg.get("whitening", "transform")
-        modes, U = whitened_modes(draw.train_modes if shared else W.spectrum, transform, plan.rank_policy, eigh_side)
-    elif eigh_side:
+        modes, U = whitened_modes(draw.train_modes if shared else W.spectrum, transform, plan.rank_policy)
+    elif X.sample_count > X.feature_dim:
         F = draw.train_F if W.mean is None else compute_F(X)
         modes, U = eigh(symmetrize(W.M @ F @ W.M.T)), None
     else:

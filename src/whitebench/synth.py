@@ -18,7 +18,6 @@ from .datatypes import Dataset, LabelSet, random_orthogonal
 from .errors import ValidationError
 
 SPECTRA = ("power_law", "flat", "custom")
-TEACHERS = ("linear", "none")
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class SyntheticSpec:
     spectrum: str = "power_law"
     alpha: float = 2.0
     custom_eigenvalues: tuple | None = None
-    teacher: str = "linear"
     teacher_seed: int | None = None
     label_noise: float = 0.0
     classes: int = 10
@@ -51,8 +49,6 @@ class SyntheticSpec:
             or not all(0 <= v < math.inf for v in self.custom_eigenvalues)
         ):
             raise ValidationError(f"spectrum = custom needs eigenvalues: {self.d} finite nonnegative values, one per d")
-        if self.teacher not in TEACHERS:
-            raise ValidationError(f"unknown teacher {self.teacher!r}")
         if not 0 <= self.alpha < math.inf:
             raise ValidationError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if not 0 <= self.label_noise < math.inf:
@@ -73,10 +69,10 @@ class SyntheticData:
     train: Dataset
     val: Dataset | None
     test: Dataset | None
-    y_train: LabelSet | None
+    y_train: LabelSet
     y_val: LabelSet | None
     y_test: LabelSet | None
-    teacher_matrix: np.ndarray | None
+    teacher_matrix: np.ndarray
     # Columns pair with spec.eigenvalues(): the covariance is basis diag(eigenvalues) basis^T.
     # None for an unrotated draw, whose covariance is diag(eigenvalues) itself.
     basis: np.ndarray | None
@@ -105,21 +101,14 @@ def synthesize(spec: SyntheticSpec, *, rotate: bool = True) -> SyntheticData:
         basis = None
     scales = np.sqrt(spec.eigenvalues())
     m = math.ceil(spec.d / 4)
-
-    teacher = None
-    if spec.teacher == "linear":
-        teacher_rng = np.random.default_rng(
-            spec.seed if spec.teacher_seed is None else spec.teacher_seed
-        )
-        teacher = teacher_rng.standard_normal((spec.classes, m))
+    teacher_rng = np.random.default_rng(spec.seed if spec.teacher_seed is None else spec.teacher_seed)
+    teacher = teacher_rng.standard_normal((spec.classes, m))
 
     def draw(count: int):
         if count == 0:
             return None, None
         coords = scales[:, None] * rng.standard_normal((spec.d, count))
         X = Dataset._adopt(coords if basis is None else basis @ coords)
-        if teacher is None:
-            return X, None
         logits = teacher @ coords[:m, :]
         if spec.label_noise > 0:
             logits = logits + spec.label_noise * rng.standard_normal(logits.shape)

@@ -8,7 +8,8 @@ M = V S^{-1/2} V^T. F is decomposed on the smaller side of the fit set, as in
 the full SVD of X, whose d - n complement vectors (as arbitrary as eigh's
 null vectors) give PCA its trailing rows. Every eigenvector is signed so its
 largest-magnitude entry is positive, so PCA's row signs do not depend on
-which LAPACK driver produced V. Under manual rank
+which LAPACK driver produced V. The fit rank is the count of eigenvalues
+the decomposition resolves, `datatypes.resolved_rank`. Under manual rank
 control the trailing (below-rank) entries of S^{-1/2} are set to 1, so ZCA
 is the identity outside the fitted span; under the jitter policy a small
 epsilon is added to the diagonal of S before inverting, which keeps M
@@ -23,11 +24,11 @@ import numpy as np
 
 from .datatypes import (
     Dataset,
-    RANK_CUTOFF_RATIO,
     Spectrum,
     compute_F,
     eigh,
     require_nontrivial_spectrum,
+    resolved_rank,
     symmetrize,
 )
 from .errors import ShapeError, ValidationError
@@ -42,13 +43,12 @@ class RankPolicy:
 
     kind "jitter": add epsilon to every diagonal entry of S before inverting;
     epsilon=None means 1e-8 * mean(diag S), tied to the spectrum scale.
-    kind "manual": eigenvalues below rank_cutoff_ratio * largest are
-    replaced by exact unit scaling (their S^{-1/2} entries set to 1).
+    kind "manual": eigenvalues past `datatypes.resolved_rank` are replaced
+    by exact unit scaling (their S^{-1/2} entries set to 1).
     """
 
     kind: str = "manual"
     epsilon: float | None = None
-    rank_cutoff_ratio: float = RANK_CUTOFF_RATIO
 
     def __post_init__(self):
         if self.kind not in RANK_POLICIES:
@@ -96,7 +96,7 @@ class WhitenessReport:
 def _inv_sqrt(S: np.ndarray, policy: RankPolicy):
     """The diagonal S^{-1/2} under `policy` and the fit rank, for all d descending eigenvalues S >= 0."""
     require_nontrivial_spectrum(S, "fitted second moment")
-    rank = int(np.count_nonzero(S > policy.rank_cutoff_ratio * S[0]))
+    rank = resolved_rank(S)
     if policy.kind == "jitter":
         eps = policy.epsilon if policy.epsilon is not None else 1e-8 * float(np.mean(S))
         return 1.0 / np.sqrt(S + eps), rank
@@ -154,18 +154,19 @@ def population_whitener(second_moment: Spectrum, mode: str = "pca", rank_policy:
     return _whiten_spectrum(second_moment.eigenvalues, second_moment.eigenvectors, mode, rank_policy or RankPolicy())
 
 
-def whitened_modes(fit: Spectrum, mode: str, rank_policy: RankPolicy, from_eigh: bool) -> tuple[Spectrum, np.ndarray]:
+def whitened_modes(fit: Spectrum, mode: str, rank_policy: RankPolicy) -> tuple[Spectrum, np.ndarray]:
     """The eigenpairs (rates, V-hat) of M F M^T, descending, for the whitener M of F = V diag(S) V^T, and U = M^T V-hat.
 
     M F M^T = V-hat diag(inv_sqrt^2 S) V-hat^T with V-hat the standard basis (PCA) or V (ZCA), so U = V diag(inv_sqrt)
     either way and neither M nor F is multiplied. `fit` may hold only a thin SVD's leading V: the rest have rate 0.
-    From eigh (n > d), an eigenvalue within its rounding, d * eps * S0, is a null direction (rate 0), not a slow mode.
+    So has every mode past the fit rank: it is a null direction within rounding, not a slow mode.
     """
     d, r = fit.eigenvectors.shape
     S = np.maximum(fit.eigenvalues, 0.0)
-    inv_sqrt = _inv_sqrt(np.pad(S, (0, d - r)), rank_policy)[0][:r]
-    floor = d * np.finfo(float).eps * S[0] if from_eigh else 0.0
-    rates = np.where(S > floor, inv_sqrt * inv_sqrt * S, 0.0)
+    inv_sqrt, rank = _inv_sqrt(np.pad(S, (0, d - r)), rank_policy)
+    inv_sqrt = inv_sqrt[:r]
+    rates = inv_sqrt * inv_sqrt * S
+    rates[rank:] = 0.0
     order = np.argsort(-rates, kind="stable")
     V = fit.eigenvectors[:, order]
     V_hat = V if mode == "zca" else np.zeros((d, r))

@@ -142,10 +142,7 @@ def _gen_direction_cells():
             test10 = Dataset(data.test.values[:, :10])
             y_test10 = LabelSet(data.y_test.targets[:, :10], encoding="one_hot")
             combined = hstack_datasets(data.train, val10, test10)
-            W_f = fit_whitener(
-                combined, mode="pca",
-                rank_policy=RankPolicy("manual", rank_cutoff_ratio=1e-10),
-            )
+            W_f = fit_whitener(combined, mode="pca", rank_policy=RankPolicy("manual"))
             sol_f = build_flow(apply_whitener(W_f, data.train), data.y_train)
             _, rec_f = early_stop(
                 sol_f, apply_whitener(W_f, val10), y_val10,

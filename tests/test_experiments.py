@@ -44,7 +44,7 @@ def _rows(path: Path) -> list:
 
 
 def test_the_three_experiments_are_shipped():
-    assert [p.stem for p in CONFIGS] == ["generalization", "lambda_sweep", "speedup_cutoff"]
+    assert [p.stem for p in CONFIGS] == ["generalization", "lambda_sweep", "null_regime", "speedup_cutoff"]
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)

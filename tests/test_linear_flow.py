@@ -294,7 +294,7 @@ def test_whitener_modes_give_the_flow_of_the_whitened_split(d, extra, deficient,
     Y = LabelSet(rng.standard_normal((3, n)))
     W0 = rng.standard_normal((3, d))
     W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=center)
-    modes, U = whitened_modes(W.spectrum, mode, RankPolicy(policy), n > d)
+    modes, U = whitened_modes(W.spectrum, mode, RankPolicy(policy))
     shift = 0.0 if W.mean is None else W.mean
     raw = [Dataset(Z.values - shift) for Z in (X, X_test)]
     folded = build_flow(raw[0], Y, W0, precondition, modes=modes, fold=(W.M, U))
@@ -315,7 +315,7 @@ def test_jitter_leaves_null_directions_of_an_eigh_fit_null(rng):
     X = Dataset(rng.standard_normal((12, 8)) @ rng.standard_normal((8, 40)))
     Y = LabelSet(rng.standard_normal((2, 40)))
     W = fit_whitener(X, rank_policy=RankPolicy("jitter"))
-    modes, U = whitened_modes(W.spectrum, "pca", RankPolicy("jitter"), from_eigh=True)
+    modes, U = whitened_modes(W.spectrum, "pca", RankPolicy("jitter"))
     reused, own = build_flow(X, Y, modes=modes, fold=(W.M, U)), build_flow(apply_whitener(W, X), Y)
     assert reused.mode_rates.size == own.mode_rates.size == 8
     assert TimeGrid.default_for(reused).t_max == pytest.approx(TimeGrid.default_for(own).t_max, rel=1e-10)
@@ -331,7 +331,7 @@ def test_build_flow_rejects_modes_of_another_width(rng):
 def test_a_fold_without_M_needs_zero_W0(rng):
     X = random_dataset(rng, 4, 9)
     W = fit_whitener(X)
-    modes, U = whitened_modes(W.spectrum, "pca", RankPolicy(), from_eigh=True)
+    modes, U = whitened_modes(W.spectrum, "pca", RankPolicy())
     Y = LabelSet(rng.standard_normal((2, 9)))
     assert not build_flow(X, Y, modes=modes, fold=(None, U)).W0.any()
     with pytest.raises(ValidationError, match="W0 = 0"):

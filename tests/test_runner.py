@@ -328,6 +328,15 @@ def test_full_whitening_terminal_rows_at_half_loss(tmp_path):
         assert abs(r.test_loss - 0.5) <= 1e-8
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_full_arm_predicts_nothing_while_its_fit_set_spans_at_most_d(seed):
+    # null_regime.cfg at n = 256: 256 + 32 + 64 = 352 <= d = 512 whitened columns are orthonormal, so the
+    # test predictions stay at W0 = 0's and the test loss is that of zero outputs on one-hot targets
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "experiments" / "null_regime.cfg")
+    [row] = run_cell(plan_run(cfg, "linear", [256]), 256, "full", seed, include_trajectory=False)
+    assert abs(row.test_loss - 0.5) <= 1e-12
+
+
 def test_distribution_arm_runs(tmp_path):
     path = tmp_path / "dist.cfg"
     path.write_text(

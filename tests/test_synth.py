@@ -9,7 +9,7 @@ from whitebench.synth import SyntheticSpec, synthesize
 
 
 def test_flat_spectrum_eigenvalue_mean():
-    spec = SyntheticSpec(d=16, n_train=4000, spectrum="flat", teacher="none", seed=0)
+    spec = SyntheticSpec(d=16, n_train=4000, spectrum="flat", seed=0)
     data = synthesize(spec)
     F = compute_F(data.train) / 4000.0
     # isotropic case: mean eigenvalue = trace/d close to 1
@@ -19,7 +19,7 @@ def test_flat_spectrum_eigenvalue_mean():
 def test_power_law_spectrum_is_steep():
     ratios = []
     for seed in range(10):
-        spec = SyntheticSpec(d=64, n_train=4096, alpha=2.0, teacher="none", seed=seed)
+        spec = SyntheticSpec(d=64, n_train=4096, alpha=2.0, seed=seed)
         data = synthesize(spec)
         ev = np.linalg.eigvalsh(compute_F(data.train))
         assert np.all(np.diff(np.sort(ev)[::-1]) <= 1e-9)
@@ -70,8 +70,7 @@ def test_spec_validation():
 
 def test_custom_spectrum():
     spec = SyntheticSpec(
-        d=3, n_train=5000, spectrum="custom", custom_eigenvalues=(4.0, 1.0, 0.25),
-        teacher="none", seed=4,
+        d=3, n_train=5000, spectrum="custom", custom_eigenvalues=(4.0, 1.0, 0.25), seed=4,
     )
     ev = np.sort(np.linalg.eigvalsh(compute_F(synthesize(spec).train) / 5000.0))[::-1]
     assert ev == pytest.approx([4.0, 1.0, 0.25], rel=0.15)
@@ -92,7 +91,6 @@ def _draw_keeping_generator(spec, rotate):
     sizes=st.tuples(st.integers(1, 20), st.integers(0, 20), st.integers(0, 20)),
     spectrum=st.sampled_from(["power_law", "flat", "custom"]),
     alpha=st.floats(0.0, 4.0),
-    teacher=st.sampled_from(["linear", "none"]),
     encoding=st.sampled_from(["one_hot", "real_valued"]),
     label_noise=st.sampled_from([0.0, 0.3]),
     seed=st.integers(0, 2**32 - 1),
@@ -100,22 +98,20 @@ def _draw_keeping_generator(spec, rotate):
 )
 @settings(max_examples=60, deadline=None)
 def test_unrotated_draw_is_the_rotated_draw_without_its_basis(
-    d, sizes, spectrum, alpha, teacher, encoding, label_noise, seed, data
+    d, sizes, spectrum, alpha, encoding, label_noise, seed, data
 ):
     custom = None
     if spectrum == "custom":
         custom = tuple(data.draw(st.lists(st.floats(0.0, 10.0), min_size=d, max_size=d)))
     spec = SyntheticSpec(
         d=d, n_train=sizes[0], n_val=sizes[1], n_test=sizes[2], spectrum=spectrum, alpha=alpha,
-        custom_eigenvalues=custom, teacher=teacher, classes=3, encoding=encoding,
+        custom_eigenvalues=custom, classes=3, encoding=encoding,
         label_noise=label_noise, seed=seed,
     )
     rotated, rotated_state = _draw_keeping_generator(spec, rotate=True)
     plain, plain_state = _draw_keeping_generator(spec, rotate=False)
     assert plain.basis is None and rotated_state == plain_state
-    assert (plain.teacher_matrix is None) == (rotated.teacher_matrix is None)
-    if plain.teacher_matrix is not None:
-        assert np.array_equal(plain.teacher_matrix, rotated.teacher_matrix)
+    assert np.array_equal(plain.teacher_matrix, rotated.teacher_matrix)
     for split in ("train", "val", "test"):
         X, X_rot = getattr(plain, split), getattr(rotated, split)
         Y, Y_rot = getattr(plain, "y_" + split), getattr(rotated, "y_" + split)

@@ -16,8 +16,9 @@ from whitebench import (
     random_orthogonal,
     verify_whitened,
 )
-from whitebench.datatypes import RANK_CUTOFF_RATIO, Spectrum, eigh, hstack_datasets, symmetrize
+from whitebench.datatypes import Spectrum, eigh, hstack_datasets, resolved_rank, symmetrize
 from whitebench.errors import DegenerateSpectrumError, ShapeError
+from whitebench.synth import SyntheticSpec, synthesize
 from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, whitened_modes
 
 from conftest import spaced_dataset
@@ -165,10 +166,10 @@ def test_centering_flag_recorded(rng):
 
 
 def eigh_whitener(values, mode, policy):
-    """Reference M and rank from eigh of the d x d F, eigenvalues clamped at 0."""
+    """Reference M and rank from eigh of the d x d F, eigenvalues clamped at 0 and kept above d * eps * S0."""
     spec = eigh(symmetrize(values @ values.T))
     S, V = np.maximum(spec.eigenvalues, 0.0), spec.eigenvectors
-    rank = int(np.count_nonzero(S > RANK_CUTOFF_RATIO * S[0]))
+    rank = int(np.count_nonzero(S > S.size * np.finfo(float).eps * S[0]))
     if policy == "jitter":
         inv_sqrt = 1.0 / np.sqrt(S + 1e-8 * np.mean(S))
     else:
@@ -209,13 +210,44 @@ def test_smaller_side_fit_matches_eigh_reference(d, n, rank, mode, policy, seed)
 
 
 @pytest.mark.parametrize("mode", WHITENING_MODES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_train_split_is_white_past_the_fixed_cutoff(mode, seed):
+    # d = 512, alpha = 2: about 200 of the train split's eigenvalues lie below 1e-5 of the largest,
+    # and every one of them is resolved, so the whitened split has F-hat = I
+    data = synthesize(SyntheticSpec(d=512, n_train=2048, alpha=2.0, seed=seed), rotate=False)
+    W = fit_whitener(data.train, mode=mode, rank_policy=RankPolicy("manual"))
+    assert W.fit_rank == 512
+    assert verify_whitened(apply_whitener(W, data.train), tol=1e-6).passed
+
+
+@given(
+    st.integers(2, 96), st.integers(1, 96), st.booleans(), st.floats(0.0, 2.5), st.floats(-4.0, 4.0),
+    st.sampled_from(WHITENING_MODES), st.sampled_from(RANK_POLICIES), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_fit_rank_is_the_constructed_rank(d, rank, eigh_side, alpha, log_scale, mode, policy, seed):
+    # X = U diag(s) V^T with a power-law s (eigenvalues spanning up to five decades, scaled by 1e+-8) and exact
+    # zeros past `rank`: the thin SVD (n <= d) and eigh of F (n > d) both resolve the nonzero modes, none of the zeros
+    rng = np.random.default_rng(seed)
+    rank = min(rank, d)
+    n = d + 1 + rank if eigh_side else rank + (d - rank) // 2
+    s = 10.0 ** log_scale * np.arange(1, rank + 1) ** (-alpha / 2)
+    U = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    W = fit_whitener(Dataset((U * s) @ V.T), mode=mode, rank_policy=RankPolicy(policy))
+    assert W.fit_rank == rank
+    modes, _ = whitened_modes(W.spectrum, mode, RankPolicy(policy))
+    assert np.count_nonzero(modes.eigenvalues) == rank
+
+
+@pytest.mark.parametrize("mode", WHITENING_MODES)
 @pytest.mark.parametrize("policy", RANK_POLICIES)
 @pytest.mark.parametrize("n", [5, 9, 20])
 def test_kept_modes_diagonalize_the_whitened_fit_set(rng, mode, policy, n):
     # whitened_modes reads the eigenpairs of M F M^T and U = M^T V-hat off the fit, multiplying neither
     X = Dataset(rng.standard_normal((9, n)) + 0.5)
     W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=True)
-    modes, U = whitened_modes(W.spectrum, mode, RankPolicy(policy), from_eigh=n > 9)
+    modes, U = whitened_modes(W.spectrum, mode, RankPolicy(policy))
     rates, V = modes.eigenvalues, modes.eigenvectors
     assert V.shape == (9, 9) and np.all(np.diff(rates) <= 0)
     assert np.max(np.abs(V.T @ V - np.eye(9))) <= 1e-12
@@ -238,11 +270,11 @@ def test_apply_whitener_allocates_the_output_once(rng):
 
 @pytest.mark.parametrize("mode", WHITENING_MODES)
 def test_population_whitener_whitens_its_second_moment(rng, mode):
-    # a known n * Sigma whose every mode is above RANK_CUTOFF_RATIO: M (n Sigma) M^T = I
+    # a known n * Sigma whose every mode is resolved: M (n Sigma) M^T = I
     d, n = 12, 500
     basis = random_orthogonal(d, rng)
     lam = np.sort(rng.uniform(1e-3, 1.0, d))[::-1]
-    assert lam[-1] > RANK_CUTOFF_RATIO * lam[0]
+    assert resolved_rank(n * lam) == d
     W = population_whitener(Spectrum(n * lam, basis), mode, RankPolicy("manual"))
     assert W.fit_rank == d and W.mean is None
     second_moment = (basis * (n * lam)) @ basis.T
@@ -253,8 +285,8 @@ def test_population_whitener_whitens_its_second_moment(rng, mode):
 @pytest.mark.parametrize("policy", RANK_POLICIES)
 def test_population_whitener_on_a_fitted_spectrum_is_the_fit(rng, mode, policy):
     # one spectrum-to-M step: handed the eigenpairs fit_whitener decomposes (n > d, two modes below
-    # the manual cutoff), with eigenvector signs flipped at random, the same M bit for bit
-    X = Dataset(rng.standard_normal((6, 40)) * np.array([[5.0], [2.0], [1.0], [1.0], [1e-2], [1e-3]]))
+    # the resolved rank), with eigenvector signs flipped at random, the same M bit for bit
+    X = Dataset(rng.standard_normal((6, 40)) * np.array([[5.0], [2.0], [1.0], [1.0], [1e-9], [1e-10]]))
     fitted = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy))
     spec = eigh(compute_F(X))
     flips = rng.choice([-1.0, 1.0], size=6)
