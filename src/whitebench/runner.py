@@ -27,7 +27,8 @@ from .optimizers import OptimizerConfig
 from .records import TrainRecord
 from .runconfig import RunConfig
 from .synth import SyntheticSpec, synthesize
-from .whitening import RankPolicy, Whitener, apply_whitener, fit_whitener, population_whitener, whitened_modes
+from .whitening import (RankPolicy, Whitener, apply_whitener, fit_whitener, full_whitened_modes, population_whitener,
+                        whitened_modes)
 from . import dataio
 
 
@@ -291,7 +292,8 @@ def _draw_group(plan: RunPlan, dataset_size: int, seed_index: int, population: b
 def _arm_whitener(plan: RunPlan, draw: _GroupDraw, mode: str) -> Whitener:
     """`train` fits on the train split, `full` on all splits; `distribution` whitens with the source's E[F_train]
     (mean 0, so `center` is moot). Uncentered at n > d, `train` takes the group's eigh of F_train and `full` the
-    eigh of F_train + X_s X_s^T over the other splits: no stacked copy."""
+    eigh of F_train + X_s X_s^T over the other splits: no stacked copy. The linear trainer fits no `full` arm
+    that `full_whitened_modes` serves (uncentered, W0 = 0, n > d, within its bound)."""
     transform, policy, center = plan.cfg.get("whitening", "transform"), plan.rank_policy, plan.cfg.get("whitening", "center")
     if mode == "distribution":
         return population_whitener(draw.second_moment, transform, policy)
@@ -333,26 +335,36 @@ def _normalized(draw: _GroupDraw):
 def _arm_flow(plan: RunPlan, draw: _GroupDraw, mode: str, W0: np.ndarray):
     """One arm's linear flow with its whitener folded in, and its splits: the group's, less the whitener's mean.
 
-    The whitened train split's modes come from the `train` fit (with no fit and no M from the group's F_train
-    modes when uncentered at W0 = 0), else from M F_train M^T (n > d) or the thin SVD of M X_train.
+    The whitened train split's modes come from the `train` fit, else from M F_train M^T (n > d) or the thin SVD
+    of M X_train. Uncentered at W0 = 0 the flow reads M only through M^T M, so there is no fit and no M: `train`
+    takes the group's F_train modes, and `full` at n > d takes `full_whitened_modes` off the group's eigh of
+    F_train, unless its bound fails.
     """
     precondition, splits = plan.cfg.get("flow", "precondition"), draw.splits
+    transform, policy = plan.cfg.get("whitening", "transform"), plan.rank_policy
     if mode == "none":
         return build_flow(*splits["train"], W0, precondition, modes=draw.train_modes), splits
-    shared = mode == "train" and not plan.cfg.get("whitening", "center") and not W0.any()
-    W = None if shared else _arm_whitener(plan, draw, mode)
-    if W is not None and W.mean is not None:
+    shared = not plan.cfg.get("whitening", "center") and not W0.any()
+    found = None
+    if shared and mode == "train":
+        found = whitened_modes(draw.train_modes, transform, policy)
+    elif shared and mode == "full" and draw.train_F is not None:
+        found = full_whitened_modes(draw.train_modes, [X.values for name, (X, _) in splits.items() if name != "train"],
+                                    policy)
+    if found is not None:
+        return build_flow(*splits["train"], W0, precondition, found[0], fold=(None, found[1])), splits
+    W = _arm_whitener(plan, draw, mode)
+    if W.mean is not None:
         splits = {name: (Dataset._adopt(X.values - W.mean), Y) for name, (X, Y) in splits.items()}
     X = splits["train"][0]
     if mode == "train":
-        transform = plan.cfg.get("whitening", "transform")
-        modes, U = whitened_modes(draw.train_modes if shared else W.spectrum, transform, plan.rank_policy)
+        modes, U = whitened_modes(W.spectrum, transform, policy)
     elif X.sample_count > X.feature_dim:
         F = draw.train_F if W.mean is None else compute_F(X)
         modes, U = eigh(symmetrize(W.M @ F @ W.M.T)), None
     else:
         modes, U = gram_modes(Dataset._adopt(W.M @ X.values), NULL_MODE_RATIO), None
-    return build_flow(*splits["train"], W0, precondition, modes, fold=(None if W is None else W.M, U)), splits
+    return build_flow(*splits["train"], W0, precondition, modes, fold=(W.M, U)), splits
 
 
 def _flow_rows(plan: RunPlan, draw: _GroupDraw, mode: str, base: dict, include_trajectory: bool):

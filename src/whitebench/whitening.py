@@ -175,6 +175,34 @@ def whitened_modes(fit: Spectrum, mode: str, rank_policy: RankPolicy) -> tuple[S
     return Spectrum(rates[order], V_hat), V * inv_sqrt[order]
 
 
+def full_whitened_modes(train: Spectrum, others: list, rank_policy: RankPolicy) -> tuple[Spectrum, np.ndarray] | None:
+    """`whitened_modes` of the `full` whitener, F_full = F_train + F_o with F_o = sum X X^T over the d x n arrays
+    `others`, read off train = (Lambda, V), all d eigenpairs of F_train; None unless the fit provably keeps all d
+    modes: Lambda_min > d eps (Lambda_0 + ||others||_F^2), by Weyl's bounds S_min(F_full) >= Lambda_min and
+    S_0(F_full) <= Lambda_0 + tr F_o, and `datatypes.resolved_rank`.
+
+    Then M^T M = (F_full + epsilon I)^-1 (epsilon = 0 under manual) for PCA and ZCA alike, all a flow from W0 = 0
+    reads of M. Its modes solve F_train u = rate (F_full + epsilon I) u, u^T (F_full + epsilon I) u = 1: C = I +
+    Lambda^-1/2 V^T (F_o + epsilon I) V Lambda^-1/2 has eigenpairs (mu, w), rate = 1 / mu and u = V Lambda^-1/2 w
+    mu^-1/2. w is V-hat of M = C^-1/2 Lambda^-1/2 V^T; no fit, M or F_full is formed.
+    """
+    lam, V = train.eigenvalues, train.eigenvectors
+    d = lam.size
+    F_o = symmetrize(sum(G @ G.T for G in (V.T @ X for X in others)))  # V^T F_o V, exactly symmetric
+    trace_o = float(np.trace(F_o))  # ||others||_F^2
+    if not lam[-1] > d * np.finfo(float).eps * (lam[0] + trace_o):
+        return None
+    inv_sqrt = 1.0 / np.sqrt(lam)
+    C = F_o * np.outer(inv_sqrt, inv_sqrt)
+    if rank_policy.kind == "jitter":  # the default epsilon is 1e-8 mean(S_full)
+        epsilon = rank_policy.epsilon if rank_policy.epsilon is not None else 1e-8 * (float(np.sum(lam)) + trace_o) / d
+        C[np.diag_indices(d)] += epsilon / lam
+    C[np.diag_indices(d)] += 1.0
+    spec = eigh(C)
+    mu, W = spec.eigenvalues[::-1], spec.eigenvectors[:, ::-1]
+    return Spectrum(1.0 / mu, W), (V * inv_sqrt) @ (W / np.sqrt(mu))
+
+
 def apply_whitener(W: Whitener, X: Dataset) -> Dataset:
     """Transform X by the fitted M (same transform for every split)."""
     if X.feature_dim != W.feature_dim:

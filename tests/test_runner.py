@@ -170,24 +170,35 @@ def test_env_seed_override(linear_cfg, monkeypatch, tmp_path):
         sweep_terminal(linear_cfg)
 
 
-@pytest.mark.parametrize("size", [8, 24])
-def test_decompositions_per_linear_cell(linear_cfg, monkeypatch, size):
+@pytest.mark.parametrize("size, edit, expected", [
+    (8, None, {"svd": 2, "eigh": 1}),
+    (24, None, {"eigh": 2}),
+    (24, ("rank_policy = manual", "rank_policy = jitter"), {"eigh": 2}),
+    (24, ("rank_policy = manual", "rank_policy = manual\ncenter = true"), {"eigh": 4}),
+    (24, ("grid_points = 40", "grid_points = 40\ninit_variance = 0.01"), {"eigh": 3}),
+], ids=["8", "24", "24-jitter", "24-center", "24-init"])
+def test_decompositions_per_linear_cell(tmp_path, monkeypatch, size, edit, expected):
     # Counted per (size, seed) group of none, train and full cells. d = 12: size 8 is n < d, 24 is n > d.
-    # The group decomposes F_train once (thin SVD, or eigh when n > d) for the none arm's flow; the
-    # uncentered train arm at W0 = 0 reads its modes off that decomposition, with no fit and no M. The
-    # full arm fits on its n + 20 > d columns (eigh) and decomposes its whitened train split once.
+    # The group decomposes F_train once (thin SVD, or eigh when n > d) for the none arm's flow. Uncentered
+    # at W0 = 0, the train arm reads its modes off that decomposition, and at n > d so does the full arm,
+    # with one eigh of C = I + Lambda^-1/2 V^T F_o V Lambda^-1/2 under either rank policy. At n < d the full
+    # arm fits on its n + 20 > d columns (eigh) and decomposes its whitened train split once (thin SVD).
+    # With W0 != 0 the full arm still fits (eigh of F_full) and decomposes M F_train M^T; centered, the
+    # train arm fits its centered split too.
     from collections import Counter
 
     from whitebench.runner import _run_group
 
+    path = tmp_path / "count.cfg"
+    path.write_text(LINEAR_CFG if edit is None else LINEAR_CFG.replace(*edit), encoding="utf-8")
     calls = []
     for name in ("eigh", "svd"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
-    rows = _run_group((plan_run(linear_cfg, "linear"), size, 0, False))
+    rows = _run_group((plan_run(parse_config(path), "linear"), size, 0, False))
     assert [r.whitening_mode for r in rows] == ["none", "train", "full"]
     assert all(r.stopping_reason != "error" for r in rows)
-    assert Counter(calls) == ({"svd": 2, "eigh": 1} if size == 8 else {"eigh": 3})
+    assert Counter(calls) == expected
 
 
 @pytest.mark.parametrize("d, n", [(40, 9), (9, 40), (12, 12)])
@@ -766,3 +777,74 @@ def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, poli
             rel, floor = (1e-6, 1e-12) if loose else (RELATIVE[col], 0.0)
             assert got[col] == pytest.approx(expected, rel=rel, abs=floor), (mode, col)
         assert got["val_loss"] <= want["val_loss"] * (1.0 + (1e-6 if loose else RELATIVE["val_loss"])), mode
+
+
+def _m_path_flow(plan, draw, W0):
+    """The `full` arm's flow by its fitted whitener M: eigh of M F_train M^T, U = M^T V-hat (n > d, uncentered)."""
+    from whitebench import build_flow
+    from whitebench.datatypes import eigh, symmetrize
+    from whitebench.runner import _arm_whitener
+
+    M = _arm_whitener(plan, draw, "full").M
+    modes = eigh(symmetrize(M @ draw.train_F @ M.T))
+    return build_flow(*draw.splits["train"], W0, plan.cfg.get("flow", "precondition"), modes, fold=(M, None))
+
+
+@given(
+    st.integers(3, 24), st.sampled_from(["d+1", "d+8", "4d"]), st.sampled_from(WHITENING_MODES),
+    st.sampled_from(["manual", "jitter", "jitter 1e-3"]), st.sampled_from(PRECONDITIONS), st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_full_arm_modes_off_the_groups_eigh_match_the_m_path(d, size, transform, policy, precondition, normalize, seed):
+    # the uncentered full arm at W0 = 0 and n > d reads its modes off the group's eigh of F_train
+    # (`full_whitened_modes`), with no fit and no M: its rows are the M path's to rounding
+    from whitebench.linear_flow import TimeGrid, early_stop
+    from whitebench.runconfig import RunConfig
+    from whitebench.runner import _arm_flow, _draw_group
+    from whitebench.whitening import full_whitened_modes
+
+    kind, *epsilon = policy.split()
+    n = {"d+1": d + 1, "d+8": d + 8, "4d": 4 * d}[size]
+    cfg = RunConfig(experiment={"id": "modes", "master_seed": seed % 1000},
+                    data={"d": d, "n_val": 7, "n_test": 11, "classes": 3, "label_noise": 0.1, "normalize": normalize},
+                    whitening={"modes": ["none", "full"], "transform": transform, "rank_policy": kind,
+                               **({"jitter_epsilon": float(epsilon[0])} if epsilon else {})},
+                    flow={"precondition": precondition})
+    plan = plan_run(cfg, "linear")
+    draw = _draw_group(plan, n, seed // 1000 % 1000, False)
+    others = [X.values for name, (X, _) in draw.splits.items() if name != "train"]
+    assert full_whitened_modes(draw.train_modes, others, plan.rank_policy) is not None  # the path is taken
+    W0 = np.zeros((3, d))
+    sol, splits = _arm_flow(plan, draw, "full", W0)
+    ref = _m_path_flow(plan, draw, W0)
+    rows = [early_stop(s, *splits["val"], TimeGrid.default_for(s, 200), extra_eval={"test_loss": splits["test"]})[1]
+            for s in (sol, ref)]
+    got, want = (r.at(r.terminal_step) for r in rows)
+    assert (got["test_error"], rows[0].stopping_reason) == (want["test_error"], rows[1].stopping_reason)
+    assert rows[0].terminal_step == pytest.approx(rows[1].terminal_step, rel=1e-8, abs=0.0)
+    for col in ("train_loss", "val_loss", "test_loss"):
+        assert got[col] == pytest.approx(want[col], rel=1e-8, abs=0.0), col
+
+
+def test_full_arm_that_fails_the_bound_keeps_the_m_path(tmp_path, monkeypatch):
+    # a zero population eigenvalue leaves F_train (and F_full) singular at n > d, so the bound fails: the full
+    # arm fits and folds M as before, and its rows are those of a run whose helper is never consulted
+    from whitebench import runner
+
+    cfg_text = LINEAR_CFG.replace("alpha = 2.0", "spectrum = custom\neigenvalues = 1 0.5 0.3 0.2 0.1 0.05 0.04 0.03 "
+                                  "0.02 0.01 0.005 0")
+    path = tmp_path / "singular.cfg"
+    path.write_text(cfg_text, encoding="utf-8")
+    cfg = parse_config(path)
+    found = []
+    helper = runner.full_whitened_modes
+    monkeypatch.setattr(runner, "full_whitened_modes", lambda *a: found.append(helper(*a)) or found[-1])
+    rows = sweep(cfg, "linear", [24, 40], include_trajectory=False)
+    assert len(found) == 4 and all(f is None for f in found)
+    assert all(r.stopping_reason != "error" for r in rows)
+    monkeypatch.setattr(runner, "full_whitened_modes", lambda *a: None)
+    a, b = tmp_path / "bound.csv", tmp_path / "m_path.csv"
+    write_rows_csv(a, rows)
+    write_rows_csv(b, sweep(cfg, "linear", [24, 40], include_trajectory=False))
+    assert a.read_bytes() == b.read_bytes()
