@@ -21,7 +21,9 @@ LABEL_ENCODINGS = ("one_hot", "real_valued")
 RANK_CUTOFF_RATIO = 1e-5
 #: relative cutoff for explicit inverses, about sqrt(machine eps): `pseudoinverse`
 #: (on singular values) and the F solve of `linear_flow.solve_optimum`,
-#: `optimum_predictions` and `optimizers.newton_step` (on eigenvalues of F).
+#: `optimum_predictions` and `optimizers.newton_step` (on eigenvalues of F; an
+#: F that `proves_eigenvalues_above` this times tr F >= its largest keeps every
+#: mode, and is solved without its eigenvectors).
 #: Rounding error in the Penrose identities grows like eps / cutoff, so a
 #: smaller cutoff keeps near-null directions whose residuals exceed 1e-8.
 PINV_CUTOFF_RATIO = 1e-8
@@ -35,6 +37,32 @@ def resolved_rank(S: np.ndarray) -> int:
     above d * eps * S[0], the rounding of an eigenvalue of a d x d product, below which an exact zero lands.
     Every whitener (`whitening.fit_whitener`, `population_whitener`, `whitened_modes`) keeps this rank."""
     return int(np.count_nonzero(S > S.size * np.finfo(float).eps * S[0]))
+
+
+def proves_eigenvalues_above(A: np.ndarray, floor: float) -> bool:
+    """True only if every eigenvalue of the symmetric d x d A exceeds floor: the Cholesky factorization of
+    A - (floor + c) I runs to completion, where c = 2 (d + 1) eps tr A exceeds the rounding that factorization can
+    hide (Rump, "Verification of positive definiteness", BIT 46, 2006). False proves nothing."""
+    d = A.shape[0]
+    shifted = A.copy()
+    shifted[np.diag_indices(d)] -= floor + 2 * (d + 1) * np.finfo(float).eps * float(np.trace(A))
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def solve_triangular(L: np.ndarray, B: np.ndarray, lower: bool = True) -> np.ndarray:
+    """L^-1 B for a triangular L, halved recursively into matrix products (numpy has no triangular solve)."""
+    d = L.shape[0]
+    if d <= 32:
+        return np.linalg.solve(L, B)
+    a, b = (slice(0, d // 2), slice(d // 2, d)) if lower else (slice(d // 2, d), slice(0, d // 2))
+    out = np.empty(np.shape(B))
+    out[a] = solve_triangular(L[a, a], B[a], lower)
+    out[b] = solve_triangular(L[b, b], B[b] - L[b, a] @ out[a], lower)
+    return out
 
 
 def _as_matrix(values, what="values", copy=True) -> np.ndarray:

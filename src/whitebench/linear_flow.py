@@ -24,8 +24,11 @@ from .datatypes import (
     Spectrum,
     check_paired,
     check_same_features,
+    compute_F,
     gram_modes,
     leading_modes,
+    proves_eigenvalues_above,
+    solve_triangular,
 )
 from .errors import ShapeError, ValidationError
 from .models import accuracy
@@ -75,8 +78,16 @@ def _solve_F(X: Dataset, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     The modes of F above PINV_CUTOFF_RATIO times the largest eigenvalue
     (`gram_modes`) are inverted and count toward the rank; the rest are
     dropped, so a rank below dim F means a pseudoinverse, not an inverse.
+    At n > d an F that `proves_eigenvalues_above` PINV_CUTOFF_RATIO tr F
+    keeps all d modes (tr F >= lambda_max), so rhs F^-1 comes from a
+    Cholesky solve, with no eigenvectors.
     """
-    modes = gram_modes(X, PINV_CUTOFF_RATIO)
+    d, n = X.values.shape
+    F = compute_F(X) if n > d else None
+    if F is not None and proves_eigenvalues_above(F, PINV_CUTOFF_RATIO * float(np.trace(F))):
+        L = np.linalg.cholesky(F)
+        return solve_triangular(L.T, solve_triangular(L, rhs.T), lower=False).T, d
+    modes = gram_modes(X, PINV_CUTOFF_RATIO, F)
     V = modes.eigenvectors
     return (rhs @ V / modes.eigenvalues) @ V.T, modes.eigenvalues.size
 
@@ -89,7 +100,8 @@ def solve_optimum(
     With full-rank F (d < n) this is the unique global optimum and W0 drops
     out; otherwise components of W0 outside the kept modes are retained and
     the pseudoinverse fallback is flagged in the model metadata, with the
-    count of kept modes as rank_F.
+    count of kept modes as rank_F. F^+ is `_solve_F`'s: a Cholesky solve
+    where F is proven to keep every mode, else eigh (n > d) or the thin SVD.
     """
     check_paired(X_train, Y_train)
     W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim)
@@ -192,6 +204,8 @@ def optimum_predictions(
     relative pinv cutoff drops the same modes on either side. With
     X = U S V^T, the thin SVD that `solve_optimum` takes when n <= d gives
     K^+ X^T = V S^-1 U^T directly: there it is the K form on the smaller side.
+    When n > d and F is proven to keep all d modes, F^+ = F^-1 is a Cholesky
+    solve and no eigenvector is formed.
     """
     check_same_features(X_train, X_test)
     return solve_optimum(X_train, Y_train, W0).predict(X_test)

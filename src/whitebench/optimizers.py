@@ -168,9 +168,9 @@ def newton_step(model: LinearModel, X_b: np.ndarray, Y_b: np.ndarray, cfg: Optim
     """Inverse-Hessian preconditioned step for the linear MSE model.
 
     The Hessian of 1/2 ||W X - Y||^2 in each output row is F = X X^T; the
-    update is W - eta (dL/dW) F^+, the F solve of `solve_optimum`, flagged
-    as a pseudoinverse fallback when it keeps fewer than d modes. eta = 1
-    lands on that optimum.
+    update is W - eta (dL/dW) F^+, the F solve of `solve_optimum` (a Cholesky
+    solve where F is proven to keep all d modes), flagged as a pseudoinverse
+    fallback when it keeps fewer than d modes. eta = 1 lands on that optimum.
     """
     X_b = np.asarray(X_b, dtype=np.float64)
     Y_b = np.asarray(Y_b, dtype=np.float64)

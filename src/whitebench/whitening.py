@@ -27,8 +27,10 @@ from .datatypes import (
     Spectrum,
     compute_F,
     eigh,
+    proves_eigenvalues_above,
     require_nontrivial_spectrum,
     resolved_rank,
+    solve_triangular,
     symmetrize,
 )
 from .errors import ShapeError, ValidationError
@@ -201,6 +203,29 @@ def full_whitened_modes(train: Spectrum, others: list, rank_policy: RankPolicy) 
     spec = eigh(C)
     mu, W = spec.eigenvalues[::-1], spec.eigenvectors[:, ::-1]
     return Spectrum(1.0 / mu, W), (V * inv_sqrt) @ (W / np.sqrt(mu))
+
+
+def cholesky_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy) -> tuple[Spectrum, np.ndarray] | None:
+    """`whitened_modes` of the `full` whitener for a d x n train array, n <= d, and the d x n arrays `others`, from
+    the Cholesky factor L L^T = A of A = F_full + epsilon I (epsilon = 0 under manual). None if A does not factor,
+    and under manual unless A `proves_eigenvalues_above` d eps tr A, `datatypes.resolved_rank`'s floor (tr A >= S_0),
+    so that the fit keeps all d modes.
+
+    M^T M = A^-1 = L^-T L^-1 is all a flow from W0 = 0 reads of M, so L^-1 stands in for M: the thin SVD L^-1 X_train
+    = P diag(s) R^T gives the rates s^2 and U = L^-T P. No eigh, stacked copy or M (or L^-1) is formed.
+    """
+    A = symmetrize(sum(X @ X.T for X in [train, *others]))
+    d, trace = A.shape[0], float(np.trace(A))
+    if rank_policy.kind == "jitter" and trace > 0:  # the default epsilon is 1e-8 mean(S_full); all-zero data fails
+        A[np.diag_indices(d)] += rank_policy.epsilon if rank_policy.epsilon is not None else 1e-8 * trace / d
+    elif not proves_eigenvalues_above(A, d * np.finfo(float).eps * trace):
+        return None
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    P, s, _ = np.linalg.svd(solve_triangular(L, train), full_matrices=False)
+    return Spectrum(s * s, P), solve_triangular(L.T, P, lower=False)
 
 
 def apply_whitener(W: Whitener, X: Dataset) -> Dataset:

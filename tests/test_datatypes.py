@@ -15,7 +15,7 @@ from whitebench import (
     estimate_input_rank,
     pseudoinverse,
 )
-from whitebench.datatypes import hstack_datasets
+from whitebench.datatypes import hstack_datasets, proves_eigenvalues_above, random_orthogonal, solve_triangular
 from whitebench.errors import ShapeError, ValidationError
 
 TOY = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -270,3 +270,42 @@ def test_label_set_from_class_ids():
     for bad in ([0, 3], [-1, 0]):
         with pytest.raises(ValidationError, match="class ids"):
             LabelSet.from_class_ids(bad, 3)
+
+
+@given(
+    st.integers(2, 128), st.floats(-4.0, 4.0), st.floats(-14.0, -1.0),
+    st.one_of(st.sampled_from([0.0, 1.0, 1e3]), st.floats(-1.0, 3.0)), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_eigenvalue_proof_is_sound(d, log_scale, log_floor, planted, seed):
+    # A = Q diag(S) Q^T with its smallest eigenvalue planted at `planted` times the floor, on either side of it
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+    scale, S = 10.0 ** log_scale, rng.uniform(0.1, 1.0, d)
+    floor = 10.0 ** log_floor * scale
+    S = scale * S
+    S[-1] = planted * floor
+    Q = random_orthogonal(d, rng)
+    A = (Q * S) @ Q.T
+    A = (A + A.T) / 2.0
+    passed = proves_eigenvalues_above(A, floor)
+    if passed:
+        assert scipy.linalg.eigvalsh(A).min() > floor
+    if S.min() <= floor:
+        assert not passed
+    # the proof is not vacuous: an eigenvalue far above floor plus its rounding margin passes
+    if S.min() - floor - 2 * (d + 1) * np.finfo(float).eps * np.trace(A) > 1e-9 * S.max():
+        assert passed
+
+
+@pytest.mark.parametrize("d", [1, 5, 32, 33, 100])
+@pytest.mark.parametrize("lower", [True, False])
+def test_solve_triangular_matches_scipy(rng, d, lower):
+    import scipy.linalg
+
+    L = np.tril(rng.standard_normal((d, d))) + 4.0 * np.eye(d)
+    L = L if lower else L.T
+    B = rng.standard_normal((d, 3))
+    want = scipy.linalg.solve_triangular(L, B, lower=lower)
+    assert np.max(np.abs(solve_triangular(L, B, lower) - want)) <= 1e-13 * np.max(np.abs(want))

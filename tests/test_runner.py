@@ -171,20 +171,23 @@ def test_env_seed_override(linear_cfg, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("size, edit, expected", [
-    (8, None, {"svd": 2, "eigh": 1}),
+    (8, None, {"svd": 2}),
+    (8, ("rank_policy = manual", "rank_policy = jitter"), {"svd": 2}),
+    (8, ("grid_points = 40", "grid_points = 40\ninit_variance = 0.01"), {"svd": 3, "eigh": 1}),
     (24, None, {"eigh": 2}),
     (24, ("rank_policy = manual", "rank_policy = jitter"), {"eigh": 2}),
     (24, ("rank_policy = manual", "rank_policy = manual\ncenter = true"), {"eigh": 4}),
     (24, ("grid_points = 40", "grid_points = 40\ninit_variance = 0.01"), {"eigh": 3}),
-], ids=["8", "24", "24-jitter", "24-center", "24-init"])
+], ids=["8", "8-jitter", "8-init", "24", "24-jitter", "24-center", "24-init"])
 def test_decompositions_per_linear_cell(tmp_path, monkeypatch, size, edit, expected):
     # Counted per (size, seed) group of none, train and full cells. d = 12: size 8 is n < d, 24 is n > d.
     # The group decomposes F_train once (thin SVD, or eigh when n > d) for the none arm's flow. Uncentered
     # at W0 = 0, the train arm reads its modes off that decomposition, and at n > d so does the full arm,
     # with one eigh of C = I + Lambda^-1/2 V^T F_o V Lambda^-1/2 under either rank policy. At n < d the full
-    # arm fits on its n + 20 > d columns (eigh) and decomposes its whitened train split once (thin SVD).
-    # With W0 != 0 the full arm still fits (eigh of F_full) and decomposes M F_train M^T; centered, the
-    # train arm fits its centered split too.
+    # arm proves its n + 20 > d columns' F_full full-rank (manual) and takes one thin SVD of L^-1 X_train with
+    # L the Cholesky factor of F_full (+ epsilon I under jitter): no eigh. With W0 != 0 the full arm still fits
+    # (eigh of F_full) and decomposes M F_train M^T (n > d) or M X_train (thin SVD, n < d), and the train arm
+    # fits its split (full SVD at n < d); centered, the train arm fits its centered split too.
     from collections import Counter
 
     from whitebench.runner import _run_group
@@ -780,14 +783,30 @@ def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, poli
 
 
 def _m_path_flow(plan, draw, W0):
-    """The `full` arm's flow by its fitted whitener M: eigh of M F_train M^T, U = M^T V-hat (n > d, uncentered)."""
-    from whitebench import build_flow
-    from whitebench.datatypes import eigh, symmetrize
+    """The `full` arm's flow by its fitted whitener M (uncentered): eigh of M F_train M^T at n > d, else the thin SVD
+    of M X_train, and U = M^T V-hat."""
+    from whitebench import Dataset, build_flow
+    from whitebench.datatypes import NULL_MODE_RATIO, eigh, gram_modes, symmetrize
     from whitebench.runner import _arm_whitener
 
     M = _arm_whitener(plan, draw, "full").M
-    modes = eigh(symmetrize(M @ draw.train_F @ M.T))
+    if draw.train_F is None:
+        modes = gram_modes(Dataset(M @ draw.splits["train"][0].values), NULL_MODE_RATIO)
+    else:
+        modes = eigh(symmetrize(M @ draw.train_F @ M.T))
     return build_flow(*draw.splits["train"], W0, plan.cfg.get("flow", "precondition"), modes, fold=(M, None))
+
+
+def _fold_and_m_path_rows(plan, draw):
+    """The terminal rows of the `full` arm's flow from W0 = 0 as `_arm_flow` folds it, and by its fitted M."""
+    from whitebench.linear_flow import TimeGrid, early_stop
+    from whitebench.runner import _arm_flow
+
+    W0 = np.zeros((3, draw.splits["train"][0].feature_dim))
+    sol, splits = _arm_flow(plan, draw, "full", W0)
+    rows = [early_stop(s, *splits["val"], TimeGrid.default_for(s, 200), extra_eval={"test_loss": splits["test"]})[1]
+            for s in (sol, _m_path_flow(plan, draw, W0))]
+    return [(r.at(r.terminal_step), r.terminal_step, r.stopping_reason) for r in rows]
 
 
 @given(
@@ -799,9 +818,8 @@ def _m_path_flow(plan, draw, W0):
 def test_full_arm_modes_off_the_groups_eigh_match_the_m_path(d, size, transform, policy, precondition, normalize, seed):
     # the uncentered full arm at W0 = 0 and n > d reads its modes off the group's eigh of F_train
     # (`full_whitened_modes`), with no fit and no M: its rows are the M path's to rounding
-    from whitebench.linear_flow import TimeGrid, early_stop
     from whitebench.runconfig import RunConfig
-    from whitebench.runner import _arm_flow, _draw_group
+    from whitebench.runner import _draw_group
     from whitebench.whitening import full_whitened_modes
 
     kind, *epsilon = policy.split()
@@ -815,16 +833,52 @@ def test_full_arm_modes_off_the_groups_eigh_match_the_m_path(d, size, transform,
     draw = _draw_group(plan, n, seed // 1000 % 1000, False)
     others = [X.values for name, (X, _) in draw.splits.items() if name != "train"]
     assert full_whitened_modes(draw.train_modes, others, plan.rank_policy) is not None  # the path is taken
-    W0 = np.zeros((3, d))
-    sol, splits = _arm_flow(plan, draw, "full", W0)
-    ref = _m_path_flow(plan, draw, W0)
-    rows = [early_stop(s, *splits["val"], TimeGrid.default_for(s, 200), extra_eval={"test_loss": splits["test"]})[1]
-            for s in (sol, ref)]
-    got, want = (r.at(r.terminal_step) for r in rows)
-    assert (got["test_error"], rows[0].stopping_reason) == (want["test_error"], rows[1].stopping_reason)
-    assert rows[0].terminal_step == pytest.approx(rows[1].terminal_step, rel=1e-8, abs=0.0)
+    (got, t_got, reason_got), (want, t_want, reason_want) = _fold_and_m_path_rows(plan, draw)
+    assert (got["test_error"], reason_got) == (want["test_error"], reason_want)
+    assert t_got == pytest.approx(t_want, rel=1e-8, abs=0.0)
     for col in ("train_loss", "val_loss", "test_loss"):
         assert got[col] == pytest.approx(want[col], rel=1e-8, abs=0.0), col
+
+
+@given(
+    st.integers(3, 24), st.sampled_from(["1", "d/2", "d"]), st.sampled_from(["d", "3"]), st.sampled_from(WHITENING_MODES),
+    st.sampled_from(["manual", "jitter", "jitter 1e-3"]), st.sampled_from(PRECONDITIONS), st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_full_arm_cholesky_modes_at_n_up_to_d_match_the_m_path(d, size, n_val, transform, policy, precondition,
+                                                               normalize, seed):
+    # the uncentered full arm at W0 = 0 and n <= d takes the thin SVD of L^-1 X_train, L the Cholesky factor of
+    # F_full (+ epsilon I under jitter), with no eigh and no M: its rows are the M path's to rounding. Under manual
+    # it takes that path only if F_full is proven full-rank, which a fit set of fewer than d columns never is.
+    from whitebench.runconfig import RunConfig
+    from whitebench.runner import _draw_group
+    from whitebench.whitening import cholesky_whitened_modes
+
+    kind, *epsilon = policy.split()
+    n, n_val = {"1": 1, "d/2": d // 2, "d": d}[size], {"d": d, "3": 3}[n_val]
+    cfg = RunConfig(experiment={"id": "modes", "master_seed": seed % 1000},
+                    data={"d": d, "n_val": n_val, "n_test": 11, "classes": 3, "label_noise": 0.1, "normalize": normalize},
+                    whitening={"modes": ["none", "full"], "transform": transform, "rank_policy": kind,
+                               **({"jitter_epsilon": float(epsilon[0])} if epsilon else {})},
+                    flow={"precondition": precondition})
+    plan = plan_run(cfg, "linear")
+    draw = _draw_group(plan, n, seed // 1000 % 1000, False)
+    train, *others = [X.values for X, _ in draw.splits.values()]
+    taken = cholesky_whitened_modes(train, others, plan.rank_policy) is not None
+    columns = n + n_val + 11
+    assert taken if kind == "jitter" or columns > d else (columns == d or not taken)  # d columns may be full-rank
+    if not taken:  # the M path itself: its test predictions are zero (the theorem), so test_error is rounding's
+        return
+    (got, t_got, reason_got), (want, t_want, reason_want) = _fold_and_m_path_rows(plan, draw)
+    assert reason_got == reason_want
+    if columns > d:  # else the test split's predictions are zero to rounding (the theorem), and so is test_error
+        assert got["test_error"] == want["test_error"]
+    assert t_got == pytest.approx(t_want, rel=1e-8, abs=0.0)
+    # a train loss near interpolation is a rounding-level residual: over 2800 draws the two paths differed there
+    # by at most 3.9e-13 absolute, against losses near 0.5
+    for col in ("train_loss", "val_loss", "test_loss"):
+        assert got[col] == pytest.approx(want[col], rel=1e-8, abs=1e-12), col
 
 
 def test_full_arm_that_fails_the_bound_keeps_the_m_path(tmp_path, monkeypatch):
