@@ -22,8 +22,8 @@ RANK_CUTOFF_RATIO = 1e-5
 #: relative cutoff for explicit inverses, about sqrt(machine eps): `pseudoinverse`
 #: (on singular values) and the F solve of `linear_flow.solve_optimum`,
 #: `optimum_predictions` and `optimizers.newton_step` (on eigenvalues of F; an
-#: F that `proves_eigenvalues_above` this times tr F >= its largest keeps every
-#: mode, and is solved without its eigenvectors).
+#: F with a `proven_cholesky` above this times tr F >= its largest keeps every
+#: mode, and is solved by that factor, without its eigenvectors).
 #: Rounding error in the Penrose identities grows like eps / cutoff, so a
 #: smaller cutoff keeps near-null directions whose residuals exceed 1e-8.
 PINV_CUTOFF_RATIO = 1e-8
@@ -39,18 +39,19 @@ def resolved_rank(S: np.ndarray) -> int:
     return int(np.count_nonzero(S > S.size * np.finfo(float).eps * S[0]))
 
 
-def proves_eigenvalues_above(A: np.ndarray, floor: float) -> bool:
-    """True only if every eigenvalue of the symmetric d x d A exceeds floor: the Cholesky factorization of
-    A - (floor + c) I runs to completion, where c = 2 (d + 1) eps tr A exceeds the rounding that factorization can
-    hide (Rump, "Verification of positive definiteness", BIT 46, 2006). False proves nothing."""
+def proven_cholesky(A: np.ndarray, floor: float) -> np.ndarray | None:
+    """The Cholesky factor L L^T = A of the symmetric d x d A, returned only if every eigenvalue of A provably
+    exceeds floor: the factorization of A - (floor + c) I runs to completion, where c = 2 (d + 1) eps tr A exceeds
+    the rounding that factorization can hide (Rump, "Verification of positive definiteness", BIT 46, 2006).
+    None proves nothing."""
     d = A.shape[0]
     shifted = A.copy()
     shifted[np.diag_indices(d)] -= floor + 2 * (d + 1) * np.finfo(float).eps * float(np.trace(A))
     try:
         np.linalg.cholesky(shifted)
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
 
 
 def solve_triangular(L: np.ndarray, B: np.ndarray, lower: bool = True) -> np.ndarray:
@@ -178,7 +179,8 @@ def check_same_features(X_a: Dataset, X_b: Dataset):
 class Spectrum:
     """Eigendecomposition with eigenvalues sorted descending.
 
-    eigenvectors[:, i] pairs with eigenvalues[i]; columns are orthonormal.
+    eigenvectors[:, i] pairs with eigenvalues[i]; columns are orthonormal, except
+    in a whitened flow's modes in X's coordinates (`whitening.full_whitened_modes`).
     """
 
     eigenvalues: np.ndarray

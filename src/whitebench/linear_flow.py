@@ -27,7 +27,7 @@ from .datatypes import (
     compute_F,
     gram_modes,
     leading_modes,
-    proves_eigenvalues_above,
+    proven_cholesky,
     solve_triangular,
 )
 from .errors import ShapeError, ValidationError
@@ -78,14 +78,14 @@ def _solve_F(X: Dataset, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     The modes of F above PINV_CUTOFF_RATIO times the largest eigenvalue
     (`gram_modes`) are inverted and count toward the rank; the rest are
     dropped, so a rank below dim F means a pseudoinverse, not an inverse.
-    At n > d an F that `proves_eigenvalues_above` PINV_CUTOFF_RATIO tr F
-    keeps all d modes (tr F >= lambda_max), so rhs F^-1 comes from a
-    Cholesky solve, with no eigenvectors.
+    At n > d an F with a `proven_cholesky` above PINV_CUTOFF_RATIO tr F
+    keeps all d modes (tr F >= lambda_max), so rhs F^-1 comes from that
+    factor's solve, with no eigenvectors.
     """
     d, n = X.values.shape
     F = compute_F(X) if n > d else None
-    if F is not None and proves_eigenvalues_above(F, PINV_CUTOFF_RATIO * float(np.trace(F))):
-        L = np.linalg.cholesky(F)
+    L = None if F is None else proven_cholesky(F, PINV_CUTOFF_RATIO * float(np.trace(F)))
+    if L is not None:
         return solve_triangular(L.T, solve_triangular(L, rhs.T), lower=False).T, d
     modes = gram_modes(X, PINV_CUTOFF_RATIO, F)
     V = modes.eigenvectors
@@ -153,13 +153,14 @@ def build_flow(
     in every moving mode (the preconditioner is the pseudoinverse of
     F_train, so null modes do not move either way). `modes`, the eigenpairs
     of F_train descending, save decomposing X_train; either way the modes
-    above NULL_MODE_RATIO times the largest move.
+    above NULL_MODE_RATIO times the largest move. From W0 = 0 they may be a
+    whitened flow's rates with its directions U = M^T V-hat in X's coordinates.
 
     fold = (M, U) folds a whitener M in: `modes` are then the eigenpairs
     (lambda-hat, V-hat) of M F_train M^T, U = M^T V-hat (formed if None), W0
     is whitened, and the solution is the flow of M X_train as W(t) M, which
     predicts on a raw split (less M's mean) what W(t) does on its whitened
-    copy. M may be None when W0 = 0.
+    copy.
     """
     if precondition not in PRECONDITIONS:
         raise ValidationError(f"unknown precondition {precondition!r}")
@@ -172,9 +173,7 @@ def build_flow(
     delta = -(W0 @ V)
     if fold is not None:
         M, U = fold
-        if M is None and W0.any():
-            raise ValidationError("a fold without M needs W0 = 0")
-        W0, spec = (W0 if M is None else W0 @ M), Spectrum(lam, M.T @ V if U is None else U[:, :lam.size])
+        W0, spec = W0 @ M, Spectrum(lam, M.T @ V if U is None else U[:, :lam.size])
     delta += Y_train.targets @ X_train.values.T @ spec.eigenvectors / lam  # component i: (Y X^T) v_i / lambda_i
     rates = np.ones_like(lam) if precondition == "newton" else lam
     return FlowSolution(W0, spec, delta, rates, X_train, Y_train)
@@ -264,7 +263,7 @@ def early_stop(
     X_val: Dataset,
     Y_val: LabelSet,
     grid: TimeGrid | None = None,
-    extra_eval: dict | None = None,
+    test: tuple | None = None,
     trajectory: bool = True,
 ) -> tuple[float, TrainRecord]:
     """Pick the flow time t* with the lowest validation MSE.
@@ -278,10 +277,9 @@ def early_stop(
     rounding reports its earliest time. A boundary grid time is returned as-is
     and flagged boundary_hit in the record metadata; metadata["flow_rank"]
     holds the count r of moving modes. The train split kept by `build_flow` is
-    evaluated at t* as "train_loss"; extra_eval may add "test_loss", a
-    (Dataset, LabelSet) pair, and any other name is a ValidationError. With
-    trajectory=False only the validation loss is evaluated on the grid, and
-    the other splits only at t*.
+    evaluated at t* as "train_loss", and `test`, a (Dataset, LabelSet) pair,
+    as "test_loss" if given. With trajectory=False only the validation loss
+    is evaluated on the grid, and the other splits only at t*.
 
     Grid losses and the slope come from one quadratic form per split
     (`_loss_curve`); the terminal row at t* is evaluated directly from W(t*),
@@ -289,12 +287,10 @@ def early_stop(
     validation losses there. A one-hot "test_loss" split also gets its
     test_error at t*.
     """
-    unknown = sorted(set(extra_eval or ()) - {"test_loss"})
-    if unknown:
-        raise ValidationError(f"extra_eval takes only 'test_loss', got {unknown}")
     grid = grid or TimeGrid.default_for(sol)
     times = grid.times()
-    splits = {"val_loss": (X_val, Y_val), "train_loss": (sol.X_train, sol.Y_train), **(extra_eval or {})}
+    splits = {"val_loss": (X_val, Y_val), "train_loss": (sol.X_train, sol.Y_train),
+              **({} if test is None else {"test_loss": test})}
 
     rates = sol.mode_rates
     progress = -np.expm1(-np.outer(rates, times))

@@ -98,7 +98,7 @@ _SCHEMA = {
         "modes": (_list(_choice(WHITENING_ARMS)), ["none"]),
         "transform": (_choice(WHITENING_MODES), "pca"),
         "rank_policy": (_choice(RANK_POLICIES), "manual"),
-        "jitter_epsilon": (float, None),  # 1e-8 times the mean fitted eigenvalue
+        "jitter_epsilon": (float, None),  # None: `RankPolicy.epsilon_for`'s default
         "center": (_bool, False),
     },
     "model": {

@@ -27,8 +27,8 @@ from .optimizers import OptimizerConfig
 from .records import TrainRecord
 from .runconfig import RunConfig
 from .synth import SyntheticSpec, synthesize
-from .whitening import (RankPolicy, Whitener, apply_whitener, cholesky_whitened_modes, fit_whitener, full_whitened_modes,
-                        population_whitener, whitened_modes)
+from .whitening import (RankPolicy, Whitener, apply_whitener, fit_whitener, full_whitened_modes, population_whitener,
+                        whitened_modes)
 from . import dataio
 
 
@@ -293,8 +293,7 @@ def _arm_whitener(plan: RunPlan, draw: _GroupDraw, mode: str) -> Whitener:
     """`train` fits on the train split, `full` on all splits; `distribution` whitens with the source's E[F_train]
     (mean 0, so `center` is moot). Uncentered at n > d, `train` takes the group's eigh of F_train and `full` the
     eigh of F_train + X_s X_s^T over the other splits: no stacked copy. The linear trainer fits no `full` arm
-    that `full_whitened_modes` (n > d, within its bound) or `cholesky_whitened_modes` (n <= d, F_full proven
-    full-rank under manual) serves, uncentered at W0 = 0."""
+    that `full_whitened_modes` serves, uncentered at W0 = 0."""
     transform, policy, center = plan.cfg.get("whitening", "transform"), plan.rank_policy, plan.cfg.get("whitening", "center")
     if mode == "distribution":
         return population_whitener(draw.second_moment, transform, policy)
@@ -338,23 +337,24 @@ def _arm_flow(plan: RunPlan, draw: _GroupDraw, mode: str, W0: np.ndarray):
 
     The whitened train split's modes come from the `train` fit, else from M F_train M^T (n > d) or the thin SVD
     of M X_train. Uncentered at W0 = 0 the flow reads M only through M^T M, so there is no fit and no M: `train`
-    takes the group's F_train modes; `full` takes `full_whitened_modes` off the group's eigh of F_train at n > d,
-    unless its bound fails, and `cholesky_whitened_modes` at n <= d, unless F_full is not proven full-rank.
+    takes the group's F_train modes, and `full` takes `full_whitened_modes` (with the group's eigh of F_train at
+    n > d) unless F_full is not proven full-rank. Either passes its modes in X's coordinates.
     """
     precondition, splits = plan.cfg.get("flow", "precondition"), draw.splits
     transform, policy = plan.cfg.get("whitening", "transform"), plan.rank_policy
     if mode == "none":
         return build_flow(*splits["train"], W0, precondition, modes=draw.train_modes), splits
     shared = not plan.cfg.get("whitening", "center") and not W0.any()
-    found = None
+    modes = None
     if shared and mode == "train":
-        found = whitened_modes(draw.train_modes, transform, policy)
+        rates, U = whitened_modes(draw.train_modes, transform, policy)
+        modes = Spectrum(rates.eigenvalues, U)
     elif shared and mode == "full":
         others = [X.values for name, (X, _) in splits.items() if name != "train"]
-        found = (cholesky_whitened_modes(splits["train"][0].values, others, policy) if draw.train_F is None
-                 else full_whitened_modes(draw.train_modes, others, policy))
-    if found is not None:
-        return build_flow(*splits["train"], W0, precondition, found[0], fold=(None, found[1])), splits
+        modes = full_whitened_modes(splits["train"][0].values, others, policy,
+                                    None if draw.train_F is None else draw.train_modes)
+    if modes is not None:
+        return build_flow(*splits["train"], W0, precondition, modes), splits
     W = _arm_whitener(plan, draw, mode)
     if W.mean is not None:
         splits = {name: (Dataset._adopt(X.values - W.mean), Y) for name, (X, Y) in splits.items()}
@@ -375,8 +375,7 @@ def _flow_rows(plan: RunPlan, draw: _GroupDraw, mode: str, base: dict, include_t
     W0 = np.sqrt(var) * np.random.default_rng(draw.seed).standard_normal(shape) if var > 0 else np.zeros(shape)
     sol, splits = _arm_flow(plan, draw, mode, W0)
     grid = plan.grid or TimeGrid.default_for(sol, plan.cfg.get("flow", "grid_points"))
-    extra = {"test_loss": splits["test"]} if "test" in splits else None
-    _, record = early_stop(sol, *splits["val"], grid, extra_eval=extra, trajectory=include_trajectory)
+    _, record = early_stop(sol, *splits["val"], grid, test=splits.get("test"), trajectory=include_trajectory)
     base = {**base, "dataset_size": Xtr.sample_count, "optimizer": "flow_" + plan.cfg.get("flow", "precondition")}
     return _record_rows(base, record, include_trajectory)
 

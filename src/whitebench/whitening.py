@@ -27,7 +27,7 @@ from .datatypes import (
     Spectrum,
     compute_F,
     eigh,
-    proves_eigenvalues_above,
+    proven_cholesky,
     require_nontrivial_spectrum,
     resolved_rank,
     solve_triangular,
@@ -43,8 +43,8 @@ RANK_POLICIES = ("jitter", "manual")
 class RankPolicy:
     """How near-zero eigenvalues of the fitted F are handled.
 
-    kind "jitter": add epsilon to every diagonal entry of S before inverting;
-    epsilon=None means 1e-8 * mean(diag S), tied to the spectrum scale.
+    kind "jitter": add `epsilon_for` to every diagonal entry of S before
+    inverting; epsilon=None ties it to the spectrum scale.
     kind "manual": eigenvalues past `datatypes.resolved_rank` are replaced
     by exact unit scaling (their S^{-1/2} entries set to 1).
     """
@@ -57,6 +57,12 @@ class RankPolicy:
             raise ValidationError(f"unknown rank policy {self.kind!r}")
         if self.kind == "jitter" and self.epsilon is not None and self.epsilon <= 0:
             raise ValidationError("jitter epsilon must be positive")
+
+    def epsilon_for(self, mean_eigenvalue: float) -> float:
+        """What this policy adds to each eigenvalue of a second moment with this mean eigenvalue: 0 under manual."""
+        if self.kind == "manual":
+            return 0.0
+        return self.epsilon if self.epsilon is not None else 1e-8 * mean_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,7 @@ def _inv_sqrt(S: np.ndarray, policy: RankPolicy):
     require_nontrivial_spectrum(S, "fitted second moment")
     rank = resolved_rank(S)
     if policy.kind == "jitter":
-        eps = policy.epsilon if policy.epsilon is not None else 1e-8 * float(np.mean(S))
-        return 1.0 / np.sqrt(S + eps), rank
+        return 1.0 / np.sqrt(S + policy.epsilon_for(float(np.mean(S)))), rank
     inv_sqrt = np.ones_like(S)
     inv_sqrt[:rank] = 1.0 / np.sqrt(S[:rank])
     return inv_sqrt, rank
@@ -177,55 +182,42 @@ def whitened_modes(fit: Spectrum, mode: str, rank_policy: RankPolicy) -> tuple[S
     return Spectrum(rates[order], V_hat), V * inv_sqrt[order]
 
 
-def full_whitened_modes(train: Spectrum, others: list, rank_policy: RankPolicy) -> tuple[Spectrum, np.ndarray] | None:
-    """`whitened_modes` of the `full` whitener, F_full = F_train + F_o with F_o = sum X X^T over the d x n arrays
-    `others`, read off train = (Lambda, V), all d eigenpairs of F_train; None unless the fit provably keeps all d
-    modes: Lambda_min > d eps (Lambda_0 + ||others||_F^2), by Weyl's bounds S_min(F_full) >= Lambda_min and
-    S_0(F_full) <= Lambda_0 + tr F_o, and `datatypes.resolved_rank`.
+def full_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy,
+                        train_eigh: Spectrum | None = None) -> Spectrum | None:
+    """The modes of the flow from W0 = 0 on `full`-whitened data, Spectrum(rates, U = M^T V-hat) as `whitened_modes`
+    gives them, for the d x n train array and the d x n_s arrays `others`, F_full = sum X X^T over all of them. None
+    unless the matrix inverted below provably has every eigenvalue above d eps tr F_full: then the fit keeps all d
+    modes, since tr F_full >= S_0 (`datatypes.resolved_rank`).
 
-    Then M^T M = (F_full + epsilon I)^-1 (epsilon = 0 under manual) for PCA and ZCA alike, all a flow from W0 = 0
-    reads of M. Its modes solve F_train u = rate (F_full + epsilon I) u, u^T (F_full + epsilon I) u = 1: C = I +
-    Lambda^-1/2 V^T (F_o + epsilon I) V Lambda^-1/2 has eigenpairs (mu, w), rate = 1 / mu and u = V Lambda^-1/2 w
-    mu^-1/2. w is V-hat of M = C^-1/2 Lambda^-1/2 V^T; no fit, M or F_full is formed.
+    M^T M = A^-1 with A = F_full + epsilon I (`RankPolicy.epsilon_for`), for PCA and ZCA alike, is all such a flow
+    reads of M. At n <= d the `proven_cholesky` L L^T = A stands in for M: the thin SVD L^-1 X_train = P diag(s) R^T
+    gives rates s^2 and U = L^-T P. At n > d, off train_eigh = (Lambda, V), all d eigenpairs of F_train (taken here
+    if None), whose Lambda_min bounds S_min(F_full) below (Weyl): C = I + Lambda^-1/2 V^T (F_full - F_train +
+    epsilon I) V Lambda^-1/2 has eigenpairs (mu, w), rate = 1 / mu and u = V Lambda^-1/2 w mu^-1/2. No fit or M.
     """
-    lam, V = train.eigenvalues, train.eigenvectors
-    d = lam.size
+    d, n = train.shape
+    ratio = d * np.finfo(float).eps  # the full-rank floor over tr F_full
+    if n <= d:
+        A = symmetrize(sum(X @ X.T for X in [train, *others]))
+        trace = float(np.trace(A))
+        A[np.diag_indices(d)] += rank_policy.epsilon_for(trace / d)
+        L = proven_cholesky(A, ratio * trace) if trace > 0 else None  # all-zero data proves nothing
+        if L is None:
+            return None
+        P, s, _ = np.linalg.svd(solve_triangular(L, train), full_matrices=False)
+        return Spectrum(s * s, solve_triangular(L.T, P, lower=False))
+    spec = eigh(symmetrize(train @ train.T)) if train_eigh is None else train_eigh
+    lam, V = spec.eigenvalues, spec.eigenvectors
     F_o = symmetrize(sum(G @ G.T for G in (V.T @ X for X in others)))  # V^T F_o V, exactly symmetric
-    trace_o = float(np.trace(F_o))  # ||others||_F^2
-    if not lam[-1] > d * np.finfo(float).eps * (lam[0] + trace_o):
+    trace = float(np.sum(lam)) + float(np.trace(F_o))
+    if not lam[-1] > ratio * trace:
         return None
     inv_sqrt = 1.0 / np.sqrt(lam)
     C = F_o * np.outer(inv_sqrt, inv_sqrt)
-    if rank_policy.kind == "jitter":  # the default epsilon is 1e-8 mean(S_full)
-        epsilon = rank_policy.epsilon if rank_policy.epsilon is not None else 1e-8 * (float(np.sum(lam)) + trace_o) / d
-        C[np.diag_indices(d)] += epsilon / lam
-    C[np.diag_indices(d)] += 1.0
+    C[np.diag_indices(d)] = np.diagonal(C) + rank_policy.epsilon_for(trace / d) / lam + 1.0
     spec = eigh(C)
     mu, W = spec.eigenvalues[::-1], spec.eigenvectors[:, ::-1]
-    return Spectrum(1.0 / mu, W), (V * inv_sqrt) @ (W / np.sqrt(mu))
-
-
-def cholesky_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy) -> tuple[Spectrum, np.ndarray] | None:
-    """`whitened_modes` of the `full` whitener for a d x n train array, n <= d, and the d x n arrays `others`, from
-    the Cholesky factor L L^T = A of A = F_full + epsilon I (epsilon = 0 under manual). None if A does not factor,
-    and under manual unless A `proves_eigenvalues_above` d eps tr A, `datatypes.resolved_rank`'s floor (tr A >= S_0),
-    so that the fit keeps all d modes.
-
-    M^T M = A^-1 = L^-T L^-1 is all a flow from W0 = 0 reads of M, so L^-1 stands in for M: the thin SVD L^-1 X_train
-    = P diag(s) R^T gives the rates s^2 and U = L^-T P. No eigh, stacked copy or M (or L^-1) is formed.
-    """
-    A = symmetrize(sum(X @ X.T for X in [train, *others]))
-    d, trace = A.shape[0], float(np.trace(A))
-    if rank_policy.kind == "jitter" and trace > 0:  # the default epsilon is 1e-8 mean(S_full); all-zero data fails
-        A[np.diag_indices(d)] += rank_policy.epsilon if rank_policy.epsilon is not None else 1e-8 * trace / d
-    elif not proves_eigenvalues_above(A, d * np.finfo(float).eps * trace):
-        return None
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return None
-    P, s, _ = np.linalg.svd(solve_triangular(L, train), full_matrices=False)
-    return Spectrum(s * s, P), solve_triangular(L.T, P, lower=False)
+    return Spectrum(1.0 / mu, (V * inv_sqrt) @ (W / np.sqrt(mu)))
 
 
 def apply_whitener(W: Whitener, X: Dataset) -> Dataset:

@@ -125,7 +125,7 @@ def _gen_direction_cells():
             sol = build_flow(data.train, data.y_train)
             _, rec = early_stop(
                 sol, data.val, data.y_val,
-                extra_eval={"test_loss": (data.test, data.y_test)},
+                test=(data.test, data.y_test),
             )
             res[("none", size, seed)] = rec.test_loss[rec.steps.index(rec.terminal_step)]
 
@@ -133,7 +133,7 @@ def _gen_direction_cells():
             sol_w = build_flow(apply_whitener(W, data.train), data.y_train)
             _, rec_w = early_stop(
                 sol_w, apply_whitener(W, data.val), data.y_val,
-                extra_eval={"test_loss": (apply_whitener(W, data.test), data.y_test)},
+                test=(apply_whitener(W, data.test), data.y_test),
             )
             res[("train", size, seed)] = rec_w.test_loss[rec_w.steps.index(rec_w.terminal_step)]
 
@@ -146,7 +146,7 @@ def _gen_direction_cells():
             sol_f = build_flow(apply_whitener(W_f, data.train), data.y_train)
             _, rec_f = early_stop(
                 sol_f, apply_whitener(W_f, val10), y_val10,
-                extra_eval={"test_loss": (apply_whitener(W_f, test10), y_test10)},
+                test=(apply_whitener(W_f, test10), y_test10),
             )
             res[("full", size, seed)] = rec_f.test_loss[rec_f.steps.index(rec_f.terminal_step)]
     return sizes, list(seeds), res

@@ -15,7 +15,7 @@ from whitebench import (
     estimate_input_rank,
     pseudoinverse,
 )
-from whitebench.datatypes import hstack_datasets, proves_eigenvalues_above, random_orthogonal, solve_triangular
+from whitebench.datatypes import hstack_datasets, proven_cholesky, random_orthogonal, solve_triangular
 from whitebench.errors import ShapeError, ValidationError
 
 TOY = Dataset([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -289,9 +289,11 @@ def test_eigenvalue_proof_is_sound(d, log_scale, log_floor, planted, seed):
     Q = random_orthogonal(d, rng)
     A = (Q * S) @ Q.T
     A = (A + A.T) / 2.0
-    passed = proves_eigenvalues_above(A, floor)
-    if passed:
+    L = proven_cholesky(A, floor)
+    passed = L is not None
+    if passed:  # the factor it returns is A's own, bit for bit
         assert scipy.linalg.eigvalsh(A).min() > floor
+        assert np.array_equal(L, np.linalg.cholesky(A))
     if S.min() <= floor:
         assert not passed
     # the proof is not vacuous: an eigenvalue far above floor plus its rounding margin passes

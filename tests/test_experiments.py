@@ -43,7 +43,7 @@ def _rows(path: Path) -> list:
         return list(csv.DictReader(fh))
 
 
-def test_the_three_experiments_are_shipped():
+def test_the_four_experiment_configs_are_shipped():
     assert [p.stem for p in CONFIGS] == ["generalization", "lambda_sweep", "null_regime", "speedup_cutoff"]
 
 

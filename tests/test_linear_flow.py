@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from whitebench import (
     Dataset,
@@ -21,7 +21,7 @@ from whitebench import (
     pseudoinverse,
     solve_optimum,
 )
-from whitebench.datatypes import NULL_MODE_RATIO, PINV_CUTOFF_RATIO, gram_modes, proves_eigenvalues_above, random_orthogonal
+from whitebench.datatypes import NULL_MODE_RATIO, PINV_CUTOFF_RATIO, gram_modes, proven_cholesky, random_orthogonal
 from whitebench.errors import ShapeError, ValidationError
 from whitebench.linear_flow import FLAT_LOSS_RATIO, PRECONDITIONS, LinearModel, _loss_curve
 from whitebench.optimizers import OptimizerConfig, newton_step
@@ -266,7 +266,7 @@ def test_f_solve_at_n_above_d_matches_the_eigh_pseudoinverse(d, n_minus_d, k, ra
     Y = LabelSet(rng.standard_normal((k, n)))
     W0 = rng.standard_normal((k, d)) if nonzero_w0 else np.zeros((k, d))
     F = compute_F(X)
-    proven = proves_eigenvalues_above(F, PINV_CUTOFF_RATIO * np.trace(F))
+    proven = proven_cholesky(F, PINV_CUTOFF_RATIO * np.trace(F)) is not None
     step, rank_F = _eigh_f_solve(X, (Y.targets - W0 @ X.values) @ X.values.T)
     optimum = solve_optimum(X, Y, W0)
     assert (optimum.meta["rank_F"], optimum.meta["pseudoinverse_fallback"]) == (rank_F, rank_F < d)
@@ -375,16 +375,6 @@ def test_build_flow_rejects_modes_of_another_width(rng):
     modes = fit_whitener(random_dataset(rng, 5, 9)).spectrum
     with pytest.raises(ShapeError):
         build_flow(X, LabelSet(rng.standard_normal((2, 9))), modes=modes)
-
-
-def test_a_fold_without_M_needs_zero_W0(rng):
-    X = random_dataset(rng, 4, 9)
-    W = fit_whitener(X)
-    modes, U = whitened_modes(W.spectrum, "pca", RankPolicy())
-    Y = LabelSet(rng.standard_normal((2, 9)))
-    assert not build_flow(X, Y, modes=modes, fold=(None, U)).W0.any()
-    with pytest.raises(ValidationError, match="W0 = 0"):
-        build_flow(X, Y, np.ones((2, 4)), modes=modes, fold=(None, U))
 
 
 def test_null_space_conservation(rng):
@@ -566,22 +556,12 @@ def test_early_stop_t_star_matches_bisection_at_half_the_slope_evaluations(monke
     assert len(evaluations) <= reference_evaluations / 2
 
 
-@pytest.mark.parametrize("name", ["val_loss", "train_loss", "test_error", "bogus"])
-def test_early_stop_takes_only_a_test_loss_extra(rng, monkeypatch, name):
-    # an extra named after the val or train split would replace the split that picks t* or the train split
-    X, Y = random_dataset(rng, 4, 10), LabelSet(rng.standard_normal((2, 10)))
-    sol = build_flow(X, Y)
-    monkeypatch.setattr(linear_flow, "_loss_curve", lambda *a: pytest.fail("early_stop worked before checking"))
-    with pytest.raises(ValidationError, match=name):
-        early_stop(sol, X, Y, extra_eval={name: (X, Y)})
-
-
 def test_early_stop_without_trajectory_records_only_the_val_curve(rng):
     X, Y = random_dataset(rng, 6, 12), LabelSet(rng.standard_normal((2, 12)))
     sol = build_flow(X, Y, W0=rng.standard_normal((2, 6)))
     (X_val, Y_val), test = [(random_dataset(rng, 6, 9), LabelSet(rng.standard_normal((2, 9)))) for _ in range(2)]
-    t_full, full = early_stop(sol, X_val, Y_val, extra_eval={"test_loss": test})
-    t_bare, bare = early_stop(sol, X_val, Y_val, extra_eval={"test_loss": test}, trajectory=False)
+    t_full, full = early_stop(sol, X_val, Y_val, test=test)
+    t_bare, bare = early_stop(sol, X_val, Y_val, test=test, trajectory=False)
     assert t_bare == t_full and bare.at(t_bare) == full.at(t_full) and bare.val_loss == full.val_loss
     for series in (bare.train_loss, bare.test_loss):
         assert [i for i, v in enumerate(series) if v is not None] == [bare.steps.index(t_bare)]
@@ -614,11 +594,11 @@ def test_early_stop_whitened_does_not_beat_unwhitened():
         sol_white = build_flow(apply_whitener(W, data.train), data.y_train)
         _, rec_raw = early_stop(
             sol_raw, data.val, data.y_val,
-            extra_eval={"test_loss": (data.test, data.y_test)},
+            test=(data.test, data.y_test),
         )
         _, rec_white = early_stop(
             sol_white, apply_whitener(W, data.val), data.y_val,
-            extra_eval={"test_loss": (apply_whitener(W, data.test), data.y_test)},
+            test=(apply_whitener(W, data.test), data.y_test),
         )
         raw_losses.append(rec_raw.test_loss[rec_raw.steps.index(rec_raw.terminal_step)])
         white_losses.append(rec_white.test_loss[rec_white.steps.index(rec_white.terminal_step)])
@@ -636,6 +616,8 @@ def test_early_stop_whitened_does_not_beat_unwhitened():
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
+# held-out L(E +- step) of 2e8 to 2e9, whose central differences round by up to 1.2e-7 absolute
+@example(d=1, n=1, k=1, precondition="none", nonzero_w0=False, real_valued=False, log_scale=-2.0, seed=7)
 def test_closed_form_loss_matches_direct(d, n, k, precondition, nonzero_w0, real_valued, log_scale, seed):
     # n < d leaves null modes (rate 0, no progress); n > d does not
     rng = np.random.default_rng(seed)
@@ -661,10 +643,11 @@ def test_closed_form_loss_matches_direct(d, n, k, precondition, nonzero_w0, real
             tol = 1e-10 * max(1.0, initial, direct)
             assert abs(float(curve(progress[:, j])) - direct) <= tol
             assert abs(together[j] - direct) <= tol
-            # L is quadratic in E, so a central difference gives its gradient exactly
+            # L is quadratic in E, so a central difference gives its gradient exactly, up to the rounding of
+            # the two values it subtracts, which can be far larger than L(0) and L(t)
             E, step = progress[:, j], rng.uniform(-0.5, 0.5, sol.mode_rates.size)
-            difference = float(curve(E + step) - curve(E - step))
-            assert abs(difference - 2.0 * gradient(E) @ step) <= 10.0 * tol
+            plus, minus = float(curve(E + step)), float(curve(E - step))
+            assert abs(plus - minus - 2.0 * gradient(E) @ step) <= 10.0 * 1e-10 * max(1.0, abs(plus), abs(minus))
 
 
 def test_early_stop_holds_one_held_out_H_at_a_time(rng):
@@ -678,7 +661,7 @@ def test_early_stop_holds_one_held_out_H_at_a_time(rng):
     sol = build_flow(*split(2 * d))
     (X_val, Y_val), test = split(32), split(32)
     tracemalloc.start()
-    early_stop(sol, X_val, Y_val, TimeGrid(1e-3, 1e3, 20), extra_eval={"test_loss": test})
+    early_stop(sol, X_val, Y_val, TimeGrid(1e-3, 1e3, 20), test=test)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert sol.mode_rates.size == d

@@ -291,14 +291,14 @@ def test_whitening_gap_shrinks_with_sample_count():
             sol = build_flow(data.train, data.y_train)
             _, rec = early_stop(
                 sol, data.val, data.y_val,
-                extra_eval={"test_loss": (data.test, data.y_test)},
+                test=(data.test, data.y_test),
             )
             raw = rec.test_loss[rec.steps.index(rec.terminal_step)]
             W = fit_whitener(data.train, mode="pca", rank_policy=RankPolicy("manual"))
             sol_w = build_flow(apply_whitener(W, data.train), data.y_train)
             _, rec_w = early_stop(
                 sol_w, apply_whitener(W, data.val), data.y_val,
-                extra_eval={"test_loss": (apply_whitener(W, data.test), data.y_test)},
+                test=(apply_whitener(W, data.test), data.y_test),
             )
             gaps.append(rec_w.test_loss[rec_w.steps.index(rec_w.terminal_step)] - raw)
         return float(np.mean(gaps))
@@ -761,7 +761,7 @@ def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, poli
                 W_t, X_hat = flow_at(ref, t).W, white[name][0].values
                 got = flow_at(sol, t).W @ raw[name][0].values
                 assert np.max(np.abs(got - W_t @ X_hat)) <= 1e-9 * _product_scale(W_t, X_hat), (mode, name, t)
-        rows = [early_stop(s, *z["val"], TimeGrid.default_for(s), extra_eval={"test_loss": z["test"]})[1]
+        rows = [early_stop(s, *z["val"], TimeGrid.default_for(s), test=z["test"])[1]
                 for s, z in ((sol, raw), (ref, white))]
         t_star = rows[0].terminal_step
         got, want = rows[0].at(t_star), rows[1].at(rows[1].terminal_step)
@@ -804,59 +804,21 @@ def _fold_and_m_path_rows(plan, draw):
 
     W0 = np.zeros((3, draw.splits["train"][0].feature_dim))
     sol, splits = _arm_flow(plan, draw, "full", W0)
-    rows = [early_stop(s, *splits["val"], TimeGrid.default_for(s, 200), extra_eval={"test_loss": splits["test"]})[1]
+    rows = [early_stop(s, *splits["val"], TimeGrid.default_for(s, 200), test=splits["test"])[1]
             for s in (sol, _m_path_flow(plan, draw, W0))]
     return [(r.at(r.terminal_step), r.terminal_step, r.stopping_reason) for r in rows]
 
 
-@given(
-    st.integers(3, 24), st.sampled_from(["d+1", "d+8", "4d"]), st.sampled_from(WHITENING_MODES),
-    st.sampled_from(["manual", "jitter", "jitter 1e-3"]), st.sampled_from(PRECONDITIONS), st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_full_arm_modes_off_the_groups_eigh_match_the_m_path(d, size, transform, policy, precondition, normalize, seed):
-    # the uncentered full arm at W0 = 0 and n > d reads its modes off the group's eigh of F_train
-    # (`full_whitened_modes`), with no fit and no M: its rows are the M path's to rounding
+def _check_full_arm_modes(d, n, n_val, transform, policy, precondition, normalize, seed):
+    """The uncentered full arm at W0 = 0 takes `full_whitened_modes`, with no fit and no M: at n <= d the thin SVD
+    of L^-1 X_train, L the Cholesky factor of F_full (+ epsilon I under jitter), at n > d the eigh of C off the
+    group's eigh of F_train. Its rows are the M path's to rounding. Under manual at n <= d it takes that path
+    only if F_full is proven full-rank, which a fit set of fewer than d columns never is."""
     from whitebench.runconfig import RunConfig
     from whitebench.runner import _draw_group
     from whitebench.whitening import full_whitened_modes
 
     kind, *epsilon = policy.split()
-    n = {"d+1": d + 1, "d+8": d + 8, "4d": 4 * d}[size]
-    cfg = RunConfig(experiment={"id": "modes", "master_seed": seed % 1000},
-                    data={"d": d, "n_val": 7, "n_test": 11, "classes": 3, "label_noise": 0.1, "normalize": normalize},
-                    whitening={"modes": ["none", "full"], "transform": transform, "rank_policy": kind,
-                               **({"jitter_epsilon": float(epsilon[0])} if epsilon else {})},
-                    flow={"precondition": precondition})
-    plan = plan_run(cfg, "linear")
-    draw = _draw_group(plan, n, seed // 1000 % 1000, False)
-    others = [X.values for name, (X, _) in draw.splits.items() if name != "train"]
-    assert full_whitened_modes(draw.train_modes, others, plan.rank_policy) is not None  # the path is taken
-    (got, t_got, reason_got), (want, t_want, reason_want) = _fold_and_m_path_rows(plan, draw)
-    assert (got["test_error"], reason_got) == (want["test_error"], reason_want)
-    assert t_got == pytest.approx(t_want, rel=1e-8, abs=0.0)
-    for col in ("train_loss", "val_loss", "test_loss"):
-        assert got[col] == pytest.approx(want[col], rel=1e-8, abs=0.0), col
-
-
-@given(
-    st.integers(3, 24), st.sampled_from(["1", "d/2", "d"]), st.sampled_from(["d", "3"]), st.sampled_from(WHITENING_MODES),
-    st.sampled_from(["manual", "jitter", "jitter 1e-3"]), st.sampled_from(PRECONDITIONS), st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_full_arm_cholesky_modes_at_n_up_to_d_match_the_m_path(d, size, n_val, transform, policy, precondition,
-                                                               normalize, seed):
-    # the uncentered full arm at W0 = 0 and n <= d takes the thin SVD of L^-1 X_train, L the Cholesky factor of
-    # F_full (+ epsilon I under jitter), with no eigh and no M: its rows are the M path's to rounding. Under manual
-    # it takes that path only if F_full is proven full-rank, which a fit set of fewer than d columns never is.
-    from whitebench.runconfig import RunConfig
-    from whitebench.runner import _draw_group
-    from whitebench.whitening import cholesky_whitened_modes
-
-    kind, *epsilon = policy.split()
-    n, n_val = {"1": 1, "d/2": d // 2, "d": d}[size], {"d": d, "3": 3}[n_val]
     cfg = RunConfig(experiment={"id": "modes", "master_seed": seed % 1000},
                     data={"d": d, "n_val": n_val, "n_test": 11, "classes": 3, "label_noise": 0.1, "normalize": normalize},
                     whitening={"modes": ["none", "full"], "transform": transform, "rank_policy": kind,
@@ -865,9 +827,11 @@ def test_full_arm_cholesky_modes_at_n_up_to_d_match_the_m_path(d, size, n_val, t
     plan = plan_run(cfg, "linear")
     draw = _draw_group(plan, n, seed // 1000 % 1000, False)
     train, *others = [X.values for X, _ in draw.splits.values()]
-    taken = cholesky_whitened_modes(train, others, plan.rank_policy) is not None
-    columns = n + n_val + 11
-    assert taken if kind == "jitter" or columns > d else (columns == d or not taken)  # d columns may be full-rank
+    modes = full_whitened_modes(train, others, plan.rank_policy, draw.train_modes if n > d else None)
+    taken, columns = modes is not None, n + n_val + 11
+    if n > d and not normalize:  # without the group's eigh of F_train the helper takes the same one itself
+        assert np.array_equal(full_whitened_modes(train, others, plan.rank_policy).eigenvectors, modes.eigenvectors)
+    assert taken if n > d or kind == "jitter" or columns > d else (columns == d or not taken)  # d may be full-rank
     if not taken:  # the M path itself: its test predictions are zero (the theorem), so test_error is rounding's
         return
     (got, t_got, reason_got), (want, t_want, reason_want) = _fold_and_m_path_rows(plan, draw)
@@ -875,15 +839,42 @@ def test_full_arm_cholesky_modes_at_n_up_to_d_match_the_m_path(d, size, n_val, t
     if columns > d:  # else the test split's predictions are zero to rounding (the theorem), and so is test_error
         assert got["test_error"] == want["test_error"]
     assert t_got == pytest.approx(t_want, rel=1e-8, abs=0.0)
-    # a train loss near interpolation is a rounding-level residual: over 2800 draws the two paths differed there
-    # by at most 3.9e-13 absolute, against losses near 0.5
+    # at n <= d a train loss near interpolation is a rounding-level residual: over 2800 draws the two paths
+    # differed there by at most 3.9e-13 absolute, against losses near 0.5
     for col in ("train_loss", "val_loss", "test_loss"):
-        assert got[col] == pytest.approx(want[col], rel=1e-8, abs=1e-12), col
+        assert got[col] == pytest.approx(want[col], rel=1e-8, abs=0.0 if n > d else 1e-12), col
+
+
+@given(
+    st.integers(3, 24), st.sampled_from(["d+1", "d+8", "4d"]), st.sampled_from(["d", "3"]),
+    st.sampled_from(WHITENING_MODES), st.sampled_from(["manual", "jitter", "jitter 1e-3"]), st.sampled_from(PRECONDITIONS),
+    st.booleans(), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_full_arm_modes_off_the_groups_eigh_match_the_m_path(d, size, n_val, transform, policy, precondition,
+                                                             normalize, seed):
+    # at n > d the full arm reads its modes off the group's eigh of F_train
+    n = {"d+1": d + 1, "d+8": d + 8, "4d": 4 * d}[size]
+    _check_full_arm_modes(d, n, {"d": d, "3": 3}[n_val], transform, policy, precondition, normalize, seed)
+
+
+@given(
+    st.integers(3, 24), st.sampled_from(["1", "d/2", "d"]), st.sampled_from(["d", "3"]),
+    st.sampled_from(WHITENING_MODES), st.sampled_from(["manual", "jitter", "jitter 1e-3"]), st.sampled_from(PRECONDITIONS),
+    st.booleans(), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_full_arm_cholesky_modes_at_n_up_to_d_match_the_m_path(d, size, n_val, transform, policy, precondition,
+                                                               normalize, seed):
+    # at n <= d the full arm takes the thin SVD of L^-1 X_train, with no eigh
+    n = {"1": 1, "d/2": d // 2, "d": d}[size]
+    _check_full_arm_modes(d, n, {"d": d, "3": 3}[n_val], transform, policy, precondition, normalize, seed)
 
 
 def test_full_arm_that_fails_the_bound_keeps_the_m_path(tmp_path, monkeypatch):
-    # a zero population eigenvalue leaves F_train (and F_full) singular at n > d, so the bound fails: the full
-    # arm fits and folds M as before, and its rows are those of a run whose helper is never consulted
+    # a zero population eigenvalue leaves F_full singular at every n, so neither of `full_whitened_modes`'s
+    # reductions proves it full-rank: the full arm fits and folds M as before, and its rows are those of a run
+    # whose helper is never consulted
     from whitebench import runner
 
     cfg_text = LINEAR_CFG.replace("alpha = 2.0", "spectrum = custom\neigenvalues = 1 0.5 0.3 0.2 0.1 0.05 0.04 0.03 "
@@ -894,11 +885,11 @@ def test_full_arm_that_fails_the_bound_keeps_the_m_path(tmp_path, monkeypatch):
     found = []
     helper = runner.full_whitened_modes
     monkeypatch.setattr(runner, "full_whitened_modes", lambda *a: found.append(helper(*a)) or found[-1])
-    rows = sweep(cfg, "linear", [24, 40], include_trajectory=False)
-    assert len(found) == 4 and all(f is None for f in found)
+    rows = sweep(cfg, "linear", [8, 24, 40], include_trajectory=False)
+    assert len(found) == 6 and all(f is None for f in found)
     assert all(r.stopping_reason != "error" for r in rows)
     monkeypatch.setattr(runner, "full_whitened_modes", lambda *a: None)
     a, b = tmp_path / "bound.csv", tmp_path / "m_path.csv"
     write_rows_csv(a, rows)
-    write_rows_csv(b, sweep(cfg, "linear", [24, 40], include_trajectory=False))
+    write_rows_csv(b, sweep(cfg, "linear", [8, 24, 40], include_trajectory=False))
     assert a.read_bytes() == b.read_bytes()

@@ -165,6 +165,12 @@ def test_centering_flag_recorded(rng):
     assert report.ones_count == 3
 
 
+@pytest.mark.parametrize("policy, epsilon", [(RankPolicy("manual"), 0.0), (RankPolicy("jitter"), 1e-8 * 3.0),
+                                             (RankPolicy("jitter", 0.25), 0.25)], ids=["manual", "default", "given"])
+def test_jitter_epsilon_defaults_to_a_fraction_of_the_mean_eigenvalue(policy, epsilon):
+    assert policy.epsilon_for(3.0) == epsilon
+
+
 def eigh_whitener(values, mode, policy):
     """Reference M and rank from eigh of the d x d F, eigenvalues clamped at 0 and kept above d * eps * S0."""
     spec = eigh(symmetrize(values @ values.T))
