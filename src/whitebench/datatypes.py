@@ -179,8 +179,8 @@ def check_same_features(X_a: Dataset, X_b: Dataset):
 class Spectrum:
     """Eigendecomposition with eigenvalues sorted descending.
 
-    eigenvectors[:, i] pairs with eigenvalues[i]; columns are orthonormal, except
-    in a whitened flow's modes in X's coordinates (`whitening.full_whitened_modes`).
+    eigenvectors[:, i] pairs with eigenvalues[i]; columns are orthonormal, except in a whitened flow's
+    modes in X's coordinates (`whitening.whitened_modes`, `whitening.full_whitened_modes`).
     """
 
     eigenvalues: np.ndarray

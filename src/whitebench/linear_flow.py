@@ -7,8 +7,8 @@ plain flow and rate_i = 1 for inverse-Hessian (Newton) preconditioned flow.
 Only the r modes of the train span move. They come from the smaller side of
 the train split (a thin SVD of X when n <= d, eigh of F when n > d), or are
 passed in; null modes are not stored, and the component of W(0) outside the
-span is carried as is, so it is conserved exactly. A whitener M folds into the
-flow: the flow of M X, carried to X's coordinates as W(t) M, never forms M X.
+span is carried as is, so it is conserved exactly. From W(0) = 0 the flow of
+M X reads M only through M^T M, so its modes can be passed in X's coordinates.
 """
 from __future__ import annotations
 
@@ -119,8 +119,8 @@ class FlowSolution:
     column i of mode_delta is B = W* - W0 along v_i, and E_i(t) = 1 -
     exp(-mode_rates_i t). Null modes are not stored: W0's component outside
     span V_r is carried as is. The immutable train split is kept by reference.
-    With a whitener M folded in, W0 is W0 M and the spectrum's vectors are the
-    directions U = M^T V_r in X_train's coordinates, not orthonormal.
+    A whitened flow's modes passed in X_train's coordinates (from W0 = 0) have
+    the directions U = M^T V-hat as vectors, not orthonormal.
     """
 
     W0: np.ndarray
@@ -145,7 +145,6 @@ def build_flow(
     W0: np.ndarray | None = None,
     precondition: str = "none",
     modes: Spectrum | None = None,
-    fold: tuple | None = None,
 ) -> FlowSolution:
     """Decompose the gradient flow (optionally inverse-Hessian preconditioned).
 
@@ -155,12 +154,6 @@ def build_flow(
     of F_train descending, save decomposing X_train; either way the modes
     above NULL_MODE_RATIO times the largest move. From W0 = 0 they may be a
     whitened flow's rates with its directions U = M^T V-hat in X's coordinates.
-
-    fold = (M, U) folds a whitener M in: `modes` are then the eigenpairs
-    (lambda-hat, V-hat) of M F_train M^T, U = M^T V-hat (formed if None), W0
-    is whitened, and the solution is the flow of M X_train as W(t) M, which
-    predicts on a raw split (less M's mean) what W(t) does on its whitened
-    copy.
     """
     if precondition not in PRECONDITIONS:
         raise ValidationError(f"unknown precondition {precondition!r}")
@@ -170,11 +163,7 @@ def build_flow(
         raise ShapeError(f"modes have {modes.eigenvectors.shape[0]} features, X_train has {X_train.feature_dim}")
     spec = gram_modes(X_train, NULL_MODE_RATIO) if modes is None else leading_modes(modes, NULL_MODE_RATIO)
     lam, V = spec.eigenvalues, spec.eigenvectors
-    delta = -(W0 @ V)
-    if fold is not None:
-        M, U = fold
-        W0, spec = W0 @ M, Spectrum(lam, M.T @ V if U is None else U[:, :lam.size])
-    delta += Y_train.targets @ X_train.values.T @ spec.eigenvectors / lam  # component i: (Y X^T) v_i / lambda_i
+    delta = Y_train.targets @ X_train.values.T @ V / lam - W0 @ V  # component i: (Y X^T) v_i / lambda_i - W0 v_i
     rates = np.ones_like(lam) if precondition == "newton" else lam
     return FlowSolution(W0, spec, delta, rates, X_train, Y_train)
 

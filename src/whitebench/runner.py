@@ -4,8 +4,9 @@ A group draws once, seeded by the 64-bit hash `derive_seed` gives its `none`
 arm, and every arm and lambda trains on whitened copies of that draw from the
 same initial weights. So rows are reproducible standalone and sweep output is
 independent of worker scheduling (rows are post-sorted). The `distribution`
-arm whitens with the source's E[F_train] = n_train * Sigma of that draw. The
-linear trainer folds each whitener into its flow; the mlp trainer's arms are whitened once per group.
+arm whitens with the source's E[F_train] = n_train * Sigma of that draw; a centered arm has its own draw, less its
+fit set's mean. From W0 = 0 the linear trainer reads a whitened arm's modes off a decomposition; every other arm's
+splits are whitened once per group, for both trainers.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datatypes import (NULL_MODE_RATIO, Dataset, LabelSet, Spectrum, compute_F, eigh, gram_modes,
-                        hstack_datasets, symmetrize)
+from .datatypes import Dataset, LabelSet, Spectrum, compute_F, eigh, gram_modes, hstack_datasets
 from .errors import ConfigError, ValidationError, WhitebenchError
 from .linear_flow import TimeGrid, build_flow, early_stop
 from .models import init_isotropic, train_to_cutoff
@@ -289,29 +289,37 @@ def _draw_group(plan: RunPlan, dataset_size: int, seed_index: int, population: b
     return draw
 
 
+def _arm_draw(plan: RunPlan, draw: _GroupDraw, mode: str) -> _GroupDraw:
+    """The draw a whitened arm trains on: under `center`, a `train` or `full` arm's own draw of the group's splits
+    less the mean of its fit set (the train split, or every split), which caches its own F_train and modes."""
+    if not plan.cfg.get("whitening", "center") or mode not in ("train", "full"):
+        return draw
+    fit = draw.splits["train"][0] if mode == "train" else hstack_datasets(*[X for X, _ in draw.splits.values()])
+    mean = fit.values.mean(axis=1, keepdims=True)
+    return _GroupDraw(draw.seed, {name: (Dataset._adopt(X.values - mean), Y) for name, (X, Y) in draw.splits.items()})
+
+
 def _arm_whitener(plan: RunPlan, draw: _GroupDraw, mode: str) -> Whitener:
-    """`train` fits on the train split, `full` on all splits; `distribution` whitens with the source's E[F_train]
-    (mean 0, so `center` is moot). Uncentered at n > d, `train` takes the group's eigh of F_train and `full` the
-    eigh of F_train + X_s X_s^T over the other splits: no stacked copy. The linear trainer fits no `full` arm
-    that `full_whitened_modes` serves, uncentered at W0 = 0."""
-    transform, policy, center = plan.cfg.get("whitening", "transform"), plan.rank_policy, plan.cfg.get("whitening", "center")
+    """`train` fits on the arm draw's train split, `full` on all its splits; `distribution` whitens with the
+    source's E[F_train]. At n > d, `train` takes the draw's eigh of F_train and `full` the eigh of F_train + X_s X_s^T
+    over the other splits: no stacked copy."""
+    transform, policy = plan.cfg.get("whitening", "transform"), plan.rank_policy
     if mode == "distribution":
         return population_whitener(draw.second_moment, transform, policy)
-    shared = not center and draw.train_F is not None
-    if mode == "train" and shared:
-        return population_whitener(draw.train_modes, transform, policy)
-    if mode == "full" and shared:
-        F = draw.train_F + sum(compute_F(X) for name, (X, _) in draw.splits.items() if name != "train")
-        return population_whitener(eigh(F), transform, policy)
+    if draw.train_F is not None:
+        others = (compute_F(X) for name, (X, _) in draw.splits.items() if name != "train")  # summed for `full` only
+        second_moment = draw.train_modes if mode == "train" else eigh(draw.train_F + sum(others))
+        return population_whitener(second_moment, transform, policy)
     X = draw.splits["train"][0] if mode == "train" else hstack_datasets(*[X for X, _ in draw.splits.values()])
-    return fit_whitener(X, transform, policy, center)
+    return fit_whitener(X, transform, policy)
 
 
 def prepare_arm(plan: RunPlan, draw: _GroupDraw, mode: str) -> dict:
-    """The mlp trainer's splits of one arm (none/train/full/distribution), whitened once per group."""
+    """One arm's splits (none/train/full/distribution), whitened once per group: the mlp trainer's, and the linear's."""
     if mode != "none" and mode not in draw.arms:
-        W = _arm_whitener(plan, draw, mode)
-        draw.arms[mode] = {name: (apply_whitener(W, X), Y) for name, (X, Y) in draw.splits.items()}
+        arm = _arm_draw(plan, draw, mode)
+        W = _arm_whitener(plan, arm, mode)
+        draw.arms[mode] = {name: (apply_whitener(W, X), Y) for name, (X, Y) in arm.splits.items()}
     return draw.arms.get(mode, draw.splits)
 
 
@@ -333,40 +341,28 @@ def _normalized(draw: _GroupDraw):
 
 
 def _arm_flow(plan: RunPlan, draw: _GroupDraw, mode: str, W0: np.ndarray):
-    """One arm's linear flow with its whitener folded in, and its splits: the group's, less the whitener's mean.
+    """One arm's linear flow and the splits it predicts on.
 
-    The whitened train split's modes come from the `train` fit, else from M F_train M^T (n > d) or the thin SVD
-    of M X_train. Uncentered at W0 = 0 the flow reads M only through M^T M, so there is no fit and no M: `train`
-    takes the group's F_train modes, and `full` takes `full_whitened_modes` (with the group's eigh of F_train at
-    n > d) unless F_full is not proven full-rank. Either passes its modes in X's coordinates.
+    From W0 = 0 the flow reads the whitener M only through M^T M, so `train` and `full` take their modes off a
+    decomposition of the arm's draw, in its coordinates, with no fit and no M: `train` by `whitened_modes` of the
+    draw's F_train modes, `full` by `full_whitened_modes` (with the draw's eigh of F_train at n > d) unless F_full
+    is not proven full-rank. Every other arm trains on the whitened splits of `prepare_arm`.
     """
-    precondition, splits = plan.cfg.get("flow", "precondition"), draw.splits
-    transform, policy = plan.cfg.get("whitening", "transform"), plan.rank_policy
+    precondition = plan.cfg.get("flow", "precondition")
     if mode == "none":
-        return build_flow(*splits["train"], W0, precondition, modes=draw.train_modes), splits
-    shared = not plan.cfg.get("whitening", "center") and not W0.any()
-    modes = None
-    if shared and mode == "train":
-        rates, U = whitened_modes(draw.train_modes, transform, policy)
-        modes = Spectrum(rates.eigenvalues, U)
-    elif shared and mode == "full":
-        others = [X.values for name, (X, _) in splits.items() if name != "train"]
-        modes = full_whitened_modes(splits["train"][0].values, others, policy,
-                                    None if draw.train_F is None else draw.train_modes)
-    if modes is not None:
-        return build_flow(*splits["train"], W0, precondition, modes), splits
-    W = _arm_whitener(plan, draw, mode)
-    if W.mean is not None:
-        splits = {name: (Dataset._adopt(X.values - W.mean), Y) for name, (X, Y) in splits.items()}
-    X = splits["train"][0]
-    if mode == "train":
-        modes, U = whitened_modes(W.spectrum, transform, policy)
-    elif X.sample_count > X.feature_dim:
-        F = draw.train_F if W.mean is None else compute_F(X)
-        modes, U = eigh(symmetrize(W.M @ F @ W.M.T)), None
-    else:
-        modes, U = gram_modes(Dataset._adopt(W.M @ X.values), NULL_MODE_RATIO), None
-    return build_flow(*splits["train"], W0, precondition, modes, fold=(W.M, U)), splits
+        return build_flow(*draw.splits["train"], W0, precondition, modes=draw.train_modes), draw.splits
+    if not W0.any() and mode != "distribution":
+        arm = _arm_draw(plan, draw, mode)
+        if mode == "train":
+            modes = whitened_modes(arm.train_modes, plan.rank_policy)
+        else:
+            others = [X.values for name, (X, _) in arm.splits.items() if name != "train"]
+            modes = full_whitened_modes(arm.splits["train"][0].values, others, plan.rank_policy,
+                                        None if arm.train_F is None else arm.train_modes)
+        if modes is not None:
+            return build_flow(*arm.splits["train"], W0, precondition, modes), arm.splits
+    splits = prepare_arm(plan, draw, mode)
+    return build_flow(*splits["train"], W0, precondition), splits
 
 
 def _flow_rows(plan: RunPlan, draw: _GroupDraw, mode: str, base: dict, include_trajectory: bool):

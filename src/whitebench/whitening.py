@@ -161,12 +161,11 @@ def population_whitener(second_moment: Spectrum, mode: str = "pca", rank_policy:
     return _whiten_spectrum(second_moment.eigenvalues, second_moment.eigenvectors, mode, rank_policy or RankPolicy())
 
 
-def whitened_modes(fit: Spectrum, mode: str, rank_policy: RankPolicy) -> tuple[Spectrum, np.ndarray]:
-    """The eigenpairs (rates, V-hat) of M F M^T, descending, for the whitener M of F = V diag(S) V^T, and U = M^T V-hat.
-
-    M F M^T = V-hat diag(inv_sqrt^2 S) V-hat^T with V-hat the standard basis (PCA) or V (ZCA), so U = V diag(inv_sqrt)
-    either way and neither M nor F is multiplied. `fit` may hold only a thin SVD's leading V: the rest have rate 0.
-    So has every mode past the fit rank: it is a null direction within rounding, not a slow mode.
+def whitened_modes(fit: Spectrum, rank_policy: RankPolicy) -> Spectrum:
+    """The modes of the flow from W0 = 0 on data whitened by the whitener M of F = V diag(S) V^T: the rates
+    inv_sqrt^2 S of M F M^T, descending, with U = M^T V-hat = V diag(inv_sqrt) in F's coordinates, for PCA and ZCA
+    alike (V-hat is the standard basis or V), so neither M nor F is multiplied. `fit` may hold only a thin SVD's
+    leading V: the rest have rate 0. So has every mode past the fit rank: a null direction within rounding.
     """
     d, r = fit.eigenvectors.shape
     S = np.maximum(fit.eigenvalues, 0.0)
@@ -175,11 +174,7 @@ def whitened_modes(fit: Spectrum, mode: str, rank_policy: RankPolicy) -> tuple[S
     rates = inv_sqrt * inv_sqrt * S
     rates[rank:] = 0.0
     order = np.argsort(-rates, kind="stable")
-    V = fit.eigenvectors[:, order]
-    V_hat = V if mode == "zca" else np.zeros((d, r))
-    if mode == "pca":  # the standard basis in rate order, built d x r: np.eye(d) would take d x d
-        V_hat[order, np.arange(r)] = 1.0
-    return Spectrum(rates[order], V_hat), V * inv_sqrt[order]
+    return Spectrum(rates[order], fit.eigenvectors[:, order] * inv_sqrt[order])
 
 
 def full_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy,
@@ -187,7 +182,7 @@ def full_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy
     """The modes of the flow from W0 = 0 on `full`-whitened data, Spectrum(rates, U = M^T V-hat) as `whitened_modes`
     gives them, for the d x n train array and the d x n_s arrays `others`, F_full = sum X X^T over all of them. None
     unless the matrix inverted below provably has every eigenvalue above d eps tr F_full: then the fit keeps all d
-    modes, since tr F_full >= S_0 (`datatypes.resolved_rank`).
+    modes, since tr F_full >= S_0 (`datatypes.resolved_rank`). Under manual, fewer than d columns give None at once.
 
     M^T M = A^-1 with A = F_full + epsilon I (`RankPolicy.epsilon_for`), for PCA and ZCA alike, is all such a flow
     reads of M. At n <= d the `proven_cholesky` L L^T = A stands in for M: the thin SVD L^-1 X_train = P diag(s) R^T
@@ -198,6 +193,8 @@ def full_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy
     d, n = train.shape
     ratio = d * np.finfo(float).eps  # the full-rank floor over tr F_full
     if n <= d:
+        if rank_policy.kind == "manual" and n + sum(X.shape[1] for X in others) < d:
+            return None
         A = symmetrize(sum(X @ X.T for X in [train, *others]))
         trace = float(np.trace(A))
         A[np.diag_indices(d)] += rank_policy.epsilon_for(trace / d)

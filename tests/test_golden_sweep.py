@@ -7,8 +7,8 @@ and predicted at every grid time. The whitened rows (train and full,
 share one draw, by the code before that change, which drew per arm, with its
 run seed pinned to the `none` arm's. The `golden_white` (ZCA, centered,
 manual, W0 != 0) and `golden_jitter` (ZCA, centered, jitter, W0 = 0) rows
-were written by the code that still multiplied every split by M, before the
-linear trainer folded the whitener into the flow. The `golden_jitter_init`
+were written by the code that multiplied every split by M, before the linear
+trainer first carried the whitener M into the flow. The `golden_jitter_init`
 rows (ZCA, centered, jitter, W0 != 0, above d) were written by the code that
 bisected the closed-form slope for t*, before the regula falsi solve. The
 current code must give the same rows:

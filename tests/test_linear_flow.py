@@ -333,29 +333,32 @@ def test_newton_flow_equals_plain_flow_on_whitened(rng):
 @settings(max_examples=80, deadline=None)
 def test_whitener_modes_give_the_flow_of_the_whitened_split(d, extra, deficient, mode, policy, center,
                                                             precondition, seed):
-    # n < d, n = d and n > d, optionally of rank below min(d, n): the whitener folded into the flow on the
-    # raw (mean-shifted) splits predicts what the flow of the whitened splits predicts
+    # n < d, n = d and n > d, optionally of rank below min(d, n): from W0 = 0 the flow on the raw (mean-shifted)
+    # splits with the whitener's modes in their coordinates predicts what the flow of the whitened splits predicts
     n = d + extra
     rng = np.random.default_rng(seed)
     full = min(d, n - 1 if center else n)
     X = spaced_dataset(rng, d, n, max(1, full - 1) if deficient else full, offset=center)
     X_test = random_dataset(rng, d, 5)
     Y = LabelSet(rng.standard_normal((3, n)))
-    W0 = rng.standard_normal((3, d))
     W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=center)
-    modes, U = whitened_modes(W.spectrum, mode, RankPolicy(policy))
     shift = 0.0 if W.mean is None else W.mean
     raw = [Dataset(Z.values - shift) for Z in (X, X_test)]
-    folded = build_flow(raw[0], Y, W0, precondition, modes=modes, fold=(W.M, U))
-    own = build_flow(apply_whitener(W, X), Y, W0, precondition)
-    lam, lam_own = folded.spectrum.eigenvalues, own.spectrum.eigenvalues
+    reused = build_flow(raw[0], Y, None, precondition, modes=whitened_modes(W.spectrum, RankPolicy(policy)))
+    own = build_flow(apply_whitener(W, X), Y, None, precondition)
+    lam, lam_own = reused.spectrum.eigenvalues, own.spectrum.eigenvalues
     assert lam.size == lam_own.size
     assert np.max(np.abs(lam - lam_own)) <= 1e-10 * lam_own[0]
+    # under jitter below rank d the whitened split's own rounding is scaled by up to 1/sqrt(epsilon) in the
+    # directions outside the fit's span, so there its error is relative to |W(t)| |X-hat|, not to |W(t) X-hat|
+    loose = policy == "jitter" and W.fit_rank < d
     for t in (0.0, 1.0 / own.max_rate, 1.0 / own.min_positive_rate, 40.0 / own.min_positive_rate):
         for Z, Z_raw in zip((X, X_test), raw):
-            expected = flow_at(own, t).W @ apply_whitener(W, Z).values
-            got = flow_at(folded, t).W @ Z_raw.values
-            assert np.max(np.abs(got - expected)) <= 1e-9 * max(1.0, np.max(np.abs(expected)))
+            W_t, Z_hat = flow_at(own, t).W, apply_whitener(W, Z).values
+            expected = W_t @ Z_hat
+            got = flow_at(reused, t).W @ Z_raw.values
+            scale = np.max(np.abs(W_t)) * np.max(np.abs(Z_hat)) if loose else np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= 1e-9 * max(1.0, scale)
 
 
 def test_jitter_leaves_null_directions_of_an_eigh_fit_null(rng):
@@ -364,8 +367,8 @@ def test_jitter_leaves_null_directions_of_an_eigh_fit_null(rng):
     X = Dataset(rng.standard_normal((12, 8)) @ rng.standard_normal((8, 40)))
     Y = LabelSet(rng.standard_normal((2, 40)))
     W = fit_whitener(X, rank_policy=RankPolicy("jitter"))
-    modes, U = whitened_modes(W.spectrum, "pca", RankPolicy("jitter"))
-    reused, own = build_flow(X, Y, modes=modes, fold=(W.M, U)), build_flow(apply_whitener(W, X), Y)
+    reused = build_flow(X, Y, modes=whitened_modes(W.spectrum, RankPolicy("jitter")))
+    own = build_flow(apply_whitener(W, X), Y)
     assert reused.mode_rates.size == own.mode_rates.size == 8
     assert TimeGrid.default_for(reused).t_max == pytest.approx(TimeGrid.default_for(own).t_max, rel=1e-10)
 

@@ -173,21 +173,23 @@ def test_env_seed_override(linear_cfg, monkeypatch, tmp_path):
 @pytest.mark.parametrize("size, edit, expected", [
     (8, None, {"svd": 2}),
     (8, ("rank_policy = manual", "rank_policy = jitter"), {"svd": 2}),
-    (8, ("grid_points = 40", "grid_points = 40\ninit_variance = 0.01"), {"svd": 3, "eigh": 1}),
+    (8, ("grid_points = 40", "grid_points = 40\ninit_variance = 0.01"), {"svd": 4, "eigh": 1}),
     (24, None, {"eigh": 2}),
     (24, ("rank_policy = manual", "rank_policy = jitter"), {"eigh": 2}),
     (24, ("rank_policy = manual", "rank_policy = manual\ncenter = true"), {"eigh": 4}),
-    (24, ("grid_points = 40", "grid_points = 40\ninit_variance = 0.01"), {"eigh": 3}),
+    (24, ("grid_points = 40", "grid_points = 40\ninit_variance = 0.01"), {"eigh": 4}),
 ], ids=["8", "8-jitter", "8-init", "24", "24-jitter", "24-center", "24-init"])
 def test_decompositions_per_linear_cell(tmp_path, monkeypatch, size, edit, expected):
     # Counted per (size, seed) group of none, train and full cells. d = 12: size 8 is n < d, 24 is n > d.
-    # The group decomposes F_train once (thin SVD, or eigh when n > d) for the none arm's flow. Uncentered
-    # at W0 = 0, the train arm reads its modes off that decomposition, and at n > d so does the full arm,
-    # with one eigh of C = I + Lambda^-1/2 V^T F_o V Lambda^-1/2 under either rank policy. At n < d the full
-    # arm proves its n + 20 > d columns' F_full full-rank (manual) and takes one thin SVD of L^-1 X_train with
-    # L the Cholesky factor of F_full (+ epsilon I under jitter): no eigh. With W0 != 0 the full arm still fits
-    # (eigh of F_full) and decomposes M F_train M^T (n > d) or M X_train (thin SVD, n < d), and the train arm
-    # fits its split (full SVD at n < d); centered, the train arm fits its centered split too.
+    # The group decomposes F_train once (thin SVD, or eigh when n > d) for the none arm's flow. At W0 = 0 the
+    # train arm reads its modes off that decomposition, and at n > d so does the full arm, with one eigh of
+    # C = I + Lambda^-1/2 V^T F_o V Lambda^-1/2 under either rank policy. At n < d the full arm proves its
+    # n + 20 > d columns' F_full full-rank (manual) and takes one thin SVD of L^-1 X_train with L the Cholesky
+    # factor of F_full (+ epsilon I under jitter): no eigh. Centered, each of the train and full arms does the
+    # same on its own draw, which decomposes its centered F_train once more. With W0 != 0 both arms train on
+    # whitened splits: each fits its whitener (train: the group's eigh at n > d, else the full SVD of its split;
+    # full: eigh of F_full) and decomposes its whitened train split (eigh of its F at n > d, else the thin SVD),
+    # so the train arm adds one decomposition to its fit.
     from collections import Counter
 
     from whitebench.runner import _run_group
@@ -638,16 +640,28 @@ def test_train_arm_whitens_the_none_arms_draw(mlp_cfg, monkeypatch, size):
         assert captured["train"][name][1] is Y
 
 
-def test_linear_sweep_whitens_no_split(linear_cfg, monkeypatch):
-    # the linear trainer folds each whitener into the flow: no split is multiplied by M
+@pytest.mark.parametrize("center", [False, True], ids=["uncentered", "centered"])
+def test_linear_sweep_whitens_no_split(tmp_path, monkeypatch, center):
+    # from W0 = 0 the linear trainer reads each arm's modes off a decomposition of its draw, centered or not: it
+    # fits no whitener and multiplies no split by M
     from whitebench import runner
 
+    path = tmp_path / "lin.cfg"
+    path.write_text(LINEAR_CFG.replace("transform = pca", f"transform = pca\ncenter = {str(center).lower()}"),
+                    encoding="utf-8")
+    cfg = parse_config(path)
     calls = []
-    apply = runner.apply_whitener
-    monkeypatch.setattr(runner, "apply_whitener", lambda *a: calls.append(a) or apply(*a))
-    rows = sweep_terminal(linear_cfg)
+    for name in ("_arm_whitener", "apply_whitener"):
+        monkeypatch.setattr(runner, name, lambda *a, _f=getattr(runner, name), _n=name: calls.append(_n) or _f(*a))
+    rows = sweep_terminal(cfg)
     assert len(rows) == 3 * 3 * 2 and all(r.stopping_reason != "error" for r in rows)
     assert calls == []
+    # an arm with W0 != 0 trains on the very splits prepare_arm caches for it
+    plan = plan_run(cfg, "linear")
+    draw = runner._draw_group(plan, 8, 0, False)
+    for mode in ("train", "full"):
+        sol, splits = runner._arm_flow(plan, draw, mode, np.ones((3, 12)))
+        assert splits is draw.arms[mode] and sol.X_train is splits["train"][0]
 
 
 def test_mlp_arms_are_whitened_once_per_group(tmp_path, monkeypatch):
@@ -728,14 +742,15 @@ def _product_scale(W: np.ndarray, X: np.ndarray) -> float:
     st.booleans(), st.booleans(), st.sampled_from(PRECONDITIONS), st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, policy, center, init, precondition, seed):
-    # every arm's flow on the raw (mean-shifted) splits, with the whitener folded in, against the reference:
-    # apply_whitener, then build_flow and early_stop on the whitened splits. n < d, n = d and n > d.
+def test_arm_flows_match_the_flow_of_whitened_splits(d, extra, transform, policy, center, init, precondition, seed):
+    # every arm's flow on the splits `_arm_flow` gives it (its draw's, whose modes a decomposition gives, or its
+    # whitened splits) against the reference: the arm's draw whitened by apply_whitener, then build_flow and
+    # early_stop on the whitened splits. n < d, n = d and n > d.
     from whitebench import Dataset, LabelSet, apply_whitener, build_flow, early_stop, flow_at
     from whitebench.datatypes import Spectrum, random_orthogonal
     from whitebench.linear_flow import TimeGrid, mse_per_sample
     from whitebench.runconfig import RunConfig
-    from whitebench.runner import _arm_flow, _arm_whitener, _GroupDraw
+    from whitebench.runner import _arm_draw, _arm_flow, _arm_whitener, _GroupDraw
 
     n = d + extra
     rng = np.random.default_rng(seed)
@@ -744,7 +759,7 @@ def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, poli
     for name, count in (("val", 6), ("test", 9)):
         splits[name] = (Dataset(rng.standard_normal((d, count)) + 0.5), one_hot_labels(rng, 3, count))
     second_moment = Spectrum(n * np.sort(rng.uniform(0.1, 2.0, d))[::-1], random_orthogonal(d, rng))
-    cfg = RunConfig(experiment={"id": "fold"}, data={"classes": 3, "n_val": 6},
+    cfg = RunConfig(experiment={"id": "arms"}, data={"classes": 3, "n_val": 6},
                     whitening={"modes": ["none", "train", "full", "distribution"], "transform": transform,
                                "rank_policy": policy, "center": center},
                     flow={"precondition": precondition, "init_variance": 0.05 if init else 0.0})
@@ -752,22 +767,23 @@ def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, poli
     draw = _GroupDraw(0, splits, second_moment)
     for mode in ("none", "train", "full", "distribution"):
         W0 = np.sqrt(0.05) * rng.standard_normal((3, d)) if init else np.zeros((3, d))
-        sol, raw = _arm_flow(plan, draw, mode, W0)
-        W = None if mode == "none" else _arm_whitener(plan, draw, mode)
-        white = {name: (Z if W is None else apply_whitener(W, Z), Y) for name, (Z, Y) in splits.items()}
+        sol, own = _arm_flow(plan, draw, mode, W0)
+        arm = _arm_draw(plan, draw, mode)
+        W = None if mode == "none" else _arm_whitener(plan, arm, mode)
+        white = {name: (Z if W is None else apply_whitener(W, Z), Y) for name, (Z, Y) in arm.splits.items()}
         ref = build_flow(*white["train"], W0, precondition)
         for t in (0.0, 1.0 / ref.max_rate, 40.0 / ref.min_positive_rate):
             for name in splits:
                 W_t, X_hat = flow_at(ref, t).W, white[name][0].values
-                got = flow_at(sol, t).W @ raw[name][0].values
+                got = flow_at(sol, t).W @ own[name][0].values
                 assert np.max(np.abs(got - W_t @ X_hat)) <= 1e-9 * _product_scale(W_t, X_hat), (mode, name, t)
         rows = [early_stop(s, *z["val"], TimeGrid.default_for(s), test=z["test"])[1]
-                for s, z in ((sol, raw), (ref, white))]
+                for s, z in ((sol, own), (ref, white))]
         t_star = rows[0].terminal_step
         got, want = rows[0].at(t_star), rows[1].at(rows[1].terminal_step)
         assert (got["test_error"], rows[0].stopping_reason) == (want["test_error"], rows[1].stopping_reason), mode
         # t* is the root of the closed-form val slope, or the earliest time of a minimum flat to rounding, so both
-        # computations find it. The reference is read at the fold's t*: it must give the fold's losses there, and
+        # computations find it. The reference is read at the arm's t*: it must give the arm's losses there, and
         # its val loss must be the reference's minimum. Jitter scales the directions outside the fit's span by up
         # to 1/sqrt(epsilon), which multiplies the reference's own rounding into relative errors near 1e-8 (at
         # most 1.9e-8 on held-out losses over 3000 draws), into t* errors near 1e-6 (at most 7.4e-7 over 356
@@ -782,38 +798,26 @@ def test_folded_arms_match_the_flow_of_whitened_splits(d, extra, transform, poli
         assert got["val_loss"] <= want["val_loss"] * (1.0 + (1e-6 if loose else RELATIVE["val_loss"])), mode
 
 
-def _m_path_flow(plan, draw, W0):
-    """The `full` arm's flow by its fitted whitener M (uncentered): eigh of M F_train M^T at n > d, else the thin SVD
-    of M X_train, and U = M^T V-hat."""
-    from whitebench import Dataset, build_flow
-    from whitebench.datatypes import NULL_MODE_RATIO, eigh, gram_modes, symmetrize
-    from whitebench.runner import _arm_whitener
-
-    M = _arm_whitener(plan, draw, "full").M
-    if draw.train_F is None:
-        modes = gram_modes(Dataset(M @ draw.splits["train"][0].values), NULL_MODE_RATIO)
-    else:
-        modes = eigh(symmetrize(M @ draw.train_F @ M.T))
-    return build_flow(*draw.splits["train"], W0, plan.cfg.get("flow", "precondition"), modes, fold=(M, None))
-
-
-def _fold_and_m_path_rows(plan, draw):
-    """The terminal rows of the `full` arm's flow from W0 = 0 as `_arm_flow` folds it, and by its fitted M."""
+def _shortcut_and_whitened_split_rows(plan, draw):
+    """The terminal rows of the `full` arm's flow from W0 = 0 as `_arm_flow` reads it off `full_whitened_modes`,
+    and as the flow of its whitened splits."""
+    from whitebench import build_flow
     from whitebench.linear_flow import TimeGrid, early_stop
-    from whitebench.runner import _arm_flow
+    from whitebench.runner import _arm_flow, prepare_arm
 
     W0 = np.zeros((3, draw.splits["train"][0].feature_dim))
-    sol, splits = _arm_flow(plan, draw, "full", W0)
-    rows = [early_stop(s, *splits["val"], TimeGrid.default_for(s, 200), test=splits["test"])[1]
-            for s in (sol, _m_path_flow(plan, draw, W0))]
+    white = prepare_arm(plan, draw, "full")
+    flows = (_arm_flow(plan, draw, "full", W0), (build_flow(*white["train"], W0, plan.cfg.get("flow", "precondition")),
+                                                 white))
+    rows = [early_stop(s, *z["val"], TimeGrid.default_for(s, 200), test=z["test"])[1] for s, z in flows]
     return [(r.at(r.terminal_step), r.terminal_step, r.stopping_reason) for r in rows]
 
 
 def _check_full_arm_modes(d, n, n_val, transform, policy, precondition, normalize, seed):
     """The uncentered full arm at W0 = 0 takes `full_whitened_modes`, with no fit and no M: at n <= d the thin SVD
     of L^-1 X_train, L the Cholesky factor of F_full (+ epsilon I under jitter), at n > d the eigh of C off the
-    group's eigh of F_train. Its rows are the M path's to rounding. Under manual at n <= d it takes that path
-    only if F_full is proven full-rank, which a fit set of fewer than d columns never is."""
+    group's eigh of F_train. Its rows are those of its whitened splits to rounding. Under manual at n <= d it takes
+    that path only if F_full is proven full-rank, which a fit set of fewer than d columns never is."""
     from whitebench.runconfig import RunConfig
     from whitebench.runner import _draw_group
     from whitebench.whitening import full_whitened_modes
@@ -832,9 +836,9 @@ def _check_full_arm_modes(d, n, n_val, transform, policy, precondition, normaliz
     if n > d and not normalize:  # without the group's eigh of F_train the helper takes the same one itself
         assert np.array_equal(full_whitened_modes(train, others, plan.rank_policy).eigenvectors, modes.eigenvectors)
     assert taken if n > d or kind == "jitter" or columns > d else (columns == d or not taken)  # d may be full-rank
-    if not taken:  # the M path itself: its test predictions are zero (the theorem), so test_error is rounding's
+    if not taken:  # the whitened splits themselves: test predictions are zero (the theorem), test_error rounding's
         return
-    (got, t_got, reason_got), (want, t_want, reason_want) = _fold_and_m_path_rows(plan, draw)
+    (got, t_got, reason_got), (want, t_want, reason_want) = _shortcut_and_whitened_split_rows(plan, draw)
     assert reason_got == reason_want
     if columns > d:  # else the test split's predictions are zero to rounding (the theorem), and so is test_error
         assert got["test_error"] == want["test_error"]
@@ -871,9 +875,28 @@ def test_full_arm_cholesky_modes_at_n_up_to_d_match_the_m_path(d, size, n_val, t
     _check_full_arm_modes(d, n, {"d": d, "3": 3}[n_val], transform, policy, precondition, normalize, seed)
 
 
-def test_full_arm_that_fails_the_bound_keeps_the_m_path(tmp_path, monkeypatch):
+@pytest.mark.parametrize("policy", RANK_POLICIES)
+def test_full_arm_of_fewer_than_d_columns_is_refused_before_its_cholesky(monkeypatch, policy):
+    # shaped like experiments/null_regime.cfg at its small sizes: 16 + 8 + 8 < d = 64 fit columns leave F_full
+    # singular, so under manual `full_whitened_modes` refuses before forming it or calling `proven_cholesky`;
+    # under jitter A = F_full + epsilon I can still be proven full-rank, and the helper gives the arm's modes
+    from whitebench import runner, whitening
+    from whitebench.runconfig import RunConfig
+
+    cfg = RunConfig(experiment={"id": "null"}, data={"d": 64, "n_val": 8, "n_test": 8, "classes": 3},
+                    whitening={"modes": ["none", "full"], "rank_policy": policy})
+    cholesky, helper, calls, found = whitening.proven_cholesky, runner.full_whitened_modes, [], []
+    monkeypatch.setattr(whitening, "proven_cholesky", lambda *a: calls.append(a) or cholesky(*a))
+    monkeypatch.setattr(runner, "full_whitened_modes", lambda *a: found.append(helper(*a)) or found[-1])
+    rows = runner._run_group((plan_run(cfg, "linear"), 16, 0, False))
+    assert all(r.stopping_reason != "error" for r in rows)
+    assert len(found) == 1 and (found[0] is None) == (policy == "manual")
+    assert len(calls) == (policy == "jitter")
+
+
+def test_full_arm_that_fails_the_bound_trains_on_whitened_splits(tmp_path, monkeypatch):
     # a zero population eigenvalue leaves F_full singular at every n, so neither of `full_whitened_modes`'s
-    # reductions proves it full-rank: the full arm fits and folds M as before, and its rows are those of a run
+    # reductions proves it full-rank: the full arm trains on its whitened splits, and its rows are those of a run
     # whose helper is never consulted
     from whitebench import runner
 
@@ -889,7 +912,7 @@ def test_full_arm_that_fails_the_bound_keeps_the_m_path(tmp_path, monkeypatch):
     assert len(found) == 6 and all(f is None for f in found)
     assert all(r.stopping_reason != "error" for r in rows)
     monkeypatch.setattr(runner, "full_whitened_modes", lambda *a: None)
-    a, b = tmp_path / "bound.csv", tmp_path / "m_path.csv"
+    a, b = tmp_path / "bound.csv", tmp_path / "whitened.csv"
     write_rows_csv(a, rows)
     write_rows_csv(b, sweep(cfg, "linear", [8, 24, 40], include_trajectory=False))
     assert a.read_bytes() == b.read_bytes()

@@ -240,28 +240,31 @@ def test_fit_rank_is_the_constructed_rank(d, rank, eigh_side, alpha, log_scale, 
     s = 10.0 ** log_scale * np.arange(1, rank + 1) ** (-alpha / 2)
     U = np.linalg.qr(rng.standard_normal((d, rank)))[0]
     V = np.linalg.qr(rng.standard_normal((n, rank)))[0]
-    W = fit_whitener(Dataset((U * s) @ V.T), mode=mode, rank_policy=RankPolicy(policy))
+    X = Dataset((U * s) @ V.T)
+    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy))
     assert W.fit_rank == rank
-    modes, _ = whitened_modes(W.spectrum, mode, RankPolicy(policy))
+    modes = whitened_modes(W.spectrum, RankPolicy(policy))
     assert np.count_nonzero(modes.eigenvalues) == rank
+    # the kept directions U diagonalize the fit set's F into the rates: U^T F U = diag(rates)
+    Z = modes.eigenvectors[:, :rank].T @ X.values
+    assert np.max(np.abs(Z @ Z.T - np.diag(modes.eigenvalues[:rank]))) <= 1e-10
 
 
 @pytest.mark.parametrize("mode", WHITENING_MODES)
 @pytest.mark.parametrize("policy", RANK_POLICIES)
 @pytest.mark.parametrize("n", [5, 9, 20])
 def test_kept_modes_diagonalize_the_whitened_fit_set(rng, mode, policy, n):
-    # whitened_modes reads the eigenpairs of M F M^T and U = M^T V-hat off the fit, multiplying neither
+    # whitened_modes reads the rates of M F M^T and U = M^T V-hat off the fit, multiplying neither: U^T F_fit U =
+    # diag(rates) on the centered fit set, and U U^T = M^T M, all that a flow from W0 = 0 reads of M
     X = Dataset(rng.standard_normal((9, n)) + 0.5)
     W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=True)
-    modes, U = whitened_modes(W.spectrum, mode, RankPolicy(policy))
-    rates, V = modes.eigenvalues, modes.eigenvectors
-    assert V.shape == (9, 9) and np.all(np.diff(rates) <= 0)
-    assert np.max(np.abs(V.T @ V - np.eye(9))) <= 1e-12
-    F_hat = V.T @ compute_F(apply_whitener(W, X)) @ V
-    assert np.max(np.abs(F_hat - np.diag(rates))) <= 1e-10 * rates[0]
-    assert np.max(np.abs(U - W.M.T @ V)) <= 1e-12 * np.max(np.abs(W.M))
-    if mode == "pca":
-        assert np.array_equal(np.abs(V).sum(axis=0), np.ones(9))
+    modes = whitened_modes(W.spectrum, RankPolicy(policy))
+    rates, U = modes.eigenvalues, modes.eigenvectors
+    assert U.shape == (9, 9) and np.all(np.diff(rates) <= 0)
+    Z = U.T @ (X.values - W.mean)  # U^T F_fit U as Z Z^T: jitter scales U's null directions by up to 1/sqrt(eps)
+    assert np.max(np.abs(Z @ Z.T - np.diag(rates))) <= 1e-10 * rates[0]
+    MtM = W.M.T @ W.M
+    assert np.max(np.abs(U @ U.T - MtM)) <= 1e-12 * np.max(np.abs(MtM))
 
 
 def test_apply_whitener_allocates_the_output_once(rng):
