@@ -8,12 +8,17 @@ companion file, one k x n label block. WBCP (version 2) holds the d x (n - d)
 compressed payload block and then the 1 x n column permutation block, 1 x 0
 when columns were not permuted, so a file cut after the payload fails the
 length check instead of losing its permutation.
+
+Every file the package writes goes through `open_in_place`, which rewrites
+an existing file from its start and then cuts it, with no truncation first.
 """
 from __future__ import annotations
 
 import csv
+import os
 import re
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +44,20 @@ def _float_repr(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def open_in_place(path, binary: bool = False):
+    """A handle that writes `path` from its start (text: utf-8 with newline=""), cut at the end of what was written.
+
+    The file is opened O_WRONLY | O_CREAT, never O_TRUNC, so a new file gets mode 0o666 under the umask as with
+    open(); rewriting an existing one does not wait for the file system to free the blocks a truncation to zero
+    would release. An interrupted write leaves the new prefix over the old tail.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") if binary else open(fd, "w", newline="", encoding="utf-8") as fh:
+        yield fh
+        fh.truncate()
+
+
 # -- csv ---------------------------------------------------------------------
 
 def export_csv(path, X: Dataset, labels: LabelSet | None = None):
@@ -57,7 +76,7 @@ def export_csv(path, X: Dataset, labels: LabelSet | None = None):
         else:
             label_cols = labels.output_dim
             header.extend(f"y{i}" for i in range(label_cols))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_in_place(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         classes = labels.class_indices() if labels is not None and labels.encoding == "one_hot" else None
@@ -120,7 +139,7 @@ def ingest_csv(path):
 # -- framed binary codec ------------------------------------------------------
 
 def _write_frame(path, fmt: tuple, *blocks: np.ndarray):
-    with open(path, "wb") as fh:
+    with open_in_place(path, binary=True) as fh:
         fh.write(_HEADER.pack(*fmt))
         for block in blocks:
             fh.write(_BLOCK.pack(*block.shape))
@@ -185,6 +204,8 @@ def ingest_wbds(path):
 
 
 def export_compressed(path, c: CompressedDataset):
+    if c.payload.ndim != 2:
+        raise ValidationError("a WBCP file holds one compressed dataset, not a stack")
     perm = np.empty((1, 0)) if c.column_permutation is None else np.reshape(c.column_permutation, (1, c.n))
     _write_frame(path, _WBCP, c.payload, perm)
 
@@ -220,7 +241,7 @@ def export(path, fmt: str, X: Dataset, labels: LabelSet | None = None):
 # -- plain numeric matrices (CLI outputs) -------------------------------------
 
 def write_matrix_csv(path, A: np.ndarray):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_in_place(path) as fh:
         writer = csv.writer(fh)
         for row in np.atleast_2d(A):
             writer.writerow([_float_repr(v) for v in row])

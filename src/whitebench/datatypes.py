@@ -72,7 +72,7 @@ def _as_matrix(values, what="values", copy=True) -> np.ndarray:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ValidationError(f"{what} must be a matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
     return arr
 
@@ -191,16 +191,26 @@ class Spectrum:
         vecs = _as_matrix(self.eigenvectors, "Spectrum.eigenvectors")
         if vals.ndim != 1 or vecs.shape[1] != vals.shape[0]:
             raise ShapeError("eigenvector columns must pair with eigenvalues")
-        if np.any(np.diff(vals) > 0):
+        if (vals[1:] > vals[:-1]).any():
             raise ValidationError("eigenvalues must be sorted descending")
         vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
         _freeze(self, "eigenvectors", vecs)
 
+    @classmethod
+    def _adopt(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "Spectrum":
+        """A Spectrum over the descending eigenpairs of a decomposition its caller just took of checked input:
+        copied in C order, as the checked constructor copies, and frozen, without re-checking what LAPACK
+        guarantees (finite, paired and sorted)."""
+        obj = cls.__new__(cls)
+        _freeze(obj, "eigenvalues", eigenvalues.copy())
+        _freeze(obj, "eigenvectors", eigenvectors.copy())
+        return obj
+
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2; exact bitwise symmetry since IEEE addition commutes."""
-    return (A + A.T) / 2.0
+    """(A + A^T)/2 of a matrix, or of each matrix of a stack; exact bitwise symmetry since IEEE addition commutes."""
+    return (A + np.swapaxes(A, -1, -2)) / 2.0
 
 
 def compute_F(X: Dataset) -> np.ndarray:
@@ -228,12 +238,12 @@ def eigh(A: np.ndarray) -> Spectrum:
     A = _as_matrix(A, "eigh input", copy=False)
     if A.shape[0] != A.shape[1]:
         raise ShapeError("eigh needs a square matrix")
-    if not np.array_equal(A, A.T):
+    if not (A == A.T).all():
         if np.max(np.abs(A - A.T)) > 1e-10:
             raise ValidationError("eigh input is not symmetric within 1e-10 absolute")
         A = symmetrize(A)
     vals, vecs = np.linalg.eigh(A)
-    return Spectrum(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
+    return Spectrum._adopt(vals[::-1], vecs[:, ::-1])
 
 
 def pseudoinverse(A: np.ndarray, rel_tol: float = PINV_CUTOFF_RATIO) -> np.ndarray:
@@ -279,14 +289,19 @@ def estimate_input_rank(X: Dataset, cutoff_ratio: float = RANK_CUTOFF_RATIO) -> 
     return gram_modes(X, cutoff_ratio).eigenvalues.size
 
 
-def random_orthogonal(dim: int, seed: int | np.random.Generator) -> np.ndarray:
+def random_orthogonal(dim: int, seed) -> np.ndarray:
     """Haar-ish orthogonal matrix: QR of a Gaussian with positive R diagonal.
 
-    seed is an int or a Generator; a Generator is drawn from in place.
+    seed is an int or a Generator; a Generator is drawn from in place. A 1-D
+    sequence of ints gives an m x dim x dim stack whose matrix i is
+    random_orthogonal(dim, seed[i]), all taken in one stacked QR.
     """
-    rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return Q * np.sign(np.diag(R))[None, :]
+    if np.ndim(seed) == 1:
+        G = np.array([np.random.default_rng(s).standard_normal((dim, dim)) for s in seed]).reshape(-1, dim, dim)
+    else:
+        G = np.random.default_rng(seed).standard_normal((dim, dim))
+    Q, R = np.linalg.qr(G)
+    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
 def require_nontrivial_spectrum(singular_values: np.ndarray, what: str):

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import Dataset, LabelSet, pseudoinverse
+from .datatypes import Dataset, LabelSet, symmetrize
 from .errors import DegenerateDataError, ValidationError
 from .linear_flow import mse_per_sample, solve_optimum
 from .models import MLP, accuracy, init_isotropic, train_to_cutoff
 from .optimizers import OptimizerConfig, sgd_step
-from .whitening import RankPolicy, apply_whitener, fit_whitener, verify_whitened
+from .whitening import RankPolicy, apply_whitener, fit_whitener
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,9 @@ class CompressedDataset:
     The leading d x d block is implicitly the identity, so only
     (n - d) * d scalars are stored. column_permutation, when present, maps
     stored column order back to the original one (needed when the leading
-    block of the input was not invertible).
+    block of the input was not invertible). A stack of m datasets carries a
+    leading axis on both: an m x d x (n - d) payload and, when any slice was
+    permuted, an m x n permutation (the identity for the others).
     """
 
     payload: np.ndarray
@@ -37,13 +39,15 @@ class CompressedDataset:
     column_permutation: np.ndarray | None = None
 
     def __post_init__(self):
-        payload = np.array(self.payload, dtype=np.float64).reshape(self.d, self.n - self.d)
+        payload = np.array(self.payload, dtype=np.float64)
+        payload = payload.reshape(payload.shape[:-2] + (self.d, self.n - self.d))
         payload.flags.writeable = False
         object.__setattr__(self, "payload", payload)
 
     @property
     def scalar_count(self) -> int:
-        return self.payload.size
+        """Scalars stored per dataset."""
+        return self.d * (self.n - self.d)
 
 
 def _pivot_columns(values: np.ndarray, d: int) -> np.ndarray:
@@ -64,56 +68,69 @@ def _pivot_columns(values: np.ndarray, d: int) -> np.ndarray:
     return np.array(lead)
 
 
-def compress_whitened(X_hat: Dataset, whiteness_tol: float = 1e-6) -> CompressedDataset:
+def compress_whitened(X_hat, whiteness_tol: float = 1e-6) -> CompressedDataset:
     """Reduce fully whitened data to its free (n - d) d scalars.
 
-    Requires F-hat = I within whiteness_tol and n >= d. If the leading d
-    columns are singular, the lead columns of a column-pivoted QR are moved
-    to the front and the permutation is stored; with rank(X-hat) < d no
+    X_hat is a d x n Dataset or array, or an m x d x n array: a stack of m
+    datasets, each reduced as on its own, in one call. Requires n >= d and
+    every eigenvalue of each F-hat within whiteness_tol of 1. If a slice's
+    leading d columns are singular, the lead columns of a column-pivoted QR
+    are moved to the front and the permutation is stored; with rank < d no
     invertible block exists and a degeneracy error is raised.
     """
-    d, n = X_hat.feature_dim, X_hat.sample_count
+    values = X_hat.values if isinstance(X_hat, Dataset) else np.asarray(X_hat, dtype=np.float64)
+    stacked = values.ndim == 3
+    values = values if stacked else values[None]
+    if values.ndim != 3 or 0 in values.shape:
+        raise ValidationError(f"X_hat must be a d x n matrix or an m x d x n stack, got shape {np.shape(X_hat)}")
+    if not np.isfinite(values).all():
+        raise ValidationError("X_hat contains non-finite entries")
+    if whiteness_tol <= 0:
+        raise ValidationError("whiteness_tol must be positive")
+    m, d, n = values.shape
     if n < d:
         raise ValidationError(f"compression needs n >= d, got d={d}, n={n}")
-    report = verify_whitened(X_hat, tol=whiteness_tol)
-    if report.ones_count != d or not report.passed:
+    spectra = np.linalg.eigvalsh(values @ np.swapaxes(values, -1, -2))
+    ones = np.count_nonzero(np.abs(spectra - 1.0) <= whiteness_tol, axis=-1)
+    if np.any(ones != d):
         raise ValidationError(
-            "input is not fully whitened: F-hat spectrum "
-            f"has {report.ones_count} ones out of {d}"
+            f"input is not fully whitened: F-hat spectrum has {ones[ones != d][0]} ones out of {d}"
         )
 
-    values = X_hat.values
     perm = None
-    block = values[:, :d]
-    cond = float(np.linalg.cond(block)) if d > 0 else 1.0
-    if not np.isfinite(cond) or cond > 1e8:
+    for i in np.flatnonzero(~(np.linalg.cond(values[:, :, :d]) <= 1e8)):
         # off the generic case: pick an invertible block by column pivoting
-        lead = _pivot_columns(values, d)
-        perm = np.concatenate([lead, np.setdiff1d(np.arange(n), lead)])
-        values = values[:, perm]
-        block = values[:, :d]
-        cond = float(np.linalg.cond(block))
-        if not np.isfinite(cond) or cond > 1e12:
+        if perm is None:
+            perm = np.tile(np.arange(n), (m, 1))
+            values = values.copy()
+        lead = _pivot_columns(values[i], d)
+        perm[i] = np.concatenate([lead, np.setdiff1d(np.arange(n), lead)])
+        values[i] = values[i][:, perm[i]]
+        if not np.linalg.cond(values[i, :, :d]) <= 1e12:
             raise DegenerateDataError(
                 "no invertible d-column block exists (rank-deficient whitened data)"
             )
-    reduced = np.linalg.solve(block, values)  # [I | payload]
-    return CompressedDataset(payload=reduced[:, d:], d=d, n=n, column_permutation=perm)
+    payload = np.linalg.solve(values[:, :, :d], values[:, :, d:])  # [I | payload] = block^-1 values
+    if not stacked:
+        payload, perm = payload[0], None if perm is None else perm[0]
+    return CompressedDataset(payload=payload, d=d, n=n, column_permutation=perm)
 
 
 def reconstruct_K(c: CompressedDataset) -> np.ndarray:
-    """Gram matrix of the whitened data from the compressed payload.
+    """Gram matrix of the whitened data from the compressed payload, n x n (m x n x n for a stack).
 
-    K-hat = tilde-X^+ tilde-X with tilde-X = [I | payload]; any stored column
-    permutation is undone so the result matches compute_K of the original.
+    K-hat = tilde-X^+ tilde-X with tilde-X = [I | payload] is the projector
+    onto tilde-X's row space: Q Q^T for the thin QR tilde-X^T = Q R, whose R
+    is invertible since tilde-X holds I. Any stored column permutation is
+    undone so the result matches compute_K of the original.
     """
-    tilde = np.hstack([np.eye(c.d), c.payload])
-    K = pseudoinverse(tilde) @ tilde
-    K = (K + K.T) / 2.0
+    payload_T = np.swapaxes(c.payload, -1, -2)
+    identity = np.broadcast_to(np.eye(c.d), payload_T.shape[:-2] + (c.d, c.d))
+    Q = np.linalg.qr(np.concatenate([identity, payload_T], axis=-2))[0]
+    K = symmetrize(Q @ np.swapaxes(Q, -1, -2))
     if c.column_permutation is not None:
-        inv = np.empty_like(c.column_permutation)
-        inv[c.column_permutation] = np.arange(c.n)
-        K = K[np.ix_(inv, inv)]
+        inv = np.argsort(c.column_permutation, axis=-1)
+        K = np.take_along_axis(np.take_along_axis(K, inv[..., :, None], axis=-2), inv[..., None, :], axis=-1)
     return K
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
+from .dataio import open_in_place
 from .errors import ConfigError
 
 PALETTE = ("#4C72B0", "#55A868", "#C44E52", "#8172B2", "#CCB974", "#64B5CD", "#937860")
@@ -177,5 +177,6 @@ def emit_plot(results_path, spec: PlotSpec, output_path):
             f'font-size="11">{escape(f"{spec.group}={key}")}</text>\n'
         )
     parts.append("</svg>\n")
-    Path(output_path).write_bytes("".join(parts).encode("utf-8"))
+    with open_in_place(output_path) as fh:
+        fh.write("".join(parts))
     return output_path

@@ -79,7 +79,7 @@ def derive_seed(master_seed: int, experiment_id: str, dataset_size: int, whiteni
 def write_rows_csv(path, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with dataio.open_in_place(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for row in rows:

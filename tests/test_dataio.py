@@ -21,6 +21,9 @@ from whitebench.dataio import (
 )
 from whitebench.errors import ParseError, ValidationError, WhitebenchError
 from whitebench.info_checks import CompressedDataset
+from whitebench.plotting import PlotSpec, emit_plot
+from whitebench.runner import ResultRow, write_rows_csv
+from whitebench.verify import write_report
 
 FIXTURE = Path(__file__).parent / "data" / "two_samples.csv"
 
@@ -238,3 +241,69 @@ def test_codec_single_byte_overwrite_loads_or_raises(codec_files, kind, data):
         _load_with(codec_files, kind, bytes(damaged))
     except WhitebenchError:
         pass
+
+
+# -- in-place rewrites ---------------------------------------------------------
+
+def _write_each(kind, path):
+    """Write one small file of `kind` to path: every writer the package has."""
+    X = Dataset([[1.0, -2.0, 0.5], [0.0, 3.0, 4.0]])
+    labels = LabelSet([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], encoding="one_hot")
+    if kind == "csv":
+        export_csv(path, X, labels)
+    elif kind == "wbds":
+        export_wbds(path, X, labels)
+    elif kind == "wbcp":
+        export_compressed(path, CompressedDataset(payload=[[0.5, -1.0, 2.0], [3.0, 0.25, -4.0]], d=2, n=5,
+                                                  column_permutation=np.array([3, 0, 4, 1, 2])))
+    elif kind == "matrix_csv":
+        write_matrix_csv(path, X.values)
+    elif kind == "rows_csv":
+        write_rows_csv(path, [ResultRow("e", 0, 4, "none", "flow", train_loss=0.125)])
+    elif kind == "svg":
+        spec = PlotSpec(x="dataset_size", y="test_loss", group="whitening_mode")
+        emit_plot(Path(__file__).parent / "data" / "small_results.csv", spec, path)
+    else:
+        write_report({"passed": True, "suites": {"compression": {"passed": True, "checks": []}}}, path)
+
+
+WRITERS = ("csv", "wbds", "wbcp", "matrix_csv", "rows_csv", "svg", "report")
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_rewrite_over_a_longer_file_leaves_the_fresh_bytes(tmp_path, kind):
+    fresh, reused = tmp_path / "fresh" / "out", tmp_path / "reused" / "out"
+    fresh.parent.mkdir()
+    reused.parent.mkdir()
+    _write_each(kind, fresh)
+    written = sorted(p.name for p in fresh.parent.iterdir())  # wbds also writes its .wblb companion
+    for name in written:
+        old = (fresh.parent / name).read_bytes()
+        (reused.parent / name).write_bytes(old[::-1] + b"stale tail" * 100)
+    _write_each(kind, reused)
+    assert sorted(p.name for p in reused.parent.iterdir()) == written
+    for name in written:
+        assert (reused.parent / name).read_bytes() == (fresh.parent / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_rewrite_creates_a_new_file_with_the_mode_open_gives(tmp_path, kind):
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    _write_each(kind, tmp_path / "out")
+    assert (tmp_path / "out").stat().st_mode == reference.stat().st_mode
+
+
+def test_rows_and_report_writers_create_missing_parents(tmp_path):
+    for kind in ("rows_csv", "report"):
+        path = tmp_path / kind / "a" / "b" / "out"
+        _write_each(kind, path)
+        assert path.stat().st_size > 0
+
+
+def test_a_compressed_stack_is_not_written(tmp_path):
+    c = CompressedDataset(payload=np.zeros((3, 2, 3)), d=2, n=5)
+    with pytest.raises(ValidationError, match="not a stack"):
+        export_compressed(tmp_path / "c.wbcp", c)
+    assert not (tmp_path / "c.wbcp").exists()

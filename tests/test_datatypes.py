@@ -107,6 +107,7 @@ def test_eigh_is_numpy_eigh_reversed_bit_for_bit(rng):
     assert np.array_equal(spec.eigenvalues, vals[::-1])
     assert np.array_equal(spec.eigenvectors, vecs[:, ::-1])
     assert spec.eigenvectors.flags.c_contiguous and not spec.eigenvectors.flags.writeable
+    assert spec.eigenvalues.flags.c_contiguous and not spec.eigenvalues.flags.writeable
 
 
 def test_eigh_symmetrizes_nearly_symmetric_input(rng):

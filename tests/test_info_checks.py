@@ -15,6 +15,7 @@ from whitebench import (
     random_orthogonal,
     reconstruct_K,
 )
+from whitebench.datatypes import pseudoinverse
 from whitebench.errors import DegenerateDataError, ValidationError
 from whitebench.verify import suite_orbit
 
@@ -28,11 +29,35 @@ def whiten_fully(X):
     return apply_whitener(W, X)
 
 
+def pinv_K(c):
+    """K-hat = tilde-X^+ tilde-X by the SVD pseudoinverse: the reference for reconstruct_K's QR form."""
+    tilde = np.hstack([np.eye(c.d), c.payload])
+    K = pseudoinverse(tilde) @ tilde
+    K = (K + K.T) / 2.0
+    if c.column_permutation is not None:
+        inv = np.empty_like(c.column_permutation)
+        inv[c.column_permutation] = np.arange(c.n)
+        K = K[np.ix_(inv, inv)]
+    return K
+
+
+def assert_round_trip(c, X_hat, tol=1e-8):
+    K = reconstruct_K(c)
+    assert np.max(np.abs(K - compute_K(X_hat))) <= tol
+    assert np.max(np.abs(K - pinv_K(c))) <= 1e-12
+
+
 def test_random_orthogonal_is_orthogonal_and_deterministic():
     R1 = random_orthogonal(6, seed=42)
     R2 = random_orthogonal(6, seed=42)
     assert np.array_equal(R1, R2)
     assert np.max(np.abs(R1.T @ R1 - np.eye(6))) <= 1e-12
+
+
+def test_random_orthogonal_over_a_seed_sequence_stacks_the_per_seed_matrices():
+    R = random_orthogonal(5, seed=range(40, 44))
+    assert np.array_equal(R, np.stack([random_orthogonal(5, seed=s) for s in range(40, 44)]))
+    assert random_orthogonal(5, seed=[]).shape == (0, 5, 5)
 
 
 # -- compression ---------------------------------------------------------------
@@ -42,6 +67,7 @@ def test_compress_square_whitened_has_empty_payload(rng):
     c = compress_whitened(X_hat)
     assert c.scalar_count == 0
     assert np.max(np.abs(reconstruct_K(c) - np.eye(4))) <= 1e-8
+    assert_round_trip(c, X_hat)
 
 
 def test_compress_toy_dataset_by_hand():
@@ -55,6 +81,7 @@ def test_compress_toy_dataset_by_hand():
     F = TOY.values @ TOY.values.T
     oracle = TOY.values.T @ np.linalg.inv(F) @ TOY.values
     assert np.max(np.abs(reconstruct_K(c) - oracle)) <= 1e-10
+    assert_round_trip(c, X_hat)
 
 
 def test_compress_payload_size_random(rng):
@@ -83,7 +110,7 @@ def test_compress_permutes_singular_leading_block():
     X_hat = Dataset(values)
     c = compress_whitened(X_hat)
     assert c.column_permutation is not None
-    assert np.max(np.abs(reconstruct_K(c) - compute_K(X_hat))) <= 1e-8
+    assert_round_trip(c, X_hat)
     # the lead columns are LAPACK's column-pivoted QR's (scipy is the reference, a test-only dependency)
     _, _, piv = scipy.linalg.qr(values, pivoting=True, mode="economic")
     assert np.array_equal(c.column_permutation[:3], piv[:3])
@@ -99,7 +126,7 @@ def test_compress_pivots_past_a_repeated_column(d, extra, seed):
     c = compress_whitened(X_hat)
     assert c.column_permutation is not None
     assert np.linalg.cond(X_hat.values[:, c.column_permutation[:d]]) <= 1e8
-    assert np.max(np.abs(reconstruct_K(c) - compute_K(X_hat))) <= 1e-8
+    assert_round_trip(c, X_hat)
 
 
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 9))
@@ -110,7 +137,7 @@ def test_compression_round_trip_property(d, extra, seed):
     X_hat = whiten_fully(Dataset(rng.standard_normal((d, n))))
     c = compress_whitened(X_hat)
     assert c.scalar_count == (n - d) * d
-    assert np.max(np.abs(reconstruct_K(c) - compute_K(X_hat))) <= 1e-8
+    assert_round_trip(c, X_hat)
 
 
 def test_reconstruct_with_permutation_round_trips(rng):
@@ -120,7 +147,76 @@ def test_reconstruct_with_permutation_round_trips(rng):
     perm = np.array([3, 5, 1, 0, 2, 4, 6])
     X_perm = Dataset(X_hat.values[:, perm])
     c2 = compress_whitened(X_perm)
-    assert np.max(np.abs(reconstruct_K(c2) - compute_K(X_perm))) <= 1e-8
+    assert_round_trip(c, X_hat)
+    assert_round_trip(c2, X_perm)
+
+
+def _whitened_stack(d, n, m, seed, pivot_slices=()):
+    """m whitened d x n draws; in each of pivot_slices column 1 repeats column 0, so it needs the pivoted block."""
+    slices = []
+    for i in range(m):
+        X = np.random.default_rng([seed, i]).standard_normal((d, n))
+        if i in pivot_slices:
+            X[:, 1] = X[:, 0]
+        slices.append(whiten_fully(Dataset(X)).values)
+    return np.array(slices)
+
+
+@given(st.integers(2, 5), st.integers(2, 6), st.integers(1, 4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_each_slice_of_a_stack_matches_the_2d_call(d, extra, m, data):
+    n = d + extra
+    pivot_slices = data.draw(st.sets(st.integers(0, m - 1)), label="pivot_slices")
+    X_hat = _whitened_stack(d, n, m, data.draw(st.integers(0, 2**32 - 1), label="seed"), pivot_slices)
+    c = compress_whitened(X_hat)
+    K = reconstruct_K(c)
+    assert c.payload.shape == (m, d, n - d) and K.shape == (m, n, n)
+    assert c.scalar_count == (n - d) * d
+    assert (c.column_permutation is None) == (not pivot_slices)
+    for i in range(m):
+        single = compress_whitened(Dataset(X_hat[i]))
+        assert (single.column_permutation is None) == (i not in pivot_slices)
+        assert np.array_equal(c.payload[i], single.payload)
+        if c.column_permutation is not None:
+            own = np.arange(n) if single.column_permutation is None else single.column_permutation
+            assert np.array_equal(c.column_permutation[i], own)
+        assert np.array_equal(K[i], reconstruct_K(single))
+        assert_round_trip(single, Dataset(X_hat[i]))
+
+
+def test_a_stack_with_one_non_white_slice_is_rejected():
+    X_hat = _whitened_stack(3, 7, 3, seed=5)
+    X_hat[1] *= 2.0
+    with pytest.raises(ValidationError, match="not fully whitened"):
+        compress_whitened(X_hat)
+    with pytest.raises(ValidationError, match="not fully whitened"):
+        compress_whitened(Dataset(X_hat[1]))
+
+
+def test_a_stack_with_one_rank_deficient_slice_is_degenerate():
+    # slice 2 has F-hat eigenvalues (1, 1, 0): within a whiteness_tol of 1 of white, with no invertible block
+    X_hat = _whitened_stack(3, 7, 3, seed=6)
+    X_hat[2] = 0.0
+    X_hat[2, 0, 0] = X_hat[2, 1, 1] = 1.0
+    with pytest.raises(DegenerateDataError):
+        compress_whitened(X_hat, whiteness_tol=1.0)
+    with pytest.raises(DegenerateDataError):
+        compress_whitened(Dataset(X_hat[2]), whiteness_tol=1.0)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 1, 2, 3), (2, 0, 3), (0, 2, 3)])
+def test_compress_rejects_a_malformed_array(shape):
+    with pytest.raises(ValidationError, match="d x n matrix or an m x d x n stack"):
+        compress_whitened(np.ones(shape))
+
+
+def test_compress_rejects_a_non_finite_array():
+    X_hat = _whitened_stack(2, 4, 2, seed=7)
+    X_hat[1, 0, 3] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        compress_whitened(X_hat)
+    with pytest.raises(ValidationError, match="non-finite"):
+        compress_whitened(X_hat[1])
 
 
 # -- parameter counting ----------------------------------------------------------
