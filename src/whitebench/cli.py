@@ -13,38 +13,26 @@ from pathlib import Path
 
 from . import dataio, plotting, runner, verify
 from .datatypes import RANK_CUTOFF_RATIO, compute_F, compute_K, compute_mixed_K, estimate_input_rank
-from .errors import ParseError, ValidationError, WhitebenchError
+from .errors import ValidationError, WhitebenchError
 from .info_checks import compress_whitened, reconstruct_K
 from .plotting import PlotSpec
 from .runconfig import parse_config
-from .whitening import RANK_POLICIES, WHITENING_MODES, RankPolicy, apply_whitener, fit_whitener
-
-_FORMAT_BY_SUFFIX = {".wbds": "wbds", ".csv": "csv"}
-
-
-def _format_of(path) -> str:
-    fmt = _FORMAT_BY_SUFFIX.get(Path(path).suffix)
-    if fmt is None:
-        raise ParseError(f"{path}: unknown file suffix; expected .wbds or .csv")
-    return fmt
+from .whitening import RANK_POLICIES, WHITENING_MODES, RankPolicy, apply_whitener, center_on, fit_whitener
 
 
 def _cmd_whiten(args):
-    fmt = _format_of(args.input)
-    X, labels = dataio.ingest(args.input, fmt)
-    fit_X = X
-    if args.fit_input:
-        fit_X, _ = dataio.ingest(args.fit_input, _format_of(args.fit_input))
-    whitener = fit_whitener(fit_X, mode=args.mode, rank_policy=RankPolicy(args.rank_policy), center=args.center)
-    out = apply_whitener(whitener, X)
-    dataio.export(args.output, _format_of(args.output), out, labels)
+    X, labels = dataio.ingest(args.input)
+    fit_X = dataio.ingest(args.fit_input)[0] if args.fit_input else X
+    fit_on, data = center_on(fit_X, fit_X, X) if args.center else (fit_X, X)
+    whitener = fit_whitener(fit_on, mode=args.mode, rank_policy=RankPolicy(args.rank_policy))
+    dataio.export(args.output, apply_whitener(whitener, data), labels)
     print(f"whitened {args.input} -> {args.output} (mode={args.mode}, "
           f"rank={whitener.fit_rank}, fit_id={fit_X.fingerprint()})")
     return 0
 
 
 def _cmd_second_moments(args):
-    X, _ = dataio.ingest(args.input, _format_of(args.input))
+    X, _ = dataio.ingest(args.input)
     if args.which == "f":
         M = compute_F(X)
     elif args.which == "k":
@@ -52,7 +40,7 @@ def _cmd_second_moments(args):
     else:
         if not args.input2:
             raise ValidationError("--which mixed needs --input2 for the second dataset")
-        X2, _ = dataio.ingest(args.input2, _format_of(args.input2))
+        X2, _ = dataio.ingest(args.input2)
         M = compute_mixed_K(X, X2)
     dataio.write_matrix_csv(args.output, M)
     print(f"wrote {args.which} block of shape {M.shape} to {args.output}")
@@ -75,7 +63,7 @@ def _cmd_run(args):
 
 
 def _cmd_compress(args):
-    X, _ = dataio.ingest(args.input, _format_of(args.input))
+    X, _ = dataio.ingest(args.input)
     c = compress_whitened(X)
     dataio.export_compressed(args.output, c)
     print(f"compressed {args.input}: {c.scalar_count} scalars "
@@ -91,7 +79,7 @@ def _cmd_reconstruct_k(args):
 
 
 def _cmd_rank(args):
-    X, _ = dataio.ingest(args.input, _format_of(args.input))
+    X, _ = dataio.ingest(args.input)
     r = estimate_input_rank(X, cutoff_ratio=args.cutoff_ratio)
     print(r)
     return 0

@@ -9,12 +9,15 @@ compressed payload block and then the 1 x n column permutation block, 1 x 0
 when columns were not permuted, so a file cut after the payload fails the
 length check instead of losing its permutation.
 
-Every file the package writes goes through `open_in_place`, which rewrites
-an existing file from its start and then cuts it, with no truncation first.
+A data file's suffix picks its codec (`format_of`). Input files are read by
+`read_input`; every file the package writes goes through `open_in_place`,
+which makes its directory and rewrites an existing file from its start,
+then cuts it, with no truncation first.
 """
 from __future__ import annotations
 
 import csv
+import io
 import os
 import re
 import struct
@@ -27,7 +30,6 @@ from .datatypes import Dataset, LabelSet
 from .errors import ParseError, ValidationError
 from .info_checks import CompressedDataset
 
-FORMATS = ("csv", "wbds")
 # (magic, version) of each framed format
 _WBDS = (b"WBDS", 1)
 _WBLB = (b"WBLB", 1)
@@ -44,15 +46,39 @@ def _float_repr(x: float) -> str:
     return repr(float(x))
 
 
+def format_of(path) -> str:
+    """The codec of a data file by its suffix: "wbds" or "csv"; any other suffix is a ParseError."""
+    if Path(path).suffix not in (".wbds", ".csv"):
+        raise ParseError(f"{path}: unknown file suffix; expected .wbds or .csv")
+    return Path(path).suffix[1:]
+
+
+def read_input(path, error=ParseError, what: str = "file", binary: bool = False):
+    """The utf-8 text (newlines as stored) or the bytes of a file; failing to read or decode it is an `error`."""
+    try:
+        data = Path(path).read_bytes()
+        return data if binary else data.decode("utf-8")
+    except FileNotFoundError:
+        raise error(f"{path}: no such {what}") from None
+    except OSError as exc:
+        raise error(f"{path}: cannot read {what} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not a text {what} ({exc})") from None
+
+
 @contextmanager
 def open_in_place(path, binary: bool = False):
     """A handle that writes `path` from its start (text: utf-8 with newline=""), cut at the end of what was written.
 
-    The file is opened O_WRONLY | O_CREAT, never O_TRUNC, so a new file gets mode 0o666 under the umask as with
-    open(); rewriting an existing one does not wait for the file system to free the blocks a truncation to zero
-    would release. An interrupted write leaves the new prefix over the old tail.
+    Missing directories are made, then the file is opened O_WRONLY | O_CREAT, never O_TRUNC (a ValidationError if
+    either fails): a new file gets mode 0o666 under the umask as with open(); a rewrite does not wait for the file
+    system to free the blocks a truncation to zero would release. An interrupted write leaves new prefix, old tail.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write ({exc.strerror})") from None
     with open(fd, "wb") if binary else open(fd, "w", newline="", encoding="utf-8") as fh:
         yield fh
         fh.truncate()
@@ -90,10 +116,10 @@ def export_csv(path, X: Dataset, labels: LabelSet | None = None):
 
 
 def ingest_csv(path):
+    text = read_input(path, what="csv file")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
         raise ParseError(f"{path}: not a text csv file ({exc})") from None
     if not rows:
         raise ParseError(f"{path}: empty file")
@@ -149,10 +175,7 @@ def _write_frame(path, fmt: tuple, *blocks: np.ndarray):
 def _read_frame(path, fmt: tuple, block_count: int = 1) -> list:
     """The block_count blocks of a framed file; any other length is a ParseError."""
     magic, version = fmt
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read ({exc.strerror})") from None
+    data = read_input(path, binary=True)
     if len(data) < _HEADER.size:
         raise ParseError(f"{path}: truncated header at offset 0 ({len(data)} bytes)")
     found_magic, found_version = _HEADER.unpack_from(data)
@@ -223,19 +246,13 @@ def ingest_compressed(path) -> CompressedDataset:
     return CompressedDataset(payload=payload, d=d, n=n, column_permutation=perm[0].astype(int))
 
 
-def ingest(path, fmt: str):
-    """Load a dataset (+ labels when present) from csv or wbds."""
-    if fmt not in FORMATS:
-        raise ValidationError(f"unsupported format {fmt!r}; supported: {FORMATS}")
-    if not Path(path).exists():
-        raise ParseError(f"{path}: no such file")
-    return ingest_csv(path) if fmt == "csv" else ingest_wbds(path)
+def ingest(path):
+    """Load a dataset (+ labels when present) from csv or wbds, by the path's suffix."""
+    return ingest_csv(path) if format_of(path) == "csv" else ingest_wbds(path)
 
 
-def export(path, fmt: str, X: Dataset, labels: LabelSet | None = None):
-    if fmt not in FORMATS:
-        raise ValidationError(f"unsupported format {fmt!r}; supported: {FORMATS}")
-    export_csv(path, X, labels) if fmt == "csv" else export_wbds(path, X, labels)
+def export(path, X: Dataset, labels: LabelSet | None = None):
+    export_csv(path, X, labels) if format_of(path) == "csv" else export_wbds(path, X, labels)
 
 
 # -- plain numeric matrices (CLI outputs) -------------------------------------

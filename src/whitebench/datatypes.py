@@ -246,13 +246,11 @@ def eigh(A: np.ndarray) -> Spectrum:
     return Spectrum._adopt(vals[::-1], vecs[:, ::-1])
 
 
-def pseudoinverse(A: np.ndarray, rel_tol: float = PINV_CUTOFF_RATIO) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; zeroes singular values <= rel_tol * sigma_max or too small to invert."""
-    if rel_tol <= 0:
-        raise ValidationError("rel_tol must be positive")
+def pseudoinverse(A: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse; zeroes singular values <= PINV_CUTOFF_RATIO * sigma_max or too small to invert."""
     A = _as_matrix(A, "pseudoinverse input")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > max(rel_tol * s.max(initial=0.0), 1.0 / np.finfo(float).max)
+    keep = s > max(PINV_CUTOFF_RATIO * s.max(initial=0.0), 1.0 / np.finfo(float).max)
     inv = np.divide(1.0, s, where=keep, out=np.zeros_like(s))
     return Vt.T @ (inv[:, None] * U.T)  # the order of numpy.linalg.pinv, so kept modes round alike
 

@@ -16,7 +16,7 @@ import numpy as np
 from .datatypes import Dataset, LabelSet, symmetrize
 from .errors import DegenerateDataError, ValidationError
 from .linear_flow import mse_per_sample, solve_optimum
-from .models import MLP, accuracy, init_isotropic, train_to_cutoff
+from .models import MLP, _batches, accuracy, init_isotropic, train_to_cutoff
 from .optimizers import OptimizerConfig, sgd_step
 from .whitening import RankPolicy, apply_whitener, fit_whitener
 
@@ -157,7 +157,6 @@ class OrbitReport:
     max_activation_deviation: float
     max_loss_deviation: float
     max_prediction_deviation: float
-    tolerance: float
     passed: bool
 
     @property
@@ -185,20 +184,17 @@ def orbit_equivalence_check(
     tol: float = 1e-10,
     family: str = "linear",
     X_test: Dataset | None = None,
-    eta: float = 0.05,
     batch_size: int | None = None,
-    hidden: int = 8,
-    init_variance: float = 0.01,
 ) -> OrbitReport:
     """Train on (X, W0) and on (R X, W0 R^T) and compare the trajectories.
 
     R is one d x d rotation or an m x d x d stack. Pair i starts from the
-    init of seed + i; all 2m runs (m bases, then m twins) train as one
-    stacked MLP on the minibatch order drawn from `seed`. The parameter,
-    activation, and loss trajectories (and the test predictions on X_test
-    vs R X_test) must agree to rounding; the report keeps the worst pair.
-    family is "linear" (one dense layer) or "mlp" (one relu hidden layer of
-    `hidden`).
+    Gaussian(0, 0.01) init of seed + i; all 2m runs (m bases, then m twins)
+    train as one stacked MLP with SGD at eta 0.05 on the minibatch order
+    `models._batches` draws from `seed`. The parameter, activation, and loss
+    trajectories (and the test predictions on X_test vs R X_test) must agree
+    to rounding; the report keeps the worst pair. family is "linear" (one
+    dense layer) or "mlp" (one relu hidden layer of 8).
     """
     R = np.asarray(R, dtype=np.float64)
     d = X.feature_dim
@@ -212,8 +208,8 @@ def orbit_equivalence_check(
         raise ValidationError(f"unknown model family {family!r}")
 
     m = len(rotations)
-    sizes = [d, Y.output_dim] if family == "linear" else [d, hidden, Y.output_dim]
-    inits = [init_isotropic(sizes, variance=init_variance, seed=seed + i) for i in range(m)]
+    sizes = [d, Y.output_dim] if family == "linear" else [d, 8, Y.output_dim]
+    inits = [init_isotropic(sizes, variance=0.01, seed=seed + i) for i in range(m)]
     weights = [np.concatenate([np.stack(layer)] * 2) for layer in zip(*(init.weights for init in inits))]
     weights[0][m:] = weights[0][:m] @ R_T
     model = MLP(weights=weights, biases=inits[0].biases)
@@ -224,15 +220,11 @@ def orbit_equivalence_check(
     Xs = rotated(X.values)
     Xts = rotated(X_test.values) if X_test is not None else None
 
-    cfg = OptimizerConfig(eta=eta, batch_size=batch_size)
-    n = X.sample_count
-    size = batch_size if batch_size not in (None, 0) else n
-    rng = np.random.default_rng(seed)
+    cfg = OptimizerConfig(eta=0.05, batch_size=batch_size)
+    schedule = _batches(X.sample_count, batch_size or X.sample_count, seed)
 
     dev_param = dev_act = dev_loss = dev_pred = 0.0
-    for step in range(steps):
-        order = np.arange(n) if size >= n else rng.permutation(n)
-        batch = order[:size]
+    for _, batch in zip(range(steps), schedule):
         result = sgd_step(model, Xs[..., batch], Y.targets[:, batch], cfg)
         dev_loss = max(dev_loss, _pair_gap(result.loss_after))
         for W in model.weights[1:]:
@@ -246,7 +238,6 @@ def orbit_equivalence_check(
         max_activation_deviation=dev_act,
         max_loss_deviation=dev_loss,
         max_prediction_deviation=dev_pred,
-        tolerance=tol,
         passed=worst <= tol,
     )
 
@@ -257,7 +248,6 @@ class NullPredictionReport:
 
     max_abs_prediction: float
     test_loss: float
-    expected_test_loss: float
     test_error: float
     expected_test_error: float
     passed: bool
@@ -271,18 +261,16 @@ def full_whitening_null_check(
     seed: int = 0,
     model: str = "linear",
     rng_labels: str = "uniform",
-    cutoff: float = 0.999,
     step_cap: int = 8000,
-    eta: float = 0.1,
-    init_variance: float = 1e-2,
 ) -> NullPredictionReport:
     """Full-scope whitening with n_train + n_test <= d kills test information.
 
     For the linear model with W(0) = 0 the converged test predictions are
     exactly zero: per-sample MSE against one-hot labels is 0.5 and the
     deterministic argmax tie-break predicts class 0 everywhere. The "mlp"
-    variant trains a small net to the accuracy cutoff and reports its
-    (chance-level) test error; its expected error is 1 - 1/classes.
+    variant trains a small net (Gaussian(0, 0.01) init, full-batch SGD at eta
+    0.1) to a 0.999 train-accuracy cutoff and reports its (chance-level) test
+    error; its expected error is 1 - 1/classes.
     """
     if n_train + n_test > d:
         raise ValidationError("full-whitening null check needs n_train + n_test <= d")
@@ -318,17 +306,15 @@ def full_whitening_null_check(
         return NullPredictionReport(
             max_abs_prediction=max_abs,
             test_loss=test_loss,
-            expected_test_loss=0.5,
             test_error=test_error,
             expected_test_error=expected_error,
             passed=passed,
         )
     if model != "mlp":
         raise ValidationError(f"unknown model {model!r}")
-    net = init_isotropic([d, 32, 32, classes], variance=init_variance, seed=seed)
-    cfg = OptimizerConfig(eta=eta, batch_size=None)
+    net = init_isotropic([d, 32, 32, classes], variance=1e-2, seed=seed)
     record = train_to_cutoff(
-        net, Xtr, Ytr, cfg, cutoff=cutoff, step_cap=step_cap, seed=seed,
+        net, Xtr, Ytr, OptimizerConfig(eta=0.1), cutoff=0.999, step_cap=step_cap, seed=seed,
         X_test=Xte, Y_test=Yte,
     )
     preds = net.predict(Xte.values)
@@ -337,7 +323,6 @@ def full_whitening_null_check(
     return NullPredictionReport(
         max_abs_prediction=float(np.max(np.abs(preds))),
         test_loss=record.test_loss[-1],
-        expected_test_loss=0.5,
         test_error=test_error,
         expected_test_error=expected_error,
         passed=record.stopping_reason == "cutoff",

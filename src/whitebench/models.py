@@ -280,7 +280,7 @@ def train_to_cutoff(
         raise ValidationError("accuracy cutoff training needs one_hot labels")
 
     n = X_train.sample_count
-    batch_size = cfg.batch_size if cfg.batch_size not in (None, 0) else n
+    batch_size = cfg.batch_size or n
     schedule = _batches(n, batch_size, seed)
     full_batch = batch_size >= n
 

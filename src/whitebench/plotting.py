@@ -8,11 +8,12 @@ standard error across seeds.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields
 
-from .dataio import open_in_place
-from .errors import ConfigError
+from .dataio import open_in_place, read_input
+from .errors import ConfigError, ParseError
 
 PALETTE = ("#4C72B0", "#55A868", "#C44E52", "#8172B2", "#CCB974", "#64B5CD", "#937860")
 
@@ -51,18 +52,20 @@ def _mean_and_band(values):
 
 
 def _read_groups(results_path, spec: PlotSpec):
-    with open(results_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (spec.x, spec.y, spec.group):
-            if col not in header:
-                raise ConfigError(f"results file has no column {col!r}")
-        groups: dict = {}
-        for row in reader:
-            if row[spec.y] in ("", None) or row[spec.x] in ("", None):
-                continue
-            key = row[spec.group]
-            groups.setdefault(key, {}).setdefault(float(row[spec.x]), []).append(float(row[spec.y]))
+    reader = csv.DictReader(io.StringIO(read_input(results_path, what="results file"), newline=""))
+    header = reader.fieldnames or []
+    for col in (spec.x, spec.y, spec.group):
+        if col not in header:
+            raise ConfigError(f"results file has no column {col!r}")
+    groups: dict = {}
+    for row in reader:
+        if row[spec.y] in ("", None) or row[spec.x] in ("", None):
+            continue
+        try:
+            x, y = float(row[spec.x]), float(row[spec.y])
+        except ValueError as exc:
+            raise ParseError(f"{results_path}: line {reader.line_num}: {exc}") from None
+        groups.setdefault(row[spec.group], {}).setdefault(x, []).append(y)
     if not groups:
         raise ConfigError("no plottable rows (y column empty everywhere)")
     return groups

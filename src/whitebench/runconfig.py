@@ -11,10 +11,10 @@ a key is read, and a run rejects a key set where it would be ignored.
 from __future__ import annotations
 
 import configparser
+import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .dataio import FORMATS
+from .dataio import read_input
 from .datatypes import LABEL_ENCODINGS
 from .errors import ConfigError
 from .linear_flow import PRECONDITIONS
@@ -89,7 +89,6 @@ _SCHEMA = {
         "classes": (int, 10),
         "encoding": (_choice(LABEL_ENCODINGS), "one_hot"),
         "normalize": (_bool, False),
-        "format": (_choice(FORMATS), "wbds"),
         "train": (str, None),
         "val": (str, None),
         "test": (str, None),
@@ -161,7 +160,8 @@ _TAKES_EFFECT = (
     ("data", ("d", "n_val", "n_test", "spectrum", "alpha", "eigenvalues", "teacher_seed", "label_noise",
               "classes", "encoding"), "source = synthetic", _set_to("data", "source", "synthetic")),
     ("experiment", ("size_convention",), "source = synthetic", _set_to("data", "source", "synthetic")),
-    ("data", ("format", "train", "val", "test"), "source = files", _set_to("data", "source", "files")),
+    ("data", ("n_test",), "size_convention = train", _set_to("experiment", "size_convention", "train")),
+    ("data", ("train", "val", "test"), "source = files", _set_to("data", "source", "files")),
     ("data", ("alpha",), "spectrum = power_law", _set_to("data", "spectrum", "power_law")),
     ("data", ("eigenvalues",), "spectrum = custom", _set_to("data", "spectrum", "custom")),
     ("whitening", ("transform", "rank_policy"), "an arm other than none",
@@ -206,13 +206,11 @@ class RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{path}: no such config file")
+    text = read_input(path, ConfigError, "config file")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     cfg = RunConfig()

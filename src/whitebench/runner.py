@@ -15,7 +15,6 @@ import hashlib
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from pathlib import Path
 
 import numpy as np
 
@@ -27,8 +26,8 @@ from .optimizers import OptimizerConfig
 from .records import TrainRecord
 from .runconfig import RunConfig
 from .synth import SyntheticSpec, synthesize
-from .whitening import (RankPolicy, Whitener, apply_whitener, fit_whitener, full_whitened_modes, population_whitener,
-                        whitened_modes)
+from .whitening import (RankPolicy, Whitener, apply_whitener, center_on, fit_whitener, full_whitened_modes,
+                        population_whitener, whitened_modes)
 from . import dataio
 
 
@@ -77,8 +76,6 @@ def derive_seed(master_seed: int, experiment_id: str, dataset_size: int, whiteni
 
 
 def write_rows_csv(path, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with dataio.open_in_place(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
@@ -86,12 +83,11 @@ def write_rows_csv(path, rows):
             writer.writerow(row.to_csv())
 
 
-def _record_rows(base: dict, record: TrainRecord, include_trajectory: bool, **terminal) -> list:
+def _record_rows(base: dict, record: TrainRecord, include_trajectory: bool) -> list:
     """Rows of one cell: each recorded step (optional), then the terminal row.
 
-    `base` holds the identifying columns; `terminal` sets terminal-row
-    metrics the record does not hold. A record with no steps gives one row
-    with only its stopping reason.
+    `base` holds the identifying columns. A record with no steps gives one
+    row with only its stopping reason.
     """
     rows = []
     if include_trajectory:
@@ -100,7 +96,7 @@ def _record_rows(base: dict, record: TrainRecord, include_trajectory: bool, **te
             metrics = {name: values[i] if values else None for name, values in series.items()}
             rows.append(ResultRow(**base, step_or_time=step, **metrics))
     final = record.at(record.terminal_step) if record.steps else {}
-    metrics = {name: final.get(name) for name in _ROW_METRICS} | terminal
+    metrics = {name: final.get(name) for name in _ROW_METRICS}
     rows.append(
         ResultRow(
             **base,
@@ -184,16 +180,16 @@ def _load_file_splits(cfg: RunConfig) -> dict:
     count (a val file may lack the largest class ids); real-valued targets
     of different widths are an error.
     """
-    data, fmt = cfg.data, cfg.get("data", "format")
+    data = cfg.data
     splits = {}
     for name in ("train", "val", "test"):
         if name not in data:
             continue
         path = data[name]
-        X, Y = dataio.ingest(path, fmt)
+        X, Y = dataio.ingest(path)
         if Y is None:
             companion = dataio.label_companion_path(path)
-            needs = "label or y0.. columns" if fmt == "csv" else f"the label companion {companion}"
+            needs = "label or y0.. columns" if dataio.format_of(path) == "csv" else f"the label companion {companion}"
             raise ValidationError(f"{path}: no labels; a run needs {needs}")
         splits[name] = (X, Y)
     widest = max(splits, key=lambda name: splits[name][1].output_dim)
@@ -295,8 +291,8 @@ def _arm_draw(plan: RunPlan, draw: _GroupDraw, mode: str) -> _GroupDraw:
     if not plan.cfg.get("whitening", "center") or mode not in ("train", "full"):
         return draw
     fit = draw.splits["train"][0] if mode == "train" else hstack_datasets(*[X for X, _ in draw.splits.values()])
-    mean = fit.values.mean(axis=1, keepdims=True)
-    return _GroupDraw(draw.seed, {name: (Dataset._adopt(X.values - mean), Y) for name, (X, Y) in draw.splits.items()})
+    centered = center_on(fit, *[X for X, _ in draw.splits.values()])
+    return _GroupDraw(draw.seed, {name: (X, Y) for (name, (_, Y)), X in zip(draw.splits.items(), centered)})
 
 
 def _arm_whitener(plan: RunPlan, draw: _GroupDraw, mode: str) -> Whitener:
@@ -372,7 +368,7 @@ def _flow_rows(plan: RunPlan, draw: _GroupDraw, mode: str, base: dict, include_t
     sol, splits = _arm_flow(plan, draw, mode, W0)
     grid = plan.grid or TimeGrid.default_for(sol, plan.cfg.get("flow", "grid_points"))
     _, record = early_stop(sol, *splits["val"], grid, test=splits.get("test"), trajectory=include_trajectory)
-    base = {**base, "dataset_size": Xtr.sample_count, "optimizer": "flow_" + plan.cfg.get("flow", "precondition")}
+    base = {**base, "optimizer": "flow_" + plan.cfg.get("flow", "precondition")}
     return _record_rows(base, record, include_trajectory)
 
 
@@ -401,7 +397,7 @@ def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_tr
         record_every=opt_cfg("record_every"),
         metadata={"whitening_mode": base["whitening_mode"]},
     )
-    base = {**base, "dataset_size": Xtr.sample_count, "optimizer": name}
+    base = {**base, "optimizer": name}
     return _record_rows(base, record, include_trajectory)
 
 
@@ -414,7 +410,8 @@ def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, inclu
     """
     cfg = plan.cfg
     optimizer = optimizer or plan.optimizers[0]
-    base = dict(experiment_id=cfg.experiment_id, seed=seed_index, dataset_size=dataset_size, whitening_mode=mode)
+    n_train = _split_sizes(cfg, dataset_size)[0]  # every row of the cell, an error row too, reports n_train
+    base = dict(experiment_id=cfg.experiment_id, seed=seed_index, dataset_size=n_train, whitening_mode=mode)
     if plan.trainer == "mlp" and cfg.get("optimizer", "name") == "gn":
         base["reg_lambda"] = optimizer.reg_lambda
     try:

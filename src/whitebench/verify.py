@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -161,6 +160,5 @@ def run_suites(names) -> dict:
 
 
 def write_report(report: dict, path):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open_in_place(path) as fh:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -69,17 +69,15 @@ class RankPolicy:
 class Whitener:
     """A fitted linear whitening transform.
 
-    Immutable; `mean` is None unless the transform was fitted with centering,
-    in which case apply() subtracts it before multiplying by M. `eigenpairs`
-    holds (S, V) of the second moment M was built from, S clamped at 0 and V
-    signed as in M; `spectrum` checks them into a Spectrum only when read,
-    which keeps that cost off the many small fits that never read it.
+    Immutable. `eigenpairs` holds (S, V) of the second moment M was built
+    from, S clamped at 0 and V signed as in M; `spectrum` checks them into a
+    Spectrum only when read, which keeps that cost off the many small fits
+    that never read it.
     """
 
     M: np.ndarray
     fit_rank: int
     eigenpairs: tuple
-    mean: np.ndarray | None = None
 
     @property
     def feature_dim(self) -> int:
@@ -97,7 +95,6 @@ class WhitenessReport:
     eigenvalues: np.ndarray
     ones_count: int
     zeros_count: int
-    tolerance: float
     passed: bool
 
 
@@ -112,7 +109,7 @@ def _inv_sqrt(S: np.ndarray, policy: RankPolicy):
     return inv_sqrt, rank
 
 
-def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy, mean=None) -> Whitener:
+def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy) -> Whitener:
     """The whitener of the second moment V diag(S) V^T (S descending, clamped at 0 here) under `policy`.
 
     Each column of V is first signed so that its largest-magnitude entry (the
@@ -125,26 +122,25 @@ def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy
     cols = np.arange(V.shape[1])
     V = V * np.sign(V[np.argmax(np.abs(V), axis=0), cols])
     M = inv_sqrt[:, None] * V.T if mode == "pca" else (V * inv_sqrt[None, :]) @ V.T
-    return Whitener(M=M, fit_rank=rank, eigenpairs=(S, V), mean=mean)
+    return Whitener(M=M, fit_rank=rank, eigenpairs=(S, V))
 
 
-def fit_whitener(
-    X_fit: Dataset,
-    mode: str = "pca",
-    rank_policy: RankPolicy | None = None,
-    center: bool = False,
-) -> Whitener:
-    """Fit a whitening transform on X_fit.
+def center_on(fit: Dataset, *datasets: Dataset) -> list:
+    """Each dataset less the row means of the fit set (which may be among them): the start of a centered fit."""
+    mean = fit.values.mean(axis=1, keepdims=True)
+    for X in datasets:
+        if X.feature_dim != fit.feature_dim:
+            raise ShapeError(f"fit set has {fit.feature_dim} features, data has {X.feature_dim}")
+    return [Dataset._adopt(X.values - mean) for X in datasets]
+
+
+def fit_whitener(X_fit: Dataset, mode: str = "pca", rank_policy: RankPolicy | None = None) -> Whitener:
+    """Fit a whitening transform on X_fit, uncentered (`center_on` first for a centered fit).
 
     Which data the transform is fitted on (train split, all splits) is the
-    caller's choice. Centering is off by default; when on, the fit-set row
-    means are stored and subtracted by apply().
+    caller's choice.
     """
-    mean = None
     values = X_fit.values
-    if center:
-        mean = values.mean(axis=1, keepdims=True)
-        values = values - mean
     d, n = values.shape
     if n <= d:
         V, s, _ = np.linalg.svd(values, full_matrices=True)
@@ -152,12 +148,12 @@ def fit_whitener(
     else:
         spec = eigh(symmetrize(values @ values.T))
         S, V = spec.eigenvalues, spec.eigenvectors
-    return _whiten_spectrum(S, V, mode, rank_policy or RankPolicy(), mean)
+    return _whiten_spectrum(S, V, mode, rank_policy or RankPolicy())
 
 
 def population_whitener(second_moment: Spectrum, mode: str = "pca", rank_policy: RankPolicy | None = None) -> Whitener:
     """Whiten with a known second moment (e.g. a source's E[F], or eigh(F) of an uncentered fit set): rank
-    policy, jitter and PCA/ZCA act on its eigenvalues exactly as on a fitted F's. There is no mean to center on."""
+    policy, jitter and PCA/ZCA act on its eigenvalues exactly as on a fitted F's."""
     return _whiten_spectrum(second_moment.eigenvalues, second_moment.eigenvectors, mode, rank_policy or RankPolicy())
 
 
@@ -223,8 +219,7 @@ def apply_whitener(W: Whitener, X: Dataset) -> Dataset:
         raise ShapeError(
             f"whitener fitted on {W.feature_dim} features, data has {X.feature_dim}"
         )
-    values = X.values if W.mean is None else X.values - W.mean
-    return Dataset._adopt(W.M @ values)
+    return Dataset._adopt(W.M @ X.values)
 
 
 def verify_whitened(X_hat: Dataset, tol: float = 1e-6) -> WhitenessReport:
@@ -239,6 +234,5 @@ def verify_whitened(X_hat: Dataset, tol: float = 1e-6) -> WhitenessReport:
         eigenvalues=eigenvalues,
         ones_count=int(np.count_nonzero(ones)),
         zeros_count=int(np.count_nonzero(zeros & ~ones)),
-        tolerance=tol,
         passed=passed,
     )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import whitebench
-from whitebench import Dataset, LabelSet
+from whitebench import Dataset, LabelSet, apply_whitener, fit_whitener
 from whitebench.cli import main
 from whitebench.dataio import export_csv, export_wbds, ingest_wbds, write_matrix_csv
 
@@ -350,7 +350,8 @@ BAD_RUN_VALUES = {
     "eta_with_line_search": ("optimizer", "eta", "0.5", ("sweep", "train-mlp")),
     "d_on_file_data": ("data", "d", "999", ("sweep", "train-linear")),
     "n_val_on_file_data": ("data", "n_val", "4", ("sweep", "train-linear")),
-    "format_on_synthetic_data": ("data", "format", "csv", ("sweep", "train-mlp")),
+    "format_is_gone": ("data", "format", "csv", ("sweep", "train-mlp")),
+    "n_test_under_joint": ("data", "n_test", "999", ("sweep", "train-mlp")),
     "test_path_on_synthetic_data": ("data", "test", "test.wbds", ("sweep", "train-mlp")),
     "alpha_with_flat_spectrum": ("data", "alpha", "1.0", ("sweep", "train-mlp")),
     "eigenvalues_with_power_law": ("data", "eigenvalues", "1 2 3 4 5 6", ("sweep", "train-mlp")),
@@ -367,6 +368,7 @@ CASE_SETTINGS = {
     "transform_without_whitening": {"whitening": {"modes": "none"}},
     "rank_policy_without_whitening": {"whitening": {"modes": "none"}},
     "center_with_distribution_arm_only": {"whitening": {"modes": "none distribution"}},
+    "n_test_under_joint": {"experiment": {"size_convention": "joint"}},
 }
 
 
@@ -527,8 +529,7 @@ def test_unlabelled_file_data_exits_2(tmp_path, rng, capsys, command):
 def _file_run_config(tmp_path, sizes, fmt="csv"):
     out = tmp_path / "results"
     sections = _linear_sections(out)
-    sections["data"] = {"source": "files", "format": fmt, "train": tmp_path / f"train.{fmt}",
-                        "val": tmp_path / f"val.{fmt}"}
+    sections["data"] = {"source": "files", "train": tmp_path / f"train.{fmt}", "val": tmp_path / f"val.{fmt}"}
     sections["whitening"]["modes"] = "none"
     sections["sweep"] = {"sizes": sizes, "trainer": "linear"}
     cfg = tmp_path / "files.cfg"
@@ -583,3 +584,94 @@ def test_file_splits_with_different_target_widths_exit_2(tmp_path, rng, capsys):
     err = capsys.readouterr().err
     assert str(tmp_path / "train.wbds") in err and str(tmp_path / "val.wbds") in err
     assert not out.exists()
+
+
+def test_file_source_path_of_another_suffix_exits_2_before_any_cell(tmp_path, rng, capsys):
+    # the suffix picks the codec, as on the command line: csv content under a .dat name is still rejected
+    export_csv(tmp_path / "train.dat", Dataset(rng.standard_normal((4, 12))), one_hot_labels(rng, 3, 12))
+    cfg, out = _file_run_config(tmp_path, "12", fmt="dat")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "train.dat") in err and "suffix" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fit_input", [False, True], ids=["input", "fit_input"])
+def test_whiten_center_whitens_the_data_less_the_fit_mean(tmp_path, rng, capsys, fit_input):
+    # the output is M (X - mean(fit)) for M fitted on fit - mean(fit); the printed fit_id is the uncentered fit set's
+    X = Dataset(rng.standard_normal((4, 30)) + 3.0)
+    export_csv(tmp_path / "x.csv", X, one_hot_labels(rng, 3, 30))
+    argv = ["whiten", "--input", str(tmp_path / "x.csv"), "--mode", "zca", "--center",
+            "--output", str(tmp_path / "w.wbds")]
+    fit = X
+    if fit_input:
+        fit = Dataset(rng.standard_normal((4, 12)) - 1.0)
+        export_wbds(tmp_path / "fit.wbds", fit)
+        argv += ["--fit-input", str(tmp_path / "fit.wbds")]
+    assert main(argv) == 0
+    mean = fit.values.mean(axis=1, keepdims=True)
+    M = fit_whitener(Dataset(fit.values - mean), mode="zca").M
+    got, labels = ingest_wbds(tmp_path / "w.wbds")
+    assert np.array_equal(got.values, M @ (X.values - mean))
+    assert labels.output_dim == 3
+    assert capsys.readouterr().out.rstrip().endswith(f"fit_id={fit.fingerprint()})")
+
+
+def test_every_writing_command_makes_its_output_directory(tmp_path, rng):
+    X = Dataset(rng.standard_normal((3, 8)))
+    src = tmp_path / "white.wbds"
+    export_wbds(src, apply_whitener(fit_whitener(X), X))
+    spec = tmp_path / "plot.cfg"
+    spec.write_text("[plot]\nx = dataset_size\ny = test_loss\ngroup = whitening_mode\n", encoding="utf-8")
+    packed = tmp_path / "compress" / "new" / "packed.wbcp"
+    argvs = [
+        ["whiten", "--input", str(src), "--mode", "pca", "--output", str(tmp_path / "whiten" / "new" / "w.csv")],
+        ["second-moments", "--input", str(src), "--which", "k",
+         "--output", str(tmp_path / "moments" / "new" / "k.csv")],
+        ["compress", "--input", str(src), "--output", str(packed)],
+        ["reconstruct-k", "--input", str(packed), "--output", str(tmp_path / "reconstruct" / "new" / "k.csv")],
+        ["plot", "--results", str(Path(__file__).parent / "data" / "small_results.csv"), "--spec", str(spec),
+         "--output", str(tmp_path / "plot" / "new" / "chart.svg")],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0, argv[0]
+        assert Path(argv[-1]).stat().st_size > 0, argv[0]
+
+
+def _unreadable_cases(tmp_path):
+    """case -> (argv, the path its error must name): each input or output path fails to read or write."""
+    (tmp_path / "dir.csv").mkdir()
+    (tmp_path / "file").write_text("a plain file", encoding="utf-8")
+    (tmp_path / "latin1.cfg").write_bytes("[experiment]\nid = caf\xe9\n".encode("latin-1"))
+    (tmp_path / "plot.cfg").write_text("[plot]\nx = dataset_size\ny = test_loss\ngroup = whitening_mode\n",
+                                       encoding="utf-8")
+    (tmp_path / "words.cfg").write_text("[plot]\nx = dataset_size\ny = stopping_reason\ngroup = whitening_mode\n",
+                                        encoding="utf-8")
+    results = tmp_path / "results.csv"
+    results.write_bytes((Path(__file__).parent / "data" / "small_results.csv").read_bytes())
+    export_wbds(tmp_path / "x.wbds", Dataset(np.eye(3)))
+
+    def plot(results, spec="plot.cfg"):
+        return ["plot", "--results", str(results), "--spec", str(tmp_path / spec), "--output", str(tmp_path / "c.svg")]
+
+    return {
+        "plot_results_missing": (plot(tmp_path / "none.csv"), tmp_path / "none.csv"),
+        "plot_results_directory": (plot(tmp_path / "dir.csv"), tmp_path / "dir.csv"),
+        "plot_non_numeric_cell": (plot(results, "words.cfg"), f"{results}: line 2"),
+        "rank_input_directory": (["rank", "--input", str(tmp_path / "dir.csv")], tmp_path / "dir.csv"),
+        "config_not_utf8": (["sweep", "--config", str(tmp_path / "latin1.cfg")], tmp_path / "latin1.cfg"),
+        "config_directory": (["sweep", "--config", str(tmp_path / "dir.csv")], tmp_path / "dir.csv"),
+        "output_parent_is_a_file": (["second-moments", "--input", str(tmp_path / "x.wbds"), "--which", "f",
+                                     "--output", str(tmp_path / "file" / "f.csv")], tmp_path / "file" / "f.csv"),
+    }
+
+
+@pytest.mark.parametrize("case", ["plot_results_missing", "plot_results_directory", "plot_non_numeric_cell",
+                                  "rank_input_directory", "config_not_utf8", "config_directory",
+                                  "output_parent_is_a_file"])
+def test_unreadable_input_or_unwritable_output_exits_2_naming_it(tmp_path, capsys, case):
+    argv, named = _unreadable_cases(tmp_path)[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err
+    assert "sizes list" not in err

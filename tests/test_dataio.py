@@ -29,7 +29,7 @@ FIXTURE = Path(__file__).parent / "data" / "two_samples.csv"
 
 
 def test_golden_two_sample_csv_fixture():
-    X, labels = ingest(FIXTURE, "csv")
+    X, labels = ingest(FIXTURE)
     assert np.array_equal(X.values, [[1.5, -2.0], [0.25, 4.0], [3.0, 0.0]])
     assert labels.encoding == "one_hot"
     assert np.array_equal(labels.class_indices(), [0, 2])
@@ -154,12 +154,12 @@ def test_wbds_real_labels_inferred(tmp_path, rng):
 
 
 def test_foreign_format_rejected(tmp_path):
-    path = tmp_path / "export.bin"
+    path = tmp_path / "export.wbds"
     path.write_bytes(b"CIFARFEATDUMP\x00\x00\x00 not a supported container")
     with pytest.raises(ParseError, match="magic"):
-        ingest(path, "wbds")
-    with pytest.raises(ValidationError, match="unsupported format"):
-        ingest(path, "cifar-features")
+        ingest(path)
+    with pytest.raises(ParseError, match="unknown file suffix"):
+        ingest(path.rename(tmp_path / "export.bin"))
 
 
 def test_wbds_truncation_error(tmp_path, rng):
@@ -173,7 +173,7 @@ def test_wbds_truncation_error(tmp_path, rng):
 
 def test_missing_file_error():
     with pytest.raises(ParseError, match="no such file"):
-        ingest("/nonexistent/path.wbds", "wbds")
+        ingest("/nonexistent/path.wbds")
 
 
 def test_matrix_csv_round_trip(tmp_path, rng):

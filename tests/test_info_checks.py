@@ -44,7 +44,9 @@ def pinv_K(c):
 def assert_round_trip(c, X_hat, tol=1e-8):
     K = reconstruct_K(c)
     assert np.max(np.abs(K - compute_K(X_hat))) <= tol
-    assert np.max(np.abs(K - pinv_K(c))) <= 1e-12
+    # the SVD reference rounds no better than the QR form, both off by up to ~eps cond(leading block) ~ eps |payload|
+    gap = 64 * np.finfo(float).eps * max(1.0, np.max(np.abs(c.payload), initial=0.0))
+    assert np.max(np.abs(K - pinv_K(c))) <= gap
 
 
 def test_random_orthogonal_is_orthogonal_and_deterministic():

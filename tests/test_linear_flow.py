@@ -26,7 +26,7 @@ from whitebench.errors import ShapeError, ValidationError
 from whitebench.linear_flow import FLAT_LOSS_RATIO, PRECONDITIONS, LinearModel, _loss_curve
 from whitebench.optimizers import OptimizerConfig, newton_step
 from whitebench.synth import SyntheticSpec, synthesize
-from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, whitened_modes
+from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, center_on, whitened_modes
 
 from conftest import one_hot_labels, random_dataset, spaced_dataset
 
@@ -341,11 +341,10 @@ def test_whitener_modes_give_the_flow_of_the_whitened_split(d, extra, deficient,
     X = spaced_dataset(rng, d, n, max(1, full - 1) if deficient else full, offset=center)
     X_test = random_dataset(rng, d, 5)
     Y = LabelSet(rng.standard_normal((3, n)))
-    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=center)
-    shift = 0.0 if W.mean is None else W.mean
-    raw = [Dataset(Z.values - shift) for Z in (X, X_test)]
+    raw = center_on(X, X, X_test) if center else [X, X_test]
+    W = fit_whitener(raw[0], mode=mode, rank_policy=RankPolicy(policy))
     reused = build_flow(raw[0], Y, None, precondition, modes=whitened_modes(W.spectrum, RankPolicy(policy)))
-    own = build_flow(apply_whitener(W, X), Y, None, precondition)
+    own = build_flow(apply_whitener(W, raw[0]), Y, None, precondition)
     lam, lam_own = reused.spectrum.eigenvalues, own.spectrum.eigenvalues
     assert lam.size == lam_own.size
     assert np.max(np.abs(lam - lam_own)) <= 1e-10 * lam_own[0]
@@ -353,8 +352,8 @@ def test_whitener_modes_give_the_flow_of_the_whitened_split(d, extra, deficient,
     # directions outside the fit's span, so there its error is relative to |W(t)| |X-hat|, not to |W(t) X-hat|
     loose = policy == "jitter" and W.fit_rank < d
     for t in (0.0, 1.0 / own.max_rate, 1.0 / own.min_positive_rate, 40.0 / own.min_positive_rate):
-        for Z, Z_raw in zip((X, X_test), raw):
-            W_t, Z_hat = flow_at(own, t).W, apply_whitener(W, Z).values
+        for Z_raw in raw:
+            W_t, Z_hat = flow_at(own, t).W, apply_whitener(W, Z_raw).values
             expected = W_t @ Z_hat
             got = flow_at(reused, t).W @ Z_raw.values
             scale = np.max(np.abs(W_t)) * np.max(np.abs(Z_hat)) if loose else np.max(np.abs(expected))

@@ -108,7 +108,6 @@ MIRRORED_DEFAULTS = {
        for key in ("n_val", "n_test", "spectrum", "alpha", "label_noise", "classes", "encoding")},
     ("data", "eigenvalues"): (SyntheticSpec, "custom_eigenvalues"),
     ("whitening", "transform"): (fit_whitener, "mode"),
-    ("whitening", "center"): (fit_whitener, "center"),
     ("whitening", "rank_policy"): (RankPolicy, "kind"),
     ("whitening", "jitter_epsilon"): (RankPolicy, "epsilon"),
     ("model", "init_variance"): (init_isotropic, "variance"),

@@ -916,3 +916,15 @@ def test_full_arm_that_fails_the_bound_trains_on_whitened_splits(tmp_path, monke
     write_rows_csv(a, rows)
     write_rows_csv(b, sweep(cfg, "linear", [8, 24, 40], include_trajectory=False))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_joint_rows_report_n_train_on_error_rows_too(tmp_path):
+    # an all-zero spectrum: the none arm trains, the train arm has no spectrum to whiten by and writes an error row;
+    # under `joint` both rows of grid size 20 report its n_train, 16
+    path = tmp_path / "joint.cfg"
+    path.write_text("[experiment]\nsize_convention = joint\n[data]\nd = 4\nn_val = 4\nspectrum = custom\n"
+                    "eigenvalues = 0 0 0 0\n[whitening]\nmodes = none train\n[flow]\ngrid_points = 20\n",
+                    encoding="utf-8")
+    rows = sweep(parse_config(path), "linear", [20], include_trajectory=False)
+    assert [(r.whitening_mode, r.stopping_reason == "error", r.dataset_size) for r in rows] == [
+        ("none", False, 16), ("train", True, 16)]

@@ -19,7 +19,7 @@ from whitebench import (
 from whitebench.datatypes import Spectrum, eigh, hstack_datasets, resolved_rank, symmetrize
 from whitebench.errors import DegenerateSpectrumError, ShapeError
 from whitebench.synth import SyntheticSpec, synthesize
-from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, whitened_modes
+from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, center_on, whitened_modes
 
 from conftest import spaced_dataset
 
@@ -157,12 +157,14 @@ def test_transform_linearity(alpha, beta, seed):
     assert np.max(np.abs(combo.values - parts)) <= 1e-9 * max(1.0, np.max(np.abs(parts)))
 
 
-def test_centering_flag_recorded(rng):
+def test_centered_fit_whitens_the_centered_data(rng):
     X = Dataset(rng.standard_normal((3, 20)) + 5.0)
-    W = fit_whitener(X, center=True)
-    assert W.mean is not None
-    report = verify_whitened(apply_whitener(W, X), tol=1e-6)
+    (X_c,) = center_on(X, X)
+    assert np.max(np.abs(X_c.values.mean(axis=1))) <= 1e-12
+    report = verify_whitened(apply_whitener(fit_whitener(X_c), X_c), tol=1e-6)
     assert report.ones_count == 3
+    with pytest.raises(ShapeError):
+        center_on(X, Dataset(np.ones((2, 4))))
 
 
 @pytest.mark.parametrize("policy, epsilon", [(RankPolicy("manual"), 0.0), (RankPolicy("jitter"), 1e-8 * 3.0),
@@ -257,11 +259,12 @@ def test_kept_modes_diagonalize_the_whitened_fit_set(rng, mode, policy, n):
     # whitened_modes reads the rates of M F M^T and U = M^T V-hat off the fit, multiplying neither: U^T F_fit U =
     # diag(rates) on the centered fit set, and U U^T = M^T M, all that a flow from W0 = 0 reads of M
     X = Dataset(rng.standard_normal((9, n)) + 0.5)
-    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy), center=True)
+    (X,) = center_on(X, X)
+    W = fit_whitener(X, mode=mode, rank_policy=RankPolicy(policy))
     modes = whitened_modes(W.spectrum, RankPolicy(policy))
     rates, U = modes.eigenvalues, modes.eigenvectors
     assert U.shape == (9, 9) and np.all(np.diff(rates) <= 0)
-    Z = U.T @ (X.values - W.mean)  # U^T F_fit U as Z Z^T: jitter scales U's null directions by up to 1/sqrt(eps)
+    Z = U.T @ X.values  # U^T F_fit U as Z Z^T: jitter scales U's null directions by up to 1/sqrt(eps)
     assert np.max(np.abs(Z @ Z.T - np.diag(rates))) <= 1e-10 * rates[0]
     MtM = W.M.T @ W.M
     assert np.max(np.abs(U @ U.T - MtM)) <= 1e-12 * np.max(np.abs(MtM))
@@ -285,7 +288,7 @@ def test_population_whitener_whitens_its_second_moment(rng, mode):
     lam = np.sort(rng.uniform(1e-3, 1.0, d))[::-1]
     assert resolved_rank(n * lam) == d
     W = population_whitener(Spectrum(n * lam, basis), mode, RankPolicy("manual"))
-    assert W.fit_rank == d and W.mean is None
+    assert W.fit_rank == d
     second_moment = (basis * (n * lam)) @ basis.T
     np.testing.assert_allclose(W.M @ second_moment @ W.M.T, np.eye(d), rtol=0, atol=1e-12)
 
