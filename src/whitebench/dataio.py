@@ -206,8 +206,11 @@ def label_companion_path(path) -> Path:
 
 
 def export_wbds(path, X: Dataset, labels: LabelSet | None = None):
+    """Write X, and its labels to the companion file; without labels, remove a stale companion."""
     _write_frame(path, _WBDS, X.values)
-    if labels is not None:
+    if labels is None:
+        label_companion_path(path).unlink(missing_ok=True)
+    else:
         _write_frame(label_companion_path(path), _WBLB, labels.targets)
 
 

@@ -221,15 +221,21 @@ def orbit_equivalence_check(
     Xts = rotated(X_test.values) if X_test is not None else None
 
     cfg = OptimizerConfig(eta=0.05, batch_size=batch_size)
-    schedule = _batches(X.sample_count, batch_size or X.sample_count, seed)
+    n = X.sample_count
+    full_batch = (batch_size or n) >= n
+    schedule = _batches(n, batch_size or n, seed)
 
     dev_param = dev_act = dev_loss = dev_pred = 0.0
+    forward = None
     for _, batch in zip(range(steps), schedule):
-        result = sgd_step(model, Xs[..., batch], Y.targets[:, batch], cfg)
+        # a full batch steps on Xs itself and hands each post-step forward to the next step
+        result = sgd_step(model, Xs if full_batch else Xs[..., batch], Y.targets[:, batch], cfg, forward)
         dev_loss = max(dev_loss, _pair_gap(result.loss_after))
         for W in model.weights[1:]:
             dev_param = max(dev_param, _pair_gap(W))
-        dev_act = max(dev_act, _pair_gap(model.weights[0] @ Xs))
+        if full_batch:
+            forward = result.diagnostics["forward"]
+        dev_act = max(dev_act, _pair_gap(forward[1]["pre"][0] if full_batch else model.weights[0] @ Xs))
         if Xts is not None:
             dev_pred = max(dev_pred, _pair_gap(model.predict(Xts)))
     worst = max(dev_param, dev_act, dev_loss, dev_pred)

@@ -168,9 +168,19 @@ class MLP:
         grads = weight_grads + [g for g in bias_grads if g is not None]
         return grads, {"dZ_first": dZ}
 
-    def loss_and_grads(self, X: np.ndarray, Y: np.ndarray):
-        """(loss, grads, aux) with aux = predictions, cache, first-layer dL/dZ."""
-        predictions, cache = self.forward(X)
+    def loss_and_grads(self, X: np.ndarray, Y: np.ndarray, forward=None):
+        """(loss, grads, aux) with aux = predictions, cache, first-layer dL/dZ.
+
+        `forward`, when given, is a (predictions, cache) pair that `forward`
+        computed on this X with the model's current weights, and stands in for
+        a new forward pass. One whose cache holds another array than X is a
+        ValidationError; one from other weights is the caller's error.
+        """
+        if forward is None:
+            forward = self.forward(X)
+        elif forward[1]["X"] is not X:
+            raise ValidationError("forward was computed on another input array than X")
+        predictions, cache = forward
         loss = self.loss_value(predictions, Y)
         grads, pieces = self.grads_from(cache, self.loss_grad(predictions, Y))
         aux = {"predictions": predictions, "cache": cache, **pieces}
@@ -261,7 +271,9 @@ def train_to_cutoff(
     recorded in the metadata, so two runs with the same seed see identical
     batches. Metrics are per-sample averages, recorded every `record_every`
     steps and at the terminal step; a full batch tests the cutoff after every
-    step, minibatches at recorded steps. metadata["steps_to_best_val"] is the
+    step, minibatches at recorded steps. A full batch makes one train-split
+    forward per step: each step hands the forward of its updated weights to
+    the next step and to the metrics. metadata["steps_to_best_val"] is the
     recorded step >= 1 with the lowest validation loss (None without a
     validation split).
     """
@@ -295,8 +307,8 @@ def train_to_cutoff(
         }
     )
 
-    def evaluate(step, train_pred=None):
-        pred = model.predict(X_train.values) if train_pred is None else train_pred
+    def evaluate(step, forward=None):
+        pred = model.predict(X_train.values) if forward is None else forward[0]
         metrics = {
             "train_loss": model.loss_value(pred, Y_train.targets) / n,
             "train_accuracy": accuracy(pred, Y_train.targets),
@@ -310,20 +322,24 @@ def train_to_cutoff(
         record.append(step, **metrics)
         return metrics
 
+    step_fn = opt.sgd_step if optimizer == "sgd" else opt.regularized_gn_step
+    batches = ((X_train.values[:, batch], Y_train.targets[:, batch]) for batch in schedule)
+    forward = None
+    if full_batch:  # one slice; each step's post-step forward is the next step's forward
+        Xb, Yb = next(batches)
+        forward = model.forward(Xb)
     step = 0
-    reason = "cutoff" if evaluate(0)["train_accuracy"] >= cutoff else ""
+    reason = "cutoff" if evaluate(0, forward)["train_accuracy"] >= cutoff else ""
     while not reason:
-        batch = next(schedule)
-        Xb = X_train.values[:, batch]
-        Yb = Y_train.targets[:, batch]
-        step_fn = opt.sgd_step if optimizer == "sgd" else opt.regularized_gn_step
-        result = step_fn(model, Xb, Yb, cfg)
+        if not full_batch:
+            Xb, Yb = next(batches)
+        result = step_fn(model, Xb, Yb, cfg, forward)
         step += 1
-        train_pred = result.diagnostics.get("predictions_after") if full_batch else None
+        forward = result.diagnostics["forward"] if full_batch else None
         record_now = step % record_every == 0 or step >= step_cap
-        if not record_now and train_pred is not None:
-            record_now = accuracy(train_pred, Y_train.targets) >= cutoff
-        if record_now and evaluate(step, train_pred)["train_accuracy"] >= cutoff:
+        if not record_now and forward is not None:
+            record_now = accuracy(forward[0], Y_train.targets) >= cutoff
+        if record_now and evaluate(step, forward)["train_accuracy"] >= cutoff:
             reason = "cutoff"
         if not reason and step >= step_cap:
             reason = "cap"

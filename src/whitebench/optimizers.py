@@ -115,16 +115,16 @@ def conjugate_gradient_solve(apply_A, b, tol: float = 1e-5, max_iter: int | None
     )
 
 
-def backtracking_line_search(loss_fn, params, direction, slope, initial_step: float = 1.0) -> float:
+def backtracking_line_search(loss_fn, params, direction, loss0, slope, initial_step: float = 1.0) -> float:
     """Largest step s in {s0, s0*rho, ...} with L(p + s d) <= L(p) + c s slope, s0 = initial_step.
 
     rho = LINE_SEARCH_BACKOFF and c = LINE_SEARCH_SUFFICIENT_DECREASE.
-    `slope` is the directional derivative <grad L, d> at `params` and must be
-    negative (descent direction), else LineSearchError.
+    `loss0` is L(params), and `slope` the directional derivative <grad L, d>
+    there, which must be negative (descent direction), else LineSearchError.
+    loss_fn is called on trials only, so its last call is the accepted step.
     """
     if not slope < 0:
         raise LineSearchError(f"not a descent direction (directional derivative {slope})")
-    loss0 = loss_fn(params)
     s = initial_step
     for _ in range(LINE_SEARCH_MAX_BACKOFFS + 1):
         trial = [p + s * d for p, d in zip(params, direction)]
@@ -143,24 +143,27 @@ def _check_finite_grads(grads, context):
             )
 
 
-def sgd_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig) -> StepResult:
+def sgd_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig, forward=None) -> StepResult:
     """One (stochastic) gradient step on all parameters of an MLP-style model.
 
     The first-layer update is W - eta (dL/dZ) X_b^T by construction of the
     model's backward pass. A stacked MLP takes one step per model, and the
-    losses in the result are m-vectors.
+    losses in the result are m-vectors. `forward` is the model's
+    (predictions, cache) on this very X_b, as `MLP.loss_and_grads` takes it;
+    diagnostics["forward"] is the one after the step, for the next step on
+    the same X_b.
     """
-    loss_before, grads, _ = model.loss_and_grads(X_b, Y_b)
+    loss_before, grads, _ = model.loss_and_grads(X_b, Y_b, forward)
     _check_finite_grads(grads, "sgd_step")
     params = model.trainable()
     for p, g in zip(params, grads):
         p -= cfg.eta * g
-    predictions_after = model.predict(X_b)
+    forward = model.forward(X_b)
     return StepResult(
         step_size=cfg.eta,
         loss_before=loss_before,
-        loss_after=model.loss_value(predictions_after, Y_b),
-        diagnostics={"predictions_after": predictions_after},
+        loss_after=model.loss_value(forward[0], Y_b),
+        diagnostics={"forward": forward},
     )
 
 
@@ -202,7 +205,9 @@ def _unflatten(vector, templates):
     return out
 
 
-def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig) -> StepResult:
+def regularized_gn_step(
+    model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig, forward=None
+) -> StepResult:
     """Step along -((1 - lambda) B + lambda I)^{-1} grad, solved by CG.
 
     lambda = cfg.reg_lambda: 1 recovers the raw gradient direction, 0 the
@@ -210,11 +215,12 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
     step size is chosen by backtracking from that initial step, and a
     gradient already within cfg.cg_tol leaves the parameters unchanged. A
     stacked MLP raises ShapeError: one CG solve would couple its models.
+    `forward` and diagnostics["forward"] are as in `sgd_step`.
     """
     if model.stacked:
         raise ShapeError("regularized_gn_step takes one model; CG over a stack would couple its models")
     lam = cfg.reg_lambda
-    loss_before, grads, aux = model.loss_and_grads(X_b, Y_b)
+    loss_before, grads, aux = model.loss_and_grads(X_b, Y_b, forward)
     _check_finite_grads(grads, "regularized_gn_step")
     g = _flatten(grads)
     templates = model.trainable()
@@ -229,38 +235,43 @@ def regularized_gn_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerC
     cg = conjugate_gradient_solve(apply_A, g, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
     direction = _unflatten(-cg.x, templates)
 
+    forward = None
     if cfg.line_search_step is None:
         step = cfg.eta
     elif cg.iterations == 0:
         step = 0.0  # |g| <= cg_tol: a stationary point, so x = 0 and there is no descent direction
+        forward = aux["predictions"], aux["cache"]
     else:
         slope = -float(g @ cg.x)
 
         def loss_at(param_list):
+            nonlocal forward
             saved = [p.copy() for p in templates]
             for p, q in zip(templates, param_list):
                 p[...] = q
-            value = model.loss_on(X_b, Y_b)
+            forward = model.forward(X_b)
             for p, s in zip(templates, saved):
                 p[...] = s
-            return value
+            return model.loss_value(forward[0], Y_b)
 
         step = backtracking_line_search(
-            loss_at, [p.copy() for p in templates], direction, slope, cfg.line_search_step
+            loss_at, [p.copy() for p in templates], direction, loss_before, slope, cfg.line_search_step
         )
 
+    # p += s * d gives the bits of the accepted trial p + s * d, so its forward is the post-step one
     for p, d in zip(templates, direction):
         p += step * d
-    predictions_after = model.predict(X_b)
+    if forward is None:
+        forward = model.forward(X_b)
     return StepResult(
         step_size=step,
         loss_before=loss_before,
-        loss_after=model.loss_value(predictions_after, Y_b),
+        loss_after=model.loss_value(forward[0], Y_b),
         diagnostics={
             "cg_iterations": cg.iterations,
             "cg_residual": cg.residual_norm,
             "reg_lambda": lam,
-            "predictions_after": predictions_after,
+            "forward": forward,
         },
     )
 

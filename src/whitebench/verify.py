@@ -104,12 +104,13 @@ def newton_whitened_gd_deviation(
     gd = init_isotropic([d, 10], variance=0.0)
     cfg = OptimizerConfig(eta=eta)
     worst = 0.0
+    forward = None
     for _ in range(steps):
         newton_step(newton, X.values, Y.targets, cfg)
-        sgd_step(gd, X_hat.values, Y.targets, cfg)
+        forward = sgd_step(gd, X_hat.values, Y.targets, cfg, forward).diagnostics["forward"]
         worst = max(
             worst,
-            float(np.max(np.abs(newton.W @ X.values - gd.weights[0] @ X_hat.values))),
+            float(np.max(np.abs(newton.W @ X.values - forward[0]))),
             float(np.max(np.abs(newton.W @ X_test.values - gd.weights[0] @ X_test_hat.values))),
         )
     return worst

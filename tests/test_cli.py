@@ -44,6 +44,16 @@ def test_whiten_command(tmp_path, wbds_file, capsys):
     assert np.max(np.abs(F_hat - np.eye(6))) <= 1e-6
 
 
+def test_unlabeled_whiten_over_a_labeled_output_leaves_no_labels(tmp_path, rng):
+    X = Dataset(rng.standard_normal((6, 20)))
+    labeled, unlabeled, out = tmp_path / "labeled.wbds", tmp_path / "unlabeled.wbds", tmp_path / "out.wbds"
+    export_wbds(labeled, X, LabelSet.from_class_ids(rng.integers(0, 3, size=20), 3))
+    export_wbds(unlabeled, X)
+    for source in (labeled, unlabeled):
+        assert main(["whiten", "--input", str(source), "--mode", "pca", "--output", str(out)]) == 0
+    assert ingest_wbds(out)[1] is None
+
+
 def test_second_moments_command(tmp_path, wbds_file):
     path, X = wbds_file
     out = tmp_path / "f.csv"

@@ -326,14 +326,14 @@ def test_line_search_accepts_small_step():
     params = [np.array([1.0])]
     direction = [np.array([-2.0])]  # -grad
     slope = -4.0
-    assert backtracking_line_search(quadratic_loss, params, direction, slope, 0.1) == 0.1
+    assert backtracking_line_search(quadratic_loss, params, direction, quadratic_loss(params), slope, 0.1) == 0.1
 
 
 def test_line_search_backs_off_and_satisfies_armijo():
     params = [np.array([1.0])]
     direction = [np.array([-2.0])]
     slope = -4.0
-    s = backtracking_line_search(quadratic_loss, params, direction, slope, 2.0)
+    s = backtracking_line_search(quadratic_loss, params, direction, quadratic_loss(params), slope, 2.0)
     assert s < 2.0
     assert quadratic_loss([params[0] + s * direction[0]]) <= quadratic_loss(params) + 1e-4 * s * slope
 
@@ -353,7 +353,7 @@ def test_negative_batch_size_is_rejected():
 
 def test_line_search_rejects_ascent_direction():
     with pytest.raises(LineSearchError):
-        backtracking_line_search(quadratic_loss, [np.array([1.0])], [np.array([2.0])], 4.0)
+        backtracking_line_search(quadratic_loss, [np.array([1.0])], [np.array([2.0])], 1.0, 4.0)
 
 
 def test_line_search_stall_error():
@@ -363,7 +363,7 @@ def test_line_search_stall_error():
         return 1.0 + abs(float(w[0]) - 1.0)
 
     with pytest.raises(LineSearchError):
-        backtracking_line_search(bad_loss, [np.array([1.0])], [np.array([-1.0])], -1.0)
+        backtracking_line_search(bad_loss, [np.array([1.0])], [np.array([-1.0])], 1.0, -1.0)
 
 
 # -- gradient correctness ----------------------------------------------------------
