@@ -10,13 +10,14 @@ n <= d forces converged linear predictions to zero (chance-level metrics).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .datatypes import Dataset, LabelSet, symmetrize
 from .errors import DegenerateDataError, ValidationError
 from .linear_flow import mse_per_sample, solve_optimum
-from .models import MLP, _batches, accuracy, init_isotropic, train_to_cutoff
+from .models import MLP, accuracy, init_isotropic, run_steps, train_to_cutoff
 from .optimizers import OptimizerConfig, sgd_step
 from .whitening import RankPolicy, apply_whitener, fit_whitener
 
@@ -191,7 +192,7 @@ def orbit_equivalence_check(
     R is one d x d rotation or an m x d x d stack. Pair i starts from the
     Gaussian(0, 0.01) init of seed + i; all 2m runs (m bases, then m twins)
     train as one stacked MLP with SGD at eta 0.05 on the minibatch order
-    `models._batches` draws from `seed`. The parameter, activation, and loss
+    `models.run_steps` draws from `seed`. The parameter, activation, and loss
     trajectories (and the test predictions on X_test vs R X_test) must agree
     to rounding; the report keeps the worst pair. family is "linear" (one
     dense layer) or "mlp" (one relu hidden layer of 8).
@@ -220,22 +221,13 @@ def orbit_equivalence_check(
     Xs = rotated(X.values)
     Xts = rotated(X_test.values) if X_test is not None else None
 
-    cfg = OptimizerConfig(eta=0.05, batch_size=batch_size)
-    n = X.sample_count
-    full_batch = (batch_size or n) >= n
-    schedule = _batches(n, batch_size or n, seed)
-
     dev_param = dev_act = dev_loss = dev_pred = 0.0
-    forward = None
-    for _, batch in zip(range(steps), schedule):
-        # a full batch steps on Xs itself and hands each post-step forward to the next step
-        result = sgd_step(model, Xs if full_batch else Xs[..., batch], Y.targets[:, batch], cfg, forward)
+    cfg = OptimizerConfig(eta=0.05, batch_size=batch_size)
+    for result, _ in islice(run_steps(model, Xs, Y.targets, cfg, sgd_step, seed), 1, steps + 1):
         dev_loss = max(dev_loss, _pair_gap(result.loss_after))
         for W in model.weights[1:]:
             dev_param = max(dev_param, _pair_gap(W))
-        if full_batch:
-            forward = result.diagnostics["forward"]
-        dev_act = max(dev_act, _pair_gap(forward[1]["pre"][0] if full_batch else model.weights[0] @ Xs))
+        dev_act = max(dev_act, _pair_gap(model.weights[0] @ Xs))
         if Xts is not None:
             dev_pred = max(dev_pred, _pair_gap(model.predict(Xts)))
     worst = max(dev_param, dev_act, dev_loss, dev_pred)
@@ -320,8 +312,7 @@ def full_whitening_null_check(
         raise ValidationError(f"unknown model {model!r}")
     net = init_isotropic([d, 32, 32, classes], variance=1e-2, seed=seed)
     record = train_to_cutoff(
-        net, Xtr, Ytr, OptimizerConfig(eta=0.1), cutoff=0.999, step_cap=step_cap, seed=seed,
-        X_test=Xte, Y_test=Yte,
+        net, Xtr, Ytr, OptimizerConfig(eta=0.1), cutoff=0.999, step_cap=step_cap, seed=seed, test=(Xte, Yte)
     )
     preds = net.predict(Xte.values)
     test_error = 1.0 - accuracy(preds, Yte.targets)

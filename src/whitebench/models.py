@@ -239,14 +239,32 @@ def init_isotropic(
     return MLP(weights=weights, biases=biases, activation=activation, output_head=output_head)
 
 
-def _batches(n: int, size: int, seed: int):
-    """Deterministic minibatch order derived from the run seed: epoch after epoch of `size` columns."""
+def run_steps(model: MLP, X: np.ndarray, Y: np.ndarray, cfg, step_fn, seed: int):
+    """Step `model` on (X, Y) by `step_fn` without end, yielding (StepResult, forward) after each step.
+
+    The first yield, before any step, is (None, forward). Columns go to the
+    steps in `cfg.batch_size` minibatches, epoch after epoch, in an order
+    drawn from `seed`; the full batch is one slice, taken once, and each
+    step's post-step forward is handed to the next step. `forward` is the
+    model's (predictions, cache) on that slice, or None at a minibatch.
+    """
+    n = X.shape[-1]
+    size = min(cfg.batch_size or n, n)
+    if size == n:  # a slice, not X itself: the steps round on its (column-major) layout
+        Xb, Yb = X[..., np.arange(n)], Y[..., np.arange(n)]
+        forward = model.forward(Xb)
+        yield None, forward
+        while True:
+            result = step_fn(model, Xb, Yb, cfg, forward)
+            forward = result.diagnostics["forward"]
+            yield result, forward
+    yield None, None
     rng = np.random.default_rng(seed)
-    size = min(size, n)
     while True:
-        order = np.arange(n) if size == n else rng.permutation(n)
+        order = rng.permutation(n)
         for start in range(0, n, size):
-            yield order[start : start + size]
+            batch = order[start : start + size]
+            yield step_fn(model, X[..., batch], Y[..., batch], cfg), None
 
 
 def train_to_cutoff(
@@ -258,10 +276,8 @@ def train_to_cutoff(
     cutoff: float = 0.999,
     step_cap: int = 10000,
     seed: int = 0,
-    X_val: Dataset | None = None,
-    Y_val: LabelSet | None = None,
-    X_test: Dataset | None = None,
-    Y_test: LabelSet | None = None,
+    val: tuple | None = None,
+    test: tuple | None = None,
     record_every: int = 1,
     metadata: dict | None = None,
 ) -> TrainRecord:
@@ -272,10 +288,10 @@ def train_to_cutoff(
     batches. Metrics are per-sample averages, recorded every `record_every`
     steps and at the terminal step; a full batch tests the cutoff after every
     step, minibatches at recorded steps. A full batch makes one train-split
-    forward per step: each step hands the forward of its updated weights to
-    the next step and to the metrics. metadata["steps_to_best_val"] is the
-    recorded step >= 1 with the lowest validation loss (None without a
-    validation split).
+    forward per step (see `run_steps`). `val` and `test` are (Dataset,
+    LabelSet) pairs, as `linear_flow.early_stop` takes `test`.
+    metadata["steps_to_best_val"] is the recorded step >= 1 with the lowest
+    validation loss (None without `val`).
     """
     from . import optimizers as opt  # local import: optimizers is model-agnostic
 
@@ -292,50 +308,40 @@ def train_to_cutoff(
         raise ValidationError("accuracy cutoff training needs one_hot labels")
 
     n = X_train.sample_count
-    batch_size = cfg.batch_size or n
-    schedule = _batches(n, batch_size, seed)
-    full_batch = batch_size >= n
-
     record = TrainRecord(
         metadata={
             "seed": seed,
             "optimizer": optimizer,
             "dataset_size": n,
-            "batch_size": batch_size,
+            "batch_size": cfg.batch_size or n,
             "cutoff": cutoff,
             **(metadata or {}),
         }
     )
 
-    def evaluate(step, forward=None):
+    def evaluate(step, forward):
         pred = model.predict(X_train.values) if forward is None else forward[0]
         metrics = {
             "train_loss": model.loss_value(pred, Y_train.targets) / n,
             "train_accuracy": accuracy(pred, Y_train.targets),
         }
-        if X_val is not None and Y_val is not None:
-            metrics["val_loss"] = model.loss_on(X_val.values, Y_val.targets) / X_val.sample_count
-        if X_test is not None and Y_test is not None:
-            tp = model.predict(X_test.values)
-            metrics["test_loss"] = model.loss_value(tp, Y_test.targets) / X_test.sample_count
-            metrics["test_error"] = 1.0 - accuracy(tp, Y_test.targets)
+        if val is not None:
+            metrics["val_loss"] = model.loss_on(val[0].values, val[1].targets) / val[0].sample_count
+        if test is not None:
+            tp = model.predict(test[0].values)
+            metrics["test_loss"] = model.loss_value(tp, test[1].targets) / test[0].sample_count
+            metrics["test_error"] = 1.0 - accuracy(tp, test[1].targets)
         record.append(step, **metrics)
         return metrics
 
     step_fn = opt.sgd_step if optimizer == "sgd" else opt.regularized_gn_step
-    batches = ((X_train.values[:, batch], Y_train.targets[:, batch]) for batch in schedule)
-    forward = None
-    if full_batch:  # one slice; each step's post-step forward is the next step's forward
-        Xb, Yb = next(batches)
-        forward = model.forward(Xb)
+    steps = run_steps(model, X_train.values, Y_train.targets, cfg, step_fn, seed)
+    _, forward = next(steps)
     step = 0
     reason = "cutoff" if evaluate(0, forward)["train_accuracy"] >= cutoff else ""
     while not reason:
-        if not full_batch:
-            Xb, Yb = next(batches)
-        result = step_fn(model, Xb, Yb, cfg, forward)
+        _, forward = next(steps)
         step += 1
-        forward = result.diagnostics["forward"] if full_batch else None
         record_now = step % record_every == 0 or step >= step_cap
         if not record_now and forward is not None:
             record_now = accuracy(forward[0], Y_train.targets) >= cutoff

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .dataio import read_input
@@ -54,6 +55,15 @@ def _checked(kind, holds, expected: str):
     return convert
 
 
+_float = _checked(float, math.isfinite, "a finite number")  # every float key, lists too: float() takes inf and nan
+
+
+def _axis(one):
+    """Converter for a cell axis: a list of `one` values, at least one and none repeated."""
+    return _checked(_list(one), lambda values: values and len(set(values)) == len(values),
+                    "at least one value and no repeats")
+
+
 def _choice(allowed: tuple):
     return _checked(str, lambda value: value in allowed, f"one of {', '.join(allowed)}")
 
@@ -71,7 +81,7 @@ _SCHEMA = {
     "experiment": {
         "id": (str, "experiment"),
         "master_seed": (int, 0),
-        "seeds": (_list(int), [0]),
+        "seeds": (_axis(int), [0]),
         "output_dir": (str, "results"),
         "size_convention": (_choice(SIZE_CONVENTIONS), "train"),
     },
@@ -82,10 +92,10 @@ _SCHEMA = {
         "n_val": (int, 0),
         "n_test": (int, 0),
         "spectrum": (_choice(SPECTRA), "power_law"),
-        "alpha": (float, 2.0),
-        "eigenvalues": (_list(float), None),
+        "alpha": (_float, 2.0),
+        "eigenvalues": (_list(_float), None),
         "teacher_seed": (int, None),  # the master seed
-        "label_noise": (float, 0.0),
+        "label_noise": (_float, 0.0),
         "classes": (int, 10),
         "encoding": (_choice(LABEL_ENCODINGS), "one_hot"),
         "normalize": (_bool, False),
@@ -94,40 +104,39 @@ _SCHEMA = {
         "test": (str, None),
     },
     "whitening": {
-        "modes": (_list(_choice(WHITENING_ARMS)), ["none"]),
+        "modes": (_axis(_choice(WHITENING_ARMS)), ["none"]),
         "transform": (_choice(WHITENING_MODES), "pca"),
         "rank_policy": (_choice(RANK_POLICIES), "manual"),
-        "jitter_epsilon": (float, None),  # None: `RankPolicy.epsilon_for`'s default
+        "jitter_epsilon": (_float, None),  # None: `RankPolicy.epsilon_for`'s default
         "center": (_bool, False),
     },
     "model": {
         "hidden": (_list(_at_least(int, 1)), [64, 64]),
         "activation": (_choice(ACTIVATIONS), "relu"),
         "head": (_choice(OUTPUT_HEADS), "linear_mse"),
-        "init_variance": (_at_least(float, 0.0), 1e-4),
+        "init_variance": (_at_least(_float, 0.0), 1e-4),
         "biases": (_bool, False),
     },
     "optimizer": {
         "name": (_choice(OPTIMIZERS), "sgd"),
-        "eta": (float, 0.1),
+        "eta": (_float, 0.1),
         "batch_size": (_batch, None),  # full batch
-        "reg_lambda": (_list(float), [1.0]),  # a list is one cell per value
-        "cg_tol": (float, 1e-5),
-        "cutoff": (_checked(float, lambda value: 0 < value <= 1, "a value in (0, 1]"), 0.999),
+        "reg_lambda": (_axis(_float), [1.0]),  # a list is one cell per value
+        "cg_tol": (_float, 1e-5),
+        "cutoff": (_checked(_float, lambda value: 0 < value <= 1, "a value in (0, 1]"), 0.999),
         "step_cap": (_at_least(int, 1), 10000),
         "record_every": (_at_least(int, 1), 1),
-        "line_search": (_bool, False),
-        "initial_step": (float, 1.0),
+        "initial_step": (_float, None),  # unset: a fixed eta; set: backtracking line search from this step
     },
     "flow": {
         "precondition": (_choice(PRECONDITIONS), "none"),
         "grid_points": (_at_least(int, 2), 200),
-        "t_min": (float, None),  # with t_max: a fixed grid; unset, each cell's grid spans its rates
-        "t_max": (float, None),
-        "init_variance": (_at_least(float, 0.0), 0.0),
+        "t_min": (_float, None),  # with t_max: a fixed grid; unset, each cell's grid spans its rates
+        "t_max": (_float, None),
+        "init_variance": (_at_least(_float, 0.0), 0.0),
     },
     "sweep": {
-        "sizes": (_list(_at_least(int, 1)), None),
+        "sizes": (_axis(_at_least(int, 1)), None),
         "trainer": (_choice(TRAINERS), "linear"),
     },
     "plot": {
@@ -152,9 +161,8 @@ _TAKES_EFFECT = (
     ("flow", None, "the linear trainer", lambda cfg, trainer: trainer == "linear"),
     ("model", None, "the mlp trainer", lambda cfg, trainer: trainer == "mlp"),
     ("optimizer", None, "the mlp trainer", lambda cfg, trainer: trainer == "mlp"),
-    ("optimizer", ("reg_lambda", "cg_tol", "line_search"), "name = gn", _set_to("optimizer", "name", "gn")),
-    ("optimizer", ("initial_step",), "line_search = true", _set_to("optimizer", "line_search", True)),
-    ("optimizer", ("eta",), "line_search = false", _set_to("optimizer", "line_search", False)),
+    ("optimizer", ("reg_lambda", "cg_tol", "initial_step"), "name = gn", _set_to("optimizer", "name", "gn")),
+    ("optimizer", ("eta",), "initial_step unset", _set_to("optimizer", "initial_step", None)),
     ("flow", ("t_min",), "t_max set", lambda cfg, trainer: "t_max" in cfg.flow),
     ("flow", ("t_max",), "t_min set", lambda cfg, trainer: "t_min" in cfg.flow),
     ("data", ("d", "n_val", "n_test", "spectrum", "alpha", "eigenvalues", "teacher_seed", "label_noise",

@@ -133,9 +133,6 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
     cfg.check_takes_effect(trainer)
     data = cfg.data
     synthetic = cfg.get("data", "source") == "synthetic"
-    lambdas = cfg.get("optimizer", "reg_lambda")
-    if not lambdas:
-        raise ConfigError("[optimizer] reg_lambda needs at least one value")
     if not synthetic and "train" not in data:
         raise ConfigError("file data source needs at least a train path")
     if trainer == "linear" and not (cfg.get("data", "n_val") > 0 if synthetic else "val" in data):
@@ -165,8 +162,8 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
     opt = partial(cfg.get, "optimizer")
     optimizers = tuple(
         OptimizerConfig(eta=opt("eta"), reg_lambda=lam, batch_size=opt("batch_size"), cg_tol=opt("cg_tol"),
-                        line_search_step=opt("initial_step") if opt("line_search") else None)
-        for lam in lambdas
+                        line_search_step=opt("initial_step"))
+        for lam in opt("reg_lambda")
     )
     rank_policy = RankPolicy(cfg.get("whitening", "rank_policy"), cfg.get("whitening", "jitter_epsilon"))
     return RunPlan(cfg=cfg, trainer=trainer, master_seed=master_seed, rank_policy=rank_policy,
@@ -374,8 +371,6 @@ def _flow_rows(plan: RunPlan, draw: _GroupDraw, mode: str, base: dict, include_t
 
 def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_trajectory: bool, optimizer):
     Xtr, Ytr = splits["train"]
-    X_val, Y_val = splits.get("val", (None, None))
-    X_test, Y_test = splits.get("test", (None, None))
     model_cfg = partial(plan.cfg.get, "model")
     opt_cfg = partial(plan.cfg.get, "optimizer")
     model = init_isotropic(
@@ -393,7 +388,7 @@ def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_tr
         cutoff=opt_cfg("cutoff"),
         step_cap=opt_cfg("step_cap"),
         seed=run_seed,
-        X_val=X_val, Y_val=Y_val, X_test=X_test, Y_test=Y_test,
+        val=splits.get("val"), test=splits.get("test"),
         record_every=opt_cfg("record_every"),
         metadata={"whitening_mode": base["whitening_mode"]},
     )

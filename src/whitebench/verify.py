@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .info_checks import (
 )
 from .linear_flow import LinearModel
 from .optimizers import OptimizerConfig, newton_step, sgd_step
-from .models import init_isotropic
+from .models import init_isotropic, run_steps
 from .whitening import RankPolicy, apply_whitener, fit_whitener
 
 @dataclass
@@ -104,10 +105,8 @@ def newton_whitened_gd_deviation(
     gd = init_isotropic([d, 10], variance=0.0)
     cfg = OptimizerConfig(eta=eta)
     worst = 0.0
-    forward = None
-    for _ in range(steps):
+    for _, forward in islice(run_steps(gd, X_hat.values, Y.targets, cfg, sgd_step, seed), 1, steps + 1):
         newton_step(newton, X.values, Y.targets, cfg)
-        forward = sgd_step(gd, X_hat.values, Y.targets, cfg, forward).diagnostics["forward"]
         worst = max(
             worst,
             float(np.max(np.abs(newton.W @ X.values - forward[0]))),

@@ -13,6 +13,8 @@ import whitebench
 from whitebench import Dataset, LabelSet, apply_whitener, fit_whitener
 from whitebench.cli import main
 from whitebench.dataio import export_csv, export_wbds, ingest_wbds, write_matrix_csv
+from whitebench.errors import ConfigError
+from whitebench.runconfig import _SCHEMA
 
 from conftest import one_hot_labels
 
@@ -335,13 +337,13 @@ BAD_RUN_VALUES = {
     "t_min_alone": ("flow", "t_min", "0.5", ("sweep", "train-linear")),
     "t_max_alone": ("flow", "t_max", "50", ("sweep", "train-linear")),
     "jitter_epsilon_without_jitter": ("whitening", "jitter_epsilon", "5.0", ("sweep", "train-mlp")),
-    "initial_step_without_line_search": ("optimizer", "initial_step", "0.5", ("sweep", "train-mlp")),
+    "initial_step_with_sgd": ("optimizer", "initial_step", "0.5", ("sweep", "train-mlp")),
     "joint_size_convention_on_file_data": ("experiment", "size_convention", "joint", ("sweep", "train-mlp")),
     "distribution_n_is_gone": ("whitening", "distribution_n", "64", ("sweep", "train-mlp")),
     "teacher_is_gone": ("data", "teacher", "linear", ("sweep", "train-mlp")),
     "reg_lambda_with_sgd": ("optimizer", "reg_lambda", "1.0", ("sweep", "train-mlp")),
     "cg_tol_with_sgd": ("optimizer", "cg_tol", "1e-6", ("sweep", "train-mlp")),
-    "line_search_with_sgd": ("optimizer", "line_search", "true", ("sweep", "train-mlp")),
+    "line_search_is_gone": ("optimizer", "line_search", "true", ("sweep", "train-mlp")),
     "real_valued_encoding_under_mlp": ("data", "encoding", "real_valued", ("sweep", "train-mlp")),
     # parse-time bounds
     "batch_size_negative": ("optimizer", "batch_size", "-3", ("sweep", "train-mlp")),
@@ -373,7 +375,7 @@ BAD_RUN_VALUES = {
 FILE_DATA_CASES = ("joint_size_convention_on_file_data", "d_on_file_data", "n_val_on_file_data")
 # what a case sets besides its bad key, so that only that key is switched off
 CASE_SETTINGS = {
-    "eta_with_line_search": {"optimizer": {"name": "gn", "line_search": "true"}},
+    "eta_with_line_search": {"optimizer": {"name": "gn", "initial_step": "1.0"}},
     "alpha_with_flat_spectrum": {"data": {"spectrum": "flat"}},
     "transform_without_whitening": {"whitening": {"modes": "none"}},
     "rank_policy_without_whitening": {"whitening": {"modes": "none"}},
@@ -406,6 +408,65 @@ def test_bad_run_config_exits_2_before_any_cell(tmp_path, rng, capsys, case):
         assert main([command, "--config", str(cfg)]) == 2, command
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+def _float_keys():
+    """(section, key) of every schema key whose converter reads a float or a list of floats."""
+    keys = []
+    for section, schema in _SCHEMA.items():
+        for key, (convert, _) in schema.items():
+            try:
+                if convert("0.5") in (0.5, [0.5]):
+                    keys.append((section, key))
+            except (ValueError, ConfigError):
+                pass
+    return keys
+
+
+def test_float_keys_are_every_float_key():
+    assert sorted(_float_keys()) == sorted([
+        ("data", "alpha"), ("data", "eigenvalues"), ("data", "label_noise"), ("whitening", "jitter_epsilon"),
+        ("model", "init_variance"), ("optimizer", "eta"), ("optimizer", "reg_lambda"), ("optimizer", "cg_tol"),
+        ("optimizer", "cutoff"), ("optimizer", "initial_step"), ("flow", "t_min"), ("flow", "t_max"),
+        ("flow", "init_variance"),
+    ])
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section, key", _float_keys())
+def test_non_finite_float_exits_2_before_any_cell(tmp_path, capsys, section, key, bad):
+    # float() takes inf and nan; a run used to write quietly wrong or error rows and exit 0
+    out = tmp_path / "results"
+    sections = _mlp_sections(out)
+    list_key = isinstance(_SCHEMA[section][key][0]("0.5"), list)
+    sections.setdefault(section, {})[key] = f"0.5 {bad}" if list_key else bad
+    cfg = tmp_path / "bad.cfg"
+    _write_run_config(cfg, sections)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key!r} in [{section}]" in err and "finite" in err
+    assert not out.exists()
+
+
+# a cell axis: the value that repeats one entry
+AXIS_KEYS = {("experiment", "seeds"): "0 1 0", ("whitening", "modes"): "none none",
+             ("sweep", "sizes"): "8 8", ("optimizer", "reg_lambda"): "0.5 0.5"}
+
+
+@pytest.mark.parametrize("form", ["empty", "repeated"])
+@pytest.mark.parametrize("section, key", sorted(AXIS_KEYS))
+def test_empty_or_repeating_cell_axis_exits_2_before_any_cell(tmp_path, capsys, section, key, form):
+    # an empty axis wrote a header-only CSV; a repeated value wrote duplicate rows that plot averaged as seeds
+    out = tmp_path / "results"
+    sections = _mlp_sections(out)
+    sections["optimizer"]["name"] = "gn"
+    sections.setdefault(section, {})[key] = "" if form == "empty" else AXIS_KEYS[section, key]
+    cfg = tmp_path / "bad.cfg"
+    _write_run_config(cfg, sections)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key!r} in [{section}]" in err and "no repeats" in err
+    assert not out.exists()
 
 
 def test_degenerate_train_file_writes_error_rows(tmp_path, rng, capsys):

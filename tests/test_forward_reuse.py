@@ -166,7 +166,7 @@ def test_train_to_cutoff_is_bit_equal_to_fresh_forward_steps(monkeypatch, rule, 
     model = init.copy()
     results = _capture_steps(monkeypatch)
     record = train_to_cutoff(model, X, Y, cfg, optimizer=optimizer, cutoff=0.9, step_cap=25,
-                             X_val=X_val, Y_val=Y_val)
+                             val=(X_val, Y_val))
     assert (record.terminal_step, record.stopping_reason) == (terminal, reason)
     assert list(zip(record.steps, record.train_loss, record.train_accuracy, record.val_loss)) == rows
     assert all(np.array_equal(p, q) for p, q in zip(model.trainable(), fresh_model.trainable()))
@@ -223,7 +223,7 @@ def test_full_batch_makes_one_train_forward_per_step(monkeypatch, rule):
     results = _capture_steps(monkeypatch)
     columns = _count_forwards(monkeypatch)
     record = train_to_cutoff(model, X, Y, OptimizerConfig(**knobs), optimizer=optimizer, cutoff=1.0,
-                             step_cap=12, X_val=X_val, Y_val=Y_val, X_test=X_test, Y_test=Y_test,
+                             step_cap=12, val=(X_val, Y_val), test=(X_test, Y_test),
                              record_every=5)
     assert record.steps == [0, 5, 10, 12]
     # the step-0 evaluation's forward serves the first step; each step's post-step forward the next
@@ -243,7 +243,7 @@ def test_minibatch_forward_count_is_unchanged(monkeypatch, rule):
     model = init_isotropic([D, HIDDEN, CLASSES], variance=variance, seed=1)
     columns = _count_forwards(monkeypatch)
     record = train_to_cutoff(model, X, Y, OptimizerConfig(batch_size=6, **knobs), optimizer=optimizer,
-                             cutoff=1.0, step_cap=12, X_val=X_val, Y_val=Y_val, record_every=5)
+                             cutoff=1.0, step_cap=12, val=(X_val, Y_val), record_every=5)
     assert record.steps == [0, 5, 10, 12]
     # each step a forward before and one after its update, on its batch of 6 (or the epoch's last 2)
     batch_forwards = [c for c in columns if c in (6, 2)]

@@ -134,7 +134,7 @@ def test_full_batch_cutoff_between_recorded_steps_stops_and_records(rng):
     def run(record_every):
         model = init_isotropic([4, 3], variance=0.01, seed=0)
         return train_to_cutoff(model, X, Y, OptimizerConfig(eta=0.02), cutoff=0.75, step_cap=500,
-                               X_val=val[0], Y_val=val[1], record_every=record_every)
+                               val=val, record_every=record_every)
 
     every, sparse = run(1), run(7)
     cut = every.terminal_step

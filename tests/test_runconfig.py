@@ -121,6 +121,7 @@ MIRRORED_DEFAULTS = {
     ("optimizer", "eta"): (OptimizerConfig, "eta"),
     ("optimizer", "batch_size"): (OptimizerConfig, "batch_size"),
     ("optimizer", "cg_tol"): (OptimizerConfig, "cg_tol"),
+    ("optimizer", "initial_step"): (OptimizerConfig, "line_search_step"),  # unset: a fixed eta
     ("flow", "precondition"): (build_flow, "precondition"),
     ("flow", "grid_points"): (TimeGrid, "points"),
     ("plot", "logx"): (PlotSpec, "logx"),
@@ -134,11 +135,8 @@ def test_schema_default_mirrors_the_library_default(section, key):
     assert RunConfig().get(section, key) == _library_default(*MIRRORED_DEFAULTS[section, key])
 
 
-def test_schema_default_reg_lambda_and_line_search_mirror_optimizer_config():
+def test_schema_default_reg_lambda_mirrors_optimizer_config():
     assert RunConfig().get("optimizer", "reg_lambda") == [_library_default(OptimizerConfig, "reg_lambda")]
-    # line_search = false is OptimizerConfig's fixed-eta step, line_search_step = None
-    assert _library_default(OptimizerConfig, "line_search_step") is None
-    assert RunConfig().get("optimizer", "line_search") is False
 
 
 def test_get_prefers_the_set_value():
