@@ -33,10 +33,11 @@ NULL_MODE_RATIO = 1e-12
 
 
 def resolved_rank(S: np.ndarray) -> int:
-    """How many of the d descending eigenvalues S of a d x d second moment its decomposition resolves: those
-    above d * eps * S[0], the rounding of an eigenvalue of a d x d product, below which an exact zero lands.
-    Every whitener (`whitening.fit_whitener`, `population_whitener`, `whitened_modes`) keeps this rank."""
-    return int(np.count_nonzero(S > S.size * np.finfo(float).eps * S[0]))
+    """How many of the d descending eigenvalues S of a d x d second moment (an int array: of each of a stack) its
+    decomposition resolves: those above d * eps * S[0], the rounding of an eigenvalue of a d x d product, below which
+    an exact zero lands. Every whitener (`whitening.fit_whitener`, `population_whitener`, `whitened_modes`) keeps it."""
+    resolved = S > S.shape[-1] * np.finfo(float).eps * S[..., :1]
+    return int(np.count_nonzero(resolved)) if S.ndim == 1 else np.count_nonzero(resolved, axis=-1)
 
 
 def proven_cholesky(A: np.ndarray, floor: float) -> np.ndarray | None:
@@ -303,7 +304,7 @@ def random_orthogonal(dim: int, seed) -> np.ndarray:
 
 
 def require_nontrivial_spectrum(singular_values: np.ndarray, what: str):
-    if singular_values.size == 0 or float(singular_values[0]) <= 0.0:
+    if singular_values.size == 0 or (singular_values[..., 0] <= 0.0).any():
         raise DegenerateSpectrumError(f"{what} has an identically zero spectrum")
 
 

@@ -72,24 +72,30 @@ def _initial_weights(W0: np.ndarray | None, k: int, d: int) -> np.ndarray:
     return W0
 
 
-def _solve_F(X: Dataset, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """rhs F^+ = rhs V diag(1/lambda) V^T for F = X X^T, and the rank of F.
+def _factor_F(X: Dataset) -> tuple:
+    """The F solve of F = X X^T: (factor, rank of F), which `_solve_F` applies to any right-hand side.
 
-    The modes of F above PINV_CUTOFF_RATIO times the largest eigenvalue
-    (`gram_modes`) are inverted and count toward the rank; the rest are
-    dropped, so a rank below dim F means a pseudoinverse, not an inverse.
     At n > d an F with a `proven_cholesky` above PINV_CUTOFF_RATIO tr F
-    keeps all d modes (tr F >= lambda_max), so rhs F^-1 comes from that
-    factor's solve, with no eigenvectors.
+    keeps all d modes (tr F >= lambda_max): the factor is that Cholesky
+    factor L, with no eigenvectors. Otherwise it is the Spectrum of the modes
+    of F above PINV_CUTOFF_RATIO times the largest eigenvalue (`gram_modes`),
+    which count toward the rank; the rest are dropped, so a rank below dim F
+    means a pseudoinverse, not an inverse.
     """
     d, n = X.values.shape
     F = compute_F(X) if n > d else None
     L = None if F is None else proven_cholesky(F, PINV_CUTOFF_RATIO * float(np.trace(F)))
     if L is not None:
-        return solve_triangular(L.T, solve_triangular(L, rhs.T), lower=False).T, d
+        return L, d
     modes = gram_modes(X, PINV_CUTOFF_RATIO, F)
-    V = modes.eigenvectors
-    return (rhs @ V / modes.eigenvalues) @ V.T, modes.eigenvalues.size
+    return modes, modes.eigenvalues.size
+
+
+def _solve_F(factor, rhs: np.ndarray) -> np.ndarray:
+    """rhs F^+ off `_factor_F`'s factor: rhs F^-1 by L's triangular solves, or rhs V diag(1/lambda) V^T."""
+    if isinstance(factor, Spectrum):
+        return (rhs @ factor.eigenvectors / factor.eigenvalues) @ factor.eigenvectors.T
+    return solve_triangular(factor.T, solve_triangular(factor, rhs.T), lower=False).T
 
 
 def solve_optimum(
@@ -100,15 +106,15 @@ def solve_optimum(
     With full-rank F (d < n) this is the unique global optimum and W0 drops
     out; otherwise components of W0 outside the kept modes are retained and
     the pseudoinverse fallback is flagged in the model metadata, with the
-    count of kept modes as rank_F. F^+ is `_solve_F`'s: a Cholesky solve
+    count of kept modes as rank_F. F^+ is `_factor_F`'s: a Cholesky solve
     where F is proven to keep every mode, else eigh (n > d) or the thin SVD.
     """
     check_paired(X_train, Y_train)
     W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim)
     residual_cross = (Y_train.targets - W0 @ X_train.values) @ X_train.values.T
-    step, rank = _solve_F(X_train, residual_cross)
+    factor, rank = _factor_F(X_train)
     fallback = rank < X_train.feature_dim
-    return LinearModel(W0 + step, meta={"pseudoinverse_fallback": fallback, "rank_F": rank})
+    return LinearModel(W0 + _solve_F(factor, residual_cross), meta={"pseudoinverse_fallback": fallback, "rank_F": rank})
 
 
 @dataclass(frozen=True)

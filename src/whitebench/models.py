@@ -299,6 +299,8 @@ def train_to_cutoff(
         raise ValidationError("cutoff must lie in (0, 1]")
     if record_every < 1:
         raise ValidationError("record_every must be at least 1")
+    if step_cap < 1:
+        raise ValidationError("step_cap must be at least 1")
     if optimizer not in OPTIMIZERS:
         raise ValidationError(f"unknown optimizer {optimizer!r}")
     if model.stacked:

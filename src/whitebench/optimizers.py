@@ -20,7 +20,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .linear_flow import LinearModel, _solve_F
+from .linear_flow import LinearModel, _factor_F, _solve_F
 
 #: backtracking line search: step shrink factor per backoff
 LINE_SEARCH_BACKOFF = 0.5
@@ -167,28 +167,30 @@ def sgd_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig, forw
     )
 
 
-def newton_step(model: LinearModel, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig) -> StepResult:
+def newton_step(model: LinearModel, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig, solve=None) -> StepResult:
     """Inverse-Hessian preconditioned step for the linear MSE model.
 
     The Hessian of 1/2 ||W X - Y||^2 in each output row is F = X X^T; the
     update is W - eta (dL/dW) F^+, the F solve of `solve_optimum` (a Cholesky
     solve where F is proven to keep all d modes), flagged as a pseudoinverse
     fallback when it keeps fewer than d modes. eta = 1 lands on that optimum.
+    `solve` is the F solve of this very X_b, as diagnostics["solve"] of the
+    previous step on it hands it on; None factors F here, once per step.
     """
     X_b = np.asarray(X_b, dtype=np.float64)
     Y_b = np.asarray(Y_b, dtype=np.float64)
     residual = model.W @ X_b - Y_b
     grad = residual @ X_b.T
     _check_finite_grads([grad], "newton_step")
-    direction, rank = _solve_F(Dataset(X_b), grad)
+    solve = _factor_F(Dataset(X_b)) if solve is None else solve
     loss_before = 0.5 * float(np.sum(residual ** 2))
-    model.W = model.W - cfg.eta * direction
+    model.W = model.W - cfg.eta * _solve_F(solve[0], grad)
     loss_after = 0.5 * float(np.sum((model.W @ X_b - Y_b) ** 2))
     return StepResult(
         step_size=cfg.eta,
         loss_before=loss_before,
         loss_after=loss_after,
-        diagnostics={"pseudoinverse_fallback": rank < X_b.shape[0]},
+        diagnostics={"pseudoinverse_fallback": solve[1] < X_b.shape[0], "solve": solve},
     )
 
 

@@ -56,23 +56,23 @@ def suite_orbit(r_count: int = 100) -> list:
     return results
 
 
-def _whitened_case(d: int, n: int, seed: int) -> np.ndarray:
-    """The PCA-whitened d x n Gaussian draw of one compression case."""
-    X = Dataset(np.random.default_rng(seed * 1009 + d * 31 + n).standard_normal((d, n)))
-    return apply_whitener(fit_whitener(X, mode="pca", rank_policy=RankPolicy("manual")), X).values
+def _whitened_cases(d: int, n: int) -> np.ndarray:
+    """The PCA-whitened d x n Gaussian draws of one compression case's 10 seeds, fitted as one 10 x d x n stack."""
+    X = np.array([np.random.default_rng(seed * 1009 + d * 31 + n).standard_normal((d, n)) for seed in range(10)])
+    return fit_whitener(X, mode="pca", rank_policy=RankPolicy("manual")).M @ X
 
 
 def suite_compression() -> list:
     """Whitened-data compression round trip and payload minimality.
 
-    Each (d, n) compresses and reconstructs its 10 seeds as one m x d x n stack.
+    Each (d, n) whitens, compresses and reconstructs its 10 seeds as one m x d x n stack.
     """
     tol = 1e-8
     worst = 0.0
     payload_ok = True
     for d in range(2, 6):
         for n in range(d + 1, d + 7):
-            X_hat = np.array([_whitened_case(d, n, seed) for seed in range(10)])
+            X_hat = _whitened_cases(d, n)
             c = compress_whitened(X_hat)
             payload_ok &= c.scalar_count == count_information_parameters(d, n, whitened=True)
             K = symmetrize(np.swapaxes(X_hat, 1, 2) @ X_hat)  # compute_K of each slice
@@ -90,7 +90,8 @@ def newton_whitened_gd_deviation(
 
     Both models start from zero output. Whitening is train-fitted PCA, so
     M^T M equals the inverse of the raw second moment and the two update
-    rules coincide mode by mode.
+    rules coincide mode by mode. Newton factors F once: each step hands its
+    F solve on to the next.
     """
     rng = np.random.default_rng(seed)
     X = Dataset(rng.standard_normal((d, n)))
@@ -104,9 +105,9 @@ def newton_whitened_gd_deviation(
     newton = LinearModel(np.zeros((10, d)))
     gd = init_isotropic([d, 10], variance=0.0)
     cfg = OptimizerConfig(eta=eta)
-    worst = 0.0
+    worst, solve = 0.0, None
     for _, forward in islice(run_steps(gd, X_hat.values, Y.targets, cfg, sgd_step, seed), 1, steps + 1):
-        newton_step(newton, X.values, Y.targets, cfg)
+        solve = newton_step(newton, X.values, Y.targets, cfg, solve).diagnostics["solve"]
         worst = max(
             worst,
             float(np.max(np.abs(newton.W @ X.values - forward[0]))),

@@ -76,7 +76,7 @@ class Whitener:
     """
 
     M: np.ndarray
-    fit_rank: int
+    fit_rank: int | np.ndarray  # an int array for a stacked fit
     eigenpairs: tuple
 
     @property
@@ -99,18 +99,17 @@ class WhitenessReport:
 
 
 def _inv_sqrt(S: np.ndarray, policy: RankPolicy):
-    """The diagonal S^{-1/2} under `policy` and the fit rank, for all d descending eigenvalues S >= 0."""
+    """The diagonal S^{-1/2} under `policy` and the fit rank, for all d descending eigenvalues S >= 0 (per slice)."""
     require_nontrivial_spectrum(S, "fitted second moment")
     rank = resolved_rank(S)
     if policy.kind == "jitter":
-        return 1.0 / np.sqrt(S + policy.epsilon_for(float(np.mean(S)))), rank
-    inv_sqrt = np.ones_like(S)
-    inv_sqrt[:rank] = 1.0 / np.sqrt(S[:rank])
-    return inv_sqrt, rank
+        return 1.0 / np.sqrt(S + policy.epsilon_for(S.mean(-1, keepdims=True))), rank
+    keep = np.arange(S.shape[-1]) < np.asarray(rank)[..., None]
+    return np.divide(1.0, np.sqrt(S), out=np.ones_like(S), where=keep), rank
 
 
 def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy) -> Whitener:
-    """The whitener of the second moment V diag(S) V^T (S descending, clamped at 0 here) under `policy`.
+    """The whitener of V diag(S) V^T (S descending, clamped at 0 here) under `policy`, or of each slice of a stack.
 
     Each column of V is first signed so that its largest-magnitude entry (the
     first on ties) is positive, which fixes PCA's row signs; ZCA's are moot.
@@ -119,9 +118,9 @@ def _whiten_spectrum(S: np.ndarray, V: np.ndarray, mode: str, policy: RankPolicy
         raise ValidationError(f"unknown whitening mode {mode!r}")
     S = np.maximum(S, 0.0)
     inv_sqrt, rank = _inv_sqrt(S, policy)
-    cols = np.arange(V.shape[1])
-    V = V * np.sign(V[np.argmax(np.abs(V), axis=0), cols])
-    M = inv_sqrt[:, None] * V.T if mode == "pca" else (V * inv_sqrt[None, :]) @ V.T
+    V = V * np.sign(np.take_along_axis(V, np.abs(V).argmax(-2)[..., None, :], -2))
+    V_T = np.swapaxes(V, -1, -2)
+    M = inv_sqrt[..., :, None] * V_T if mode == "pca" else (V * inv_sqrt[..., None, :]) @ V_T
     return Whitener(M=M, fit_rank=rank, eigenpairs=(S, V))
 
 
@@ -134,20 +133,24 @@ def center_on(fit: Dataset, *datasets: Dataset) -> list:
     return [Dataset._adopt(X.values - mean) for X in datasets]
 
 
-def fit_whitener(X_fit: Dataset, mode: str = "pca", rank_policy: RankPolicy | None = None) -> Whitener:
-    """Fit a whitening transform on X_fit, uncentered (`center_on` first for a centered fit).
+def fit_whitener(X_fit, mode: str = "pca", rank_policy: RankPolicy | None = None) -> Whitener:
+    """Fit a whitening transform on the Dataset X_fit, uncentered (`center_on` first for a centered fit).
 
-    Which data the transform is fitted on (train split, all splits) is the
-    caller's choice.
+    X_fit may also be an m x d x n array, a stack of m fit sets, each fitted
+    in one call as on its own: M is then m x d x d, with a fit rank (an int
+    array) and eigenpairs per slice. Which data the transform is fitted on
+    (train split, all splits) is the caller's choice.
     """
-    values = X_fit.values
-    d, n = values.shape
+    values = X_fit.values if isinstance(X_fit, Dataset) else np.asarray(X_fit, dtype=np.float64)
+    if not isinstance(X_fit, Dataset) and (values.ndim != 3 or 0 in values.shape or not np.isfinite(values).all()):
+        raise ValidationError(f"X_fit must be a Dataset or a finite m x d x n stack, got shape {values.shape}")
+    d, n = values.shape[-2:]
     if n <= d:
         V, s, _ = np.linalg.svd(values, full_matrices=True)
-        S = np.pad(s * s, (0, d - n))
+        S = np.pad(s * s, [(0, 0)] * (values.ndim - 2) + [(0, d - n)])
     else:
-        spec = eigh(symmetrize(values @ values.T))
-        S, V = spec.eigenvalues, spec.eigenvectors
+        S, V = np.linalg.eigh(symmetrize(values @ np.swapaxes(values, -1, -2)))
+        S, V = S[..., ::-1], np.ascontiguousarray(V[..., ::-1])
     return _whiten_spectrum(S, V, mode, rank_policy or RankPolicy())
 
 

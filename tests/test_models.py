@@ -115,6 +115,14 @@ def test_record_every_below_one_is_rejected(rng):
         train_to_cutoff(init_isotropic([3, 4]), X, Y, OptimizerConfig(), step_cap=5, record_every=0)
 
 
+@pytest.mark.parametrize("step_cap", [0, -5])
+def test_step_cap_below_one_is_rejected(rng, step_cap):
+    # these used to take one step and stop with reason "cap"
+    X, Y = random_dataset(rng, 3, 8), one_hot_labels(rng, 4, 8)
+    with pytest.raises(ValidationError, match="step_cap"):
+        train_to_cutoff(init_isotropic([3, 4]), X, Y, OptimizerConfig(), step_cap=step_cap)
+
+
 @pytest.mark.parametrize("batch_size", [None, 3])
 def test_record_every_thins_the_rows(rng, batch_size):
     # full batch used to record every step whatever record_every said
