@@ -49,6 +49,8 @@ def _cmd_second_moments(args):
 
 def _cmd_run(args):
     """train-linear / train-mlp: [data] n_train with trajectories; sweep: [sweep] sizes, terminal rows."""
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
     cfg = parse_config(args.config)
     if args.trainer:
         trainer, sizes, suffix = args.trainer, [cfg.get("data", "n_train")], args.trainer

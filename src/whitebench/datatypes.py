@@ -210,18 +210,19 @@ class Spectrum:
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2 of a matrix, or of each matrix of a stack; exact bitwise symmetry since IEEE addition commutes."""
+    """(A + A^T)/2 of a matrix, or of each matrix of a stack; exact bitwise symmetry since IEEE addition commutes.
+    Only `eigh` needs it: numpy's A A^T and A^T A, and sums of them, are already symmetric bit for bit."""
     return (A + np.swapaxes(A, -1, -2)) / 2.0
 
 
 def compute_F(X: Dataset) -> np.ndarray:
     """Feature-feature second moment X X^T (d x d), no 1/n normalization."""
-    return symmetrize(X.values @ X.values.T)
+    return X.values @ X.values.T
 
 
 def compute_K(X: Dataset) -> np.ndarray:
     """Sample-sample second moment X^T X (n x n), the Gram matrix of X."""
-    return symmetrize(X.values.T @ X.values)
+    return X.values.T @ X.values
 
 
 def compute_mixed_K(X_a: Dataset, X_b: Dataset) -> np.ndarray:

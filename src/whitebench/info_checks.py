@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .datatypes import Dataset, LabelSet, symmetrize
+from .datatypes import Dataset, LabelSet
 from .errors import DegenerateDataError, ValidationError
 from .linear_flow import mse_per_sample, solve_optimum
 from .models import MLP, accuracy, init_isotropic, run_steps, train_to_cutoff
@@ -128,7 +128,7 @@ def reconstruct_K(c: CompressedDataset) -> np.ndarray:
     payload_T = np.swapaxes(c.payload, -1, -2)
     identity = np.broadcast_to(np.eye(c.d), payload_T.shape[:-2] + (c.d, c.d))
     Q = np.linalg.qr(np.concatenate([identity, payload_T], axis=-2))[0]
-    K = symmetrize(Q @ np.swapaxes(Q, -1, -2))
+    K = Q @ np.swapaxes(Q, -1, -2)
     if c.column_permutation is not None:
         inv = np.argsort(c.column_permutation, axis=-1)
         K = np.take_along_axis(np.take_along_axis(K, inv[..., :, None], axis=-2), inv[..., None, :], axis=-1)
@@ -207,13 +207,15 @@ def orbit_equivalence_check(
         raise ValidationError("R is not orthogonal within 1e-10")
     if family not in ("linear", "mlp"):
         raise ValidationError(f"unknown model family {family!r}")
+    if steps < 1:
+        raise ValidationError("steps must be at least 1")
 
     m = len(rotations)
     sizes = [d, Y.output_dim] if family == "linear" else [d, 8, Y.output_dim]
-    inits = [init_isotropic(sizes, variance=0.01, seed=seed + i) for i in range(m)]
-    weights = [np.concatenate([np.stack(layer)] * 2) for layer in zip(*(init.weights for init in inits))]
+    init = init_isotropic(sizes, variance=0.01, seed=range(seed, seed + m))
+    weights = [np.concatenate([W] * 2) for W in init.weights]
     weights[0][m:] = weights[0][:m] @ R_T
-    model = MLP(weights=weights, biases=inits[0].biases)
+    model = MLP(weights=weights, biases=init.biases)
 
     def rotated(values):  # m copies of values, then the m rotated copies
         return np.concatenate([np.broadcast_to(values, (m,) + values.shape), rotations @ values])

@@ -111,7 +111,7 @@ def solve_optimum(
     """
     check_paired(X_train, Y_train)
     W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim)
-    residual_cross = (Y_train.targets - W0 @ X_train.values) @ X_train.values.T
+    residual_cross = (Y_train.targets - W0 @ X_train.values if W0.any() else Y_train.targets) @ X_train.values.T
     factor, rank = _factor_F(X_train)
     fallback = rank < X_train.feature_dim
     return LinearModel(W0 + _solve_F(factor, residual_cross), meta={"pseudoinverse_fallback": fallback, "rank_F": rank})

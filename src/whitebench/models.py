@@ -181,10 +181,17 @@ class MLP:
         elif forward[1]["X"] is not X:
             raise ValidationError("forward was computed on another input array than X")
         predictions, cache = forward
-        loss = self.loss_value(predictions, Y)
+        loss = self.forward_loss(forward, Y)
         grads, pieces = self.grads_from(cache, self.loss_grad(predictions, Y))
         aux = {"predictions": predictions, "cache": cache, **pieces}
         return loss, grads, aux
+
+    def forward_loss(self, forward, Y: np.ndarray):
+        """loss_value of a forward's predictions on Y, kept in its cache for this very Y array: a step hands its
+        post-step loss on with its forward, and `loss_and_grads` reads it back from there."""
+        if forward[1].get("loss", (None,))[0] is not Y:
+            forward[1]["loss"] = Y, self.loss_value(forward[0], Y)
+        return forward[1]["loss"][1]
 
     def loss_on(self, X: np.ndarray, Y: np.ndarray) -> float:
         return self.loss_value(self.predict(X), Y)
@@ -212,7 +219,7 @@ class MLP:
 def init_isotropic(
     layer_sizes: list,
     variance: float = 1e-4,
-    seed: int = 0,
+    seed=0,
     activation: str = "relu",
     output_head: str = "linear_mse",
     deeper_biases: bool = False,
@@ -220,20 +227,21 @@ def init_isotropic(
     """Elementwise Gaussian(0, variance) weights, layer by layer, per seed.
 
     The first-layer row distribution is isotropic (invariant under right
-    rotations). variance = 0 gives all-zero weights.
+    rotations). variance = 0 gives all-zero weights. A nonempty 1-D sequence
+    of seeds gives a stacked MLP whose slice i is init_isotropic(..., seed[i]).
     """
     if variance < 0:
         raise ValidationError("variance must be nonnegative")
     if len(layer_sizes) < 2:
         raise ValidationError("need at least input and output sizes")
-    rng = np.random.default_rng(seed)
+    if np.ndim(seed) == 1 and len(seed) == 0:
+        raise ValidationError("a sequence of seeds must be nonempty")
     std = float(np.sqrt(variance))
-    weights = [
-        std * rng.standard_normal((layer_sizes[l + 1], layer_sizes[l]))
-        for l in range(len(layer_sizes) - 1)
-    ]
+    rngs = map(np.random.default_rng, seed if np.ndim(seed) == 1 else [seed])
+    draws = [[std * rng.standard_normal((b, a)) for a, b in zip(layer_sizes, layer_sizes[1:])] for rng in rngs]
+    weights = [np.stack(layer) if np.ndim(seed) == 1 else layer[0] for layer in zip(*draws)]
     biases = [None] + [
-        np.zeros(layer_sizes[l + 1]) if deeper_biases else None
+        np.zeros(weights[l].shape[:-1]) if deeper_biases else None
         for l in range(1, len(weights))
     ]
     return MLP(weights=weights, biases=biases, activation=activation, output_head=output_head)

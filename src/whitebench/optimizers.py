@@ -150,8 +150,8 @@ def sgd_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig, forw
     model's backward pass. A stacked MLP takes one step per model, and the
     losses in the result are m-vectors. `forward` is the model's
     (predictions, cache) on this very X_b, as `MLP.loss_and_grads` takes it;
-    diagnostics["forward"] is the one after the step, for the next step on
-    the same X_b.
+    diagnostics["forward"] is the one after the step, with its loss on Y_b,
+    for the next step on the same X_b and Y_b.
     """
     loss_before, grads, _ = model.loss_and_grads(X_b, Y_b, forward)
     _check_finite_grads(grads, "sgd_step")
@@ -162,35 +162,36 @@ def sgd_step(model, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig, forw
     return StepResult(
         step_size=cfg.eta,
         loss_before=loss_before,
-        loss_after=model.loss_value(forward[0], Y_b),
+        loss_after=model.forward_loss(forward, Y_b),
         diagnostics={"forward": forward},
     )
 
 
-def newton_step(model: LinearModel, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig, solve=None) -> StepResult:
+def newton_step(model: LinearModel, X_b: np.ndarray, Y_b: np.ndarray, cfg: OptimizerConfig, solve=None,
+                predictions=None) -> StepResult:
     """Inverse-Hessian preconditioned step for the linear MSE model.
 
     The Hessian of 1/2 ||W X - Y||^2 in each output row is F = X X^T; the
     update is W - eta (dL/dW) F^+, the F solve of `solve_optimum` (a Cholesky
     solve where F is proven to keep all d modes), flagged as a pseudoinverse
     fallback when it keeps fewer than d modes. eta = 1 lands on that optimum.
-    `solve` is the F solve of this very X_b, as diagnostics["solve"] of the
-    previous step on it hands it on; None factors F here, once per step.
+    `solve` and `predictions` are the F solve and W X_b of this very X_b, as the previous step on it hands
+    them on in diagnostics["solve"] and diagnostics["predictions"]; None forms them here.
     """
     X_b = np.asarray(X_b, dtype=np.float64)
     Y_b = np.asarray(Y_b, dtype=np.float64)
-    residual = model.W @ X_b - Y_b
+    residual = (model.W @ X_b if predictions is None else predictions) - Y_b
     grad = residual @ X_b.T
     _check_finite_grads([grad], "newton_step")
     solve = _factor_F(Dataset(X_b)) if solve is None else solve
     loss_before = 0.5 * float(np.sum(residual ** 2))
     model.W = model.W - cfg.eta * _solve_F(solve[0], grad)
-    loss_after = 0.5 * float(np.sum((model.W @ X_b - Y_b) ** 2))
+    predictions = model.W @ X_b
     return StepResult(
         step_size=cfg.eta,
         loss_before=loss_before,
-        loss_after=loss_after,
-        diagnostics={"pseudoinverse_fallback": solve[1] < X_b.shape[0], "solve": solve},
+        loss_after=0.5 * float(np.sum((predictions - Y_b) ** 2)),
+        diagnostics={"pseudoinverse_fallback": solve[1] < X_b.shape[0], "solve": solve, "predictions": predictions},
     )
 
 
@@ -254,13 +255,13 @@ def regularized_gn_step(
             forward = model.forward(X_b)
             for p, s in zip(templates, saved):
                 p[...] = s
-            return model.loss_value(forward[0], Y_b)
+            return model.forward_loss(forward, Y_b)
 
         step = backtracking_line_search(
             loss_at, [p.copy() for p in templates], direction, loss_before, slope, cfg.line_search_step
         )
 
-    # p += s * d gives the bits of the accepted trial p + s * d, so its forward is the post-step one
+    # p += s * d gives the bits of the accepted trial p + s * d, so its forward and loss are the post-step ones
     for p, d in zip(templates, direction):
         p += step * d
     if forward is None:
@@ -268,7 +269,7 @@ def regularized_gn_step(
     return StepResult(
         step_size=step,
         loss_before=loss_before,
-        loss_after=model.loss_value(forward[0], Y_b),
+        loss_after=model.forward_loss(forward, Y_b),
         diagnostics={
             "cg_iterations": cg.iterations,
             "cg_residual": cg.residual_norm,

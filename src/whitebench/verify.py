@@ -13,8 +13,8 @@ from itertools import islice
 import numpy as np
 
 from .dataio import open_in_place
-from .datatypes import Dataset, LabelSet, random_orthogonal, symmetrize
-from .errors import WhitebenchError
+from .datatypes import Dataset, LabelSet, random_orthogonal
+from .errors import ValidationError, WhitebenchError
 from .info_checks import (
     compress_whitened,
     count_information_parameters,
@@ -75,7 +75,7 @@ def suite_compression() -> list:
             X_hat = _whitened_cases(d, n)
             c = compress_whitened(X_hat)
             payload_ok &= c.scalar_count == count_information_parameters(d, n, whitened=True)
-            K = symmetrize(np.swapaxes(X_hat, 1, 2) @ X_hat)  # compute_K of each slice
+            K = np.swapaxes(X_hat, 1, 2) @ X_hat  # compute_K of each slice
             worst = max(worst, float(np.max(np.abs(reconstruct_K(c) - K))))
     return [
         CheckResult("compression_round_trip", worst <= tol, worst, tol),
@@ -91,8 +91,10 @@ def newton_whitened_gd_deviation(
     Both models start from zero output. Whitening is train-fitted PCA, so
     M^T M equals the inverse of the raw second moment and the two update
     rules coincide mode by mode. Newton factors F once: each step hands its
-    F solve on to the next.
+    F solve and its train predictions on to the next.
     """
+    if steps < 1:
+        raise ValidationError("steps must be at least 1")
     rng = np.random.default_rng(seed)
     X = Dataset(rng.standard_normal((d, n)))
     X_test = Dataset(rng.standard_normal((d, n_test)))
@@ -105,12 +107,12 @@ def newton_whitened_gd_deviation(
     newton = LinearModel(np.zeros((10, d)))
     gd = init_isotropic([d, 10], variance=0.0)
     cfg = OptimizerConfig(eta=eta)
-    worst, solve = 0.0, None
+    worst, handed = 0.0, {"solve": None, "predictions": None}
     for _, forward in islice(run_steps(gd, X_hat.values, Y.targets, cfg, sgd_step, seed), 1, steps + 1):
-        solve = newton_step(newton, X.values, Y.targets, cfg, solve).diagnostics["solve"]
+        handed = newton_step(newton, X.values, Y.targets, cfg, handed["solve"], handed["predictions"]).diagnostics
         worst = max(
             worst,
-            float(np.max(np.abs(newton.W @ X.values - forward[0]))),
+            float(np.max(np.abs(handed["predictions"] - forward[0]))),
             float(np.max(np.abs(newton.W @ X_test.values - gd.weights[0] @ X_test_hat.values))),
         )
     return worst

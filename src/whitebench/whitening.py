@@ -31,7 +31,6 @@ from .datatypes import (
     require_nontrivial_spectrum,
     resolved_rank,
     solve_triangular,
-    symmetrize,
 )
 from .errors import ShapeError, ValidationError
 
@@ -149,7 +148,7 @@ def fit_whitener(X_fit, mode: str = "pca", rank_policy: RankPolicy | None = None
         V, s, _ = np.linalg.svd(values, full_matrices=True)
         S = np.pad(s * s, [(0, 0)] * (values.ndim - 2) + [(0, d - n)])
     else:
-        S, V = np.linalg.eigh(symmetrize(values @ np.swapaxes(values, -1, -2)))
+        S, V = np.linalg.eigh(values @ np.swapaxes(values, -1, -2))
         S, V = S[..., ::-1], np.ascontiguousarray(V[..., ::-1])
     return _whiten_spectrum(S, V, mode, rank_policy or RankPolicy())
 
@@ -194,7 +193,7 @@ def full_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy
     if n <= d:
         if rank_policy.kind == "manual" and n + sum(X.shape[1] for X in others) < d:
             return None
-        A = symmetrize(sum(X @ X.T for X in [train, *others]))
+        A = sum(X @ X.T for X in [train, *others])
         trace = float(np.trace(A))
         A[np.diag_indices(d)] += rank_policy.epsilon_for(trace / d)
         L = proven_cholesky(A, ratio * trace) if trace > 0 else None  # all-zero data proves nothing
@@ -202,9 +201,9 @@ def full_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy
             return None
         P, s, _ = np.linalg.svd(solve_triangular(L, train), full_matrices=False)
         return Spectrum(s * s, solve_triangular(L.T, P, lower=False))
-    spec = eigh(symmetrize(train @ train.T)) if train_eigh is None else train_eigh
+    spec = eigh(train @ train.T) if train_eigh is None else train_eigh
     lam, V = spec.eigenvalues, spec.eigenvectors
-    F_o = symmetrize(sum(G @ G.T for G in (V.T @ X for X in others)))  # V^T F_o V, exactly symmetric
+    F_o = sum(G @ G.T for G in (V.T @ X for X in others))  # V^T F_o V
     trace = float(np.sum(lam)) + float(np.trace(F_o))
     if not lam[-1] > ratio * trace:
         return None

@@ -222,6 +222,17 @@ trainer = linear
     assert len(first.decode().splitlines()) == 1 + 18  # header + 3x3x2 terminal rows
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[experiment]\nid = w\noutput_dir = {tmp_path / 'results'}\n\n[sweep]\nsizes = 6\n",
+                   encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err and workers in err
+    assert not (tmp_path / "results").exists()
+
+
 def test_verify_quick_suites(tmp_path):
     report_path = tmp_path / "report.json"
     assert main(["verify", "--suite", "compression", "--report", str(report_path)]) == 0

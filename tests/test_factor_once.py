@@ -109,20 +109,29 @@ def _rank_deficient(rng, d, n):
     (lambda rng: _rank_deficient(rng, 6, 20), True),  # n > d, rank < d: eigh's kept modes
 ])
 def test_steps_handed_the_solve_have_the_bits_of_fresh_steps(rng, draw, fallback):
+    # each step is handed the previous step's F solve and its post-step predictions W X
     X = draw(rng)
     Y = rng.standard_normal((3, X.shape[1]))
     W0 = rng.standard_normal((3, X.shape[0]))
     fresh, handed = LinearModel(W0), LinearModel(W0)
     cfg = OptimizerConfig(eta=0.3)
-    solve = None
+    solve = predictions = None
     for _ in range(5):
         a = newton_step(fresh, X, Y, cfg)
-        b = newton_step(handed, X, Y, cfg, solve)
+        b = newton_step(handed, X, Y, cfg, solve, predictions)
         assert solve is None or b.diagnostics["solve"] is solve
-        solve = b.diagnostics["solve"]
+        solve, predictions = b.diagnostics["solve"], b.diagnostics["predictions"]
         assert _same_bits(fresh.W, handed.W)
+        assert _same_bits(predictions, fresh.W @ X) and _same_bits(a.diagnostics["predictions"], predictions)
         assert (a.loss_before, a.loss_after) == (b.loss_before, b.loss_after)
         assert a.diagnostics["pseudoinverse_fallback"] == b.diagnostics["pseudoinverse_fallback"] == fallback
+
+
+@pytest.mark.parametrize("steps", [0, -2])
+def test_the_newton_check_rejects_fewer_than_one_step(steps):
+    # no step compares nothing: a deviation of 0.0 at 0, a bare islice ValueError below it
+    with pytest.raises(ValidationError, match="steps"):
+        verify.newton_whitened_gd_deviation(steps=steps)
 
 
 def _counting(monkeypatch, module, name):

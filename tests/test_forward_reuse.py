@@ -14,6 +14,7 @@ from whitebench import (
     MLP, Dataset, LabelSet, OptimizerConfig, StepResult, accuracy, init_isotropic, train_to_cutoff,
 )
 from whitebench import optimizers
+from whitebench.models import run_steps
 from whitebench.errors import ValidationError
 from whitebench.optimizers import backtracking_line_search, conjugate_gradient_solve
 
@@ -266,3 +267,68 @@ def test_a_forward_of_another_array_is_rejected(call):
     with pytest.raises(ValidationError, match="another input array"):
         call(model, X.values, Y.targets, stale)
     assert all(np.array_equal(p, q) for p, q in zip(model.trainable(), before))
+
+
+# -- the post-step loss rides with the forward -------------------------------------
+
+def _steps_through_run_steps(model, X, Y, cfg, step_fn, k):
+    """k full-batch steps by models.run_steps, each handed the previous step's forward and loss."""
+    steps = run_steps(model, X, Y, cfg, step_fn, seed=0)
+    next(steps)
+    return [next(steps)[0] for _ in range(k)]
+
+
+@pytest.mark.parametrize("output_head", ["linear_mse", "softmax_xent"])
+@pytest.mark.parametrize("rule", ["sgd", "gn", "gn_line_search", "gn_line_search_stationary"])
+def test_steps_handed_their_loss_have_the_bits_of_fresh_steps(rule, output_head):
+    optimizer, knobs, variance = STEP_RULES[rule]
+    X, Y, _, _ = _problem(seed=6)
+    cfg = OptimizerConfig(**knobs)
+    init = init_isotropic([D, HIDDEN, CLASSES], variance=variance, seed=2, output_head=output_head)
+    model, fresh = init.copy(), init.copy()
+    step_fn, fresh_fn = {"sgd": (optimizers.sgd_step, _fresh_sgd_step),
+                         "gn": (optimizers.regularized_gn_step, _fresh_gn_step)}[optimizer]
+    handed = _steps_through_run_steps(model, X.values, Y.targets, cfg, step_fn, k=8)
+    batch = np.arange(N_TRAIN)  # run_steps' full-batch slice, whose layout the steps round on
+    Xb, Yb = X.values[:, batch], Y.targets[:, batch]
+    for result in handed:
+        _assert_same_result(result, fresh_fn(fresh, Xb, Yb, cfg))
+    assert all(np.array_equal(p, q) for p, q in zip(model.trainable(), fresh.trainable()))
+
+
+def _count_losses(monkeypatch):
+    calls = []
+    original = MLP.loss_value
+
+    def counting(self, predictions, targets):
+        calls.append(targets)
+        return original(self, predictions, targets)
+
+    monkeypatch.setattr(MLP, "loss_value", counting)
+    return calls
+
+
+def test_a_full_batch_sgd_step_computes_one_loss(monkeypatch):
+    X, Y, _, _ = _problem(seed=7)
+    model = init_isotropic([D, HIDDEN, CLASSES], variance=0.5, seed=1)
+    calls = _count_losses(monkeypatch)
+    _steps_through_run_steps(model, X.values, Y.targets, OptimizerConfig(eta=0.01), optimizers.sgd_step, k=5)
+    # the first step computes its loss before and after; each later step reads its loss before off the forward
+    assert len(calls) == 5 + 1
+
+
+def test_a_forward_handed_on_with_another_Y_recomputes_the_loss(monkeypatch):
+    X, Y, _, _ = _problem(seed=8)
+    model = init_isotropic([D, HIDDEN, CLASSES], variance=0.5, seed=1)
+    cfg = OptimizerConfig(eta=0.01)
+    forward = optimizers.sgd_step(model, X.values, Y.targets, cfg).diagnostics["forward"]
+    kept = model.forward_loss(forward, Y.targets)
+    other = np.roll(Y.targets, 1, axis=0)  # other labels: a loss read off the forward would be wrong
+    expected = model.loss_value(forward[0], other)
+    calls = _count_losses(monkeypatch)
+    assert optimizers.sgd_step(model.copy(), X.values, other, cfg, forward).loss_before == expected != kept
+    assert calls[0] is other
+    copy = Y.targets.copy()  # equal values, another array: still recomputed
+    calls.clear()
+    assert optimizers.sgd_step(model.copy(), X.values, copy, cfg, forward).loss_before == kept
+    assert calls[0] is copy

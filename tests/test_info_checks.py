@@ -325,6 +325,15 @@ def test_orbit_rejects_a_malformed_rotation_stack(rng, shape):
         orbit_equivalence_check(X, Y, R, seed=0, steps=2)
 
 
+@pytest.mark.parametrize("steps", [0, -2])
+def test_orbit_rejects_fewer_than_one_step(rng, steps):
+    # no step compares nothing: a vacuous pass at 0, a bare islice ValueError below it
+    X = random_dataset(rng, 3, 6)
+    Y = one_hot_labels(rng, 2, 6)
+    with pytest.raises(ValidationError, match="steps"):
+        orbit_equivalence_check(X, Y, np.eye(3), seed=0, steps=steps)
+
+
 def test_suite_orbit_needs_a_rotation():
     with pytest.raises(ValidationError, match="nonempty"):
         suite_orbit(r_count=0)

@@ -232,3 +232,22 @@ def test_accuracy_tie_breaks_to_lowest_index():
     targets[0, 0] = 1.0  # class 0: tie -> predicted 0 -> correct
     targets[2, 1] = 1.0  # class 2: tie -> predicted 0 -> wrong
     assert accuracy(pred, targets) == 0.5
+
+
+@pytest.mark.parametrize("deeper_biases", [False, True])
+@pytest.mark.parametrize("sizes", [[4, 3], [5, 6, 2], [3, 4, 4, 2]])
+def test_a_seed_sequence_stacks_the_per_seed_models(sizes, deeper_biases):
+    stack = init_isotropic(sizes, variance=0.3, seed=range(7, 11), activation="tanh",
+                           output_head="softmax_xent", deeper_biases=deeper_biases)
+    assert stack.stacked and (stack.activation, stack.output_head) == ("tanh", "softmax_xent")
+    for i, seed in enumerate(range(7, 11)):
+        alone = init_isotropic(sizes, variance=0.3, seed=seed, deeper_biases=deeper_biases)
+        for W, W_alone in zip(stack.weights, alone.weights):
+            assert W.shape == (4,) + W_alone.shape and W[i].tobytes() == W_alone.tobytes()
+        for b, b_alone in zip(stack.biases, alone.biases):
+            assert (b is None and b_alone is None) or np.array_equal(b[i], b_alone)
+
+
+def test_an_empty_seed_sequence_is_rejected():
+    with pytest.raises(ValidationError, match="nonempty"):
+        init_isotropic([3, 2], seed=[])
