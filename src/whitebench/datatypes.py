@@ -55,15 +55,31 @@ def proven_cholesky(A: np.ndarray, floor: float) -> np.ndarray | None:
         return None
 
 
-def solve_triangular(L: np.ndarray, B: np.ndarray, lower: bool = True) -> np.ndarray:
-    """L^-1 B for a triangular L, halved recursively into matrix products (numpy has no triangular solve)."""
+def triangular_inverses(L: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of the inverses of the triangular L's diagonal blocks that `solve_triangular` ends
+    in, each inverted once; its transpose serves L^T."""
     d = L.shape[0]
     if d <= 32:
-        return np.linalg.solve(L, B)
+        return np.linalg.inv(L)
+    inverses = np.zeros(L.shape)
+    for s in (slice(0, d // 2), slice(d // 2, d)):
+        inverses[s, s] = triangular_inverses(L[s, s])
+    return inverses
+
+
+def solve_triangular(L: np.ndarray, B: np.ndarray, lower: bool = True, inverses: np.ndarray | None = None):
+    """L^-1 B for a triangular L, halved recursively into matrix products (numpy has no triangular solve) down to
+    diagonal blocks of at most 32 rows, each a product with its inverse in `triangular_inverses(L)`, formed here
+    unless passed. Its relative error is within c d cond(L) eps, as a substitution's is (Du Croz and Higham, IMA J.
+    Numer. Anal. 12, 1992)."""
+    inverses = triangular_inverses(L) if inverses is None else inverses
+    d = L.shape[0]
+    if d <= 32:
+        return inverses @ B
     a, b = (slice(0, d // 2), slice(d // 2, d)) if lower else (slice(d // 2, d), slice(0, d // 2))
     out = np.empty(np.shape(B))
-    out[a] = solve_triangular(L[a, a], B[a], lower)
-    out[b] = solve_triangular(L[b, b], B[b] - L[b, a] @ out[a], lower)
+    out[a] = solve_triangular(L[a, a], B[a], lower, inverses[a, a])
+    out[b] = solve_triangular(L[b, b], B[b] - L[b, a] @ out[a], lower, inverses[b, b])
     return out
 
 

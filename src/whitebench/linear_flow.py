@@ -29,6 +29,7 @@ from .datatypes import (
     leading_modes,
     proven_cholesky,
     solve_triangular,
+    triangular_inverses,
 )
 from .errors import ShapeError, ValidationError
 from .models import accuracy
@@ -77,25 +78,26 @@ def _factor_F(X: Dataset) -> tuple:
 
     At n > d an F with a `proven_cholesky` above PINV_CUTOFF_RATIO tr F
     keeps all d modes (tr F >= lambda_max): the factor is that Cholesky
-    factor L, with no eigenvectors. Otherwise it is the Spectrum of the modes
-    of F above PINV_CUTOFF_RATIO times the largest eigenvalue (`gram_modes`),
-    which count toward the rank; the rest are dropped, so a rank below dim F
-    means a pseudoinverse, not an inverse.
+    factor L and its `triangular_inverses`, with no eigenvectors. Otherwise
+    it is the Spectrum of the modes of F above PINV_CUTOFF_RATIO times the
+    largest eigenvalue (`gram_modes`), which count toward the rank; the rest
+    are dropped, so a rank below dim F means a pseudoinverse, not an inverse.
     """
     d, n = X.values.shape
     F = compute_F(X) if n > d else None
     L = None if F is None else proven_cholesky(F, PINV_CUTOFF_RATIO * float(np.trace(F)))
     if L is not None:
-        return L, d
+        return (L, triangular_inverses(L)), d
     modes = gram_modes(X, PINV_CUTOFF_RATIO, F)
     return modes, modes.eigenvalues.size
 
 
 def _solve_F(factor, rhs: np.ndarray) -> np.ndarray:
-    """rhs F^+ off `_factor_F`'s factor: rhs F^-1 by L's triangular solves, or rhs V diag(1/lambda) V^T."""
+    """rhs F^+ off `_factor_F`'s factor: rhs F^-1 by L's and L^T's triangular solves, or rhs V diag(1/lambda) V^T."""
     if isinstance(factor, Spectrum):
         return (rhs @ factor.eigenvectors / factor.eigenvalues) @ factor.eigenvectors.T
-    return solve_triangular(factor.T, solve_triangular(factor, rhs.T), lower=False).T
+    L, inverses = factor
+    return solve_triangular(L.T, solve_triangular(L, rhs.T, True, inverses), False, inverses.T).T
 
 
 def solve_optimum(
@@ -240,7 +242,7 @@ def _loss_curve(sol: FlowSolution, X: Dataset, Y: LabelSet):
     """
     check_paired(X, Y)
     B = sol.mode_delta
-    R0 = sol.W0 @ X.values - Y.targets
+    R0 = sol.W0 @ X.values - Y.targets if sol.W0.any() else -Y.targets
     c0 = float(np.sum(R0 * R0))
     scale = 0.5 / X.sample_count
     if X is sol.X_train and Y is sol.Y_train:

@@ -31,6 +31,7 @@ from .datatypes import (
     require_nontrivial_spectrum,
     resolved_rank,
     solve_triangular,
+    triangular_inverses,
 )
 from .errors import ShapeError, ValidationError
 
@@ -199,11 +200,12 @@ def full_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy
         L = proven_cholesky(A, ratio * trace) if trace > 0 else None  # all-zero data proves nothing
         if L is None:
             return None
-        P, s, _ = np.linalg.svd(solve_triangular(L, train), full_matrices=False)
-        return Spectrum(s * s, solve_triangular(L.T, P, lower=False))
+        inverses = triangular_inverses(L)
+        P, s, _ = np.linalg.svd(solve_triangular(L, train, True, inverses), full_matrices=False)
+        return Spectrum(s * s, solve_triangular(L.T, P, False, inverses.T))
     spec = eigh(train @ train.T) if train_eigh is None else train_eigh
     lam, V = spec.eigenvalues, spec.eigenvectors
-    F_o = sum(G @ G.T for G in (V.T @ X for X in others))  # V^T F_o V
+    F_o = sum((G @ G.T for G in (V.T @ X for X in others)), np.zeros((d, d)))  # V^T F_o V
     trace = float(np.sum(lam)) + float(np.trace(F_o))
     if not lam[-1] > ratio * trace:
         return None

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitebench import Dataset, LabelSet, OptimizerConfig, apply_whitener, fit_whitener, init_isotropic
-from whitebench import linear_flow, verify
+from whitebench import linear_flow, verify, whitening
 from whitebench.datatypes import eigh, resolved_rank, symmetrize
 from whitebench.errors import DegenerateSpectrumError, ValidationError
 from whitebench.info_checks import compress_whitened, count_information_parameters, reconstruct_K
@@ -146,6 +146,26 @@ def test_the_newton_check_builds_and_factors_F_once(monkeypatch):
     factored = _counting(monkeypatch, linear_flow, "proven_cholesky")
     verify.newton_whitened_gd_deviation()
     assert len(built) == len(factored) == 1
+
+
+def test_the_newton_check_inverts_its_leaves_once_and_never_calls_solve(monkeypatch):
+    # d = 32: F's Cholesky factor is one leaf, inverted once; each step's two triangular solves are products with it
+    inverted = _counting(monkeypatch, linear_flow, "triangular_inverses")
+    leaves = _counting(monkeypatch, np.linalg, "inv")
+    solved = _counting(monkeypatch, np.linalg, "solve")
+    verify.newton_whitened_gd_deviation()
+    assert (len(inverted), len(leaves), len(solved)) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_the_full_arm_inverts_once_for_both_of_its_solves(monkeypatch, rng, n):
+    # at n <= d the solves of L and of L^T share one set of leaf inverses (d = 64: two leaves of 32)
+    inverted = _counting(monkeypatch, whitening, "triangular_inverses")
+    leaves = _counting(monkeypatch, np.linalg, "inv")
+    modes = whitening.full_whitened_modes(rng.standard_normal((64, n)), [rng.standard_normal((64, 8))],
+                                          RankPolicy("jitter"))
+    assert modes is not None
+    assert (len(inverted), len(leaves)) == (1, 2)
 
 
 def test_the_compression_suite_makes_one_fit_per_case(monkeypatch):

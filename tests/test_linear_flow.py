@@ -558,6 +558,25 @@ def test_early_stop_t_star_matches_bisection_at_half_the_slope_evaluations(monke
     assert len(evaluations) <= reference_evaluations / 2
 
 
+@pytest.mark.parametrize("n", [4, 12])
+def test_the_loss_curves_from_zero_W0_keep_the_bits_of_the_product_with_W0(rng, n):
+    # from W0 = 0 the residual at t = 0 is -Y with no product W0 X, on the train split and on any other, one-hot
+    # targets (whose zeros are where a signed zero could differ) included
+    X, X_val = random_dataset(rng, 6, n), random_dataset(rng, 6, 9)
+    Y, Y_val = one_hot_labels(rng, 3, n), one_hot_labels(rng, 3, 9)
+    sol = build_flow(X, Y)
+    E = -np.expm1(-np.outer(sol.mode_rates, np.logspace(-3, 2, 50)))
+    B, scale = sol.mode_delta, 0.5 / n
+    R0 = sol.W0 @ X.values - Y.targets
+    h = np.sum(B * B, axis=0) * sol.spectrum.eigenvalues
+    assert np.array_equal(_loss_curve(sol, X, Y)[0](E), scale * (float(np.sum(R0 * R0)) - h @ (E * (2.0 - E))))
+    Z, R0, scale = sol.spectrum.eigenvectors.T @ X_val.values, sol.W0 @ X_val.values - Y_val.targets, 0.5 / 9
+    a, H = np.sum(B * (R0 @ Z.T), axis=0), (B.T @ B) * (Z @ Z.T)
+    curve, gradient = _loss_curve(sol, X_val, Y_val)
+    assert np.array_equal(curve(E), scale * (float(np.sum(R0 * R0)) + 2.0 * (a @ E) + np.sum(E * (H @ E), axis=0)))
+    assert np.array_equal(gradient(E[:, 7]), 2.0 * scale * (a + H @ E[:, 7]))
+
+
 def test_early_stop_without_trajectory_records_only_the_val_curve(rng):
     X, Y = random_dataset(rng, 6, 12), LabelSet(rng.standard_normal((2, 12)))
     sol = build_flow(X, Y, W0=rng.standard_normal((2, 6)))

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from whitebench import (
     Dataset,
+    LabelSet,
     RankPolicy,
     apply_whitener,
+    build_flow,
     compute_F,
     compute_K,
     compute_mixed_K,
     fit_whitener,
+    flow_at,
     population_whitener,
     random_orthogonal,
     verify_whitened,
@@ -19,7 +22,7 @@ from whitebench import (
 from whitebench.datatypes import Spectrum, eigh, hstack_datasets, resolved_rank, symmetrize
 from whitebench.errors import DegenerateSpectrumError, ShapeError
 from whitebench.synth import SyntheticSpec, synthesize
-from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, center_on, whitened_modes
+from whitebench.whitening import RANK_POLICIES, WHITENING_MODES, center_on, full_whitened_modes, whitened_modes
 
 from conftest import spaced_dataset
 
@@ -312,3 +315,27 @@ def test_pca_rows_are_signed_by_their_largest_entry(rng, n):
     # both fit sides (full SVD of X for n <= d, eigh of F for n > d) take the same sign rule
     M = fit_whitener(Dataset(rng.standard_normal((9, n))), mode="pca").M
     assert np.all(M[np.arange(9), np.argmax(np.abs(M), axis=1)] > 0)
+
+
+@pytest.mark.parametrize("n", [3, 8, 20])
+@pytest.mark.parametrize("policy", [RankPolicy("manual"), RankPolicy("jitter"), RankPolicy("jitter", 1e-2)])
+@pytest.mark.parametrize("mode", WHITENING_MODES)
+def test_full_whitened_modes_with_no_other_split_follow_the_whitened_train_split(rng, n, policy, mode):
+    # with no other split F_full = F_train, at n < d, n = d and n > d: the flow off the modes predicts what the
+    # flow on the train split whitened by its own fit predicts, on any data
+    d = 8
+    train, X_test = rng.standard_normal((d, n)), rng.standard_normal((d, 5))
+    Y = LabelSet(rng.standard_normal((3, n)))
+    modes = full_whitened_modes(train, [], policy)
+    if policy.kind == "manual" and n < d:  # fewer than d columns: F_full is singular, the caller whitens the splits
+        assert modes is None
+        return
+    M = fit_whitener(Dataset(train), mode, policy).M
+    shortcut = build_flow(Dataset(train), Y, modes=modes)
+    whitened = build_flow(Dataset(M @ train), Y)
+    # the whitened path rounds like cond(train)^2 eps (at most 3.5 of it over 600 seeds), and at n < d the default
+    # jitter's M scales F's null directions by about 1e4, and that rounding with them (at most 2.6e-7)
+    tol = 1e-6 if n < d and policy.epsilon is None else max(1e-9, 16 * np.linalg.cond(train) ** 2 * np.finfo(float).eps)
+    for t in (0.1, 1.0, 30.0):
+        want = flow_at(whitened, t).W @ M @ X_test
+        assert np.max(np.abs(flow_at(shortcut, t).W @ X_test - want)) <= tol * np.max(np.abs(want))
