@@ -22,8 +22,8 @@ RANK_CUTOFF_RATIO = 1e-5
 #: relative cutoff for explicit inverses, about sqrt(machine eps): `pseudoinverse`
 #: (on singular values) and the F solve of `linear_flow.solve_optimum`,
 #: `optimum_predictions` and `optimizers.newton_step` (on eigenvalues of F; an
-#: F with a `proven_cholesky` above this times tr F >= its largest keeps every
-#: mode, and is solved by that factor, without its eigenvectors).
+#: F proven to have every eigenvalue above this times tr F >= its largest keeps
+#: every mode, and is solved as it is, without its eigenvectors).
 #: Rounding error in the Penrose identities grows like eps / cutoff, so a
 #: smaller cutoff keeps near-null directions whose residuals exceed 1e-8.
 PINV_CUTOFF_RATIO = 1e-8
@@ -40,47 +40,33 @@ def resolved_rank(S: np.ndarray) -> int:
     return int(np.count_nonzero(resolved)) if S.ndim == 1 else np.count_nonzero(resolved, axis=-1)
 
 
-def proven_cholesky(A: np.ndarray, floor: float) -> np.ndarray | None:
-    """The Cholesky factor L L^T = A of the symmetric d x d A, returned only if every eigenvalue of A provably
-    exceeds floor: the factorization of A - (floor + c) I runs to completion, where c = 2 (d + 1) eps tr A exceeds
-    the rounding that factorization can hide (Rump, "Verification of positive definiteness", BIT 46, 2006).
-    None proves nothing."""
+def proves_eigenvalues_above(A: np.ndarray, floor: float) -> bool:
+    """True only if every eigenvalue of the symmetric d x d A provably exceeds floor: the Cholesky factorization of
+    A - (floor + c) I runs to completion, where c = 2 (d + 1) eps tr A exceeds the rounding that factorization can
+    hide (Rump, "Verification of positive definiteness", BIT 46, 2006). False proves nothing."""
     d = A.shape[0]
     shifted = A.copy()
     shifted[np.diag_indices(d)] -= floor + 2 * (d + 1) * np.finfo(float).eps * float(np.trace(A))
     try:
         np.linalg.cholesky(shifted)
-        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        return None
+        return False
+    return True
 
 
-def triangular_inverses(L: np.ndarray) -> np.ndarray:
-    """The block-diagonal matrix of the inverses of the triangular L's diagonal blocks that `solve_triangular` ends
-    in, each inverted once; its transpose serves L^T."""
+def triangular_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 of the lower-triangular L, halved recursively into matrix products (numpy has no triangular solve) down
+    to diagonal blocks of at most 32 rows, each inverted by LU: L = [[A, 0], [C, B]] has the inverse
+    [[A^-1, 0], [-B^-1 C A^-1, B^-1]]."""
     d = L.shape[0]
     if d <= 32:
         return np.linalg.inv(L)
-    inverses = np.zeros(L.shape)
-    for s in (slice(0, d // 2), slice(d // 2, d)):
-        inverses[s, s] = triangular_inverses(L[s, s])
-    return inverses
-
-
-def solve_triangular(L: np.ndarray, B: np.ndarray, lower: bool = True, inverses: np.ndarray | None = None):
-    """L^-1 B for a triangular L, halved recursively into matrix products (numpy has no triangular solve) down to
-    diagonal blocks of at most 32 rows, each a product with its inverse in `triangular_inverses(L)`, formed here
-    unless passed. Its relative error is within c d cond(L) eps, as a substitution's is (Du Croz and Higham, IMA J.
-    Numer. Anal. 12, 1992)."""
-    inverses = triangular_inverses(L) if inverses is None else inverses
-    d = L.shape[0]
-    if d <= 32:
-        return inverses @ B
-    a, b = (slice(0, d // 2), slice(d // 2, d)) if lower else (slice(d // 2, d), slice(0, d // 2))
-    out = np.empty(np.shape(B))
-    out[a] = solve_triangular(L[a, a], B[a], lower, inverses[a, a])
-    out[b] = solve_triangular(L[b, b], B[b] - L[b, a] @ out[a], lower, inverses[b, b])
-    return out
+    h = d // 2
+    inverse = np.zeros(L.shape)
+    inverse[:h, :h] = triangular_inverse(L[:h, :h])
+    inverse[h:, h:] = triangular_inverse(L[h:, h:])
+    inverse[h:, :h] = -inverse[h:, h:] @ (L[h:, :h] @ inverse[:h, :h])
+    return inverse
 
 
 def _as_matrix(values, what="values", copy=True) -> np.ndarray:
@@ -178,11 +164,13 @@ class LabelSet:
         return np.argmax(self.targets, axis=0)
 
 
-def check_paired(X: Dataset, Y: LabelSet):
-    if X.sample_count != Y.sample_count:
-        raise ShapeError(
-            f"dataset has {X.sample_count} samples but labels have {Y.sample_count}"
-        )
+def check_split(name: str, split: tuple, feature_dim: int, output_dim: int):
+    """ShapeError naming a (Dataset, LabelSet) split unless its samples pair and it takes a model's feature_dim
+    features to its output_dim outputs. Callers check each split once, at entry, never per step."""
+    (d, n), (k, n_labels) = split[0].values.shape, split[1].targets.shape
+    if (d, k, n) != (feature_dim, output_dim, n_labels):
+        raise ShapeError(f"{name} split: {d} x {n} data with {k} x {n_labels} labels, where the model maps "
+                         f"{feature_dim} features to {output_dim} outputs with a label column per sample")
 
 
 def check_same_features(X_a: Dataset, X_b: Dataset):

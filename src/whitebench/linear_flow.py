@@ -22,14 +22,12 @@ from .datatypes import (
     NULL_MODE_RATIO,
     PINV_CUTOFF_RATIO,
     Spectrum,
-    check_paired,
     check_same_features,
+    check_split,
     compute_F,
     gram_modes,
     leading_modes,
-    proven_cholesky,
-    solve_triangular,
-    triangular_inverses,
+    proves_eigenvalues_above,
 )
 from .errors import ShapeError, ValidationError
 from .models import accuracy
@@ -76,28 +74,26 @@ def _initial_weights(W0: np.ndarray | None, k: int, d: int) -> np.ndarray:
 def _factor_F(X: Dataset) -> tuple:
     """The F solve of F = X X^T: (factor, rank of F), which `_solve_F` applies to any right-hand side.
 
-    At n > d an F with a `proven_cholesky` above PINV_CUTOFF_RATIO tr F
-    keeps all d modes (tr F >= lambda_max): the factor is that Cholesky
-    factor L and its `triangular_inverses`, with no eigenvectors. Otherwise
-    it is the Spectrum of the modes of F above PINV_CUTOFF_RATIO times the
-    largest eigenvalue (`gram_modes`), which count toward the rank; the rest
-    are dropped, so a rank below dim F means a pseudoinverse, not an inverse.
+    At n > d an F proven to have every eigenvalue above PINV_CUTOFF_RATIO
+    tr F keeps all d modes (tr F >= lambda_max): the factor is F itself,
+    with no eigenvectors. Otherwise it is the Spectrum of the modes of F
+    above PINV_CUTOFF_RATIO times the largest eigenvalue (`gram_modes`),
+    which count toward the rank; the rest are dropped, so a rank below
+    dim F means a pseudoinverse, not an inverse.
     """
     d, n = X.values.shape
     F = compute_F(X) if n > d else None
-    L = None if F is None else proven_cholesky(F, PINV_CUTOFF_RATIO * float(np.trace(F)))
-    if L is not None:
-        return (L, triangular_inverses(L)), d
+    if F is not None and proves_eigenvalues_above(F, PINV_CUTOFF_RATIO * float(np.trace(F))):
+        return F, d
     modes = gram_modes(X, PINV_CUTOFF_RATIO, F)
     return modes, modes.eigenvalues.size
 
 
 def _solve_F(factor, rhs: np.ndarray) -> np.ndarray:
-    """rhs F^+ off `_factor_F`'s factor: rhs F^-1 by L's and L^T's triangular solves, or rhs V diag(1/lambda) V^T."""
+    """rhs F^+ off `_factor_F`'s factor: rhs F^-1 by LAPACK's LU solve with F, or rhs V diag(1/lambda) V^T."""
     if isinstance(factor, Spectrum):
         return (rhs @ factor.eigenvectors / factor.eigenvalues) @ factor.eigenvectors.T
-    L, inverses = factor
-    return solve_triangular(L.T, solve_triangular(L, rhs.T, True, inverses), False, inverses.T).T
+    return np.linalg.solve(factor, rhs.T).T
 
 
 def solve_optimum(
@@ -108,10 +104,10 @@ def solve_optimum(
     With full-rank F (d < n) this is the unique global optimum and W0 drops
     out; otherwise components of W0 outside the kept modes are retained and
     the pseudoinverse fallback is flagged in the model metadata, with the
-    count of kept modes as rank_F. F^+ is `_factor_F`'s: a Cholesky solve
+    count of kept modes as rank_F. F^+ is `_factor_F`'s: an LU solve with F
     where F is proven to keep every mode, else eigh (n > d) or the thin SVD.
     """
-    check_paired(X_train, Y_train)
+    check_split("train", (X_train, Y_train), X_train.feature_dim, Y_train.output_dim)  # it sets the model's shape
     W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim)
     residual_cross = (Y_train.targets - W0 @ X_train.values if W0.any() else Y_train.targets) @ X_train.values.T
     factor, rank = _factor_F(X_train)
@@ -165,7 +161,7 @@ def build_flow(
     """
     if precondition not in PRECONDITIONS:
         raise ValidationError(f"unknown precondition {precondition!r}")
-    check_paired(X_train, Y_train)
+    check_split("train", (X_train, Y_train), X_train.feature_dim, Y_train.output_dim)  # it sets the model's shape
     W0 = _initial_weights(W0, Y_train.output_dim, X_train.feature_dim).copy()
     if modes is not None and modes.eigenvectors.shape[0] != X_train.feature_dim:
         raise ShapeError(f"modes have {modes.eigenvectors.shape[0]} features, X_train has {X_train.feature_dim}")
@@ -200,7 +196,7 @@ def optimum_predictions(
     relative pinv cutoff drops the same modes on either side. With
     X = U S V^T, the thin SVD that `solve_optimum` takes when n <= d gives
     K^+ X^T = V S^-1 U^T directly: there it is the K form on the smaller side.
-    When n > d and F is proven to keep all d modes, F^+ = F^-1 is a Cholesky
+    When n > d and F is proven to keep all d modes, F^+ = F^-1 is an LU
     solve and no eigenvector is formed.
     """
     check_same_features(X_train, X_test)
@@ -240,7 +236,6 @@ def _loss_curve(sol: FlowSolution, X: Dataset, Y: LabelSet):
     Returns L, which takes E as one column or as r x T columns, and its
     gradient dL/dE = (a + H E) / n at one column.
     """
-    check_paired(X, Y)
     B = sol.mode_delta
     R0 = sol.W0 @ X.values - Y.targets if sol.W0.any() else -Y.targets
     c0 = float(np.sum(R0 * R0))
@@ -284,10 +279,12 @@ def early_stop(
     validation losses there. A one-hot "test_loss" split also gets its
     test_error at t*.
     """
-    grid = grid or TimeGrid.default_for(sol)
-    times = grid.times()
     splits = {"val_loss": (X_val, Y_val), "train_loss": (sol.X_train, sol.Y_train),
               **({} if test is None else {"test_loss": test})}
+    for name, split in splits.items():
+        check_split(name.removesuffix("_loss"), split, sol.X_train.feature_dim, sol.Y_train.output_dim)
+    grid = grid or TimeGrid.default_for(sol)
+    times = grid.times()
 
     rates = sol.mode_rates
     progress = -np.expm1(-np.outer(rates, times))

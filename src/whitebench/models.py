@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import Dataset, LabelSet, check_paired
+from .datatypes import Dataset, LabelSet, check_split
 from .errors import ShapeError, ValidationError
 from .records import TrainRecord
 
@@ -297,7 +297,8 @@ def train_to_cutoff(
     steps and at the terminal step; a full batch tests the cutoff after every
     step, minibatches at recorded steps. A full batch makes one train-split
     forward per step (see `run_steps`). `val` and `test` are (Dataset,
-    LabelSet) pairs, as `linear_flow.early_stop` takes `test`.
+    LabelSet) pairs, as `linear_flow.early_stop` takes `test`; every split is
+    checked against the model's shape before the first step.
     metadata["steps_to_best_val"] is the recorded step >= 1 with the lowest
     validation loss (None without `val`).
     """
@@ -313,7 +314,9 @@ def train_to_cutoff(
         raise ValidationError(f"unknown optimizer {optimizer!r}")
     if model.stacked:
         raise ShapeError("train_to_cutoff trains one model; a stack would share one stopping rule")
-    check_paired(X_train, Y_train)
+    for name, split in {"train": (X_train, Y_train), "val": val, "test": test}.items():
+        if split is not None:
+            check_split(name, split, model.layer_sizes[0], model.layer_sizes[-1])
     if Y_train.encoding != "one_hot":
         raise ValidationError("accuracy cutoff training needs one_hot labels")
 

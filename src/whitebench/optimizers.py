@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datatypes import Dataset, eigh
+from .datatypes import Dataset, Spectrum, eigh
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -172,20 +172,24 @@ def newton_step(model: LinearModel, X_b: np.ndarray, Y_b: np.ndarray, cfg: Optim
     """Inverse-Hessian preconditioned step for the linear MSE model.
 
     The Hessian of 1/2 ||W X - Y||^2 in each output row is F = X X^T; the
-    update is W - eta (dL/dW) F^+, the F solve of `solve_optimum` (a Cholesky
-    solve where F is proven to keep all d modes), flagged as a pseudoinverse
-    fallback when it keeps fewer than d modes. eta = 1 lands on that optimum.
-    `solve` and `predictions` are the F solve and W X_b of this very X_b, as the previous step on it hands
-    them on in diagnostics["solve"] and diagnostics["predictions"]; None forms them here.
+    update is W - eta (dL/dW) F^+, the F solve of `solve_optimum` (F^-1,
+    formed once, where F is proven to keep all d modes), flagged as a
+    pseudoinverse fallback when it keeps fewer than d modes. eta = 1 lands on
+    that optimum. `solve` and `predictions` are the F solve, (F^-1 or the
+    kept eigenpairs, rank of F), and W X_b of this very X_b, as the previous
+    step on it hands them on in diagnostics["solve"] and
+    diagnostics["predictions"]; None forms them here.
     """
     X_b = np.asarray(X_b, dtype=np.float64)
     Y_b = np.asarray(Y_b, dtype=np.float64)
     residual = (model.W @ X_b if predictions is None else predictions) - Y_b
     grad = residual @ X_b.T
     _check_finite_grads([grad], "newton_step")
-    solve = _factor_F(Dataset(X_b)) if solve is None else solve
+    if solve is None:
+        factor, rank = _factor_F(Dataset(X_b))
+        solve = (factor if isinstance(factor, Spectrum) else np.linalg.inv(factor)), rank
     loss_before = 0.5 * float(np.sum(residual ** 2))
-    model.W = model.W - cfg.eta * _solve_F(solve[0], grad)
+    model.W = model.W - cfg.eta * (_solve_F(solve[0], grad) if isinstance(solve[0], Spectrum) else grad @ solve[0])
     predictions = model.W @ X_b
     return StepResult(
         step_size=cfg.eta,

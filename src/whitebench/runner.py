@@ -171,7 +171,7 @@ def plan_run(cfg: RunConfig, trainer: str, sizes: list = ()) -> RunPlan:
 
 
 def _load_file_splits(cfg: RunConfig) -> dict:
-    """Read the train/val/test files of a file source; every split needs labels.
+    """Read the train/val/test files of a file source; every split needs labels and the train file's features.
 
     One-hot splits are padded with zero rows to the widest split's class
     count (a val file may lack the largest class ids); real-valued targets
@@ -190,8 +190,10 @@ def _load_file_splits(cfg: RunConfig) -> dict:
             raise ValidationError(f"{path}: no labels; a run needs {needs}")
         splits[name] = (X, Y)
     widest = max(splits, key=lambda name: splits[name][1].output_dim)
-    width = splits[widest][1].output_dim
+    width, d = splits[widest][1].output_dim, splits["train"][0].feature_dim
     for name, (X, Y) in list(splits.items()):
+        if X.feature_dim != d:
+            raise ValidationError(f"{data[name]} has {X.feature_dim} features but {data['train']} has {d}")
         pad = width - Y.output_dim
         if pad and Y.encoding != "one_hot":
             raise ValidationError(f"{data[name]} has {Y.output_dim} target rows but {data[widest]} has {width}")
@@ -365,7 +367,6 @@ def _flow_rows(plan: RunPlan, draw: _GroupDraw, mode: str, base: dict, include_t
     sol, splits = _arm_flow(plan, draw, mode, W0)
     grid = plan.grid or TimeGrid.default_for(sol, plan.cfg.get("flow", "grid_points"))
     _, record = early_stop(sol, *splits["val"], grid, test=splits.get("test"), trajectory=include_trajectory)
-    base = {**base, "optimizer": "flow_" + plan.cfg.get("flow", "precondition")}
     return _record_rows(base, record, include_trajectory)
 
 
@@ -381,10 +382,9 @@ def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_tr
         output_head=model_cfg("head"),
         deeper_biases=model_cfg("biases"),
     )
-    name = opt_cfg("name")
     record = train_to_cutoff(
         model, Xtr, Ytr, optimizer,
-        optimizer=name,
+        optimizer=base["optimizer"],
         cutoff=opt_cfg("cutoff"),
         step_cap=opt_cfg("step_cap"),
         seed=run_seed,
@@ -392,7 +392,6 @@ def _mlp_rows(plan: RunPlan, splits: dict, base: dict, run_seed: int, include_tr
         record_every=opt_cfg("record_every"),
         metadata={"whitening_mode": base["whitening_mode"]},
     )
-    base = {**base, "optimizer": name}
     return _record_rows(base, record, include_trajectory)
 
 
@@ -405,9 +404,12 @@ def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, inclu
     """
     cfg = plan.cfg
     optimizer = optimizer or plan.optimizers[0]
-    n_train = _split_sizes(cfg, dataset_size)[0]  # every row of the cell, an error row too, reports n_train
-    base = dict(experiment_id=cfg.experiment_id, seed=seed_index, dataset_size=n_train, whitening_mode=mode)
-    if plan.trainer == "mlp" and cfg.get("optimizer", "name") == "gn":
+    # every row of the cell, an error row too, reports n_train and the cell's optimizer label
+    n_train = _split_sizes(cfg, dataset_size)[0]
+    label = "flow_" + cfg.get("flow", "precondition") if plan.trainer == "linear" else cfg.get("optimizer", "name")
+    base = dict(experiment_id=cfg.experiment_id, seed=seed_index, dataset_size=n_train, whitening_mode=mode,
+                optimizer=label)
+    if label == "gn":
         base["reg_lambda"] = optimizer.reg_lambda
     try:
         if draw is None:
@@ -418,7 +420,7 @@ def run_cell(plan: RunPlan, dataset_size: int, mode: str, seed_index: int, inclu
             return _flow_rows(plan, draw, mode, base, include_trajectory)
         return _mlp_rows(plan, prepare_arm(plan, draw, mode), base, draw.seed, include_trajectory, optimizer)
     except WhitebenchError:
-        return _record_rows({**base, "optimizer": plan.trainer}, TrainRecord(stopping_reason="error"), False)
+        return _record_rows(base, TrainRecord(stopping_reason="error"), False)
 
 
 def _run_group(args):

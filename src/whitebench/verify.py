@@ -90,8 +90,8 @@ def newton_whitened_gd_deviation(
 
     Both models start from zero output. Whitening is train-fitted PCA, so
     M^T M equals the inverse of the raw second moment and the two update
-    rules coincide mode by mode. Newton factors F once: each step hands its
-    F solve and its train predictions on to the next.
+    rules coincide mode by mode. Newton proves and inverts F once: each step
+    hands its F^-1 and its train predictions on to the next.
     """
     if steps < 1:
         raise ValidationError("steps must be at least 1")

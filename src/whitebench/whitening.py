@@ -27,11 +27,10 @@ from .datatypes import (
     Spectrum,
     compute_F,
     eigh,
-    proven_cholesky,
+    proves_eigenvalues_above,
     require_nontrivial_spectrum,
     resolved_rank,
-    solve_triangular,
-    triangular_inverses,
+    triangular_inverse,
 )
 from .errors import ShapeError, ValidationError
 
@@ -184,10 +183,11 @@ def full_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy
     modes, since tr F_full >= S_0 (`datatypes.resolved_rank`). Under manual, fewer than d columns give None at once.
 
     M^T M = A^-1 with A = F_full + epsilon I (`RankPolicy.epsilon_for`), for PCA and ZCA alike, is all such a flow
-    reads of M. At n <= d the `proven_cholesky` L L^T = A stands in for M: the thin SVD L^-1 X_train = P diag(s) R^T
-    gives rates s^2 and U = L^-T P. At n > d, off train_eigh = (Lambda, V), all d eigenpairs of F_train (taken here
-    if None), whose Lambda_min bounds S_min(F_full) below (Weyl): C = I + Lambda^-1/2 V^T (F_full - F_train +
-    epsilon I) V Lambda^-1/2 has eigenpairs (mu, w), rate = 1 / mu and u = V Lambda^-1/2 w mu^-1/2. No fit or M.
+    reads of M. At n <= d the Cholesky factor L L^T = A of the proven A stands in for M: with L^-1 its
+    `triangular_inverse`, the thin SVD L^-1 X_train = P diag(s) R^T gives rates s^2 and U = L^-T P. At n > d, off
+    train_eigh = (Lambda, V), all d eigenpairs of F_train (taken here if None), whose Lambda_min bounds S_min(F_full)
+    below (Weyl): C = I + Lambda^-1/2 V^T (F_full - F_train + epsilon I) V Lambda^-1/2 has eigenpairs (mu, w),
+    rate = 1 / mu and u = V Lambda^-1/2 w mu^-1/2. No fit or M.
     """
     d, n = train.shape
     ratio = d * np.finfo(float).eps  # the full-rank floor over tr F_full
@@ -197,12 +197,11 @@ def full_whitened_modes(train: np.ndarray, others: list, rank_policy: RankPolicy
         A = sum(X @ X.T for X in [train, *others])
         trace = float(np.trace(A))
         A[np.diag_indices(d)] += rank_policy.epsilon_for(trace / d)
-        L = proven_cholesky(A, ratio * trace) if trace > 0 else None  # all-zero data proves nothing
-        if L is None:
+        if not (trace > 0 and proves_eigenvalues_above(A, ratio * trace)):  # all-zero data proves nothing
             return None
-        inverses = triangular_inverses(L)
-        P, s, _ = np.linalg.svd(solve_triangular(L, train, True, inverses), full_matrices=False)
-        return Spectrum(s * s, solve_triangular(L.T, P, False, inverses.T))
+        L_inv = triangular_inverse(np.linalg.cholesky(A))
+        P, s, _ = np.linalg.svd(L_inv @ train, full_matrices=False)
+        return Spectrum(s * s, L_inv.T @ P)
     spec = eigh(train @ train.T) if train_eigh is None else train_eigh
     lam, V = spec.eigenvalues, spec.eigenvectors
     F_o = sum((G @ G.T for G in (V.T @ X for X in others)), np.zeros((d, d)))  # V^T F_o V

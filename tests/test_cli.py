@@ -668,6 +668,26 @@ def test_file_splits_with_different_target_widths_exit_2(tmp_path, rng, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trainer", ["linear", "mlp"])
+@pytest.mark.parametrize("wider", ["val", "test"])
+def test_file_split_with_another_feature_count_exits_2_before_any_cell(tmp_path, rng, capsys, trainer, wider):
+    # train.csv holds f0..f3 and the wider file f0..f4: the linear trainer stopped on a numpy matmul error, and the
+    # mlp trainer wrote an error row for every cell
+    for split, n in (("train", 12), ("val", 6), ("test", 6)):
+        d = 5 if split == wider else 4
+        export_csv(tmp_path / f"{split}.csv", Dataset(rng.standard_normal((d, n))), one_hot_labels(rng, 3, n))
+    out = tmp_path / "results"
+    sections = (_linear_sections if trainer == "linear" else _mlp_sections)(out)
+    sections["data"] = {"source": "files", **{split: tmp_path / f"{split}.csv" for split in ("train", "val", "test")}}
+    sections["sweep"] = {"sizes": "12", "trainer": trainer}
+    cfg = tmp_path / "files.cfg"
+    _write_run_config(cfg, sections)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / f"{wider}.csv") in err and str(tmp_path / "train.csv") in err and "features" in err
+    assert not out.exists()
+
+
 def test_file_source_path_of_another_suffix_exits_2_before_any_cell(tmp_path, rng, capsys):
     # the suffix picks the codec, as on the command line: csv content under a .dat name is still rejected
     export_csv(tmp_path / "train.dat", Dataset(rng.standard_normal((4, 12))), one_hot_labels(rng, 3, 12))

@@ -96,6 +96,16 @@ def test_lambda_sweep_rows_are_paired_and_report_the_best_validation_step(tmp_pa
         assert row["stopping_reason"] in ("cutoff", "cap")
 
 
+def test_readme_quick_tour_runs_as_written():
+    # the README's one python block, run as written: it once used X_val, Y_val and X_test without defining them
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    assert namespace["t_star"] > 0.0 and namespace["preds"].shape == (3, 20)
+
+
 def test_readme_example_config_runs_as_written(tmp_path):
     # every ini block of the README, under `sweep` and the train-* command of its [sweep] trainer
     readme = (REPO / "README.md").read_text(encoding="utf-8")

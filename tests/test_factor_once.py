@@ -104,7 +104,7 @@ def _rank_deficient(rng, d, n):
 
 
 @pytest.mark.parametrize("draw, fallback", [
-    (lambda rng: rng.standard_normal((6, 20)), False),  # n > d: the proven Cholesky factor
+    (lambda rng: rng.standard_normal((6, 20)), False),  # n > d: the proven F, inverted once
     (lambda rng: rng.standard_normal((8, 5)), True),  # n < d: the thin SVD's kept modes
     (lambda rng: _rank_deficient(rng, 6, 20), True),  # n > d, rank < d: eigh's kept modes
 ])
@@ -141,26 +141,20 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_the_newton_check_builds_and_factors_F_once(monkeypatch):
+def test_the_newton_check_forms_proves_and_inverts_F_once_and_never_calls_solve(monkeypatch):
+    # the first step proves F full-rank and inverts it; every step, the first too, is one product with that F^-1
     built = _counting(monkeypatch, linear_flow, "compute_F")
-    factored = _counting(monkeypatch, linear_flow, "proven_cholesky")
-    verify.newton_whitened_gd_deviation()
-    assert len(built) == len(factored) == 1
-
-
-def test_the_newton_check_inverts_its_leaves_once_and_never_calls_solve(monkeypatch):
-    # d = 32: F's Cholesky factor is one leaf, inverted once; each step's two triangular solves are products with it
-    inverted = _counting(monkeypatch, linear_flow, "triangular_inverses")
-    leaves = _counting(monkeypatch, np.linalg, "inv")
+    proven = _counting(monkeypatch, linear_flow, "proves_eigenvalues_above")
+    inverted = _counting(monkeypatch, np.linalg, "inv")
     solved = _counting(monkeypatch, np.linalg, "solve")
     verify.newton_whitened_gd_deviation()
-    assert (len(inverted), len(leaves), len(solved)) == (1, 1, 0)
+    assert (len(built), len(proven), len(inverted), len(solved)) == (1, 1, 1, 0)
 
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_the_full_arm_inverts_once_for_both_of_its_solves(monkeypatch, rng, n):
-    # at n <= d the solves of L and of L^T share one set of leaf inverses (d = 64: two leaves of 32)
-    inverted = _counting(monkeypatch, whitening, "triangular_inverses")
+    # at n <= d the products with L^-1 and with L^-T share one triangular_inverse (d = 64: two leaves of 32)
+    inverted = _counting(monkeypatch, whitening, "triangular_inverse")
     leaves = _counting(monkeypatch, np.linalg, "inv")
     modes = whitening.full_whitened_modes(rng.standard_normal((64, n)), [rng.standard_normal((64, 8))],
                                           RankPolicy("jitter"))

@@ -21,7 +21,7 @@ from whitebench import (
     pseudoinverse,
     solve_optimum,
 )
-from whitebench.datatypes import NULL_MODE_RATIO, PINV_CUTOFF_RATIO, gram_modes, proven_cholesky, random_orthogonal
+from whitebench.datatypes import NULL_MODE_RATIO, PINV_CUTOFF_RATIO, gram_modes, proves_eigenvalues_above, random_orthogonal
 from whitebench.errors import ShapeError, ValidationError
 from whitebench.linear_flow import FLAT_LOSS_RATIO, PRECONDITIONS, LinearModel, _loss_curve
 from whitebench.optimizers import OptimizerConfig, newton_step
@@ -254,8 +254,9 @@ def _eigh_f_solve(X, rhs):
 @settings(max_examples=200, deadline=None)
 def test_f_solve_at_n_above_d_matches_the_eigh_pseudoinverse(d, n_minus_d, k, rank_deficit, log_condition, nonzero_w0,
                                                              seed):
-    # at n > d an F proven above PINV_CUTOFF_RATIO tr F is solved by Cholesky; any other F takes the eigh path,
-    # whose bits must not change. F's eigenvalues spread over 10^-log_condition, on both sides of the cutoff.
+    # at n > d an F proven above PINV_CUTOFF_RATIO tr F is solved by LU, and a Newton step multiplies by its F^-1;
+    # any other F takes the eigh path, whose bits must not change. F's eigenvalues spread over 10^-log_condition, on
+    # both sides of the cutoff.
     n = d + n_minus_d
     rng = np.random.default_rng(seed)
     rank = d - min(rank_deficit, d - 1)
@@ -266,15 +267,16 @@ def test_f_solve_at_n_above_d_matches_the_eigh_pseudoinverse(d, n_minus_d, k, ra
     Y = LabelSet(rng.standard_normal((k, n)))
     W0 = rng.standard_normal((k, d)) if nonzero_w0 else np.zeros((k, d))
     F = compute_F(X)
-    proven = proven_cholesky(F, PINV_CUTOFF_RATIO * np.trace(F)) is not None
+    proven = proves_eigenvalues_above(F, PINV_CUTOFF_RATIO * np.trace(F))
     step, rank_F = _eigh_f_solve(X, (Y.targets - W0 @ X.values) @ X.values.T)
     optimum = solve_optimum(X, Y, W0)
     assert (optimum.meta["rank_F"], optimum.meta["pseudoinverse_fallback"]) == (rank_F, rank_F < d)
     model = LinearModel(W0.copy())
     result = newton_step(model, X.values, Y.targets, OptimizerConfig(eta=0.5))
     assert result.diagnostics["pseudoinverse_fallback"] == (rank_F < d)
-    # both solves round by about eps cond(F) in F's weakest mode: against a 50-digit solve of the same data the
-    # Cholesky solve erred by at most 2.4e-9 and the eigh path by 4.9e-9 (132 proven draws, d <= 16, cond near 1e8)
+    # both solves round by about eps cond(F) in F's weakest mode: against a 50-digit solve of the same data the LU
+    # solve erred by at most 1.3e-9, the product with F^-1 by 1.5e-9 and the eigh path by 4.9e-9 (132 proven draws,
+    # d <= 16, cond near 1e8)
     eigenvalues = np.linalg.eigvalsh(F)
     tol = 1e-9 + 4 * np.finfo(float).eps * eigenvalues[-1] / max(eigenvalues[0], np.finfo(float).tiny)
     for got, want in ((optimum.W, W0 + step), (model.W, W0 + 0.5 * step)):
@@ -586,6 +588,21 @@ def test_early_stop_without_trajectory_records_only_the_val_curve(rng):
     assert t_bare == t_full and bare.at(t_bare) == full.at(t_full) and bare.val_loss == full.val_loss
     for series in (bare.train_loss, bare.test_loss):
         assert [i for i, v in enumerate(series) if v is not None] == [bare.steps.index(t_bare)]
+
+
+@pytest.mark.parametrize("split", ["val", "test"])
+@pytest.mark.parametrize("shape", [(7, 9, 9, 2), (6, 9, 9, 3), (6, 9, 10, 2)], ids=["features", "outputs", "samples"])
+@pytest.mark.parametrize("trajectory", [True, False])
+def test_early_stop_rejects_a_held_out_split_of_another_shape(rng, split, shape, trajectory):
+    # (features, samples, labelled samples, outputs) against the flow's 6 features and 2 outputs: each used to reach
+    # numpy as a bare matmul or broadcasting ValueError
+    d, n, n_labels, outputs = shape
+    X, Y = random_dataset(rng, 6, 12), LabelSet(rng.standard_normal((2, 12)))
+    sol = build_flow(X, Y)
+    splits = {name: (random_dataset(rng, 6, 9), LabelSet(rng.standard_normal((2, 9)))) for name in ("val", "test")}
+    splits[split] = (random_dataset(rng, d, n), LabelSet(rng.standard_normal((outputs, n_labels))))
+    with pytest.raises(ShapeError, match=split):
+        early_stop(sol, *splits["val"], test=splits["test"], trajectory=trajectory)
 
 
 def test_early_stop_self_consistency():

@@ -115,6 +115,24 @@ def test_record_every_below_one_is_rejected(rng):
         train_to_cutoff(init_isotropic([3, 4]), X, Y, OptimizerConfig(), step_cap=5, record_every=0)
 
 
+@pytest.mark.parametrize("split, shape", [
+    ("val", (3, 6, 6, 5)), ("test", (3, 6, 6, 5)), ("train", (3, 8, 8, 5)),  # one output more than the model's 4
+    ("val", (4, 6, 6, 4)), ("test", (4, 6, 6, 4)),  # one feature more than its 3
+    ("val", (3, 6, 7, 4)), ("test", (3, 6, 7, 4)),  # labels for one sample more than the dataset holds
+])
+def test_a_split_of_another_shape_is_rejected_before_any_step(rng, split, shape):
+    # (features, samples, labelled samples, outputs) of the odd split: each used to reach numpy, a bare broadcasting
+    # ValueError at the first evaluation, or the model's forward for a wider split
+    d, n, n_labels, outputs = shape
+    X, Y = random_dataset(rng, 3, 8), one_hot_labels(rng, 4, 8)
+    splits = {"train": (X, Y), "val": (X, Y), "test": (X, Y)}
+    splits[split] = (random_dataset(rng, d, n), one_hot_labels(rng, outputs, n_labels))
+    model = init_isotropic([3, 4])
+    with pytest.raises(ShapeError, match=split):
+        train_to_cutoff(model, *splits.pop("train"), OptimizerConfig(), step_cap=5, **splits)
+    assert np.array_equal(model.weights[0], init_isotropic([3, 4]).weights[0])
+
+
 @pytest.mark.parametrize("step_cap", [0, -5])
 def test_step_cap_below_one_is_rejected(rng, step_cap):
     # these used to take one step and stop with reason "cap"

@@ -729,6 +729,19 @@ def test_failed_group_draw_is_an_error_row_per_cell(tmp_path, monkeypatch):
     assert len(reasons[12]) == 6 and "error" not in reasons[12]
     assert {(r.whitening_mode, r.reg_lambda) for r in rows if r.dataset_size == 8} == {
         (mode, lam) for mode in ("none", "train", "distribution") for lam in (0.2, 1.0)}
+    assert {r.optimizer for r in rows} == {"gn"}  # error rows too, not the trainer's name
+
+
+@pytest.mark.parametrize("precondition", PRECONDITIONS)
+def test_error_rows_carry_the_cells_optimizer_label(tmp_path, precondition):
+    # an all-zero spectrum: the none arm trains and the train arm writes an error row, which read the trainer's
+    # name, linear, where the cell's other rows read flow_none or flow_newton
+    path = tmp_path / "zero.cfg"
+    path.write_text("[data]\nd = 4\nn_val = 4\nspectrum = custom\neigenvalues = 0 0 0 0\n[whitening]\n"
+                    f"modes = none train\n[flow]\nprecondition = {precondition}\ngrid_points = 20\n", encoding="utf-8")
+    rows = sweep(parse_config(path), "linear", [8], include_trajectory=True)
+    assert {(r.whitening_mode, r.stopping_reason == "error") for r in rows} == {("none", False), ("train", True)}
+    assert {r.optimizer for r in rows} == {"flow_" + precondition}
 
 
 def _product_scale(W: np.ndarray, X: np.ndarray) -> float:
@@ -863,14 +876,15 @@ def test_full_arm_modes_off_the_groups_eigh_match_the_m_path(d, size, n_val, tra
 
 
 @given(
-    st.integers(3, 24), st.sampled_from(["1", "d/2", "d"]), st.sampled_from(["d", "3"]),
-    st.sampled_from(WHITENING_MODES), st.sampled_from(["manual", "jitter", "jitter 1e-3"]), st.sampled_from(PRECONDITIONS),
-    st.booleans(), st.integers(0, 2**32 - 1),
+    st.one_of(st.integers(3, 24), st.sampled_from([33, 64, 65])), st.sampled_from(["1", "d/2", "d"]),
+    st.sampled_from(["d", "3"]), st.sampled_from(WHITENING_MODES), st.sampled_from(["manual", "jitter", "jitter 1e-3"]),
+    st.sampled_from(PRECONDITIONS), st.booleans(), st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
 def test_full_arm_cholesky_modes_at_n_up_to_d_match_the_m_path(d, size, n_val, transform, policy, precondition,
                                                                normalize, seed):
-    # at n <= d the full arm takes the thin SVD of L^-1 X_train, with no eigh
+    # at n <= d the full arm takes the thin SVD of L^-1 X_train, with no eigh; d above 32 takes triangular_inverse
+    # through its halving, whose off-diagonal block no single leaf reaches
     n = {"1": 1, "d/2": d // 2, "d": d}[size]
     _check_full_arm_modes(d, n, {"d": d, "3": 3}[n_val], transform, policy, precondition, normalize, seed)
 
@@ -878,15 +892,16 @@ def test_full_arm_cholesky_modes_at_n_up_to_d_match_the_m_path(d, size, n_val, t
 @pytest.mark.parametrize("policy", RANK_POLICIES)
 def test_full_arm_of_fewer_than_d_columns_is_refused_before_its_cholesky(monkeypatch, policy):
     # shaped like experiments/null_regime.cfg at its small sizes: 16 + 8 + 8 < d = 64 fit columns leave F_full
-    # singular, so under manual `full_whitened_modes` refuses before forming it or calling `proven_cholesky`;
-    # under jitter A = F_full + epsilon I can still be proven full-rank, and the helper gives the arm's modes
+    # singular, so under manual `full_whitened_modes` refuses before forming it or calling
+    # `proves_eigenvalues_above`; under jitter A = F_full + epsilon I can still be proven full-rank, and the helper
+    # gives the arm's modes
     from whitebench import runner, whitening
     from whitebench.runconfig import RunConfig
 
     cfg = RunConfig(experiment={"id": "null"}, data={"d": 64, "n_val": 8, "n_test": 8, "classes": 3},
                     whitening={"modes": ["none", "full"], "rank_policy": policy})
-    cholesky, helper, calls, found = whitening.proven_cholesky, runner.full_whitened_modes, [], []
-    monkeypatch.setattr(whitening, "proven_cholesky", lambda *a: calls.append(a) or cholesky(*a))
+    proof, helper, calls, found = whitening.proves_eigenvalues_above, runner.full_whitened_modes, [], []
+    monkeypatch.setattr(whitening, "proves_eigenvalues_above", lambda *a: calls.append(a) or proof(*a))
     monkeypatch.setattr(runner, "full_whitened_modes", lambda *a: found.append(helper(*a)) or found[-1])
     rows = runner._run_group((plan_run(cfg, "linear"), 16, 0, False))
     assert all(r.stopping_reason != "error" for r in rows)
